@@ -19,6 +19,7 @@ from .errors import (
     IncompatibleFrameError,
     NotALatticeError,
 )
+from .frame import check_compatibility, section_zero
 from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
 from .syntax import signature_from_dict
 
@@ -191,6 +192,7 @@ class ComplexAlgebra(FiniteAlgebra):
     def __init__(self, frame, concepts, leq, ops):
         self.frame = frame
         self.concepts = list(concepts)
+        self._ext_index = {c.extent: i for i, c in enumerate(self.concepts)}
         pol = frame.polarity
         names = [c.show(pol) for c in self.concepts]
         super().__init__(names, leq, frame.signature, ops)
@@ -200,8 +202,6 @@ class ComplexAlgebra(FiniteAlgebra):
 
 
 def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
-    from .frame import check_compatibility, section_zero
-
     if check:
         report = check_compatibility(frame)
         if not report.passed:
@@ -238,9 +238,7 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
                 )
             table[tup] = idx
         ops[conn.name] = table
-    alg = ComplexAlgebra(frame, concepts, leq, ops)
-    alg._ext_index = ext_index
-    return alg
+    return ComplexAlgebra(frame, concepts, leq, ops)
 
 
 @dataclass

@@ -9,6 +9,19 @@ def bits(mask):
         mask ^= low
 
 
+def meet_rows(rows, mask, acc):
+    """acc ANDed with rows[i] for every set bit i of mask.
+
+    The one section kernel: Galois maps, p-morphism sections and relation
+    sections all reduce to it.  Stops as soon as acc is empty.
+    """
+    while mask and acc:
+        low = mask & -mask
+        acc &= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def mask_of(indices):
     m = 0
     for i in indices:

@@ -14,7 +14,9 @@ import random
 import sys
 
 from . import __version__
-from .algebra import build_complex_algebra, load_algebra
+from .algebra import load_algebra
+from .bitset import bits
+from .constructions import coproduct, filter_ideal_extension, filter_ideal_frame
 from .definability import (
     CONDITIONS,
     CONSTRUCTIONS,
@@ -33,7 +35,6 @@ from .morphism import check_pmorphism, is_injective, is_surjective, load_morphis
 from .polarity import enumerate_concepts
 from .semantics import frame_validates
 from .syntax import parse_formula, parse_sequent, parse_signature
-from .constructions import coproduct, filter_ideal_extension, filter_ideal_frame
 
 
 def build_parser():
@@ -136,8 +137,6 @@ def run(args):
         concepts = enumerate_concepts(frame.polarity, cap)
         pol = frame.polarity
         if args.json:
-            from .bitset import bits
-
             data = [
                 {
                     "extent": [pol.w_names[i] for i in bits(c.extent)],

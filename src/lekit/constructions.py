@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import FiniteAlgebra, verify_normality
+from .algebra import FiniteAlgebra, build_complex_algebra, verify_normality
 from .bitset import bits
 from .errors import FormatError, NonNormalAlgebraError
 from .frame import Frame, Relation, connective_sorts
@@ -136,10 +136,7 @@ def filter_ideal_frame(alg, check_normal=True):
 
 def filter_ideal_extension(frame, cap=None):
     """The filter-ideal frame of the frame's complex algebra."""
-    from .algebra import build_complex_algebra
-    from .polarity import DEFAULT_CONCEPT_CAP
-
-    alg = build_complex_algebra(frame, cap=cap or DEFAULT_CONCEPT_CAP)
+    alg = build_complex_algebra(frame, cap=cap)
     return filter_ideal_frame(alg, check_normal=False)
 
 

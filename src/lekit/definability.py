@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .constructions import coproduct, filter_ideal_extension
 from .errors import FormatError, InvalidPMorphismError
 from .frame import check_compatibility
 from .morphism import check_pmorphism, is_injective, is_surjective
+from .sampling import component_embedding, diagonal_surjection, random_box_frame
 
 
 def box_pairs(frame):
@@ -124,9 +126,6 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
     does not.  filter-ideal: a frame whose filter-ideal extension
     satisfies it while the frame itself does not.
     """
-    from .constructions import coproduct as make_coproduct
-    from .constructions import filter_ideal_extension
-
     details = []
     if construction == "coproduct":
         for k, fr in enumerate(frames):
@@ -135,7 +134,7 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
                 details.append(f"component {k + 1} fails the condition: {witness}")
                 return FalsifyReport(False, condition, construction, details)
             details.append(f"component {k + 1} satisfies the condition")
-        cop = make_coproduct(frames)
+        cop = coproduct(frames)
         holds, witness = check_condition(condition, cop)
         if holds:
             details.append("the coproduct also satisfies the condition")
@@ -197,14 +196,6 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
 
 def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
     """Bounded random search for a falsifying witness; None if not found."""
-    from .constructions import coproduct as make_coproduct
-    from .constructions import filter_ideal_extension
-    from .sampling import (
-        component_embedding,
-        diagonal_surjection,
-        random_box_frame,
-    )
-
     for _ in range(tries):
         if construction == "coproduct":
             f1 = random_box_frame(rng, max_size, max_size)
@@ -213,7 +204,7 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
                 continue
             if not check_condition(condition, f2)[0]:
                 continue
-            if not check_condition(condition, make_coproduct([f1, f2]))[0]:
+            if not check_condition(condition, coproduct([f1, f2]))[0]:
                 return falsify(condition, construction, [f1, f2])
         elif construction == "pmorphic-image":
             fr = random_box_frame(rng, max_size, max_size)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, SortError
 from .frame import connective_sorts
-from .syntax import And, Bot, Conn, Or, Prop, Sequent, Top, validate_formula
+from .syntax import And, Bot, Conn, Or, Prop, Top, validate_formula
 
 SEQUENT_FORMS = ("impl-x", "impl-y", "pairing")
 

@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .bitset import bits, names_of
-from .errors import CapExceededError, FormatError, SortError
+from .bitset import bits, meet_rows, names_of
+from .errors import CapExceededError, FormatError, IncompatibleFrameError, SortError
 from .polarity import Polarity
-from .syntax import Signature, signature_from_dict
+from .syntax import signature_from_dict
 
 ALT_COMBO_CAP = 1 << 22
 
@@ -46,11 +46,17 @@ class Relation:
                 if not 0 <= v < size:
                     raise FormatError(f"relation tuple {t} out of range")
         self.tuples = tuples
-        by_args = {}
+        # rows[prefix][v]: heads related to prefix + (v,), where prefix holds
+        # coordinates 1..n-1 and v the last one; arity 0 keeps its heads in
+        # one row at a single phantom coordinate.
+        width = self.sizes[-1] if self.arity else 1
+        rows = {}
         for t in tuples:
-            by_args.setdefault(t[1:], 0)
-            by_args[t[1:]] |= 1 << t[0]
-        self.by_args = by_args
+            row = rows.get(t[1:-1])
+            if row is None:
+                row = rows[t[1:-1]] = [0] * width
+            row[t[-1] if self.arity else 0] |= 1 << t[0]
+        self.rows = rows
         self._swapped = {}
 
     def swap(self, i):
@@ -86,8 +92,14 @@ def section_zero(rel, args):
     if len(args) != rel.arity:
         raise SortError(f"expected {rel.arity} argument sets, got {len(args)}")
     acc = (1 << rel.sizes[0]) - 1
-    for combo in product(*(tuple(bits(a)) for a in args)):
-        acc &= rel.by_args.get(combo, 0)
+    *outer, last = args or (1,)  # arity 0: select the phantom coordinate
+    if not last:
+        return acc
+    for prefix in product(*(tuple(bits(a)) for a in outer)):
+        row = rel.rows.get(prefix)
+        if row is None:
+            return 0
+        acc = meet_rows(row, last, acc)
         if not acc:
             break
     return acc
@@ -205,8 +217,6 @@ def load_frame(path, check=True):
     if check:
         report = check_compatibility(frame)
         if not report.passed:
-            from .errors import IncompatibleFrameError
-
             raise IncompatibleFrameError(f"{path}: {report.message}")
     return frame
 

@@ -2,21 +2,28 @@
 
 A p-morphism from a source frame to a target frame is a pair (S, T)
 with S between source W points and target U points, and T between source
-U points and target W points.  Its dual sends a target concept a to the
-source concept whose extent is the S 0-section of the intent of a; the
-T 0-section of the extent of a closes down to the same extent (this is
-checked as a diagnostic), though it need not itself be a closed intent.
+U points and target W points.  Both are held as polarities, S over
+(source W, target U) and T over (source U, target W), so their sections
+are the up and down maps: the S 0-section of a set of target U points is
+S.down of it, the T 0-section of a set of target W points is T.down.
+
+The dual sends a target concept a to the source concept whose extent is
+the S 0-section of the intent of a; the T 0-section of the extent of a
+closes down to the same extent (this is checked as a diagnostic), though
+it need not itself be a closed intent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
+from .algebra import ComplexAlgebra, build_complex_algebra
 from .bitset import bits, names_of
 from .errors import FormatError, InvalidPMorphismError
-from .polarity import Concept
 from .frame import section_zero
+from .polarity import Polarity, enumerate_concepts
 
 __all__ = [
     "PMorphism",
@@ -39,54 +46,18 @@ class PMorphism:
         self.target = target
         sp = source.polarity
         tp = target.polarity
-        self.s_pairs = frozenset((int(w), int(u)) for w, u in s_pairs)
-        self.t_pairs = frozenset((int(u), int(w)) for u, w in t_pairs)
-        for w, u in self.s_pairs:
+        s_pairs = frozenset((int(w), int(u)) for w, u in s_pairs)
+        t_pairs = frozenset((int(u), int(w)) for u, w in t_pairs)
+        for w, u in s_pairs:
             if not (0 <= w < sp.nw and 0 <= u < tp.nu):
                 raise FormatError(f"S pair ({w}, {u}) out of range")
-        for u, w in self.t_pairs:
+        for u, w in t_pairs:
             if not (0 <= u < sp.nu and 0 <= w < tp.nw):
                 raise FormatError(f"T pair ({u}, {w}) out of range")
-        self._s_cols = [0] * tp.nu  # per target u: mask over source W
-        self._s_rows = [0] * sp.nw  # per source w: mask over target U
-        for w, u in self.s_pairs:
-            self._s_cols[u] |= 1 << w
-            self._s_rows[w] |= 1 << u
-        self._t_cols = [0] * tp.nw  # per target w: mask over source U
-        self._t_rows = [0] * sp.nu  # per source u: mask over target W
-        for u, w in self.t_pairs:
-            self._t_cols[w] |= 1 << u
-            self._t_rows[u] |= 1 << w
-
-    # sections of S and T, by argument mask
-
-    def s0(self, target_u_mask):
-        """Source W points S-related to every u in the mask."""
-        out = self.source.polarity.full_w
-        for u in bits(target_u_mask):
-            out &= self._s_cols[u]
-        return out
-
-    def s1(self, source_w_mask):
-        """Target U points S-related to every w in the mask."""
-        out = self.target.polarity.full_u
-        for w in bits(source_w_mask):
-            out &= self._s_rows[w]
-        return out
-
-    def t0(self, target_w_mask):
-        """Source U points T-related to every w in the mask."""
-        out = self.source.polarity.full_u
-        for w in bits(target_w_mask):
-            out &= self._t_cols[w]
-        return out
-
-    def t1(self, source_u_mask):
-        """Target W points T-related to every u in the mask."""
-        out = self.target.polarity.full_w
-        for u in bits(source_u_mask):
-            out &= self._t_rows[u]
-        return out
+        self.S = Polarity(sp.w_names, tp.u_names, s_pairs)
+        self.T = Polarity(sp.u_names, tp.w_names, t_pairs)
+        self.s_pairs = self.S.pairs
+        self.t_pairs = self.T.pairs
 
     def to_dict(self):
         sp, tp = self.source.polarity, self.target.polarity
@@ -151,7 +122,7 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
     tp = pm.target.polarity
 
     for u in range(tp.nu):
-        mask = pm.s0(1 << u)
+        mask = pm.S.down(1 << u)
         if not sp.stable_w(mask):
             return PMorphismReport(
                 False, "p2",
@@ -159,7 +130,7 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 "is not stable in the source",
             )
     for w in range(sp.nw):
-        mask = pm.s1(1 << w)
+        mask = pm.S.up(1 << w)
         if not tp.stable_u(mask):
             return PMorphismReport(
                 False, "p2",
@@ -167,7 +138,7 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 "is not stable in the target",
             )
     for u in range(sp.nu):
-        mask = pm.t1(1 << u)
+        mask = pm.T.up(1 << u)
         if not tp.stable_w(mask):
             return PMorphismReport(
                 False, "p3",
@@ -175,8 +146,8 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 "is not stable in the target",
             )
     for w in range(tp.nw):
-        lhs = sp.down(pm.t0(1 << w))
-        rhs = pm.s0(tp.up(1 << w))
+        lhs = sp.down(pm.T.down(1 << w))
+        rhs = pm.S.down(tp.up(1 << w))
         if lhs & ~rhs:
             return PMorphismReport(
                 False, "p4",
@@ -184,11 +155,9 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 f"is not contained in {_show(rhs, sp.w_names)}",
             )
     if with_duality_diagnostic:
-        from .polarity import enumerate_concepts
-
         for c in enumerate_concepts(tp):
-            lhs = sp.down(pm.t0(c.extent))
-            rhs = pm.s0(c.intent)
+            lhs = sp.down(pm.T.down(c.extent))
+            rhs = pm.S.down(c.intent)
             if lhs != rhs:
                 return PMorphismReport(
                     False, "duality diagnostic",
@@ -197,7 +166,7 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                     f"intent {_show(rhs, sp.w_names)}",
                 )
     for w in range(sp.nw):
-        lhs = pm.t0(tp.down(pm.s1(1 << w)))
+        lhs = pm.T.down(tp.down(pm.S.up(1 << w)))
         rhs = sp.rows[w]
         if lhs & ~rhs:
             return PMorphismReport(
@@ -205,8 +174,6 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 f"at {sp.w_names[w]}: T-0-section of the closed S-1-section "
                 f"= {_show(lhs, sp.u_names)} exceeds the up-set {_show(rhs, sp.u_names)}",
             )
-
-    from itertools import product
 
     for conn in pm.source.signature.connectives:
         src_rel = pm.source.relations[conn.name]
@@ -216,24 +183,24 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
         ]
         for tup in product(*coord_ranges):
             if conn.family == "F":
-                lhs = pm.t0(tp.down(section_zero(tgt_rel, tuple(1 << v for v in tup))))
+                lhs = pm.T.down(tp.down(section_zero(tgt_rel, tuple(1 << v for v in tup))))
                 args = []
                 for v, e in zip(tup, conn.order_type):
                     if e == "1":
-                        args.append(sp.down(pm.t0(1 << v)))
+                        args.append(sp.down(pm.T.down(1 << v)))
                     else:
-                        args.append(sp.up(pm.s0(1 << v)))
+                        args.append(sp.up(pm.S.down(1 << v)))
                 rhs = section_zero(src_rel, tuple(args))
                 cond = "p6"
                 side_names = sp.u_names
             else:
-                lhs = pm.s0(tp.up(section_zero(tgt_rel, tuple(1 << v for v in tup))))
+                lhs = pm.S.down(tp.up(section_zero(tgt_rel, tuple(1 << v for v in tup))))
                 args = []
                 for v, e in zip(tup, conn.order_type):
                     if e == "1":
-                        args.append(sp.up(pm.s0(1 << v)))
+                        args.append(sp.up(pm.S.down(1 << v)))
                     else:
-                        args.append(sp.down(pm.t0(1 << v)))
+                        args.append(sp.down(pm.T.down(1 << v)))
                 rhs = section_zero(src_rel, tuple(args))
                 cond = "p7"
                 side_names = sp.w_names
@@ -273,22 +240,18 @@ def dual_hom(pm, check=True, cap=None):
     Returns a DualHom from the target frame's complex algebra to the
     source frame's.
     """
-    from .algebra import build_complex_algebra
-    from .polarity import DEFAULT_CONCEPT_CAP
-
     if check:
         report = check_pmorphism(pm)
         if not report.passed:
             raise InvalidPMorphismError(report.message)
-    cap = cap or DEFAULT_CONCEPT_CAP
     dom = build_complex_algebra(pm.target, cap=cap, check=False)
     cod = build_complex_algebra(pm.source, cap=cap, check=False)
     mapping = []
     raw_ext = []
     raw_int = []
     for c in dom.concepts:
-        ext = pm.s0(c.intent)
-        itn = pm.t0(c.extent)
+        ext = pm.S.down(c.intent)
+        itn = pm.T.down(c.extent)
         try:
             mapping.append(cod.index_of_extent(ext))
         except KeyError:
@@ -306,8 +269,6 @@ def dual_pmorphism(hom):
     hom maps the complex algebra of a frame (dom) to that of another
     frame (cod); the result goes from cod's frame to dom's frame.
     """
-    from .algebra import ComplexAlgebra
-
     if not isinstance(hom.dom, ComplexAlgebra) or not isinstance(hom.cod, ComplexAlgebra):
         raise FormatError("dual_pmorphism needs complex algebras on both sides")
     tgt = hom.dom.frame
@@ -341,12 +302,9 @@ def dual_pmorphism(hom):
 
 def is_surjective(pm, cap=None):
     """Distinct target concepts have distinct S-section extents."""
-    from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
-
-    cap = cap or DEFAULT_CONCEPT_CAP
     seen = set()
     for c in enumerate_concepts(pm.target.polarity, cap):
-        ext = pm.s0(c.intent)
+        ext = pm.S.down(c.intent)
         if ext in seen:
             return False
         seen.add(ext)
@@ -355,10 +313,7 @@ def is_surjective(pm, cap=None):
 
 def is_injective(pm, cap=None):
     """Every source concept extent is an S-section of some target concept."""
-    from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
-
-    cap = cap or DEFAULT_CONCEPT_CAP
-    images = {pm.s0(c.intent) for c in enumerate_concepts(pm.target.polarity, cap)}
+    images = {pm.S.down(c.intent) for c in enumerate_concepts(pm.target.polarity, cap)}
     return all(
         c.extent in images for c in enumerate_concepts(pm.source.polarity, cap)
     )

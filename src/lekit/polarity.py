@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, names_of
+from .bitset import meet_rows, names_of
 from .errors import CapExceededError, FormatError
 
 DEFAULT_CONCEPT_CAP = 1 << 16
@@ -63,17 +63,11 @@ class Polarity:
 
     def up(self, xmask):
         """All u related to every w in xmask."""
-        out = self.full_u
-        for w in bits(xmask):
-            out &= self.rows[w]
-        return out
+        return meet_rows(self.rows, xmask, self.full_u)
 
     def down(self, ymask):
         """All w related to every u in ymask."""
-        out = self.full_w
-        for u in bits(ymask):
-            out &= self.cols[u]
-        return out
+        return meet_rows(self.cols, ymask, self.full_w)
 
     def closure_w(self, xmask):
         return self.down(self.up(xmask))

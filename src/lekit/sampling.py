@@ -7,8 +7,11 @@ columns until nothing changes; closure only adds pairs, so this stops.
 
 from __future__ import annotations
 
+from .algebra import build_complex_algebra
 from .bitset import bits
+from .constructions import coproduct
 from .frame import Frame, Relation, connective_sorts
+from .morphism import DualHom, PMorphism, dual_pmorphism
 from .polarity import Polarity
 from .syntax import (
     And,
@@ -109,12 +112,6 @@ def component_embedding(f1, f2, cap=None):
     Built by dualizing the projection of the coproduct's algebra onto
     f1's algebra.
     """
-    from .algebra import build_complex_algebra
-    from .constructions import coproduct
-    from .morphism import DualHom, dual_pmorphism
-    from .polarity import DEFAULT_CONCEPT_CAP
-
-    cap = cap or DEFAULT_CONCEPT_CAP
     cop = coproduct([f1, f2])
     dom = build_complex_algebra(cop, cap=cap, check=False)
     cod = build_complex_algebra(f1, cap=cap, check=False)
@@ -132,12 +129,6 @@ def diagonal_surjection(fr, cap=None):
     Built by dualizing the diagonal embedding of fr's algebra into the
     algebra of fr + fr.
     """
-    from .algebra import build_complex_algebra
-    from .constructions import coproduct
-    from .morphism import DualHom, dual_pmorphism
-    from .polarity import DEFAULT_CONCEPT_CAP
-
-    cap = cap or DEFAULT_CONCEPT_CAP
     cop = coproduct([fr, fr])
     dom = build_complex_algebra(fr, cap=cap, check=False)
     cod = build_complex_algebra(cop, cap=cap, check=False)
@@ -150,8 +141,6 @@ def diagonal_surjection(fr, cap=None):
 
 def identity_pmorphism(fr):
     """The identity p-morphism: S is the incidence, T its converse."""
-    from .morphism import PMorphism
-
     pol = fr.polarity
     s_pairs = {(w, u) for w, u in pol.pairs}
     t_pairs = {(u, w) for w, u in pol.pairs}

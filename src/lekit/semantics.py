@@ -17,7 +17,7 @@ from .bitset import bits
 from .errors import CapExceededError, FormatError
 from .frame import section_zero
 from .polarity import Concept, enumerate_concepts
-from .syntax import And, Bot, Conn, Or, Prop, Sequent, Top, props_of, validate_formula
+from .syntax import And, Bot, Conn, Or, Prop, Top, props_of, validate_formula
 
 DEFAULT_VALUATION_CAP = 10**6
 

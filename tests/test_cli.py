@@ -189,3 +189,19 @@ def test_cap_flag_overrides(capsys, monkeypatch):
     monkeypatch.setenv("LEKIT_CAP", "1")
     code, _, _ = run_cli(["--cap", "1000", "concepts", F1], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concepts", M1_TGT],
+        ["pmorphism", M1_SRC, M1_TGT, M1_ST],
+        ["filter-ideal", F1],
+    ],
+    ids=["concepts", "pmorphism", "filter-ideal"],
+)
+def test_cap_zero_is_enforced(argv, capsys):
+    # --cap 0 is a cap of zero concepts everywhere, never "use the default"
+    code, _, err = run_cli(["--cap", "0"] + argv, capsys)
+    assert code == 2
+    assert "cap" in err.lower()

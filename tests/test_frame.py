@@ -1,6 +1,7 @@
 """Relation sections, compatibility checking, and frame serialization."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from lekit import (
     Connective,
     Frame,
     IncompatibleFrameError,
+    PMorphism,
     Polarity,
     Signature,
     check_compatibility,
@@ -69,6 +71,103 @@ def test_section_i_matches_definition():
                             expect |= 1 << cand
                     # got collects candidates c with (head, ..c..) in rel
                     assert got == expect
+
+
+def _scan_section(tuples, head_size, sizes, masks):
+    """Heads h with (h, *args) in tuples for every args in the mask product.
+
+    Reads the raw tuples only, so it shares no code with the section kernel.
+    """
+    members = [
+        [v for v in range(size) if m >> v & 1] for size, m in zip(sizes, masks)
+    ]
+    out = 0
+    for h in range(head_size):
+        if all((h,) + args in tuples for args in product(*members)):
+            out |= 1 << h
+    return out
+
+
+def _random_pairs(rng, n, m):
+    density = rng.random()
+    return {(a, b) for a in range(n) for b in range(m) if rng.random() < density}
+
+
+def _random_masks(rng, size, k=6):
+    return [0, (1 << size) - 1] + [rng.randrange(1 << size) for _ in range(k)]
+
+
+def _check_polarity_sections(rng):
+    nw, nu = rng.randint(1, 20), rng.randint(1, 20)
+    pairs = _random_pairs(rng, nw, nu)
+    pol = Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs)
+    converse = {(u, w) for w, u in pairs}
+    for x in _random_masks(rng, nw):
+        assert pol.up(x) == _scan_section(converse, nu, (nw,), (x,))
+    for y in _random_masks(rng, nu):
+        assert pol.down(y) == _scan_section(pairs, nw, (nu,), (y,))
+
+
+def _random_frame(rng, max_size=12):
+    nw, nu = rng.randint(1, max_size), rng.randint(1, max_size)
+    pol = Polarity(
+        [f"w{i}" for i in range(nw)],
+        [f"u{i}" for i in range(nu)],
+        _random_pairs(rng, nw, nu),
+    )
+    rel = Relation(connective_sorts(SIG_BOX.connectives[0]), (nw, nu), ())
+    return Frame(pol, SIG_BOX, {"box": rel})
+
+
+def _check_pmorphism_sections(rng):
+    src, tgt = _random_frame(rng), _random_frame(rng)
+    sp, tp = src.polarity, tgt.polarity
+    pm = PMorphism(
+        src, tgt, _random_pairs(rng, sp.nw, tp.nu), _random_pairs(rng, sp.nu, tp.nw)
+    )
+    s, t = set(pm.s_pairs), set(pm.t_pairs)
+    s_conv = {(u, w) for w, u in s}
+    t_conv = {(w, u) for u, w in t}
+    for y in _random_masks(rng, tp.nu):  # S 0-section
+        assert pm.S.down(y) == _scan_section(s, sp.nw, (tp.nu,), (y,))
+    for x in _random_masks(rng, sp.nw):  # S 1-section
+        assert pm.S.up(x) == _scan_section(s_conv, tp.nu, (sp.nw,), (x,))
+    for x in _random_masks(rng, tp.nw):  # T 0-section
+        assert pm.T.down(x) == _scan_section(t, sp.nu, (tp.nw,), (x,))
+    for y in _random_masks(rng, sp.nu):  # T 1-section
+        assert pm.T.up(y) == _scan_section(t_conv, tp.nw, (sp.nu,), (y,))
+
+
+def _check_relation_sections(rng):
+    arity = rng.randint(0, 3)
+    conn = Connective(
+        "c", rng.choice("FG"), arity, tuple(rng.choice("1d") for _ in range(arity))
+    )
+    sorts = connective_sorts(conn)
+    size = {"W": rng.randint(1, 5), "U": rng.randint(1, 5)}
+    sizes = tuple(size[s] for s in sorts)
+    density = rng.random()
+    tuples = {
+        t for t in product(*(range(n) for n in sizes)) if rng.random() < density
+    }
+    rel = Relation(sorts, sizes, tuples)
+    for _ in range(20):
+        masks = tuple(
+            rng.choice(_random_masks(rng, n, k=2)) for n in sizes[1:]
+        )
+        expect = _scan_section(rel.tuples, sizes[0], sizes[1:], masks)
+        assert section_zero(rel, masks) == expect
+
+
+@pytest.mark.parametrize(
+    "check",
+    [_check_polarity_sections, _check_pmorphism_sections, _check_relation_sections],
+    ids=["polarity", "pmorphism", "relation"],
+)
+def test_sections_match_raw_pairs(check):
+    rng = random.Random(2024)
+    for _ in range(150):
+        check(rng)
 
 
 def test_section_antitone_in_arguments():
