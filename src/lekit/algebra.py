@@ -1,5 +1,12 @@
 """Finite bounded lattices with normal operations, and complex algebras.
 
+A FiniteAlgebra keeps its order as bit masks: above[i] and below[i] hold
+the elements above and below element i.  The order checks are mask
+operations over the comparable pairs, and meet[i][j] is the element whose
+below-mask is below[i] & below[j] (join likewise from the above-masks),
+found through a dict from masks to elements; when there is none, the pair
+has no meet (join) and the order is not a lattice.
+
 The complex algebra of a compatible frame has the concept lattice as
 carrier.  A family-F connective sends concepts to the concept whose
 intent is the 0-section of its relation at the arguments' extents
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 from .bitset import bits
 from .errors import (
@@ -33,15 +40,11 @@ class FiniteAlgebra:
         self.signature = signature
         if len(leq) != self.size or any(len(row) != self.size for row in leq):
             raise FormatError("leq matrix has wrong shape")
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.leq = tuple(tuple(map(bool, row)) for row in leq)
+        powers = [1 << j for j in range(self.size)]
+        self.above = tuple(sum(compress(powers, row)) for row in self.leq)
+        self.below = tuple(sum(compress(powers, col)) for col in zip(*self.leq))
         self._check_order()
-        below = []
-        above = []
-        for i in range(self.size):
-            below.append(sum(1 << j for j in range(self.size) if self.leq[j][i]))
-            above.append(sum(1 << j for j in range(self.size) if self.leq[i][j]))
-        self.below = tuple(below)
-        self.above = tuple(above)
         self.meet = self._build_table(self.below, "meet")
         self.join = self._build_table(self.above, "join")
         self.top = self._extreme(self.below)
@@ -66,17 +69,21 @@ class FiniteAlgebra:
         self.ops = table_ops
 
     def _check_order(self):
-        n = self.size
-        for i in range(n):
-            if not self.leq[i][i]:
+        """Reflexivity, antisymmetry and transitivity on the cone masks.
+
+        Visits the pairs i <= j in the order of a row-major scan of leq, so
+        the first violation found is the one that scan would find.
+        """
+        above, below = self.above, self.below
+        for i in range(self.size):
+            up = above[i]
+            if not up >> i & 1:
                 raise NotALatticeError("leq is not reflexive")
-            for j in range(n):
-                if self.leq[i][j] and self.leq[j][i] and i != j:
+            for j in bits(up):
+                if j != i and below[i] >> j & 1:
                     raise NotALatticeError("leq is not antisymmetric")
-                if self.leq[i][j]:
-                    for k in range(n):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise NotALatticeError("leq is not transitive")
+                if above[j] & ~up:
+                    raise NotALatticeError("leq is not transitive")
 
     def _extreme(self, cone):
         full = (1 << self.size) - 1
@@ -86,24 +93,18 @@ class FiniteAlgebra:
         raise NotALatticeError("order is not bounded")
 
     def _build_table(self, cone, what):
-        table = []
-        full = (1 << self.size) - 1
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                cands = cone[i] & cone[j]
-                best = None
-                for k in bits(cands):
-                    if cands & ~cone[k] == 0:
-                        best = k
-                        break
-                if best is None:
-                    raise NotALatticeError(
-                        f"{what} of {self.names[i]!r} and {self.names[j]!r} does not exist"
-                    )
-                row.append(best)
-            table.append(tuple(row))
-        return tuple(table)
+        index = {c: k for k, c in enumerate(cone)}
+        rows = []
+        for i, ci in enumerate(cone):
+            # the table is symmetric: entries j < i are column i of earlier rows
+            row = [r[i] for r in rows] + [index.get(ci & cj) for cj in cone[i:]]
+            if None in row:
+                j = row.index(None)
+                raise NotALatticeError(
+                    f"{what} of {self.names[i]!r} and {self.names[j]!r} does not exist"
+                )
+            rows.append(row)
+        return tuple(map(tuple, rows))
 
     def le(self, i, j):
         return self.leq[i][j]
@@ -211,7 +212,8 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
     n = len(concepts)
     ext_index = {c.extent: i for i, c in enumerate(concepts)}
     int_index = {c.intent: i for i, c in enumerate(concepts)}
-    leq = [[concepts[i].extent & ~concepts[j].extent == 0 for j in range(n)] for i in range(n)]
+    extents = [c.extent for c in concepts]
+    leq = [[ei & ej == ei for ej in extents] for ei in extents]
     ops = {}
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
@@ -294,23 +296,19 @@ def verify_normality(alg):
                 unit = alg.top if e == "1" else alg.bot
                 target = alg.top
                 law = ("meet" if e == "1" else "join") + "-to-meet"
-            rest_positions = [k for k in range(conn.arity) if k != i]
             for rest in product(range(n), repeat=conn.arity - 1):
-                def at(v):
-                    args = [None] * conn.arity
-                    for k, r in zip(rest_positions, rest):
-                        args[k] = r
-                    args[i] = v
-                    return table[tuple(args)]
-
-                if at(unit) != target:
+                # col[v] is the operation with v at coordinate i, rest elsewhere
+                col = [table[rest[:i] + (v,) + rest[i:]] for v in range(n)]
+                if col[unit] != target:
                     return NormalityReport(
                         False, conn.name, i, law + " unit",
                         f"rest={tuple(alg.names[r] for r in rest)}",
                     )
                 for a in range(n):
+                    inner_a = inner[a]
+                    outer_a = outer[col[a]]
                     for b in range(a + 1, n):
-                        if at(inner[a][b]) != outer[at(a)][at(b)]:
+                        if col[inner_a[b]] != outer_a[col[b]]:
                             return NormalityReport(
                                 False, conn.name, i, law,
                                 f"a={alg.names[a]!r}, b={alg.names[b]!r}, "

@@ -45,7 +45,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"lekit {__version__}")
     parser.add_argument("--json", action="store_true", help="machine readable output")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    parser.add_argument(
+        "--cap", type=int, default=None, help="most concepts an enumeration may find"
+    )
     parser.add_argument(
         "--no-check",
         action="store_true",
@@ -155,7 +157,7 @@ def run(args):
     if args.command == "valid":
         frame = _load(args.frame, args)
         sequent = parse_sequent(args.sequent, frame.signature)
-        verdict = frame_validates(frame, sequent, cap=cap or None)
+        verdict = frame_validates(frame, sequent, cap=None, concept_cap=cap)
         _emit(args, verdict.to_dict(frame), verdict.describe(frame))
         return 0 if verdict.valid else 1
 
@@ -224,6 +226,8 @@ def run(args):
 
     if args.command == "falsify":
         if args.search:
+            if args.max_size < 1:
+                raise LekitError(f"--max-size must be at least 1, got {args.max_size}")
             rng = random.Random(args.seed)
             report = search_falsification(
                 args.condition,

@@ -146,11 +146,7 @@ def canonical_embedding(alg, fif_algebra):
     fif_algebra must be the complex algebra of filter_ideal_frame(alg);
     returns the element mapping as a list of concept indices.
     """
-    mapping = []
-    for a in range(alg.size):
-        ext = sum(1 << k for k in range(alg.size) if alg.leq[k][a])
-        mapping.append(fif_algebra.index_of_extent(ext))
-    return mapping
+    return [fif_algebra.index_of_extent(alg.below[a]) for a in range(alg.size)]
 
 
 def product_algebra(a, b):

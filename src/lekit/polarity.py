@@ -143,28 +143,50 @@ def concept_of_u(polarity, u):
     return Concept(ext, polarity.up(ext))
 
 
+def _next_closures(close, n, cap):
+    """The closed subsets of range(n) under close, in increasing mask order.
+
+    Ganter's NextClosure: the successor of a closed set A is the first
+    closure of (A above i) + {i}, over the bits i not in A from the lowest,
+    that adds nothing above i.  Bit n-1 is the most significant, so the
+    lectic order is the integer order of the masks.  Raises
+    CapExceededError when a closed set beyond the first cap is reached.
+    """
+    found = []
+    full = (1 << n) - 1
+    a = close(0)
+    while True:
+        if len(found) >= cap:
+            raise CapExceededError(
+                f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
+            )
+        found.append(a)
+        if a == full:
+            return found
+        for i in range(n):
+            bit = 1 << i
+            if a & bit:
+                continue
+            above = a & ~((bit << 1) - 1)
+            b = close(above | bit)
+            if b & ~a & ~(bit - 1) == bit:
+                a = b
+                break
+
+
 def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
     """All concepts of the polarity, sorted by extent bit pattern.
 
-    Closes every subset of the smaller sort, so the work and the number of
-    results are bounded by 2**min(|W|, |U|); raises CapExceededError when
-    that bound is above the cap.
+    Runs NextClosure over the smaller sort, so the work is at most
+    min(|W|, |U|) closures per concept.  cap bounds the number of concepts
+    found: CapExceededError is raised as soon as concept number cap + 1
+    would be emitted.
     """
     if cap is None:
         cap = DEFAULT_CONCEPT_CAP
-    n = min(polarity.nw, polarity.nu)
-    if (1 << n) > cap:
-        raise CapExceededError(
-            f"up to 2^{n} concepts possible, cap is {cap}; raise the cap to proceed"
-        )
-    found = {}
     if polarity.nw <= polarity.nu:
-        for x in range(1 << polarity.nw):
-            ext = polarity.closure_w(x)
-            if ext not in found:
-                found[ext] = polarity.up(ext)
-    else:
-        for y in range(1 << polarity.nu):
-            itn = polarity.closure_u(y)
-            found[polarity.down(itn)] = itn
-    return [Concept(e, found[e]) for e in sorted(found)]
+        extents = _next_closures(polarity.closure_w, polarity.nw, cap)
+        return [Concept(e, polarity.up(e)) for e in extents]
+    intents = _next_closures(polarity.closure_u, polarity.nu, cap)
+    pairs = sorted((polarity.down(i), i) for i in intents)
+    return [Concept(e, i) for e, i in pairs]

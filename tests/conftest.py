@@ -6,18 +6,21 @@ are checked against an independent code path.
 """
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from lekit import (
     Frame,
+    NotALatticeError,
     Polarity,
     Signature,
     enumerate_concepts,
     load_frame,
     load_morphism,
 )
+from lekit.algebra import NormalityReport
 from lekit.bitset import bits, subsets
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import SIG_BOX
@@ -81,6 +84,90 @@ def brute_concepts(pol):
         if pol.up(x) == y:
             found.add((x, y))
     return found
+
+
+def check_order(leq):
+    """Raise NotALatticeError unless leq is a partial order, by triple scan."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotALatticeError("leq is not reflexive")
+        for j in range(n):
+            if leq[i][j] and leq[j][i] and i != j:
+                raise NotALatticeError("leq is not antisymmetric")
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise NotALatticeError("leq is not transitive")
+
+
+def build_table(names, cone, what):
+    """Meet (cone = below-sets) or join (above-sets) table by candidate scan.
+
+    The entry at (i, j) is the candidate in cone[i] & cone[j] whose own
+    cone holds all the candidates.
+    """
+    table = []
+    for i in range(len(names)):
+        row = []
+        for j in range(len(names)):
+            cands = cone[i] & cone[j]
+            best = None
+            for k in bits(cands):
+                if cands & ~cone[k] == 0:
+                    best = k
+                    break
+            if best is None:
+                raise NotALatticeError(
+                    f"{what} of {names[i]!r} and {names[j]!r} does not exist"
+                )
+            row.append(best)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def normality_by_lookup(alg):
+    """verify_normality with every operation value looked up argument by argument."""
+    n = alg.size
+    for conn in alg.signature.connectives:
+        table = alg.ops[conn.name]
+        for i in range(conn.arity):
+            e = conn.order_type[i]
+            if conn.family == "F":
+                inner = alg.join if e == "1" else alg.meet
+                outer = alg.join
+                unit = alg.bot if e == "1" else alg.top
+                target = alg.bot
+                law = ("join" if e == "1" else "meet") + "-to-join"
+            else:
+                inner = alg.meet if e == "1" else alg.join
+                outer = alg.meet
+                unit = alg.top if e == "1" else alg.bot
+                target = alg.top
+                law = ("meet" if e == "1" else "join") + "-to-meet"
+            rest_positions = [k for k in range(conn.arity) if k != i]
+            for rest in product(range(n), repeat=conn.arity - 1):
+                def at(v):
+                    args = [None] * conn.arity
+                    for k, r in zip(rest_positions, rest):
+                        args[k] = r
+                    args[i] = v
+                    return table[tuple(args)]
+
+                if at(unit) != target:
+                    return NormalityReport(
+                        False, conn.name, i, law + " unit",
+                        f"rest={tuple(alg.names[r] for r in rest)}",
+                    )
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        if at(inner[a][b]) != outer[at(a)][at(b)]:
+                            return NormalityReport(
+                                False, conn.name, i, law,
+                                f"a={alg.names[a]!r}, b={alg.names[b]!r}, "
+                                f"rest={tuple(alg.names[r] for r in rest)}",
+                            )
+    return NormalityReport(True)
 
 
 def brute_filters(alg):

@@ -1,11 +1,14 @@
 """Finite algebras, complex algebras, normality, and homomorphisms."""
 
 import random
+from itertools import product
 
 import pytest
 
 from lekit import (
     FiniteAlgebra,
+    Frame,
+    Polarity,
     NotALatticeError,
     algebra_from_dict,
     build_complex_algebra,
@@ -13,10 +16,17 @@ from lekit import (
     find_isomorphism,
     verify_normality,
 )
+from lekit.bitset import mask_of
+from lekit.frame import Relation, connective_sorts
 from lekit.sampling import SIG_BOX, random_box_frame
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
 
-from conftest import all_box_frames_2x2
+from conftest import (
+    all_box_frames_2x2,
+    build_table,
+    check_order,
+    normality_by_lookup,
+)
 
 
 def two_chain():
@@ -171,3 +181,147 @@ def test_find_isomorphism_distinguishes():
 def test_complex_algebras_of_all_2x2_frames_are_normal():
     for fr in all_box_frames_2x2():
         assert verify_normality(build_complex_algebra(fr)).passed
+
+
+def _random_leq(rng, n):
+    """A random partial order on n points, sometimes bounded, sometimes damaged."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    density = rng.choice((0.2, 0.4, 0.7))
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                leq[perm[a]][perm[b]] = True
+    if n and rng.random() < 0.5:
+        for x in range(n):
+            leq[perm[0]][x] = leq[x][perm[-1]] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if leq[i][k] and leq[k][j]:
+                    leq[i][j] = True
+    damage = rng.random()
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and leq[i][j]]
+    if damage < 0.1:
+        i = rng.randrange(n)
+        leq[i][i] = False
+    elif damage < 0.2 and pairs:
+        i, j = rng.choice(pairs)
+        leq[j][i] = True
+    elif damage < 0.3 and pairs:
+        i, j = rng.choice(pairs)
+        leq[i][j] = False
+    return leq
+
+
+def _lattice_by_scan(names, leq):
+    """(meet, join) from the triple-scan order check and the candidate scan."""
+    check_order(leq)
+    n = len(leq)
+    below = [mask_of(j for j in range(n) if leq[j][i]) for i in range(n)]
+    above = [mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
+    return build_table(names, below, "meet"), build_table(names, above, "join")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotALatticeError as exc:
+        return str(exc)
+
+
+def test_order_check_and_tables_match_scans_on_random_posets():
+    rng = random.Random(17)
+    messages = set()
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        leq = _random_leq(rng, n)
+        names = [f"e{i}" for i in range(n)]
+        expected = _outcome(lambda: _lattice_by_scan(names, leq))
+        got = _outcome(
+            lambda: (lambda a: (a.meet, a.join))(
+                FiniteAlgebra(names, leq, EMPTY_SIGNATURE, {})
+            )
+        )
+        assert got == expected, leq
+        if isinstance(got, str):
+            messages.add(got.split(" of ")[0])
+    # every kind of refusal occurs in the family
+    assert {
+        "leq is not reflexive",
+        "leq is not antisymmetric",
+        "leq is not transitive",
+        "meet",
+        "join",
+    } <= messages
+
+
+def test_complex_algebra_tables_match_scans():
+    rng = random.Random(23)
+    for _ in range(40):
+        alg = build_complex_algebra(random_box_frame(rng, 6, 6))
+        assert (alg.meet, alg.join) == _lattice_by_scan(alg.names, alg.leq)
+        n = alg.size
+        assert alg.below == tuple(
+            mask_of(j for j in range(n) if alg.leq[j][i]) for i in range(n)
+        )
+
+
+def _boolean_frame(rng, k, connectives):
+    """A frame on N = "not equal" over k points, with random relations.
+
+    Every subset is stable under that polarity, so any relation is
+    compatible and the complex algebra is normal.
+    """
+    pol = Polarity(
+        [f"w{i}" for i in range(k)],
+        [f"u{i}" for i in range(k)],
+        [(w, u) for w in range(k) for u in range(k) if w != u],
+    )
+    sig = Signature(tuple(connectives))
+    relations = {}
+    for conn in connectives:
+        sorts = connective_sorts(conn)
+        tuples = {
+            t
+            for t in product(range(k), repeat=conn.arity + 1)
+            if rng.random() < 0.5
+        }
+        relations[conn.name] = Relation(sorts, (k,) * (conn.arity + 1), tuples)
+    return Frame(pol, sig, relations)
+
+
+def _normality_algebras():
+    rng = random.Random(31)
+    for _ in range(20):
+        yield build_complex_algebra(random_box_frame(rng, 5, 5))
+    for k in (2, 3, 4):
+        for _ in range(6):
+            conns = [
+                Connective("f", "F", 2, tuple(rng.choice("1d") for _ in range(2))),
+                Connective("g", "G", 2, tuple(rng.choice("1d") for _ in range(2))),
+                Connective("h", rng.choice("FG"), 1, (rng.choice("1d"),)),
+            ]
+            frame = _boolean_frame(rng, k, conns)
+            yield build_complex_algebra(frame, check=False)
+
+
+def test_normality_matches_lookup_loop_on_corrupted_tables():
+    rng = random.Random(37)
+    laws = set()
+    for alg in _normality_algebras():
+        assert verify_normality(alg) == normality_by_lookup(alg)
+        assert verify_normality(alg).passed
+        for _ in range(6):
+            conn = rng.choice(alg.signature.connectives)
+            ops = {name: dict(table) for name, table in alg.ops.items()}
+            args = rng.choice(sorted(ops[conn.name]))
+            ops[conn.name][args] = rng.randrange(alg.size)
+            bad = FiniteAlgebra(alg.names, alg.leq, alg.signature, ops)
+            report = verify_normality(bad)
+            assert report == normality_by_lookup(bad)
+            laws.add(report.law)
+    # both the unit and the distribution laws fail somewhere in the family
+    assert any(law and law.endswith(" unit") for law in laws)
+    assert any(law and not law.endswith(" unit") for law in laws)

@@ -1,6 +1,10 @@
 """Command line interface: exit codes, output shapes, caps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,11 +201,46 @@ def test_cap_flag_overrides(capsys, monkeypatch):
         ["concepts", M1_TGT],
         ["pmorphism", M1_SRC, M1_TGT, M1_ST],
         ["filter-ideal", F1],
+        ["valid", F1, "box box p |- p"],
     ],
-    ids=["concepts", "pmorphism", "filter-ideal"],
+    ids=["concepts", "pmorphism", "filter-ideal", "valid"],
 )
 def test_cap_zero_is_enforced(argv, capsys):
     # --cap 0 is a cap of zero concepts everywhere, never "use the default"
     code, _, err = run_cli(["--cap", "0"] + argv, capsys)
     assert code == 2
     assert "cap" in err.lower()
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_falsify_search_max_size_below_one(size, capsys):
+    code, _, err = run_cli(
+        [
+            "falsify",
+            "--search",
+            "--max-size",
+            size,
+            "--condition",
+            "R-equals-N-complement",
+            "--construction",
+            "coproduct",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "--max-size" in err
+
+
+def test_python_dash_m_lekit():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lekit", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("lekit ")

@@ -22,6 +22,7 @@ RANK = {
     "sampling": 7,
     "definability": 8,
     "cli": 9,
+    "__main__": 10,
 }
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")

@@ -1,5 +1,7 @@
 """Galois connection, closures, and concept enumeration."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,11 +111,58 @@ def test_concept_of_generators():
 
 
 def test_enumeration_cap():
+    # N = "not equal": every subset is stable, so there are 64 concepts
     pol = Polarity(
-        [f"w{i}" for i in range(6)], [f"u{i}" for i in range(6)], []
+        [f"w{i}" for i in range(6)],
+        [f"u{i}" for i in range(6)],
+        [(w, u) for w in range(6) for u in range(6) if w != u],
     )
     with pytest.raises(CapExceededError):
         enumerate_concepts(pol, cap=8)
+
+
+def test_cap_counts_concepts_found():
+    pol = rand_polarity(3, 3, 0b100010001)  # N = "equal": 5 concepts
+    assert len(enumerate_concepts(pol, cap=5)) == 5
+    with pytest.raises(CapExceededError, match="--cap"):
+        enumerate_concepts(pol, cap=4)
+    with pytest.raises(CapExceededError):
+        enumerate_concepts(pol, cap=0)
+
+
+@pytest.mark.parametrize("nw,nu", [(20, 20), (24, 31), (31, 24)])
+def test_large_polarity_with_few_concepts(nw, nu):
+    # above 2**16 subsets of either side, so only a count of the concepts
+    # found lets the default cap through
+    rng = random.Random(nw * 100 + nu)
+    pairs = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < 0.15]
+    pol = Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs)
+    # oracle: the extents are the intersections of attribute extents, plus W
+    extents = {pol.full_w}
+    for u in range(nu):
+        extents |= {e & pol.down(1 << u) for e in extents}
+    concepts = enumerate_concepts(pol)
+    assert [c.extent for c in concepts] == sorted(extents)
+    assert all(c.intent == pol.up(c.extent) for c in concepts)
+
+
+def _seeded_polarities():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 14), (14, 1), (14, 14), (9, 13), (13, 9)]
+    shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(40)]
+    for k, (nw, nu) in enumerate(shapes):
+        density = (0.1, 0.3, 0.5, 0.7, 0.9)[k % 5]
+        pairs = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < density]
+        yield pytest.param(
+            Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs),
+            id=f"{k}-{nw}x{nu}-d{density}",
+        )
+
+
+@pytest.mark.parametrize("pol", list(_seeded_polarities()))
+def test_next_closure_matches_brute_force(pol):
+    concepts = enumerate_concepts(pol)
+    assert [(c.extent, c.intent) for c in concepts] == sorted(brute_concepts(pol))
 
 
 def test_empty_polarity_has_one_concept():
