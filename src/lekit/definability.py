@@ -196,6 +196,8 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
 
 def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
     """Bounded random search for a falsifying witness; None if not found."""
+    if max_size < 1:
+        raise FormatError(f"max_size must be at least 1, got {max_size}")
     for _ in range(tries):
         if construction == "coproduct":
             f1 = random_box_frame(rng, max_size, max_size)

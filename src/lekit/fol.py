@@ -5,10 +5,18 @@ relation atoms R_c(head, args...), extent/intent predicates for
 propositions, and equality.  The translation of a formula comes in a
 W-sorted version (membership in the extent) and a U-sorted version
 (membership in the intent); a sequent has three interchangeable shapes.
+
+eval_fo compiles a formula once into nested closures over a list of
+variable slots, one per quantifier and one per free variable, so that no
+node visit dispatches on node types or hashes variables.  The compiled
+program is cached by the identity of the formula object and dropped when
+that object is collected; it reads the model's incidence rows, relations
+and valuation at each call, so one sentence serves every model.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import FormatError, SortError
@@ -233,42 +241,164 @@ def check_sorts(fof, sig):
 
 
 def eval_fo(model, fof, env=None):
-    """Tarskian evaluation over the model's frame and valuation."""
+    """Tarskian evaluation over the model's frame and valuation.
+
+    env maps the free variables (Var) to point indices.  The sentence is
+    compiled once into closures and cached by identity, so evaluating one
+    sentence object under many models pays the compilation once.
+    """
+    free, size, run = _program(fof)
+    slots = [None] * size
+    if free:
+        env = env or {}
+        for var, slot in free:
+            slots[slot] = env.get(var, _UNBOUND)
     pol = model.frame.polarity
-    env = env or {}
+    return run((pol.rows, pol.nw, pol.nu, model.frame.relations, model.valuation), slots)
 
-    def value(var):
-        try:
-            return env[var]
-        except KeyError:
-            raise SortError(f"unbound variable {var.name}") from None
 
-    if isinstance(fof, NAtom):
-        return pol.n(value(fof.x), value(fof.y))
-    if isinstance(fof, RAtom):
-        rel = model.frame.relations.get(fof.name)
-        if rel is None:
-            raise FormatError(f"no relation for connective {fof.name!r}")
-        return tuple(value(v) for v in fof.args) in rel.tuples
-    if isinstance(fof, PredAtom):
-        concept = model.valuation.get(fof.prop)
-        if concept is None:
-            raise FormatError(f"no value assigned to proposition {fof.prop!r}")
-        mask = concept.extent if fof.kind == "ext" else concept.intent
-        return bool(mask >> value(fof.var) & 1)
-    if isinstance(fof, Eq):
-        return value(fof.left) == value(fof.right)
-    if isinstance(fof, FAnd):
-        return eval_fo(model, fof.left, env) and eval_fo(model, fof.right, env)
-    if isinstance(fof, FImp):
-        return not eval_fo(model, fof.left, env) or eval_fo(model, fof.right, env)
-    if isinstance(fof, (Forall, Exists)):
-        size = pol.nw if fof.var.sort == "W" else pol.nu
-        results = (
-            eval_fo(model, fof.body, {**env, fof.var: v}) for v in range(size)
-        )
-        return all(results) if isinstance(fof, Forall) else any(results)
-    raise TypeError(f"not a first order formula: {fof!r}")
+# id(sentence) -> (weak reference to the sentence, compiled program); an
+# entry is dropped when its sentence is collected.
+_PROGRAMS = {}
+_UNBOUND = object()
+
+
+def _program(fof):
+    key = id(fof)
+    entry = _PROGRAMS.get(key)
+    if entry is not None and entry[0]() is fof:
+        return entry[1]
+    program = _compile_fo(fof)
+    try:
+        ref = weakref.ref(fof, lambda _: _PROGRAMS.pop(key, None))
+    except TypeError:  # no weak reference, so no way to see it collected
+        return program
+    _PROGRAMS[key] = (ref, program)
+    return program
+
+
+def _compile_fo(fof):
+    """(free, size, run) for a first order formula.
+
+    run(ctx, slots) evaluates it with ctx = (rows, |W|, |U|, relations,
+    valuation) read from the model at call time, and slots a list of size
+    point indices: each quantifier owns one slot, and (var, slot) in free
+    gives the slots of the free variables.  An unbound free variable holds
+    _UNBOUND; like a missing relation or proposition or a node that is not
+    first order, it raises only when evaluation reaches it.
+    """
+    free = {}
+    size = 0
+
+    def new_slot():
+        nonlocal size
+        size += 1
+        return size - 1
+
+    def checker(vars_, scope):
+        """The slots of vars_, and a check raising on unbound free ones (or None)."""
+        slots, loose = [], []
+        for v in vars_:
+            if v in scope:
+                slots.append(scope[v])
+                continue
+            if v not in free:
+                free[v] = new_slot()
+            slots.append(free[v])
+            loose.append((free[v], v.name))
+
+        def check(s):
+            for slot, name in loose:
+                if s[slot] is _UNBOUND:
+                    raise SortError(f"unbound variable {name}")
+
+        return tuple(slots), check if loose else None
+
+    def comp(f, scope):
+        if isinstance(f, NAtom):
+            (x, y), check = checker((f.x, f.y), scope)
+
+            def run(c, s):
+                if check:
+                    check(s)
+                return bool(c[0][s[x]] >> s[y] & 1)
+        elif isinstance(f, RAtom):
+            args, check = checker(f.args, scope)
+            name = f.name
+
+            if len(args) == 2:
+                head, arg = args
+
+                def run(c, s):
+                    rel = c[3].get(name)
+                    if rel is None:
+                        raise FormatError(f"no relation for connective {name!r}")
+                    if check:
+                        check(s)
+                    return (s[head], s[arg]) in rel.tuples
+            else:
+                def run(c, s):
+                    rel = c[3].get(name)
+                    if rel is None:
+                        raise FormatError(f"no relation for connective {name!r}")
+                    if check:
+                        check(s)
+                    return tuple([s[a] for a in args]) in rel.tuples
+        elif isinstance(f, PredAtom):
+            (x,), check = checker((f.var,), scope)
+            prop, ext = f.prop, f.kind == "ext"
+
+            def run(c, s):
+                concept = c[4].get(prop)
+                if concept is None:
+                    raise FormatError(f"no value assigned to proposition {prop!r}")
+                if check:
+                    check(s)
+                return bool((concept.extent if ext else concept.intent) >> s[x] & 1)
+        elif isinstance(f, Eq):
+            (a, b), check = checker((f.left, f.right), scope)
+
+            def run(c, s):
+                if check:
+                    check(s)
+                return s[a] == s[b]
+        elif isinstance(f, FAnd):
+            left, right = comp(f.left, scope), comp(f.right, scope)
+
+            def run(c, s):
+                return left(c, s) and right(c, s)
+        elif isinstance(f, FImp):
+            left, right = comp(f.left, scope), comp(f.right, scope)
+
+            def run(c, s):
+                return not left(c, s) or right(c, s)
+        elif isinstance(f, (Forall, Exists)):
+            slot = new_slot()
+            body = comp(f.body, {**scope, f.var: slot})
+            sort = 1 if f.var.sort == "W" else 2  # index of the sort's size in ctx
+            if isinstance(f, Forall):
+                def run(c, s):
+                    for v in range(c[sort]):
+                        s[slot] = v
+                        if not body(c, s):
+                            return False
+                    return True
+            else:
+                def run(c, s):
+                    for v in range(c[sort]):
+                        s[slot] = v
+                        if body(c, s):
+                            return True
+                    return False
+        else:
+            message = f"not a first order formula: {f!r}"
+
+            def run(c, s):
+                raise TypeError(message)
+        return run
+
+    run = comp(fof, {})
+    return tuple(free.items()), size, run
 
 
 def format_fo(fof):

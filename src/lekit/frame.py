@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from .bitset import bits, meet_rows, names_of
 from .errors import CapExceededError, FormatError, IncompatibleFrameError, SortError
@@ -172,6 +172,8 @@ def make_relation(frame_polarity, conn, named_tuples):
     }
     tuples = set()
     for t in named_tuples:
+        if not isinstance(t, (list, tuple)):
+            raise FormatError(f"relation tuple {t!r} for {conn.name!r} is not a list")
         if len(t) != len(sorts):
             raise FormatError(
                 f"relation tuple {t} for {conn.name!r} has length {len(t)}, "
@@ -179,11 +181,12 @@ def make_relation(frame_polarity, conn, named_tuples):
             )
         row = []
         for name, s in zip(t, sorts):
-            if name not in idx[s]:
+            try:
+                row.append(idx[s][name])
+            except (KeyError, TypeError):  # TypeError: an unhashable name
                 raise FormatError(
                     f"relation tuple {t} for {conn.name!r}: {name!r} is not a {s} point"
-                )
-            row.append(idx[s][name])
+                ) from None
         tuples.add(tuple(row))
     return Relation(sorts, sizes, tuples)
 
@@ -195,11 +198,21 @@ def frame_from_dict(data):
         if key not in data:
             raise FormatError(f"frame file missing key {key!r}")
     signature = signature_from_dict(data["signature"])
+    for key in ("W", "U"):
+        names = data[key]
+        if not isinstance(names, (list, tuple)) or not all(map(isinstance, names, repeat(str))):
+            raise FormatError(f"frame file: {key!r} must be a list of point names")
+    if not isinstance(data["N"], (list, tuple)):
+        raise FormatError("frame file: 'N' must be a list of pairs of point names")
     polarity = Polarity.from_names(data["W"], data["U"], data["N"])
     raw_rels = data.get("relations", {})
+    if not isinstance(raw_rels, dict):
+        raise FormatError("frame file: 'relations' must be an object")
     relations = {}
     for conn in signature.connectives:
         named = raw_rels.get(conn.name, [])
+        if not isinstance(named, (list, tuple)):
+            raise FormatError(f"frame file: relation {conn.name!r} must be a list of tuples")
         relations[conn.name] = make_relation(polarity, conn, named)
     extra = set(raw_rels) - {c.name for c in signature.connectives}
     if extra:

@@ -50,12 +50,17 @@ class Polarity:
         widx = {n: i for i, n in enumerate(w_names)}
         uidx = {n: i for i, n in enumerate(u_names)}
         pairs = []
-        for w, u in named_pairs:
-            if w not in widx:
+        for pair in named_pairs:
+            try:
+                w, u = pair
+                wi, ui = widx.get(w), uidx.get(u)
+            except (TypeError, ValueError):  # not a pair, or an unhashable name
+                raise FormatError(f"N entry {pair!r} is not a pair of point names") from None
+            if wi is None:
                 raise FormatError(f"unknown W point {w!r} in N")
-            if u not in uidx:
+            if ui is None:
                 raise FormatError(f"unknown U point {u!r} in N")
-            pairs.append((widx[w], uidx[u]))
+            pairs.append((wi, ui))
         return cls(w_names, u_names, pairs)
 
     def n(self, w, u):

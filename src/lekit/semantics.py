@@ -6,6 +6,18 @@ intents, and connectives go through the 0-sections of their relations.
 A model validates a sequent when the left extent is contained in the
 right extent (equivalently, the right intent in the left intent); a frame
 validates it when every valuation of the occurring propositions does.
+
+eval_formula evaluates one formula in one model, and _sat/_cosat give the
+pointwise recursive clauses; the tests use both as oracles.  Validity checks
+compile the sequent once into a straight-line program (_Program): one
+slot per distinct subformula, each recording the highest proposition
+index it depends on.  Valuations are scanned like an odometer, in product
+order with the last proposition changing fastest, and a step recomputes
+only the slots that depend on a proposition that changed.  frame_validates
+runs the program on (extent, intent) mask pairs of the enumerated
+concepts, memoising the Galois maps and each connective's sections;
+algebra_validates runs it on element indices through meet, join and the
+operation tables.
 """
 
 from __future__ import annotations
@@ -27,7 +39,8 @@ class Model:
         self.frame = frame
         pol = frame.polarity
         for p, c in valuation.items():
-            if not (pol.stable_w(c.extent) and pol.up(c.extent) == c.intent):
+            intent = pol.up(c.extent)
+            if intent != c.intent or pol.down(intent) != c.extent:
                 raise FormatError(f"valuation of {p!r} is not a concept")
         self.valuation = dict(valuation)
 
@@ -207,11 +220,181 @@ class ValidityVerdict:
         return out
 
 
+class _Program:
+    """A sequent compiled to a hash-consed straight-line program.
+
+    nodes[i] is (kind, payload, children) with kind "prop", "top", "bot",
+    "and", "or" or "conn", payload the proposition or connective name, and
+    children earlier slots; equal subformulas share one slot.  deps[i] is
+    the highest index (in props) of a proposition that slot i depends on,
+    -1 for none.  vals[i] holds the value of slot i during a scan.
+    """
+
+    def __init__(self, sequent, props):
+        index = {p: k for k, p in enumerate(props)}
+        self.nodes = []
+        self.deps = []
+        slots = {}
+
+        def visit(phi):
+            if isinstance(phi, Prop):
+                node = ("prop", phi.name, ())
+            elif isinstance(phi, Top):
+                node = ("top", None, ())
+            elif isinstance(phi, Bot):
+                node = ("bot", None, ())
+            elif isinstance(phi, And):
+                node = ("and", None, (visit(phi.left), visit(phi.right)))
+            elif isinstance(phi, Or):
+                node = ("or", None, (visit(phi.left), visit(phi.right)))
+            elif isinstance(phi, Conn):
+                node = ("conn", phi.name, tuple(visit(a) for a in phi.args))
+            else:
+                raise TypeError(f"not a formula: {phi!r}")
+            slot = slots.get(node)
+            if slot is None:
+                slot = slots[node] = len(self.nodes)
+                self.nodes.append(node)
+                if node[0] == "prop":
+                    self.deps.append(index[phi.name])
+                else:
+                    self.deps.append(max((self.deps[c] for c in node[2]), default=-1))
+            return slot
+
+        self.lhs = visit(sequent.lhs)
+        self.rhs = visit(sequent.rhs)
+        self.prop_slots = [slots[("prop", p, ())] for p in props]
+        self.vals = [None] * len(self.nodes)
+
+    def scan(self, domain, make_step, holds):
+        """The domain indices of the first valuation where holds() fails.
+
+        Valuations run in product order, the last proposition fastest, like
+        an odometer.  When proposition k takes its next value only the slots
+        whose highest dependency is k are recomputed; those depending on
+        earlier propositions keep their values, and constant slots are
+        computed once.  make_step(kind, payload, children, slot) returns a
+        function that stores the value of slot in vals from its children's.
+        Returns None when every valuation passes.
+        """
+        m, vals = len(self.prop_slots), self.vals
+        levels = [[] for _ in range(m + 1)]  # levels[k + 1]: slots with dep k
+        for slot, (kind, payload, kids) in enumerate(self.nodes):
+            if kind != "prop":
+                levels[self.deps[slot] + 1].append(make_step(kind, payload, kids, slot))
+        for step in levels[0]:
+            step()
+        picked = [0] * m
+
+        def fails_from(k):
+            if k == m:
+                return not holds()
+            slot, steps = self.prop_slots[k], levels[k + 1]
+            for i, v in enumerate(domain):
+                vals[slot] = v
+                for step in steps:
+                    step()
+                if fails_from(k + 1):
+                    picked[k] = i
+                    return True
+            return False
+
+        return tuple(picked) if fails_from(0) else None
+
+
+def _position(picked, n):
+    """1-based position of an index tuple in product order over range(n)."""
+    pos = 0
+    for i in picked:
+        pos = pos * n + i
+    return pos + 1
+
+
+def _frame_steps(frame, domain, vals):
+    """make_step for values that are (extent, intent) pairs.
+
+    Conjunctions find their pair in by_ext by extent, disjunctions in
+    by_int by intent; both start out holding the enumerated concepts, so
+    on compatible frames they never miss.  Connectives are memoised per
+    name on the masks they read.  On incompatible frames a connective may
+    leave the concept lattice; its pair is computed and memoised like any
+    other.
+    """
+    pol = frame.polarity
+    up, down = pol.up, pol.down
+    by_ext = {v[0]: v for v in domain}
+    by_int = {v[1]: v for v in domain}
+    memos = {}
+
+    def of_ext(ext):
+        v = by_ext.get(ext)
+        if v is None:
+            v = by_ext[ext] = (ext, up(ext))
+        return v
+
+    def of_int(itn):
+        v = by_int.get(itn)
+        if v is None:
+            v = by_int[itn] = (down(itn), itn)
+        return v
+
+    def make_step(kind, payload, kids, out):
+        if kind == "top":
+            def step():
+                vals[out] = of_ext(pol.full_w)
+        elif kind == "bot":
+            def step():
+                vals[out] = of_int(pol.full_u)
+        elif kind == "and":
+            a, b = kids
+
+            def step():
+                vals[out] = of_ext(vals[a][0] & vals[b][0])
+        elif kind == "or":
+            a, b = kids
+
+            def step():
+                vals[out] = of_int(vals[a][1] & vals[b][1])
+        else:
+            conn = frame.signature.get(payload)
+            rel = frame.relations[payload]
+            memo = memos.setdefault(payload, {})
+            # G reads intents at monotone coordinates and yields an extent;
+            # F reads extents there and yields an intent.
+            mono, close = (1, of_ext) if conn.family == "G" else (0, of_int)
+            reads = tuple(
+                (c, mono if e == "1" else 1 - mono) for c, e in zip(kids, conn.order_type)
+            )
+
+            if len(reads) == 1:
+                ((a, pick),) = reads
+
+                def step():
+                    key = vals[a][pick]
+                    v = memo.get(key)
+                    if v is None:
+                        v = memo[key] = close(section_zero(rel, (key,)))
+                    vals[out] = v
+            else:
+                def step():
+                    key = tuple([vals[c][pick] for c, pick in reads])
+                    v = memo.get(key)
+                    if v is None:
+                        v = memo[key] = close(section_zero(rel, key))
+                    vals[out] = v
+        return step
+
+    return make_step
+
+
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
     """Check the sequent under every valuation of its propositions.
 
     Valuations are scanned in concept enumeration order, propositions
-    sorted by name; the first failing valuation is reported.
+    sorted by name, the last one fastest; the first failing valuation is
+    reported.  The sequent runs as one compiled program on the concepts'
+    (extent, intent) pairs, with no complex algebra built, so frames
+    loaded without the compatibility check are decided as well.
     """
     validate_formula(sequent, frame.signature)
     concepts = enumerate_concepts(frame.polarity, concept_cap)
@@ -221,38 +404,59 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
         raise CapExceededError(
             f"{total} valuations needed, cap is {cap}; raise the cap to proceed"
         )
-    checked = 0
-    for combo in product(concepts, repeat=len(props)):
-        model = Model(frame, dict(zip(props, combo)))
-        checked += 1
-        if not model_validates(model, sequent):
-            return ValidityVerdict(False, dict(zip(props, combo)), checked)
-    return ValidityVerdict(True, None, checked)
+    program = _Program(sequent, props)
+    domain = [(c.extent, c.intent) for c in concepts]
+    vals, lhs, rhs = program.vals, program.lhs, program.rhs
+    picked = program.scan(
+        domain,
+        _frame_steps(frame, domain, vals),
+        lambda: not vals[lhs][0] & ~vals[rhs][0],
+    )
+    if picked is None:
+        return ValidityVerdict(True, None, total)
+    counter = {p: concepts[i] for p, i in zip(props, picked)}
+    return ValidityVerdict(False, counter, _position(picked, len(concepts)))
 
 
 def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
-    """Validity computed in a finite algebra via its operation tables."""
+    """Validity computed in a finite algebra via its operation tables.
+
+    Runs the program frame_validates uses, on element indices, with
+    meet/join and the operation tables as the steps.
+    """
     validate_formula(sequent, alg.signature)
     props = sorted(props_of(sequent))
     total = alg.size ** len(props)
     if cap is not None and total > cap:
         raise CapExceededError(f"{total} assignments needed, cap is {cap}")
+    program = _Program(sequent, props)
+    vals = program.vals
 
-    def ev(phi, env):
-        if isinstance(phi, Prop):
-            return env[phi.name]
-        if isinstance(phi, Top):
-            return alg.top
-        if isinstance(phi, Bot):
-            return alg.bot
-        if isinstance(phi, And):
-            return alg.meet[ev(phi.left, env)][ev(phi.right, env)]
-        if isinstance(phi, Or):
-            return alg.join[ev(phi.left, env)][ev(phi.right, env)]
-        return alg.ops[phi.name][tuple(ev(a, env) for a in phi.args)]
+    def make_step(kind, payload, kids, out):
+        if kind in ("top", "bot"):
+            value = alg.top if kind == "top" else alg.bot
 
-    for combo in product(range(alg.size), repeat=len(props)):
-        env = dict(zip(props, combo))
-        if not alg.leq[ev(sequent.lhs, env)][ev(sequent.rhs, env)]:
-            return False
-    return True
+            def step():
+                vals[out] = value
+        elif kind in ("and", "or"):
+            table = alg.meet if kind == "and" else alg.join
+            a, b = kids
+
+            def step():
+                vals[out] = table[vals[a]][vals[b]]
+        elif len(kids) == 1:
+            table, (a,) = alg.ops[payload], kids
+
+            def step():
+                vals[out] = table[(vals[a],)]
+        else:
+            table = alg.ops[payload]
+
+            def step():
+                vals[out] = table[tuple([vals[c] for c in kids])]
+        return step
+
+    leq, lhs, rhs = alg.leq, program.lhs, program.rhs
+    return program.scan(
+        range(alg.size), make_step, lambda: leq[vals[lhs]][vals[rhs]]
+    ) is None

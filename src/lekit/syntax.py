@@ -92,7 +92,7 @@ EMPTY_SIGNATURE = Signature(())
 
 
 def signature_from_dict(data):
-    if not isinstance(data, dict) or "connectives" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("connectives"), (list, tuple)):
         raise SignatureError("signature must be an object with a 'connectives' list")
     conns = []
     for entry in data["connectives"]:
@@ -103,9 +103,18 @@ def signature_from_dict(data):
             raw_ot = entry["order_type"]
         except (KeyError, TypeError) as exc:
             raise SignatureError(f"connective entry missing field: {exc}") from exc
+        if not (
+            isinstance(name, str)
+            and isinstance(arity, int)
+            and isinstance(raw_ot, (list, tuple))
+        ):
+            raise SignatureError(
+                f"connective {name!r}: name must be a string, arity an integer "
+                "and order_type a list"
+            )
         ot = []
         for e in raw_ot:
-            if e not in _ORDER_ALIASES:
+            if not isinstance(e, str) or e not in _ORDER_ALIASES:
                 raise SignatureError(f"connective {name!r}: unknown order type entry {e!r}")
             ot.append(_ORDER_ALIASES[e])
         conns.append(Connective(name, family, arity, tuple(ot)))

@@ -12,18 +12,30 @@ from pathlib import Path
 import pytest
 
 from lekit import (
+    And,
+    Bot,
+    Connective,
+    FormatError,
     Frame,
+    Model,
     NotALatticeError,
+    Or,
     Polarity,
+    Prop,
     Signature,
+    SortError,
+    Top,
     enumerate_concepts,
     load_frame,
     load_morphism,
+    model_validates,
+    props_of,
 )
 from lekit.algebra import NormalityReport
 from lekit.bitset import bits, subsets
+from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom
 from lekit.frame import Relation, connective_sorts
-from lekit.sampling import SIG_BOX
+from lekit.sampling import SIG_BOX, random_polarity
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -224,3 +236,139 @@ def all_box_frames_2x2():
             if check_compatibility(fr).passed:
                 frames.append(fr)
     return frames
+
+
+def frame_validates_by_models(frame, sequent):
+    """Frame validity as (valid, counter-valuation, valuations checked).
+
+    Evaluates a Model per valuation with eval_formula, in product order
+    over the enumerated concepts.
+    """
+    concepts = enumerate_concepts(frame.polarity)
+    props = sorted(props_of(sequent))
+    checked = 0
+    for combo in product(concepts, repeat=len(props)):
+        model = Model(frame, dict(zip(props, combo)))
+        checked += 1
+        if not model_validates(model, sequent):
+            return False, dict(zip(props, combo)), checked
+    return True, None, checked
+
+
+def algebra_validates_by_walk(alg, sequent):
+    """Algebra validity by walking the formula tree under each assignment."""
+    props = sorted(props_of(sequent))
+
+    def ev(phi, env):
+        if isinstance(phi, Prop):
+            return env[phi.name]
+        if isinstance(phi, Top):
+            return alg.top
+        if isinstance(phi, Bot):
+            return alg.bot
+        if isinstance(phi, And):
+            return alg.meet[ev(phi.left, env)][ev(phi.right, env)]
+        if isinstance(phi, Or):
+            return alg.join[ev(phi.left, env)][ev(phi.right, env)]
+        return alg.ops[phi.name][tuple(ev(a, env) for a in phi.args)]
+
+    for combo in product(range(alg.size), repeat=len(props)):
+        env = dict(zip(props, combo))
+        if not alg.leq[ev(sequent.lhs, env)][ev(sequent.rhs, env)]:
+            return False
+    return True
+
+
+def eval_fo_recursive(model, fof, env=None):
+    """Tarskian evaluation by recursion over the tree, env a dict of Vars."""
+    pol = model.frame.polarity
+    env = env or {}
+
+    def value(var):
+        try:
+            return env[var]
+        except KeyError:
+            raise SortError(f"unbound variable {var.name}") from None
+
+    if isinstance(fof, NAtom):
+        return pol.n(value(fof.x), value(fof.y))
+    if isinstance(fof, RAtom):
+        rel = model.frame.relations.get(fof.name)
+        if rel is None:
+            raise FormatError(f"no relation for connective {fof.name!r}")
+        return tuple(value(v) for v in fof.args) in rel.tuples
+    if isinstance(fof, PredAtom):
+        concept = model.valuation.get(fof.prop)
+        if concept is None:
+            raise FormatError(f"no value assigned to proposition {fof.prop!r}")
+        mask = concept.extent if fof.kind == "ext" else concept.intent
+        return bool(mask >> value(fof.var) & 1)
+    if isinstance(fof, Eq):
+        return value(fof.left) == value(fof.right)
+    if isinstance(fof, FAnd):
+        return eval_fo_recursive(model, fof.left, env) and eval_fo_recursive(
+            model, fof.right, env
+        )
+    if isinstance(fof, FImp):
+        return not eval_fo_recursive(model, fof.left, env) or eval_fo_recursive(
+            model, fof.right, env
+        )
+    if isinstance(fof, (Forall, Exists)):
+        size = pol.nw if fof.var.sort == "W" else pol.nu
+        results = (
+            eval_fo_recursive(model, fof.body, {**env, fof.var: v}) for v in range(size)
+        )
+        return all(results) if isinstance(fof, Forall) else any(results)
+    raise TypeError(f"not a first order formula: {fof!r}")
+
+
+def boolean_frame(rng, k, connectives):
+    """A frame on N = "not equal" over k points, with random relations.
+
+    Every subset is stable under that polarity, so any relation is
+    compatible and the complex algebra is normal.
+    """
+    pol = Polarity(
+        [f"w{i}" for i in range(k)],
+        [f"u{i}" for i in range(k)],
+        [(w, u) for w in range(k) for u in range(k) if w != u],
+    )
+    sig = Signature(tuple(connectives))
+    relations = {}
+    for conn in connectives:
+        sorts = connective_sorts(conn)
+        tuples = {
+            t
+            for t in product(range(k), repeat=conn.arity + 1)
+            if rng.random() < 0.5
+        }
+        relations[conn.name] = Relation(sorts, (k,) * (conn.arity + 1), tuples)
+    return Frame(pol, sig, relations)
+
+
+# Unary and binary connectives of both families, antitone coordinates and a
+# constant, so every kind of program step and section read is exercised.
+SIG_MIX = Signature(
+    (
+        Connective("box", "G", 1, ("1",)),
+        Connective("dia", "F", 1, ("1",)),
+        Connective("f", "F", 2, ("1", "d")),
+        Connective("g", "G", 2, ("d", "1")),
+        Connective("c", "F", 0, ()),
+    )
+)
+PROPS = ("p", "q", "r")
+
+
+def random_frame(rng, sig, max_size):
+    """A frame with random relations; most are not compatible."""
+    pol = random_polarity(rng, rng.randint(1, max_size), rng.randint(1, max_size))
+    relations = {}
+    for conn in sig.connectives:
+        sorts = connective_sorts(conn)
+        sizes = tuple(pol.size(s) for s in sorts)
+        tuples = {
+            t for t in product(*(range(n) for n in sizes)) if rng.random() < 0.4
+        }
+        relations[conn.name] = Relation(sorts, sizes, tuples)
+    return Frame(pol, sig, relations)

@@ -1,14 +1,11 @@
 """Finite algebras, complex algebras, normality, and homomorphisms."""
 
 import random
-from itertools import product
 
 import pytest
 
 from lekit import (
     FiniteAlgebra,
-    Frame,
-    Polarity,
     NotALatticeError,
     algebra_from_dict,
     build_complex_algebra,
@@ -17,12 +14,12 @@ from lekit import (
     verify_normality,
 )
 from lekit.bitset import mask_of
-from lekit.frame import Relation, connective_sorts
 from lekit.sampling import SIG_BOX, random_box_frame
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
 
 from conftest import (
     all_box_frames_2x2,
+    boolean_frame,
     build_table,
     check_order,
     normality_by_lookup,
@@ -268,30 +265,6 @@ def test_complex_algebra_tables_match_scans():
         )
 
 
-def _boolean_frame(rng, k, connectives):
-    """A frame on N = "not equal" over k points, with random relations.
-
-    Every subset is stable under that polarity, so any relation is
-    compatible and the complex algebra is normal.
-    """
-    pol = Polarity(
-        [f"w{i}" for i in range(k)],
-        [f"u{i}" for i in range(k)],
-        [(w, u) for w in range(k) for u in range(k) if w != u],
-    )
-    sig = Signature(tuple(connectives))
-    relations = {}
-    for conn in connectives:
-        sorts = connective_sorts(conn)
-        tuples = {
-            t
-            for t in product(range(k), repeat=conn.arity + 1)
-            if rng.random() < 0.5
-        }
-        relations[conn.name] = Relation(sorts, (k,) * (conn.arity + 1), tuples)
-    return Frame(pol, sig, relations)
-
-
 def _normality_algebras():
     rng = random.Random(31)
     for _ in range(20):
@@ -303,7 +276,7 @@ def _normality_algebras():
                 Connective("g", "G", 2, tuple(rng.choice("1d") for _ in range(2))),
                 Connective("h", rng.choice("FG"), 1, (rng.choice("1d"),)),
             ]
-            frame = _boolean_frame(rng, k, conns)
+            frame = boolean_frame(rng, k, conns)
             yield build_complex_algebra(frame, check=False)
 
 

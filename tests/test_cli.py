@@ -231,16 +231,58 @@ def test_falsify_search_max_size_below_one(size, capsys):
     assert "--max-size" in err
 
 
-def test_python_dash_m_lekit():
+def run_module(argv):
+    """Run python -m lekit in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lekit", "--version"],
+    return subprocess.run(
+        [sys.executable, "-m", "lekit"] + argv,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_python_dash_m_lekit():
+    proc = run_module(["--version"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("lekit ")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"W": 5},
+        {"N": [["a1"]]},
+        {"relations": {"box": 5}},
+        {"relations": {"box": [5]}},
+        {"signature": {"connectives": 5}},
+        {
+            "signature": {
+                "connectives": [
+                    {"name": "box", "family": "G", "arity": "1", "order_type": ["1"]}
+                ]
+            }
+        },
+    ],
+    ids=[
+        "W-not-a-list",
+        "N-pair-of-length-1",
+        "relation-not-a-list",
+        "tuple-not-a-list",
+        "connectives-not-a-list",
+        "arity-not-an-integer",
+    ],
+)
+def test_malformed_frame_file_exits_2(change, tmp_path):
+    with open(F1) as fh:
+        data = json.load(fh)
+    data.update(change)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(data))
+    proc = run_module(["check", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -95,6 +95,14 @@ def test_search_falsification_finds_coproduct_witness():
     assert found.falsified
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_search_falsification_rejects_max_size_below_one(size):
+    with pytest.raises(FormatError, match="max_size"):
+        search_falsification(
+            "R-equals-N-complement", "coproduct", random.Random(1), max_size=size
+        )
+
+
 def test_falsify_report_serialization(frame_f1, frame_f2):
     report = falsify(
         "R-equals-N-complement", "coproduct", [frame_f1, frame_f2]

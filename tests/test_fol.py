@@ -5,7 +5,9 @@ import random
 import pytest
 
 from lekit import (
+    FormatError,
     Model,
+    Prop,
     SortError,
     check_sorts,
     enumerate_concepts,
@@ -18,8 +20,11 @@ from lekit import (
     standard_translate,
     translate_sequent,
 )
+from lekit import fol
 from lekit.fol import (
     Eq,
+    Exists,
+    FAnd,
     FImp,
     Forall,
     NAtom,
@@ -30,7 +35,7 @@ from lekit.fol import (
 )
 from lekit.sampling import SIG_BOX, random_box_frame, random_formula, random_sequent
 
-from conftest import all_box_frames_2x2
+from conftest import PROPS, SIG_MIX, all_box_frames_2x2, eval_fo_recursive, random_frame
 
 XV = Var("W", "x")
 YV = Var("U", "y")
@@ -136,3 +141,125 @@ def _exists_n(xv):
     from lekit.fol import Exists
 
     return Exists(YV, NAtom(xv, YV))
+
+
+X2 = Var("W", "x2")
+Y2 = Var("U", "y2")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (FormatError, SortError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_compiled_eval_fo_matches_recursive_oracle():
+    rng = random.Random(83)
+    evaluations = 0
+    for _ in range(60):
+        fr = random_frame(rng, SIG_MIX, 3)
+        concepts = enumerate_concepts(fr.polarity)
+        props = PROPS[: rng.randint(1, 2)]
+        phi = random_formula(rng, SIG_MIX, props, 3)
+        seq = random_sequent(rng, SIG_MIX, props, 2)
+        sentences = [translate_sequent(seq, SIG_MIX, f) for f in SEQUENT_FORMS]
+        stx = standard_translate(phi, SIG_MIX, "W")
+        sty = standard_translate(phi, SIG_MIX, "U")
+        for _ in range(3):
+            m = Model(fr, {p: rng.choice(concepts) for p in props})
+            for fof in sentences:
+                assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
+            for w in range(fr.polarity.nw):
+                assert eval_fo(m, stx, {XV: w}) == eval_fo_recursive(m, stx, {XV: w})
+            for u in range(fr.polarity.nu):
+                assert eval_fo(m, sty, {YV: u}) == eval_fo_recursive(m, sty, {YV: u})
+            evaluations += 3 + fr.polarity.nw + fr.polarity.nu
+    assert evaluations > 1000
+
+
+def test_shadowed_variables_exists_and_eq(frame_f1):
+    m = Model(frame_f1, {})
+    sentences = [
+        # the inner x shadows the outer one
+        Forall(XV, Forall(XV, Exists(YV, NAtom(XV, YV)))),
+        Forall(XV, Exists(XV, NAtom(XV, YV))),
+        Exists(XV, Forall(XV, Eq(XV, XV))),
+        Forall(XV, Exists(X2, FAnd(Eq(XV, X2), Forall(X2, Eq(X2, X2))))),
+        Forall(XV, Forall(X2, Eq(XV, X2))),
+        Exists(
+            XV, Exists(X2, FImp(Eq(XV, X2), Exists(X2, FAnd(NAtom(X2, YV), Eq(XV, X2)))))
+        ),
+        Forall(YV, Exists(XV, FAnd(NAtom(XV, YV), Exists(YV, NAtom(XV, YV))))),
+    ]
+    for fof in sentences:
+        for u in range(frame_f1.polarity.nu):
+            env = {YV: u}
+            assert eval_fo(m, fof, env) == eval_fo_recursive(m, fof, env)
+    assert not eval_fo(m, Forall(XV, Forall(X2, Eq(XV, X2))))
+    # every U point has an incident W point, but not every W point is incident
+    assert eval_fo(m, Forall(XV, Exists(XV, NAtom(XV, YV))), {YV: 0})
+    assert not eval_fo(m, Exists(XV, Forall(XV, NAtom(XV, YV))), {YV: 0})
+    assert eval_fo(m, Exists(XV, Forall(XV, Eq(XV, XV))))
+
+
+def test_free_variables_from_env(frame_f1):
+    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[1]})
+    fof = FAnd(FImp(PredAtom("ext", "p", XV), RAtom("box", (XV, YV))), Eq(X2, XV))
+    pol = frame_f1.polarity
+    for x in range(pol.nw):
+        for y in range(pol.nu):
+            for x2 in range(pol.nw):
+                env = {XV: x, YV: y, X2: x2, Y2: 0}
+                assert eval_fo(m, fof, env) == eval_fo_recursive(m, fof, env)
+
+
+def test_errors_raise_only_when_reached(frame_f1):
+    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
+    false = Forall(XV, Forall(X2, Eq(XV, X2)))  # two W points
+    true = Exists(XV, Eq(XV, XV))
+    broken = [
+        NAtom(XV, Var("U", "free")),  # unbound variable
+        PredAtom("ext", "nope", XV),  # missing proposition
+        RAtom("nope", (XV, YV)),  # missing relation
+        Prop("p"),  # not a first order node
+        FAnd(true, Exists(XV, RAtom("box", (XV, Var("U", "free"))))),
+    ]
+    for bad in broken:
+        quiet = [FAnd(false, bad), FImp(false, bad), Exists(XV, FAnd(false, bad))]
+        for fof in quiet:
+            env = {YV: 0}
+            assert eval_fo(m, fof, env) == eval_fo_recursive(m, fof, env)
+        for fof in (FAnd(true, bad), FImp(true, bad), Forall(XV, bad)):
+            env = {YV: 0}
+            got = _outcome(eval_fo, m, fof, env)
+            assert isinstance(got, tuple)  # raised
+            assert got == _outcome(eval_fo_recursive, m, fof, env)
+    # an unbound free variable in an atom reached first
+    assert _outcome(eval_fo, m, NAtom(XV, YV)) == (SortError, "unbound variable x")
+    assert _outcome(eval_fo, m, RAtom("nope", (XV, YV))) == (
+        FormatError,
+        "no relation for connective 'nope'",
+    )
+
+
+def test_program_cache_never_serves_a_collected_sentence(frame_f1):
+    pol = frame_f1.polarity
+    m = Model(frame_f1, {})
+    # the bodies outlive the roots, so a new root is often allocated at the
+    # address of the root just collected, and its id is the cached one
+    bodies = (NAtom(XV, YV), FImp(NAtom(XV, YV), Eq(XV, XV)))
+    reused = 0
+    for u in range(pol.nu):
+        for _ in range(20):
+            first = Forall(XV, bodies[0])
+            assert eval_fo(m, first, {YV: u}) == eval_fo_recursive(m, first, {YV: u})
+            old = id(first)
+            del first  # collected here, by reference counting
+            assert old not in fol._PROGRAMS
+            second = Exists(XV, bodies[1])
+            reused += id(second) == old
+            assert eval_fo(m, second, {YV: u}) == eval_fo_recursive(m, second, {YV: u})
+            del second
+    assert reused
+    assert all(ref() is not None for ref, _ in fol._PROGRAMS.values())

@@ -9,11 +9,13 @@ from lekit import (
     Connective,
     Frame,
     IncompatibleFrameError,
+    LekitError,
     PMorphism,
     Polarity,
     Signature,
     check_compatibility,
     check_compatibility_alt,
+    frame_from_dict,
     load_frame,
     save_frame,
 )
@@ -21,7 +23,7 @@ from lekit.bitset import subsets
 from lekit.frame import Relation, connective_sorts, section_i, section_zero
 from lekit.sampling import SIG_BOX, random_box_frame
 
-from conftest import all_box_frames_2x2, golden_path
+from conftest import all_box_frames_2x2, golden_path, load_json
 
 
 def test_connective_sorts():
@@ -259,6 +261,32 @@ def test_load_rejects_incompatible(tmp_path):
         load_frame(path)
     loaded = load_frame(path, check=False)
     assert not check_compatibility(loaded).passed
+
+
+def _signature(**field):
+    box = {"name": "box", "family": "G", "arity": 1, "order_type": ["1"], **field}
+    return {"signature": {"connectives": [box]}}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"U": "xy", "N": [], "relations": {"box": []}},
+        {"W": [1, 2], "N": [], "relations": {"box": []}},
+        {"N": [5]},
+        {"N": [["a1", ["x1"]]]},
+        {"N": [["a1", "x1", "y1"]]},
+        {"relations": [["a1", "y1"]]},
+        {"relations": {"box": [["a1", {"y1": 1}]]}},
+        _signature(name=5),
+        _signature(order_type=[["1"]]),
+    ],
+)
+def test_frame_from_dict_rejects_malformed_shapes(change):
+    data = load_json("coproduct_F1.json")
+    data.update(change)
+    with pytest.raises(LekitError):
+        frame_from_dict(data)
 
 
 def test_golden_frames_are_compatible():

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from lekit import (
+    And,
+    Conn,
+    Connective,
+    IncompatibleFrameError,
     Model,
+    Or,
+    Sequent,
     algebra_validates,
     build_complex_algebra,
     cosatisfies,
@@ -13,15 +19,31 @@ from lekit import (
     enumerate_concepts,
     eval_formula,
     frame_validates,
+    load_frame,
     model_validates,
     parse_formula,
     parse_sequent,
     satisfies,
     satisfies_recursive,
 )
-from lekit.sampling import SIG_BOX, random_box_frame, random_formula, random_sequent
+from lekit.constructions import product_algebra
+from lekit.sampling import (
+    SIG_BOX,
+    random_box_frame,
+    random_formula,
+    random_sequent,
+)
 
-from conftest import all_box_frames_2x2
+from conftest import (
+    GOLDEN,
+    PROPS,
+    SIG_MIX,
+    algebra_validates_by_walk,
+    all_box_frames_2x2,
+    boolean_frame,
+    frame_validates_by_models,
+    random_frame,
+)
 
 
 def swap_model(frame_f1):
@@ -144,3 +166,79 @@ def test_valuation_count_reported(frame_f1):
     assert verdict.valid
     # 4 concepts, 1 proposition
     assert verdict.valuations_checked == 4
+
+
+def _shared_sequent(rng, sig, props, depth):
+    """A sequent in which one drawn subformula occurs several times."""
+    a = random_formula(rng, sig, props, depth)
+    b = random_formula(rng, sig, props, depth)
+    lhs = rng.choice([And(a, Conn("box", (a,))), And(b, a), Conn("f", (a, a))])
+    rhs = rng.choice([Or(a, b), Conn("g", (b, And(a, b))), Conn("dia", (a,))])
+    return Sequent(lhs, rhs)
+
+
+def _validity_cases():
+    rng = random.Random(71)
+    for i in range(500):
+        nprops = i % 4
+        props = PROPS[:nprops]
+        fr = random_frame(rng, SIG_MIX, 4 if nprops < 3 else 3)
+        if i % 5 == 4:
+            seq = _shared_sequent(rng, SIG_MIX, props, 2)
+        else:
+            seq = random_sequent(rng, SIG_MIX, props, 3)
+        yield fr, seq
+    for fr in all_box_frames_2x2()[::5]:
+        for text in ("top |- bot", "bot |- box bot", r"box top /\ p |- box(p \/ q)"):
+            yield fr, parse_sequent(text, SIG_BOX)
+
+
+def test_frame_program_matches_model_oracle():
+    seen = {"valid": 0, "invalid": 0, "leaves lattice": 0, "constants only": 0}
+    for fr, seq in _validity_cases():
+        verdict = frame_validates(fr, seq)
+        valid, counter, _ = want = frame_validates_by_models(fr, seq)
+        got = (verdict.valid, verdict.counter_valuation, verdict.valuations_checked)
+        assert got == want, seq
+        seen["valid" if valid else "invalid"] += 1
+        seen["constants only"] += not counter and not valid
+        try:
+            build_complex_algebra(fr, check=False)
+        except IncompatibleFrameError:
+            seen["leaves lattice"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _algebras():
+    rng = random.Random(73)
+    for _ in range(15):
+        yield build_complex_algebra(random_box_frame(rng, 4, 4))
+    for k in (2, 3):
+        for _ in range(5):
+            conns = [
+                Connective("f", "F", 2, tuple(rng.choice("1d") for _ in range(2))),
+                Connective("g", "G", 2, tuple(rng.choice("1d") for _ in range(2))),
+                Connective("box", rng.choice("FG"), 1, (rng.choice("1d"),)),
+            ]
+            yield build_complex_algebra(boolean_frame(rng, k, conns), check=False)
+    for _ in range(5):
+        a = build_complex_algebra(random_box_frame(rng, 3, 3))
+        b = build_complex_algebra(random_box_frame(rng, 3, 3))
+        yield product_algebra(a, b)
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name.startswith(("coproduct", "morphism")) and "ST" not in path.name:
+            yield build_complex_algebra(load_frame(path))
+
+
+def test_algebra_program_matches_tree_walk():
+    rng = random.Random(79)
+    verdicts = set()
+    for alg in _algebras():
+        sig = alg.signature
+        for i in range(12):
+            props = PROPS[: i % 4]
+            seq = random_sequent(rng, sig, props, 3 if len(props) < 3 else 2)
+            want = algebra_validates_by_walk(alg, seq)
+            assert algebra_validates(alg, seq) == want, seq
+            verdicts.add(want)
+    assert verdicts == {True, False}
