@@ -1,26 +1,34 @@
 """Finite bounded lattices with normal operations, and complex algebras.
 
-A FiniteAlgebra keeps its order as bit masks: above[i] and below[i] hold
-the elements above and below element i.  The order checks are mask
+A FiniteAlgebra keeps its order only as bit masks: above[i] and below[i]
+hold the elements above and below element i.  The order checks are mask
 operations over the comparable pairs, and meet[i][j] is the element whose
 below-mask is below[i] & below[j] (join likewise from the above-masks),
 found through a dict from masks to elements; when there is none, the pair
-has no meet (join) and the order is not a lattice.
+has no meet (join) and the order is not a lattice.  The n x n bool matrix
+leq is a read-only view derived from the masks on first access; building
+an algebra never makes it, and algebra validity reads it as its order
+table, since indexing it is the cheapest order test per valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
-carrier.  A family-F connective sends concepts to the concept whose
-intent is the 0-section of its relation at the arguments' extents
-(intents at antitone coordinates); family-G connectives dually produce
-the extent from the arguments' intents (extents at antitone coordinates).
+carrier.  Its cones come from the concept-by-point incidence, itself a
+polarity, through the section kernel meet_rows: the concepts above a
+concept are those whose extents hold all of its extent, those below it
+are those whose intents hold all of its intent.  A family-F connective
+sends concepts to the concept whose intent is the 0-section of its
+relation at the arguments' extents (intents at antitone coordinates);
+family-G connectives dually produce the extent from the arguments'
+intents (extents at antitone coordinates).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, product
+from functools import cached_property
+from itertools import compress, product, repeat
 
-from .bitset import bits
+from .bitset import bits, meet_rows
 from .errors import (
     FormatError,
     IncompatibleFrameError,
@@ -32,18 +40,37 @@ from .syntax import signature_from_dict
 
 
 class FiniteAlgebra:
-    """A bounded lattice given by its order, plus one operation per connective."""
+    """A bounded lattice given by its order, plus one operation per connective.
+
+    FiniteAlgebra(names, leq, signature, ops) takes the order as an n x n
+    bool matrix; from_cones takes it as the above/below masks directly.
+    Both end in the same order check, tables and operation validation.
+    """
 
     def __init__(self, names, leq, signature, ops):
+        names = tuple(names)
+        n = len(names)
+        if len(leq) != n or any(len(row) != n for row in leq):
+            raise FormatError("leq matrix has wrong shape")
+        powers = [1 << j for j in range(n)]
+        above = [sum(compress(powers, row)) for row in leq]
+        below = [sum(compress(powers, col)) for col in zip(*leq)]
+        self._setup(names, above, below, signature, ops)
+
+    @classmethod
+    def from_cones(cls, names, above, below, signature, ops):
+        """The algebra whose order has above[i] (below[i]) as the mask of
+        the elements above (below) element i; below is above transposed."""
+        alg = cls.__new__(cls)
+        alg._setup(names, above, below, signature, ops)
+        return alg
+
+    def _setup(self, names, above, below, signature, ops):
         self.names = tuple(names)
         self.size = len(self.names)
         self.signature = signature
-        if len(leq) != self.size or any(len(row) != self.size for row in leq):
-            raise FormatError("leq matrix has wrong shape")
-        self.leq = tuple(tuple(map(bool, row)) for row in leq)
-        powers = [1 << j for j in range(self.size)]
-        self.above = tuple(sum(compress(powers, row)) for row in self.leq)
-        self.below = tuple(sum(compress(powers, col)) for col in zip(*self.leq))
+        self.above = tuple(above)
+        self.below = tuple(below)
         self._check_order()
         self.meet = self._build_table(self.below, "meet")
         self.join = self._build_table(self.above, "join")
@@ -67,6 +94,12 @@ class FiniteAlgebra:
                     raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
             table_ops[conn.name] = table
         self.ops = table_ops
+
+    @cached_property
+    def leq(self):
+        """The order as a read-only n x n bool matrix, derived from the cones."""
+        n = self.size
+        return tuple(tuple(bool(up >> j & 1) for j in range(n)) for up in self.above)
 
     def _check_order(self):
         """Reflexivity, antisymmetry and transitivity on the cone masks.
@@ -107,7 +140,7 @@ class FiniteAlgebra:
         return tuple(map(tuple, rows))
 
     def le(self, i, j):
-        return self.leq[i][j]
+        return bool(self.above[i] >> j & 1)
 
     def apply(self, name, args):
         return self.ops[name][tuple(args)]
@@ -116,8 +149,7 @@ class FiniteAlgebra:
         pairs = [
             [self.names[i], self.names[j]]
             for i in range(self.size)
-            for j in range(self.size)
-            if self.leq[i][j]
+            for j in bits(self.above[i])
         ]
         ops = {}
         for conn in self.signature.connectives:
@@ -140,42 +172,53 @@ def algebra_from_dict(data):
         if key not in data:
             raise FormatError(f"algebra file missing key {key!r}")
     signature = signature_from_dict(data["signature"])
-    names = list(data["elements"])
+    names = data["elements"]
+    if not isinstance(names, (list, tuple)) or not all(map(isinstance, names, repeat(str))):
+        raise FormatError("algebra file: 'elements' must be a list of element names")
     idx = {n: i for i, n in enumerate(names)}
     if len(idx) != len(names):
         raise FormatError("duplicate element names")
+    if not isinstance(data["leq"], (list, tuple)):
+        raise FormatError("algebra file: 'leq' must be a list of pairs of element names")
     n = len(names)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for a, b in data["leq"]:
-        if a not in idx or b not in idx:
+    above = [1 << i for i in range(n)]
+    for pair in data["leq"]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise FormatError(f"leq entry {pair!r} is not a pair of element names")
+        a, b = pair
+        if not (isinstance(a, str) and isinstance(b, str) and a in idx and b in idx):
             raise FormatError(f"leq pair [{a!r}, {b!r}] uses unknown elements")
-        leq[idx[a]][idx[b]] = True
-    # reflexive-transitive closure of the given pairs
-    changed = True
-    while changed:
-        changed = False
+        above[idx[a]] |= 1 << idx[b]
+    # reflexive-transitive closure of the given pairs, Warshall on the rows
+    for k in range(n):
+        bit, up = 1 << k, above[k]
         for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
+            if above[i] & bit:
+                above[i] |= up
+    below = [0] * n
+    for i, up in enumerate(above):
+        for j in bits(up):
+            below[j] |= 1 << i
+    raw_ops = data.get("ops", {})
+    if not isinstance(raw_ops, dict):
+        raise FormatError("algebra file: 'ops' must be an object")
     ops = {}
     for conn in signature.connectives:
-        rows = data.get("ops", {}).get(conn.name)
+        rows = raw_ops.get(conn.name)
         if rows is None:
             raise FormatError(f"missing operation table for {conn.name!r}")
+        if not isinstance(rows, (list, tuple)):
+            raise FormatError(f"operation {conn.name!r}: table must be a list of rows")
         table = {}
         for row in rows:
-            if len(row) != conn.arity + 1:
+            if not isinstance(row, (list, tuple)) or len(row) != conn.arity + 1:
                 raise FormatError(f"operation {conn.name!r}: bad row {row}")
             for name in row:
-                if name not in idx:
+                if not isinstance(name, str) or name not in idx:
                     raise FormatError(f"operation {conn.name!r}: unknown element {name!r}")
             table[tuple(idx[a] for a in row[:-1])] = idx[row[-1]]
         ops[conn.name] = table
-    return FiniteAlgebra(names, leq, signature, ops)
+    return FiniteAlgebra.from_cones(names, above, below, signature, ops)
 
 
 def load_algebra(path):
@@ -188,15 +231,29 @@ def load_algebra(path):
 
 
 class ComplexAlgebra(FiniteAlgebra):
-    """The concept lattice of a frame with operations from its relations."""
+    """The concept lattice of a frame with operations from its relations.
 
-    def __init__(self, frame, concepts, leq, ops):
+    The order cones are sections of the concept-by-point incidence.
+    """
+
+    def __init__(self, frame, concepts, ops):
         self.frame = frame
         self.concepts = list(concepts)
         self._ext_index = {c.extent: i for i, c in enumerate(self.concepts)}
         pol = frame.polarity
+        by_w = [0] * pol.nw  # by_w[w]: the concepts whose extent holds w
+        by_u = [0] * pol.nu  # by_u[u]: the concepts whose intent holds u
+        for k, c in enumerate(self.concepts):
+            bit = 1 << k
+            for w in bits(c.extent):
+                by_w[w] |= bit
+            for u in bits(c.intent):
+                by_u[u] |= bit
+        full = (1 << len(self.concepts)) - 1
+        above = [meet_rows(by_w, c.extent, full) for c in self.concepts]
+        below = [meet_rows(by_u, c.intent, full) for c in self.concepts]
         names = [c.show(pol) for c in self.concepts]
-        super().__init__(names, leq, frame.signature, ops)
+        self._setup(names, above, below, frame.signature, ops)
 
     def index_of_extent(self, extent):
         return self._ext_index[extent]
@@ -212,8 +269,6 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
     n = len(concepts)
     ext_index = {c.extent: i for i, c in enumerate(concepts)}
     int_index = {c.intent: i for i, c in enumerate(concepts)}
-    extents = [c.extent for c in concepts]
-    leq = [[ei & ej == ei for ej in extents] for ei in extents]
     ops = {}
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
@@ -240,7 +295,7 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
                 )
             table[tup] = idx
         ops[conn.name] = table
-    return ComplexAlgebra(frame, concepts, leq, ops)
+    return ComplexAlgebra(frame, concepts, ops)
 
 
 @dataclass
@@ -419,9 +474,12 @@ def find_isomorphism(a, b, rng=None):
             if used[y]:
                 continue
             ok = True
+            up_x, down_x, up_y, down_y = a.above[x], a.below[x], b.above[y], b.below[y]
             for x2 in order[:k]:
                 y2 = mapping[x2]
-                if a.leq[x][x2] != b.leq[y][y2] or a.leq[x2][x] != b.leq[y2][y]:
+                if (up_x >> x2 & 1) != (up_y >> y2 & 1) or (
+                    down_x >> x2 & 1
+                ) != (down_y >> y2 & 1):
                     ok = False
                     break
             if ok:

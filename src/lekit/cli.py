@@ -8,6 +8,7 @@ enumeration cap; --cap overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -37,7 +38,9 @@ from .semantics import frame_validates
 from .syntax import parse_formula, parse_sequent, parse_signature
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; it depends on constants only."""
     parser = argparse.ArgumentParser(
         prog="lekit",
         description="Polarity-based semantics for lattice expansion logics.",

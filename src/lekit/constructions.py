@@ -159,12 +159,15 @@ def product_algebra(a, b):
         return i * b.size + j
 
     n = a.size * b.size
-    leq = [[False] * n for _ in range(n)]
-    for i1 in range(a.size):
-        for j1 in range(b.size):
-            for i2 in range(a.size):
-                for j2 in range(b.size):
-                    leq[pid(i1, j1)][pid(i2, j2)] = a.leq[i1][i2] and b.leq[j1][j2]
+
+    def spread(mask):
+        """Bit i * |b| for each bit i of mask."""
+        return sum(1 << (i * b.size) for i in bits(mask))
+
+    # the cone of (i, j) is the product of the cones of i and j: each cone
+    # of b is below 2**|b|, so spread(x) * y is the OR of y << (i * |b|)
+    above = [sx * y for sx in map(spread, a.above) for y in b.above]
+    below = [sx * y for sx in map(spread, a.below) for y in b.below]
     ops = {}
     for conn in a.signature.connectives:
         table = {}
@@ -173,4 +176,4 @@ def product_algebra(a, b):
             bi = tuple(x % b.size for x in args)
             table[args] = pid(a.ops[conn.name][ai], b.ops[conn.name][bi])
         ops[conn.name] = table
-    return FiniteAlgebra(names, leq, a.signature, ops)
+    return FiniteAlgebra.from_cones(names, above, below, a.signature, ops)

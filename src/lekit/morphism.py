@@ -71,9 +71,21 @@ def morphism_from_dict(data, source, target):
     if not isinstance(data, dict) or "S" not in data or "T" not in data:
         raise FormatError("morphism file must be an object with 'S' and 'T' lists")
     sp, tp = source.polarity, target.polarity
-    s_pairs = [(sp.w_index(w), tp.u_index(u)) for w, u in data["S"]]
-    t_pairs = [(sp.u_index(u), tp.w_index(w)) for u, w in data["T"]]
+    s_pairs = _index_pairs(data["S"], "S", sp.w_index, tp.u_index)
+    t_pairs = _index_pairs(data["T"], "T", sp.u_index, tp.w_index)
     return PMorphism(source, target, s_pairs, t_pairs)
+
+
+def _index_pairs(named_pairs, key, first, second):
+    """The index pairs of a morphism file's S or T list of name pairs."""
+    if not isinstance(named_pairs, (list, tuple)):
+        raise FormatError(f"morphism file: {key!r} must be a list of pairs of point names")
+    pairs = []
+    for pair in named_pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise FormatError(f"{key} entry {pair!r} is not a pair of point names")
+        pairs.append((first(pair[0]), second(pair[1])))
+    return pairs
 
 
 def load_morphism(path, source, target):

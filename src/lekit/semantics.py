@@ -456,6 +456,8 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
                 vals[out] = table[tuple([vals[c] for c in kids])]
         return step
 
+    # the cached matrix view, not a shift of a cone mask: indexing tuples is
+    # the cheapest order test per valuation, and the view is built once
     leq, lhs, rhs = alg.leq, program.lhs, program.rhs
     return program.scan(
         range(alg.size), make_step, lambda: leq[vals[lhs]][vals[rhs]]

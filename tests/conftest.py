@@ -113,6 +113,95 @@ def check_order(leq):
                         raise NotALatticeError("leq is not transitive")
 
 
+def concept_leq_by_extents(concepts):
+    """The order of a concept lattice as an n x n matrix: extent inclusion."""
+    extents = [c.extent for c in concepts]
+    return [[ei & ej == ei for ej in extents] for ei in extents]
+
+
+def product_leq_by_pairs(a, b):
+    """The order of a product algebra, pair by pair: (i1, j1) <= (i2, j2)."""
+    n = a.size * b.size
+    leq = [[False] * n for _ in range(n)]
+    for i1 in range(a.size):
+        for j1 in range(b.size):
+            for i2 in range(a.size):
+                for j2 in range(b.size):
+                    leq[i1 * b.size + j1][i2 * b.size + j2] = a.leq[i1][i2] and b.leq[j1][j2]
+    return leq
+
+
+def leq_closure_fixpoint(n, pairs):
+    """Reflexive-transitive closure of index pairs, rescanning until stable."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        leq[i][j] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if leq[i][j]:
+                    for k in range(n):
+                        if leq[j][k] and not leq[i][k]:
+                            leq[i][k] = True
+                            changed = True
+    return leq
+
+
+def cones_of(leq):
+    """(above, below) masks of an n x n order matrix."""
+    n = len(leq)
+    above = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+    below = tuple(sum(1 << j for j in range(n) if leq[j][i]) for i in range(n))
+    return above, below
+
+
+def find_isomorphism_by_leq(a, b):
+    """find_isomorphism (no rng) with every order test read from the matrices."""
+    if a.size != b.size or a.signature != b.signature:
+        return None
+
+    def invariant(alg, x):
+        fixed = tuple(
+            alg.ops[c.name][(x,)] == x for c in alg.signature.connectives if c.arity == 1
+        )
+        return (sum(alg.leq[y][x] for y in range(alg.size)), sum(alg.leq[x]), fixed)
+
+    inv_a = [invariant(a, x) for x in range(a.size)]
+    inv_b = [invariant(b, y) for y in range(b.size)]
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    candidates = [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
+    order = sorted(range(a.size), key=lambda x: len(candidates[x]))
+    mapping = [None] * a.size
+
+    def ops_ok():
+        return all(
+            mapping[val] == b.ops[c.name][tuple(mapping[x] for x in args)]
+            for c in a.signature.connectives
+            for args, val in a.ops[c.name].items()
+        )
+
+    def extend(k):
+        if k == len(order):
+            return ops_ok()
+        x = order[k]
+        for y in candidates[x]:
+            if y in mapping or any(
+                a.leq[x][x2] != b.leq[y][mapping[x2]] or a.leq[x2][x] != b.leq[mapping[x2]][y]
+                for x2 in order[:k]
+            ):
+                continue
+            mapping[x] = y
+            if extend(k + 1):
+                return True
+            mapping[x] = None
+        return False
+
+    return list(mapping) if extend(0) else None
+
+
 def build_table(names, cone, what):
     """Meet (cone = below-sets) or join (above-sets) table by candidate scan.
 

@@ -6,15 +6,26 @@ import pytest
 
 from lekit import (
     FiniteAlgebra,
+    Frame,
     NotALatticeError,
+    Polarity,
     algebra_from_dict,
     build_complex_algebra,
     check_complete_homomorphism,
+    coproduct,
+    filter_ideal_frame,
     find_isomorphism,
+    product_algebra,
     verify_normality,
 )
 from lekit.bitset import mask_of
-from lekit.sampling import SIG_BOX, random_box_frame
+from lekit.frame import Relation, connective_sorts
+from lekit.sampling import (
+    SIG_BOX,
+    random_box_frame,
+    random_polarity,
+    stabilize_box_relation,
+)
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
 
 from conftest import (
@@ -22,7 +33,12 @@ from conftest import (
     boolean_frame,
     build_table,
     check_order,
+    concept_leq_by_extents,
+    cones_of,
+    find_isomorphism_by_leq,
+    leq_closure_fixpoint,
     normality_by_lookup,
+    product_leq_by_pairs,
 )
 
 
@@ -298,3 +314,131 @@ def test_normality_matches_lookup_loop_on_corrupted_tables():
     # both the unit and the distribution laws fail somewhere in the family
     assert any(law and law.endswith(" unit") for law in laws)
     assert any(law and not law.endswith(" unit") for law in laws)
+
+
+def _box_frame(rng, nw, nu, density):
+    """A compatible box frame on exactly nw x nu points."""
+    pol = random_polarity(rng, nw, nu, density)
+    seed = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < 0.3]
+    rel = Relation(
+        connective_sorts(SIG_BOX.connectives[0]),
+        (nw, nu),
+        stabilize_box_relation(pol, seed),
+    )
+    return Frame(pol, SIG_BOX, {"box": rel})
+
+
+def _cone_frames():
+    """Box frames up to 16 x 16, bare polarities of every shape and density,
+    and filter-ideal frames with a binary F and a binary G connective."""
+    rng = random.Random(41)
+    for side, density in ((4, 0.5), (8, 0.6), (12, 0.7), (16, 0.7), (16, 0.5)):
+        yield _box_frame(rng, side, side, density)
+    shapes = ((0, 0), (0, 5), (5, 0), (3, 9), (9, 3), (7, 12), (12, 7), (10, 10))
+    for nw, nu in shapes:
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            yield Frame(random_polarity(rng, nw, nu, density), EMPTY_SIGNATURE, {})
+    conns = [Connective("f", "F", 2, ("1", "d")), Connective("g", "G", 2, ("d", "1"))]
+    for k in (2, 3):
+        alg = build_complex_algebra(boolean_frame(rng, k, conns), check=False)
+        yield filter_ideal_frame(alg)
+
+
+def test_complex_algebra_cones_match_extent_matrix():
+    sizes = []
+    for frame in _cone_frames():
+        alg = build_complex_algebra(frame)
+        leq = concept_leq_by_extents(alg.concepts)
+        assert (alg.above, alg.below) == cones_of(leq)
+        assert alg.leq == tuple(map(tuple, leq))
+        sizes.append(alg.size)
+    assert min(sizes) == 1 and max(sizes) > 500
+
+
+def _empty_signature_algebras(rng):
+    yield two_chain()
+    yield diamond()
+    for nw, nu in ((2, 3), (3, 2), (4, 4)):
+        frame = Frame(random_polarity(rng, nw, nu), EMPTY_SIGNATURE, {})
+        yield build_complex_algebra(frame)
+
+
+def test_product_cones_match_pairwise_order():
+    rng = random.Random(43)
+    families = [
+        list(_empty_signature_algebras(rng)),
+        [build_complex_algebra(random_box_frame(rng, 4, 4)) for _ in range(5)],
+    ]
+    for algebras in families:
+        for a in algebras:
+            for b in algebras:
+                prod = product_algebra(a, b)
+                leq = product_leq_by_pairs(a, b)
+                assert (prod.above, prod.below) == cones_of(leq)
+                assert prod.leq == tuple(map(tuple, leq))
+
+
+def test_leq_closure_matches_fixpoint_on_random_pairs():
+    rng = random.Random(47)
+    messages = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        density = rng.choice((0.2, 0.4, 0.7))
+        pairs = [
+            (perm[a], perm[b])
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < density
+        ]
+        if rng.random() < 0.6:  # bottom and top
+            pairs += [(perm[0], x) for x in range(n)] + [(x, perm[-1]) for x in range(n)]
+        if n > 1 and rng.random() < 0.25:  # a cycle
+            a, b = sorted(rng.sample(range(n), 2))
+            pairs += [(perm[a], perm[b]), (perm[b], perm[a])]
+        rng.shuffle(pairs)
+        names = [f"e{i}" for i in range(n)]
+        leq = leq_closure_fixpoint(n, pairs)
+        data = {
+            "elements": names,
+            "leq": [[names[i], names[j]] for i, j in pairs],
+            "signature": {"connectives": []},
+        }
+        expected = _outcome(lambda: _lattice_by_scan(names, leq))
+        got = _outcome(lambda: algebra_from_dict(data))
+        if isinstance(got, str):
+            assert got == expected, pairs
+            messages.add(got.split(" of ")[0])
+        else:
+            assert (got.meet, got.join) == expected
+            assert got.leq == tuple(map(tuple, leq))
+    assert {"leq is not antisymmetric", "meet", "join"} <= messages
+
+
+def test_find_isomorphism_matches_matrix_search_on_coproduct_law_pairs():
+    rng = random.Random(53)
+    found = set()
+    for _ in range(12):
+        f1 = random_box_frame(rng)
+        f2 = random_box_frame(rng)
+        a1, a2 = build_complex_algebra(f1), build_complex_algebra(f2)
+        cp_alg = build_complex_algebra(coproduct([f1, f2]))
+        law = find_isomorphism(cp_alg, product_algebra(a1, a2))
+        assert law is not None
+        assert law == find_isomorphism_by_leq(cp_alg, product_algebra(a1, a2))
+        # the product the wrong way round is often not isomorphic
+        other = product_algebra(a2, a2)
+        got = find_isomorphism(cp_alg, other)
+        assert got == find_isomorphism_by_leq(cp_alg, other)
+        found.add(got is None)
+    assert found == {True, False}
+
+
+def test_le_and_to_dict_read_the_cones():
+    alg = diamond()
+    assert [[alg.le(i, j) for j in range(4)] for i in range(4)] == [
+        list(row) for row in alg.leq
+    ]
+    again = algebra_from_dict(alg.to_dict())
+    assert (again.above, again.below) == (alg.above, alg.below)

@@ -1,5 +1,7 @@
 """Command line interface: exit codes, output shapes, caps."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from lekit import build_complex_algebra, load_frame
 from lekit.cli import main
 
 from conftest import golden_path
@@ -286,3 +290,162 @@ def test_malformed_frame_file_exits_2(change, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_main_repeated_in_one_process_matches_separate_calls(capsys):
+    # the parser is built once per process; reusing it must not leak state
+    sequence = [
+        ["--json", "check", F1],
+        ["check", F1],
+        ["--json", "valid", F1, "box p |- p"],
+        ["valid", F1, "box p |- p"],
+        ["--cap", "0", "concepts", F1],
+        ["concepts", F1],
+        ["check"],
+        ["pmorphism", M1_SRC, M1_TGT, M1_ST],
+        ["--json", "pmorphism", F1, M1_SRC, BAD_ST],
+        ["concepts", EMPTY],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    separate = [(proc.returncode, proc.stdout) for proc in map(run_module, sequence)]
+    assert in_process == separate
+    assert [code for code, _ in in_process] == [0, 0, 1, 1, 2, 0, 2, 0, 1, 0]
+
+
+def _complex_algebra_data():
+    return build_complex_algebra(load_frame(F1)).to_dict()
+
+
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"leq": [["({a1}, {x1})"]]},
+        {"elements": 5},
+        {"leq": 5},
+        {"ops": 5},
+        {"ops": {"box": [5]}},
+    ],
+    ids=[
+        "leq-pair-of-length-1",
+        "elements-not-a-list",
+        "leq-not-a-list",
+        "ops-not-an-object",
+        "op-row-not-a-list",
+    ],
+)
+def test_malformed_algebra_file_exits_2(change, tmp_path):
+    data = _complex_algebra_data()
+    data.update(change)
+    proc = run_module(["filter-ideal", "--algebra", _write_json(tmp_path, "alg.json", data)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"S": [["a"]]}, {"S": 5}, {"T": [5]}],
+    ids=["S-pair-of-length-1", "S-not-a-list", "T-pair-not-a-list"],
+)
+def test_malformed_morphism_file_exits_2(change, tmp_path):
+    with open(M1_ST) as fh:
+        data = json.load(fh)
+    data.update(change)
+    proc = run_module(["pmorphism", M1_SRC, M1_TGT, _write_json(tmp_path, "st.json", data)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replaced(v, rest, new) if k == head else v for k, v in value.items()}
+    return [_replaced(v, rest, new) if k == head else v for k, v in enumerate(value)]
+
+
+def _golden(name):
+    with open(golden_path(name)) as fh:
+        return json.load(fh)
+
+
+FRAME_COMMANDS = (
+    ["check", "{}"],
+    ["concepts", "{}"],
+    ["valid", "{}", "box p |- p"],
+    ["filter-ideal", "{}"],
+    ["coproduct", "{}", F1],
+)
+# (file contents, the commands that read it; {} is the mutated file)
+FUZZ_FILES = [
+    (_golden(name), FRAME_COMMANDS)
+    for name in (
+        "coproduct_F1.json",
+        "coproduct_F2.json",
+        "empty.json",
+        "morphism1_F1.json",
+        "morphism1_F2.json",
+        "morphism2_F2.json",
+    )
+] + [
+    (_golden("morphism1_ST.json"), (["pmorphism", M1_SRC, M1_TGT, "{}"],)),
+    (_golden("morphism2_ST.json"), (["pmorphism", F1, str(golden_path("morphism2_F2.json")), "{}"],)),
+    (_golden("nonmorphism_ST.json"), (["pmorphism", F1, M1_SRC, "{}"],)),
+    (_complex_algebra_data(), (["filter-ideal", "--algebra", "{}"],)),
+]
+MUTANTS = (5, "x", [], {}, None, [["a"]])
+
+
+@st.composite
+def mutated_inputs(draw):
+    data, commands = draw(st.sampled_from(FUZZ_FILES))
+    path = draw(st.sampled_from(list(_paths(data))))
+    new = draw(st.sampled_from(MUTANTS))
+    return _replaced(data, path, new), draw(st.sampled_from(commands))
+
+
+@seed(20181)
+@settings(max_examples=200, deadline=None, database=None)
+@given(mutated_inputs())
+def test_mutated_input_files_keep_the_exit_code_contract(tmp_path_factory, case):
+    data, command = case
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if arg == "{}" else arg for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors only
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))
