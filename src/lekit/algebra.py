@@ -5,10 +5,16 @@ hold the elements above and below element i.  The order checks are mask
 operations over the comparable pairs, and meet[i][j] is the element whose
 below-mask is below[i] & below[j] (join likewise from the above-masks),
 found through a dict from masks to elements; when there is none, the pair
-has no meet (join) and the order is not a lattice.  The n x n bool matrix
-leq is a read-only view derived from the masks on first access; building
-an algebra never makes it, and algebra validity reads it as its order
-table, since indexing it is the cheapest order test per valuation.
+has no meet (join) and the order is not a lattice.  The meet and join
+tables are filled on first access.  An algebra given by the user (its
+constructor, from_cones, algebra_from_dict) fills both while it is built,
+so an order that is not a lattice is refused there; complex algebras and
+products, lattices by construction, leave them unfilled until something
+reads them (algebra validity, the homomorphism check, the witness search
+of a failing normality check).  The n x n bool matrix leq is a read-only
+view derived from the masks on first access; building an algebra never
+makes it, and algebra validity reads it as its order table, since
+indexing it is the cheapest order test per valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
 carrier.  Its cones come from the concept-by-point incidence, itself a
@@ -44,7 +50,9 @@ class FiniteAlgebra:
 
     FiniteAlgebra(names, leq, signature, ops) takes the order as an n x n
     bool matrix; from_cones takes it as the above/below masks directly.
-    Both end in the same order check, tables and operation validation.
+    Both end in the same order check, tables and operation validation;
+    from_cones(..., lattice=True) skips filling the tables for an order
+    that is a lattice by construction.
     """
 
     def __init__(self, names, leq, signature, ops):
@@ -58,22 +66,26 @@ class FiniteAlgebra:
         self._setup(names, above, below, signature, ops)
 
     @classmethod
-    def from_cones(cls, names, above, below, signature, ops):
+    def from_cones(cls, names, above, below, signature, ops, lattice=False):
         """The algebra whose order has above[i] (below[i]) as the mask of
-        the elements above (below) element i; below is above transposed."""
+        the elements above (below) element i; below is above transposed.
+
+        lattice=True promises that the order is a lattice, and the meet and
+        join tables are left to be filled on first access.
+        """
         alg = cls.__new__(cls)
-        alg._setup(names, above, below, signature, ops)
+        alg._setup(names, above, below, signature, ops, lattice)
         return alg
 
-    def _setup(self, names, above, below, signature, ops):
+    def _setup(self, names, above, below, signature, ops, lattice=False):
         self.names = tuple(names)
         self.size = len(self.names)
         self.signature = signature
         self.above = tuple(above)
         self.below = tuple(below)
         self._check_order()
-        self.meet = self._build_table(self.below, "meet")
-        self.join = self._build_table(self.above, "join")
+        if not lattice:  # fill both tables now, so a non-lattice is refused here
+            self.meet, self.join
         self.top = self._extreme(self.below)
         self.bot = self._extreme(self.above)
         table_ops = {}
@@ -94,6 +106,16 @@ class FiniteAlgebra:
                     raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
             table_ops[conn.name] = table
         self.ops = table_ops
+
+    @cached_property
+    def meet(self):
+        """meet[i][j], the index of the meet of elements i and j."""
+        return self._build_table(self.below, "meet")
+
+    @cached_property
+    def join(self):
+        """join[i][j], the index of the join of elements i and j."""
+        return self._build_table(self.above, "join")
 
     @cached_property
     def leq(self):
@@ -253,7 +275,7 @@ class ComplexAlgebra(FiniteAlgebra):
         above = [meet_rows(by_w, c.extent, full) for c in self.concepts]
         below = [meet_rows(by_u, c.intent, full) for c in self.concepts]
         names = [c.show(pol) for c in self.concepts]
-        self._setup(names, above, below, frame.signature, ops)
+        self._setup(names, above, below, frame.signature, ops, lattice=True)
 
     def index_of_extent(self, extent):
         return self._ext_index[extent]
@@ -327,48 +349,115 @@ class NormalityReport:
         return out
 
 
+def _columns(alg):
+    """Every (connective, coordinate, rest) column, in the pair scan's order.
+
+    Yields (conn, i, rest, col, gather, principal).  col[v] is the operation
+    with v at coordinate i and rest elsewhere.  For F the column is normal
+    exactly when it is residuated: for every b, {v : col[v] <= b}, the OR of
+    the preimages of the elements in gather[b] = below[b], is a principal
+    down-set (up-set at an antitone coordinate), that is, one of the cones
+    in principal.  G is dual: {v : col[v] >= b} from above[b], a principal
+    up-set (down-set at an antitone coordinate).
+    """
+    n = alg.size
+    downs, ups = set(alg.below), set(alg.above)
+    for conn in alg.signature.connectives:
+        table = alg.ops[conn.name]
+        gather = alg.below if conn.family == "F" else alg.above
+        for i in range(conn.arity):
+            monotone = conn.order_type[i] == "1"
+            principal = downs if (conn.family == "F") == monotone else ups
+            for rest in product(range(n), repeat=conn.arity - 1):
+                col = [table[rest[:i] + (v,) + rest[i:]] for v in range(n)]
+                yield conn, i, rest, col, gather, principal
+
+
+def _residuated(col, gather, principal):
+    """True when the OR of the preimages over each gather cone is in principal.
+
+    Only elements in the image of col have a preimage, so each cone is
+    first cut down to the image: at most one OR per comparable pair.
+    """
+    pre = {}  # pre[x]: the mask of the arguments that col sends to x
+    for v, x in enumerate(col):
+        pre[x] = pre.get(x, 0) | 1 << v
+    image = sum(1 << x for x in pre)
+    for cone in gather:
+        got = 0
+        for x in bits(cone & image):
+            got |= pre[x]
+        if got not in principal:
+            return False
+    return True
+
+
+def residuated(alg):
+    """Whether every operation is residuated in each coordinate.
+
+    The verdict of verify_normality, without the tables or a witness.
+    """
+    return all(
+        _residuated(col, gather, principal)
+        for _, _, _, col, gather, principal in _columns(alg)
+    )
+
+
+def _column_failure(alg, conn, i, rest, col):
+    """The first unit or distribution law the column breaks, or None.
+
+    Checks the unit, then every pair a < b in index order through the meet
+    and join tables.
+    """
+    e = conn.order_type[i]
+    if conn.family == "F":
+        inner = alg.join if e == "1" else alg.meet
+        outer = alg.join
+        unit = alg.bot if e == "1" else alg.top
+        target = alg.bot
+        law = ("join" if e == "1" else "meet") + "-to-join"
+    else:
+        inner = alg.meet if e == "1" else alg.join
+        outer = alg.meet
+        unit = alg.top if e == "1" else alg.bot
+        target = alg.top
+        law = ("meet" if e == "1" else "join") + "-to-meet"
+    if col[unit] != target:
+        return NormalityReport(
+            False, conn.name, i, law + " unit",
+            f"rest={tuple(alg.names[r] for r in rest)}",
+        )
+    for a in range(alg.size):
+        inner_a = inner[a]
+        outer_a = outer[col[a]]
+        for b in range(a + 1, alg.size):
+            if col[inner_a[b]] != outer_a[col[b]]:
+                return NormalityReport(
+                    False, conn.name, i, law,
+                    f"a={alg.names[a]!r}, b={alg.names[b]!r}, "
+                    f"rest={tuple(alg.names[r] for r in rest)}",
+                )
+    return None
+
+
 def verify_normality(alg):
     """Check the distribution and unit laws coordinatewise.
 
     Family F turns joins into joins at monotone coordinates and meets into
     joins at antitone ones, sending the corresponding unit to bottom.
-    Family G is dual.
+    Family G is dual.  On a finite lattice an operation obeys these laws
+    in a coordinate exactly when it is residuated there (Gehrke and
+    Harding, "Bounded lattice expansions", J. Algebra 2001): an F-column
+    has an upper adjoint, a G-column a lower one.  Each column is checked
+    that way first, from the order cones alone, at one OR per comparable
+    pair; only a column that fails is scanned pair by pair through the
+    meet and join tables, for the first unit or pair that breaks a law.
     """
-    n = alg.size
-    for conn in alg.signature.connectives:
-        table = alg.ops[conn.name]
-        for i in range(conn.arity):
-            e = conn.order_type[i]
-            if conn.family == "F":
-                inner = alg.join if e == "1" else alg.meet
-                outer = alg.join
-                unit = alg.bot if e == "1" else alg.top
-                target = alg.bot
-                law = ("join" if e == "1" else "meet") + "-to-join"
-            else:
-                inner = alg.meet if e == "1" else alg.join
-                outer = alg.meet
-                unit = alg.top if e == "1" else alg.bot
-                target = alg.top
-                law = ("meet" if e == "1" else "join") + "-to-meet"
-            for rest in product(range(n), repeat=conn.arity - 1):
-                # col[v] is the operation with v at coordinate i, rest elsewhere
-                col = [table[rest[:i] + (v,) + rest[i:]] for v in range(n)]
-                if col[unit] != target:
-                    return NormalityReport(
-                        False, conn.name, i, law + " unit",
-                        f"rest={tuple(alg.names[r] for r in rest)}",
-                    )
-                for a in range(n):
-                    inner_a = inner[a]
-                    outer_a = outer[col[a]]
-                    for b in range(a + 1, n):
-                        if col[inner_a[b]] != outer_a[col[b]]:
-                            return NormalityReport(
-                                False, conn.name, i, law,
-                                f"a={alg.names[a]!r}, b={alg.names[b]!r}, "
-                                f"rest={tuple(alg.names[r] for r in rest)}",
-                            )
+    for conn, i, rest, col, gather, principal in _columns(alg):
+        if not _residuated(col, gather, principal):
+            report = _column_failure(alg, conn, i, rest, col)
+            if report is not None:
+                return report
     return NormalityReport(True)
 
 
@@ -491,6 +580,6 @@ def find_isomorphism(a, b, rng=None):
                 used[y] = False
         return False
 
-    if extend(0):
-        return list(mapping)
-    return None
+    found = extend(0)
+    extend = None  # the closure refers to itself: break the cycle
+    return list(mapping) if found else None

@@ -176,4 +176,5 @@ def product_algebra(a, b):
             bi = tuple(x % b.size for x in args)
             table[args] = pid(a.ops[conn.name][ai], b.ops[conn.name][bi])
         ops[conn.name] = table
-    return FiniteAlgebra.from_cones(names, above, below, a.signature, ops)
+    # a product of lattices is a lattice: its tables wait for a reader
+    return FiniteAlgebra.from_cones(names, above, below, a.signature, ops, lattice=True)

@@ -51,10 +51,12 @@ class Polarity:
         uidx = {n: i for i, n in enumerate(u_names)}
         pairs = []
         for pair in named_pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise FormatError(f"N entry {pair!r} is not a pair of point names")
+            w, u = pair
             try:
-                w, u = pair
                 wi, ui = widx.get(w), uidx.get(u)
-            except (TypeError, ValueError):  # not a pair, or an unhashable name
+            except TypeError:  # an unhashable name
                 raise FormatError(f"N entry {pair!r} is not a pair of point names") from None
             if wi is None:
                 raise FormatError(f"unknown W point {w!r} in N")

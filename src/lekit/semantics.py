@@ -263,6 +263,7 @@ class _Program:
 
         self.lhs = visit(sequent.lhs)
         self.rhs = visit(sequent.rhs)
+        visit = None  # the closure refers to itself: break the cycle
         self.prop_slots = [slots[("prop", p, ())] for p in props]
         self.vals = [None] * len(self.nodes)
 
@@ -299,7 +300,12 @@ class _Program:
                     return True
             return False
 
-        return tuple(picked) if fails_from(0) else None
+        failed = fails_from(0)
+        # the closure refers to itself; left as a cycle it would keep the
+        # steps, and the tables and memos they read, alive until the next
+        # cyclic collection
+        fails_from = None
+        return tuple(picked) if failed else None
 
 
 def _position(picked, n):

@@ -1,6 +1,8 @@
 """Finite algebras, complex algebras, normality, and homomorphisms."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -10,14 +12,17 @@ from lekit import (
     NotALatticeError,
     Polarity,
     algebra_from_dict,
+    algebra_validates,
     build_complex_algebra,
     check_complete_homomorphism,
     coproduct,
     filter_ideal_frame,
     find_isomorphism,
+    parse_sequent,
     product_algebra,
     verify_normality,
 )
+from lekit.algebra import residuated
 from lekit.bitset import mask_of
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
@@ -442,3 +447,108 @@ def test_le_and_to_dict_read_the_cones():
     ]
     again = algebra_from_dict(alg.to_dict())
     assert (again.above, again.below) == (alg.above, alg.below)
+
+
+def _binary_connectives(rng):
+    return [
+        Connective("f", "F", 2, tuple(rng.choice("1d") for _ in range(2))),
+        Connective("g", "G", 2, tuple(rng.choice("1d") for _ in range(2))),
+    ]
+
+
+def _residuation_algebras(rng):
+    """Complex algebras of box frames up to 16 x 16, boolean-frame algebras
+    with binary F and G of random order types, and products of both kinds."""
+    for side, density in ((3, 0.5), (5, 0.5), (8, 0.6), (12, 0.7), (16, 0.7)):
+        yield build_complex_algebra(_box_frame(rng, side, side, density))
+    for k in (1, 2, 3, 4):
+        for _ in range(3):
+            frame = boolean_frame(rng, k, _binary_connectives(rng))
+            yield build_complex_algebra(frame, check=False)
+    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.6)) for side in (3, 4, 4, 5)]
+    for a, b in zip(boxes, boxes[1:]):
+        yield product_algebra(a, b)
+    for k, l in ((1, 2), (2, 2), (1, 3)):
+        conns = _binary_connectives(rng)
+        a = build_complex_algebra(boolean_frame(rng, k, conns), check=False)
+        b = build_complex_algebra(boolean_frame(rng, l, conns), check=False)
+        yield product_algebra(a, b)
+
+
+def _damaged(rng, alg):
+    """A copy of alg with one operation entry changed to another element."""
+    conn = rng.choice([c for c in alg.signature.connectives if c.arity])
+    ops = {name: dict(table) for name, table in alg.ops.items()}
+    table = ops[conn.name]
+    if rng.random() < 0.3:  # an entry with a bound somewhere, where unit laws are read
+        bounds = (alg.bot, alg.top)
+        args = tuple(
+            rng.choice(bounds) if rng.random() < 0.5 else rng.randrange(alg.size)
+            for _ in range(conn.arity)
+        )
+    else:
+        args = tuple(rng.randrange(alg.size) for _ in range(conn.arity))
+    table[args] = rng.choice([v for v in range(alg.size) if v != table[args]])
+    return FiniteAlgebra.from_cones(
+        alg.names, alg.above, alg.below, alg.signature, ops, lattice=True
+    )
+
+
+def test_residuation_matches_pair_lookup_on_normal_and_damaged_algebras():
+    rng = random.Random(59)
+    laws, damaged, sizes, kinds = set(), 0, [], set()
+    for alg in _residuation_algebras(rng):
+        sizes.append(alg.size)
+        kinds |= {(c.family, e) for c in alg.signature.connectives for e in c.order_type}
+        copies = 20 if alg.size <= 64 else 2
+        cases = [alg] + [_damaged(rng, alg) for _ in range(copies)]
+        damaged += copies
+        for case in cases:
+            expected = normality_by_lookup(case)
+            assert residuated(case) == expected.passed
+            assert verify_normality(case) == expected
+            laws.add(expected.law)
+    assert max(sizes) > 500 and damaged >= 300
+    assert kinds == {("F", "1"), ("F", "d"), ("G", "1"), ("G", "d")}
+    # unit and distribution laws both fail in the family
+    assert any(law and law.endswith(" unit") for law in laws)
+    assert any(law and not law.endswith(" unit") for law in laws)
+
+
+def test_lattices_by_construction_fill_their_tables_only_when_read():
+    rng = random.Random(61)
+    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.6)) for side in (4, 8, 12)]
+    conns = _binary_connectives(rng)
+    booleans = [
+        build_complex_algebra(boolean_frame(rng, k, conns), check=False) for k in (2, 3)
+    ]
+    products = [product_algebra(boxes[0], boxes[1]), product_algebra(*booleans)]
+    for alg in boxes + booleans + products:
+        assert verify_normality(alg).passed
+        assert "meet" not in vars(alg) and "join" not in vars(alg)
+        assert alg.meet == build_table(alg.names, alg.below, "meet")
+        assert alg.join == build_table(alg.names, alg.above, "join")
+    # an algebra given by its order fills both tables while it is built
+    assert {"meet", "join"} <= set(vars(diamond()))
+    assert {"meet", "join"} <= set(vars(algebra_from_dict(diamond().to_dict())))
+
+
+def test_checks_leave_no_cycle_holding_a_complex_algebra():
+    rng = random.Random(67)
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    checks = [
+        lambda alg: algebra_validates(alg, seq),
+        verify_normality,
+        lambda alg: find_isomorphism(alg, alg),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for check in checks:
+            alg = build_complex_algebra(_box_frame(rng, 4, 4, 0.5))
+            check(alg)
+            ref = weakref.ref(alg)
+            del alg
+            assert ref() is None
+    finally:
+        gc.enable()

@@ -260,6 +260,7 @@ def test_python_dash_m_lekit():
     [
         {"W": 5},
         {"N": [["a1"]]},
+        {"W": ["a"], "U": ["x"], "N": ["ax"], "relations": {}},
         {"relations": {"box": 5}},
         {"relations": {"box": [5]}},
         {"signature": {"connectives": 5}},
@@ -274,6 +275,7 @@ def test_python_dash_m_lekit():
     ids=[
         "W-not-a-list",
         "N-pair-of-length-1",
+        "N-pair-as-a-string",
         "relation-not-a-list",
         "tuple-not-a-list",
         "connectives-not-a-list",

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lekit import CapExceededError, Polarity, enumerate_concepts
+from lekit import CapExceededError, FormatError, Polarity, enumerate_concepts
 from lekit.bitset import bits, mask_of, names_of, subsets
 from lekit.polarity import concept_of_u, concept_of_w
 
@@ -170,3 +170,11 @@ def test_empty_polarity_has_one_concept():
     concepts = enumerate_concepts(pol)
     assert len(concepts) == 1
     assert concepts[0].extent == 0 and concepts[0].intent == 0
+
+
+@pytest.mark.parametrize("entry", ["ax", ("a",), ("a", "x", "x"), {"a": "x"}, 5, [["a"], "x"]])
+def test_from_names_refuses_entries_that_are_not_pairs(entry):
+    # a two-character string is not the pair of its characters
+    with pytest.raises(FormatError, match="is not a pair of point names"):
+        Polarity.from_names(["a"], ["x"], [entry])
+    assert Polarity.from_names(["a"], ["x"], [("a", "x")]).pairs == {(0, 0)}
