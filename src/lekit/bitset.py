@@ -22,17 +22,5 @@ def meet_rows(rows, mask, acc):
     return acc
 
 
-def mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def subsets(n):
-    """All subsets of range(n) as masks, in increasing mask order."""
-    return range(1 << n)
-
-
 def names_of(mask, names):
     return tuple(names[i] for i in bits(mask))

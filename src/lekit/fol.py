@@ -6,12 +6,14 @@ propositions, and equality.  The translation of a formula comes in a
 W-sorted version (membership in the extent) and a U-sorted version
 (membership in the intent); a sequent has three interchangeable shapes.
 
-eval_fo compiles a formula once into nested closures over a list of
-variable slots, one per quantifier and one per free variable, so that no
-node visit dispatches on node types or hashes variables.  The compiled
-program is cached by the identity of the formula object and dropped when
-that object is collected; it reads the model's incidence rows, relations
-and valuation at each call, so one sentence serves every model.
+eval_fo runs a formula as generated code.  Its relation, proposition and
+free variable names are lifted out as inputs read from the model at each
+call, and the code for its shape (a for loop per quantifier, short-circuit
+expressions between them) is compiled once and cached by emit.compiled,
+so formulas that differ only in names, or one translated again, share it.
+Formula objects are looked up by identity first, until collected.  A
+formula object is walked without compiling (_truth) until its calls add
+up to PLAIN_VISITS atom visits, so a one-off question pays no compile.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
+from .emit import MAX_LOOPS, compiled
 from .errors import FormatError, SortError
 from .frame import connective_sorts
 from .syntax import And, Bot, Conn, Or, Prop, Top, validate_formula
@@ -244,161 +247,258 @@ def eval_fo(model, fof, env=None):
     """Tarskian evaluation over the model's frame and valuation.
 
     env maps the free variables (Var) to point indices.  The sentence is
-    compiled once into closures and cached by identity, so evaluating one
-    sentence object under many models pays the compilation once.
+    walked, and past PLAIN_VISITS atom visits runs as generated code (see
+    _Sentence), looked up once per sentence object.
+    An unbound free variable, like a missing relation or proposition or a
+    node that is not first order, raises only when evaluation reaches it.
     """
-    free, size, run = _program(fof)
-    slots = [None] * size
-    if free:
-        env = env or {}
-        for var, slot in free:
-            slots[slot] = env.get(var, _UNBOUND)
+    sentence = _sentence(fof)
+    sources = (model.frame.relations, model.valuation, env or {})
+    values = [
+        getattr(sources[s].get(key), attr, _ABSENT) if attr else sources[s].get(key, _ABSENT)
+        for s, key, attr in sentence.inputs
+    ]
     pol = model.frame.polarity
-    return run((pol.rows, pol.nw, pol.nu, model.frame.relations, model.valuation), slots)
+    if _ABSENT in values:
+        absent = tuple(i for i, v in enumerate(values) if v is _ABSENT)
+        fns = compiled(_emit_sentence, sentence.key + (absent,))
+    elif sentence.fns is not None:
+        fns = sentence.fns
+    else:
+        sentence.visits += sentence.atom_visits(max(pol.nw, pol.nu))
+        if sentence.visits <= PLAIN_VISITS and not sentence.bad:
+            points = {-1 - i: v for i, v in enumerate(values)}
+            return _truth(sentence.key[0], pol.rows, pol.nw, pol.nu, values, points)
+        fns = sentence.fns = compiled(_emit_sentence, sentence.key + ((),))
+    return fns[0](fns, pol.rows, pol.nw, pol.nu, values, sentence.fail)
 
 
-# id(sentence) -> (weak reference to the sentence, compiled program); an
-# entry is dropped when its sentence is collected.
+# Atom visits (atom_visits, summed over calls) a sentence object runs as a
+# plain walk before its code is compiled: emitting and compiling a sentence
+# (0.5-1 ms) costs about as much as the walk spends on a thousand of them.
+PLAIN_VISITS = 1000
+
+# id(sentence) -> (weak reference to the sentence, its _Sentence); an entry
+# is dropped when its sentence is collected.
 _PROGRAMS = {}
-_UNBOUND = object()
+_ABSENT = object()
 
 
-def _program(fof):
+def _sentence(fof):
     key = id(fof)
     entry = _PROGRAMS.get(key)
     if entry is not None and entry[0]() is fof:
         return entry[1]
-    program = _compile_fo(fof)
+    sentence = _Sentence(fof)
     try:
         ref = weakref.ref(fof, lambda _: _PROGRAMS.pop(key, None))
     except TypeError:  # no weak reference, so no way to see it collected
-        return program
-    _PROGRAMS[key] = (ref, program)
-    return program
+        return sentence
+    _PROGRAMS[key] = (ref, sentence)
+    return sentence
 
 
-def _compile_fo(fof):
-    """(free, size, run) for a first order formula.
+class _Sentence:
+    """A first order formula with its names lifted out.
 
-    run(ctx, slots) evaluates it with ctx = (rows, |W|, |U|, relations,
-    valuation) read from the model at call time, and slots a list of size
-    point indices: each quantifier owns one slot, and (var, slot) in free
-    gives the slots of the free variables.  An unbound free variable holds
-    _UNBOUND; like a missing relation or proposition or a node that is not
-    first order, it raises only when evaluation reaches it.
+    inputs lists what the formula reads, as (source, key, attribute): from
+    the relations (0, name, "tuples"), from the valuation (1, proposition,
+    "extent" or "intent"), from env (2, Var, None).  shape is the formula
+    as nested tuples with each input replaced by its index i and each
+    quantifier by its number k; a variable is k, or -1 - i when free.
+    Nodes are ("N", x, y), ("=", x, y), ("R", i, vars), ("P", i, x), ("&",
+    a, b), (">", a, b), ("A" or "E", k, is_w, body), and ("!", j) for the
+    j-th node that is not first order.  Equal shapes share their code, so
+    a sentence translated again is served without compiling.  Until its
+    calls have counted PLAIN_VISITS atom visits, _truth walks the shape
+    instead and fns is None.  atoms[d] counts the atoms under d quantifiers.
     """
-    free = {}
-    size = 0
 
-    def new_slot():
-        nonlocal size
-        size += 1
-        return size - 1
+    def __init__(self, fof):
+        self.inputs = {}
+        self.bad = []
+        self.quantifiers = 0
+        self.atoms = {}
+        shape = self._walk(fof, {}, 0)
+        self.inputs = list(self.inputs)
+        self.key = (shape, len(self.inputs))
+        self.fns = None
+        self.visits = 0
 
-    def checker(vars_, scope):
-        """The slots of vars_, and a check raising on unbound free ones (or None)."""
-        slots, loose = [], []
-        for v in vars_:
-            if v in scope:
-                slots.append(scope[v])
-                continue
-            if v not in free:
-                free[v] = new_slot()
-            slots.append(free[v])
-            loose.append((free[v], v.name))
+    def atom_visits(self, n):
+        """Atoms a full evaluation with n points per sort visits, at most."""
+        return sum(count * n**depth for depth, count in self.atoms.items())
 
-        def check(s):
-            for slot, name in loose:
-                if s[slot] is _UNBOUND:
-                    raise SortError(f"unbound variable {name}")
+    def fail(self, i):
+        """Raise the error of absent input i, or of bad node i - len(inputs)."""
+        if i >= len(self.inputs):
+            raise TypeError(f"not a first order formula: {self.bad[i - len(self.inputs)]}")
+        source, key, _ = self.inputs[i]
+        if source == 2:
+            raise SortError(f"unbound variable {key.name}")
+        if source == 0:
+            raise FormatError(f"no relation for connective {key!r}")
+        raise FormatError(f"no value assigned to proposition {key!r}")
 
-        return tuple(slots), check if loose else None
+    def _input(self, source, key, attr):
+        return self.inputs.setdefault((source, key, attr), len(self.inputs))
 
-    def comp(f, scope):
-        if isinstance(f, NAtom):
-            (x, y), check = checker((f.x, f.y), scope)
+    def _var(self, var, scope):
+        return scope[var] if var in scope else -1 - self._input(2, var, None)
 
-            def run(c, s):
-                if check:
-                    check(s)
-                return bool(c[0][s[x]] >> s[y] & 1)
-        elif isinstance(f, RAtom):
-            args, check = checker(f.args, scope)
-            name = f.name
+    def _walk(self, f, scope, depth):
+        if isinstance(f, (FAnd, FImp)):
+            left, right = self._walk(f.left, scope, depth), self._walk(f.right, scope, depth)
+            return ("&" if isinstance(f, FAnd) else ">", left, right)
+        if isinstance(f, (Forall, Exists)):
+            k = self.quantifiers = self.quantifiers + 1
+            body = self._walk(f.body, {**scope, f.var: k}, depth + 1)
+            return ("A" if isinstance(f, Forall) else "E", k, f.var.sort == "W", body)
+        self.atoms[depth] = self.atoms.get(depth, 0) + 1
+        if isinstance(f, (NAtom, Eq)):
+            a, b = (f.x, f.y) if isinstance(f, NAtom) else (f.left, f.right)
+            return ("N" if isinstance(f, NAtom) else "=", self._var(a, scope), self._var(b, scope))
+        if isinstance(f, RAtom):
+            args = tuple(self._var(v, scope) for v in f.args)
+            return ("R", self._input(0, f.name, "tuples"), args)
+        if isinstance(f, PredAtom):
+            attr = "extent" if f.kind == "ext" else "intent"
+            return ("P", self._input(1, f.prop, attr), self._var(f.var, scope))
+        self.bad.append(repr(f))  # the text, as the node may be the sentence itself
+        return ("!", len(self.bad) - 1)
 
-            if len(args) == 2:
-                head, arg = args
 
-                def run(c, s):
-                    rel = c[3].get(name)
-                    if rel is None:
-                        raise FormatError(f"no relation for connective {name!r}")
-                    if check:
-                        check(s)
-                    return (s[head], s[arg]) in rel.tuples
-            else:
-                def run(c, s):
-                    rel = c[3].get(name)
-                    if rel is None:
-                        raise FormatError(f"no relation for connective {name!r}")
-                    if check:
-                        check(s)
-                    return tuple([s[a] for a in args]) in rel.tuples
-        elif isinstance(f, PredAtom):
-            (x,), check = checker((f.var,), scope)
-            prop, ext = f.prop, f.kind == "ext"
+def _truth(node, rows, nw, nu, X, env):
+    """What the code for a shape node computes, walked without compiling.
 
-            def run(c, s):
-                concept = c[4].get(prop)
-                if concept is None:
-                    raise FormatError(f"no value assigned to proposition {prop!r}")
-                if check:
-                    check(s)
-                return bool((concept.extent if ext else concept.intent) >> s[x] & 1)
-        elif isinstance(f, Eq):
-            (a, b), check = checker((f.left, f.right), scope)
+    env maps quantifier numbers k, and -1 - i for each input i, to values.
+    The shape reads no absent input and holds no "!" node.
+    """
+    op = node[0]
+    if op == "&":
+        return _truth(node[1], rows, nw, nu, X, env) and _truth(node[2], rows, nw, nu, X, env)
+    if op == ">":
+        return not _truth(node[1], rows, nw, nu, X, env) or _truth(node[2], rows, nw, nu, X, env)
+    if op in ("A", "E"):
+        _, k, is_w, body = node
+        for env[k] in range(nw if is_w else nu):
+            if _truth(body, rows, nw, nu, X, env) is not (op == "A"):
+                return op == "E"
+        return op == "A"
+    if op == "N":
+        return rows[env[node[1]]] >> env[node[2]] & 1 == 1
+    if op == "=":
+        return env[node[1]] == env[node[2]]
+    if op == "R":
+        return tuple(map(env.__getitem__, node[2])) in X[node[1]]
+    return X[node[1]] >> env[node[2]] & 1 == 1
 
-            def run(c, s):
-                if check:
-                    check(s)
-                return s[a] == s[b]
-        elif isinstance(f, FAnd):
-            left, right = comp(f.left, scope), comp(f.right, scope)
 
-            def run(c, s):
-                return left(c, s) and right(c, s)
-        elif isinstance(f, FImp):
-            left, right = comp(f.left, scope), comp(f.right, scope)
+# Per generated function: nested statements before the rest of a sentence
+# goes to a function of its own (CPython allows 100 indentation levels),
+# and parentheses in one expression (it allows 200 nested ones).
+_MAX_DEPTH = 40
+_MAX_PARENS = 150
 
-            def run(c, s):
-                return not left(c, s) or right(c, s)
-        elif isinstance(f, (Forall, Exists)):
-            slot = new_slot()
-            body = comp(f.body, {**scope, f.var: slot})
-            sort = 1 if f.var.sort == "W" else 2  # index of the sort's size in ctx
-            if isinstance(f, Forall):
-                def run(c, s):
-                    for v in range(c[sort]):
-                        s[slot] = v
-                        if not body(c, s):
-                            return False
-                    return True
-            else:
-                def run(c, s):
-                    for v in range(c[sort]):
-                        s[slot] = v
-                        if body(c, s):
-                            return True
-                    return False
+
+def _emit_sentence(key):
+    """Source of f0 (and helpers) evaluating a _Sentence shape.
+
+    key is _Sentence.key plus the indices of the absent inputs.
+    Quantifier-free parts become one expression each, with Python's
+    short-circuit and/or, and an atom reading an absent input a call
+    raising its error.  A quantifier becomes a for loop over the points of
+    its sort that breaks at the first witness (exists) or counterexample
+    (forall), leaving the value in r.  A part nested past MAX_LOOPS loops
+    or _MAX_DEPTH statements moves to a function of its own, called with
+    the quantified variables in scope.
+    """
+    return [line for lines in _SentenceWriter(key).functions for line in lines]
+
+
+class _SentenceWriter:
+    """The functions of one _emit_sentence call, as lists of lines."""
+
+    BASE = "fns, rows, nw, nu, X, fail"
+
+    def __init__(self, key):
+        shape, self.ninputs, absent = key
+        self.absent = set(absent)
+        self.exprs = {}  # id(node) -> expression or None
+        unpack = f"    {''.join(f'X{i}, ' for i in range(self.ninputs))}= X"
+        self.prologue = [unpack] if self.ninputs else []
+        top = [f"def f0({self.BASE}):"] + self.prologue
+        self.functions = [top]
+        root = self.expr(shape)
+        if root is None:
+            self.stmt(top, shape, 1, 0, ())
+        top.append(f"    return bool({root or 'r'})")
+
+    def expr(self, node):
+        """node as one expression, or None if it has a quantifier or is long."""
+        if id(node) not in self.exprs:
+            self.exprs[id(node)] = self._expr(node)
+        return self.exprs[id(node)]
+
+    def _expr(self, node):
+        op = node[0]
+        if op in ("A", "E"):
+            return None
+        if op in ("&", ">"):
+            a, b = self.expr(node[1]), self.expr(node[2])
+            if a is None or b is None or (a + b).count("(") > _MAX_PARENS:
+                return None
+            return f"({a} and {b})" if op == "&" else f"(not {a} or {b})"
+        if op == "!":
+            return f"fail({self.ninputs + node[1]})"
+        xs = node[2] if op == "R" else node[2:] if op == "P" else node[1:]
+        reads = ([node[1]] if op in ("R", "P") else []) + [-1 - x for x in xs if x < 0]
+        missing = [i for i in reads if i in self.absent]
+        if missing:
+            return f"fail({missing[0]})"
+        v = [f"v{x}" if x >= 0 else f"X{-1 - x}" for x in xs]
+        if op == "N":
+            return f"(rows[{v[0]}] >> {v[1]} & 1)"
+        if op == "=":
+            return f"({v[0]} == {v[1]})"
+        if op == "R":
+            return f"(({''.join(x + ', ' for x in v)}) in X{node[1]})"
+        return f"(X{node[1]} >> {v[0]} & 1)"
+
+    def stmt(self, lines, node, depth, loops, scope):
+        """Append lines leaving node's value in r, at indentation depth."""
+        pad = "    " * depth
+        e = self.expr(node)
+        op = node[0]
+        if e is not None:
+            lines.append(f"{pad}r = {e}")
+        elif depth > _MAX_DEPTH or op in ("A", "E") and loops == MAX_LOOPS:
+            args = "".join(f", v{q}" for q in scope)
+            lines.append(f"{pad}r = fns[{len(self.functions)}]({self.BASE}{args})")
+            lines = [f"def f{len(self.functions)}({self.BASE}{args}):"] + self.prologue
+            self.functions.append(lines)
+            self.stmt(lines, node, 1, 0, scope)
+            lines.append("    return r")
+        elif op in ("&", ">"):
+            a = self.expr(node[1])
+            if a is None:
+                self.stmt(lines, node[1], depth, loops, scope)
+            lines.append(f"{pad}if {a or 'r'}:")
+            self.stmt(lines, node[2], depth + 1, loops, scope)
+            if a is not None or op == ">":
+                lines += [f"{pad}else:", f"{pad}    r = {op == '>'}"]
         else:
-            message = f"not a first order formula: {f!r}"
-
-            def run(c, s):
-                raise TypeError(message)
-        return run
-
-    run = comp(fof, {})
-    return tuple(free.items()), size, run
+            _, k, is_w, body = node
+            neg = "not " if op == "A" else ""
+            b = self.expr(body)
+            lines.append(f"{pad}r = {op == 'A'}")
+            lines.append(f"{pad}for v{k} in range({'nw' if is_w else 'nu'}):")
+            if b is None:
+                self.stmt(lines, body, depth + 1, loops + 1, scope + (k,))
+                lines.append(f"{pad}    if {neg}r:")
+            else:
+                lines += [f"{pad}    if {neg}{b}:", f"{pad}        r = {op == 'E'}"]
+            lines.append(f"{pad}        break")
 
 
 def format_fo(fof):

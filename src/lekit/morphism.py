@@ -25,19 +25,6 @@ from .errors import FormatError, InvalidPMorphismError
 from .frame import section_zero
 from .polarity import Polarity, enumerate_concepts
 
-__all__ = [
-    "PMorphism",
-    "PMorphismReport",
-    "load_morphism",
-    "check_pmorphism",
-    "DualHom",
-    "dual_hom",
-    "dual_pmorphism",
-    "is_surjective",
-    "is_injective",
-]
-
-
 class PMorphism:
     def __init__(self, source, target, s_pairs, t_pairs):
         if source.signature != target.signature:

@@ -8,24 +8,28 @@ right extent (equivalently, the right intent in the left intent); a frame
 validates it when every valuation of the occurring propositions does.
 
 eval_formula evaluates one formula in one model, and _sat/_cosat give the
-pointwise recursive clauses; the tests use both as oracles.  Validity checks
-compile the sequent once into a straight-line program (_Program): one
-slot per distinct subformula, each recording the highest proposition
-index it depends on.  Valuations are scanned like an odometer, in product
-order with the last proposition changing fastest, and a step recomputes
-only the slots that depend on a proposition that changed.  frame_validates
-runs the program on (extent, intent) mask pairs of the enumerated
-concepts, memoising the Galois maps and each connective's sections;
-algebra_validates runs it on element indices through meet, join and the
-operation tables.
+pointwise recursive clauses; the tests use both as oracles.  Validity
+checks hash-cons the sequent into a program of slots with no names in it
+(_Program), and _emit_program writes one loop nest per program shape and
+domain kind, compiled once and cached by emit.compiled: one loop per
+proposition, the last innermost, each slot computed right under the loop
+of its highest proposition, and an early return at the first failing
+valuation.  frame_validates runs it on the concepts' extent and intent
+masks, memoising the Galois maps and each connective's sections for the
+call; algebra_validates runs it on element indices through meet, join
+and the operation tables.  A check of at most PLAIN_WORK valuations
+times slots, where compiling would cost more than it saves, runs the same
+program in a plain loop instead (_plain_frame, _plain_algebra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .bitset import bits
+from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
 from .frame import section_zero
 from .polarity import Concept, enumerate_concepts
@@ -221,91 +225,49 @@ class ValidityVerdict:
 
 
 class _Program:
-    """A sequent compiled to a hash-consed straight-line program.
+    """A sequent compiled to a hash-consed program over numbered slots.
 
     nodes[i] is (kind, payload, children) with kind "prop", "top", "bot",
-    "and", "or" or "conn", payload the proposition or connective name, and
-    children earlier slots; equal subformulas share one slot.  deps[i] is
-    the highest index (in props) of a proposition that slot i depends on,
-    -1 for none.  vals[i] holds the value of slot i during a scan.
+    "and", "or" or "conn" and children earlier slots; equal subformulas
+    share one slot.  The payload holds no name: a proposition's index in
+    props, and for a connective (c, family, order type) with c its index
+    in conns.  deps[i] is the highest proposition index slot i depends on,
+    -1 for none.  key is the program's shape: equal keys share one function.
     """
 
-    def __init__(self, sequent, props):
-        index = {p: k for k, p in enumerate(props)}
+    def __init__(self, sequent, props, signature):
+        self.index = {p: k for k, p in enumerate(props)}
+        self.signature = signature
+        self.conns = {}  # connective name -> its payload
         self.nodes = []
         self.deps = []
-        slots = {}
+        self.slots = {}  # node -> its slot
+        lhs, rhs = self._visit(sequent.lhs), self._visit(sequent.rhs)
+        self.key = (tuple(self.nodes), tuple(self.deps), lhs, rhs, len(props))
 
-        def visit(phi):
-            if isinstance(phi, Prop):
-                node = ("prop", phi.name, ())
-            elif isinstance(phi, Top):
-                node = ("top", None, ())
-            elif isinstance(phi, Bot):
-                node = ("bot", None, ())
-            elif isinstance(phi, And):
-                node = ("and", None, (visit(phi.left), visit(phi.right)))
-            elif isinstance(phi, Or):
-                node = ("or", None, (visit(phi.left), visit(phi.right)))
-            elif isinstance(phi, Conn):
-                node = ("conn", phi.name, tuple(visit(a) for a in phi.args))
-            else:
-                raise TypeError(f"not a formula: {phi!r}")
-            slot = slots.get(node)
-            if slot is None:
-                slot = slots[node] = len(self.nodes)
-                self.nodes.append(node)
-                if node[0] == "prop":
-                    self.deps.append(index[phi.name])
-                else:
-                    self.deps.append(max((self.deps[c] for c in node[2]), default=-1))
-            return slot
-
-        self.lhs = visit(sequent.lhs)
-        self.rhs = visit(sequent.rhs)
-        visit = None  # the closure refers to itself: break the cycle
-        self.prop_slots = [slots[("prop", p, ())] for p in props]
-        self.vals = [None] * len(self.nodes)
-
-    def scan(self, domain, make_step, holds):
-        """The domain indices of the first valuation where holds() fails.
-
-        Valuations run in product order, the last proposition fastest, like
-        an odometer.  When proposition k takes its next value only the slots
-        whose highest dependency is k are recomputed; those depending on
-        earlier propositions keep their values, and constant slots are
-        computed once.  make_step(kind, payload, children, slot) returns a
-        function that stores the value of slot in vals from its children's.
-        Returns None when every valuation passes.
-        """
-        m, vals = len(self.prop_slots), self.vals
-        levels = [[] for _ in range(m + 1)]  # levels[k + 1]: slots with dep k
-        for slot, (kind, payload, kids) in enumerate(self.nodes):
-            if kind != "prop":
-                levels[self.deps[slot] + 1].append(make_step(kind, payload, kids, slot))
-        for step in levels[0]:
-            step()
-        picked = [0] * m
-
-        def fails_from(k):
-            if k == m:
-                return not holds()
-            slot, steps = self.prop_slots[k], levels[k + 1]
-            for i, v in enumerate(domain):
-                vals[slot] = v
-                for step in steps:
-                    step()
-                if fails_from(k + 1):
-                    picked[k] = i
-                    return True
-            return False
-
-        failed = fails_from(0)
-        # the closure refers to itself; left as a cycle it would keep the
-        # steps, and the tables and memos they read, alive until the next
-        # cyclic collection
-        fails_from = None
-        return tuple(picked) if failed else None
+    def _visit(self, phi):
+        if isinstance(phi, Prop):
+            node = ("prop", self.index[phi.name], ())
+        elif isinstance(phi, (And, Or)):
+            kids = (self._visit(phi.left), self._visit(phi.right))
+            node = ("and" if isinstance(phi, And) else "or", None, kids)
+        elif isinstance(phi, Conn):
+            payload = self.conns.get(phi.name)
+            if payload is None:
+                conn = self.signature.get(phi.name)
+                payload = self.conns[phi.name] = (len(self.conns), conn.family, conn.order_type)
+            node = ("conn", payload, tuple(map(self._visit, phi.args)))
+        elif isinstance(phi, (Top, Bot)):
+            node = ("top" if isinstance(phi, Top) else "bot", None, ())
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        slot = self.slots.get(node)
+        if slot is None:
+            slot = self.slots[node] = len(self.nodes)
+            self.nodes.append(node)
+            deps = [node[1]] if node[0] == "prop" else [self.deps[c] for c in node[2]]
+            self.deps.append(max(deps) if deps else -1)
+        return slot
 
 
 def _position(picked, n):
@@ -316,81 +278,219 @@ def _position(picked, n):
     return pos + 1
 
 
-def _frame_steps(frame, domain, vals):
-    """make_step for values that are (extent, intent) pairs.
+class _Closed(dict):
+    """A memo that derives a missing value and keeps it (see _closed)."""
 
-    Conjunctions find their pair in by_ext by extent, disjunctions in
-    by_int by intent; both start out holding the enumerated concepts, so
-    on compatible frames they never miss.  Connectives are memoised per
-    name on the masks they read.  On incompatible frames a connective may
-    leave the concept lattice; its pair is computed and memoised like any
-    other.
+    __slots__ = ("derive",)
+
+    def __missing__(self, key):
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _closed(pairs, derive):
+    memo = _Closed(pairs)
+    memo.derive = derive
+    return memo
+
+
+def _section_pair(rel, conn, by_ext, by_int, key):
+    """The (extent, intent) a connective gives on the masks it reads.
+
+    On incompatible frames it may leave the concept lattice; the pair is
+    computed like any other.
     """
-    pol = frame.polarity
-    up, down = pol.up, pol.down
-    by_ext = {v[0]: v for v in domain}
-    by_int = {v[1]: v for v in domain}
-    memos = {}
+    mask = section_zero(rel, (key,) if conn.arity == 1 else key)
+    return (mask, by_ext[mask]) if conn.family == "G" else (by_int[mask], mask)
 
-    def of_ext(ext):
-        v = by_ext.get(ext)
-        if v is None:
-            v = by_ext[ext] = (ext, up(ext))
-        return v
 
-    def of_int(itn):
-        v = by_int.get(itn)
-        if v is None:
-            v = by_int[itn] = (down(itn), itn)
-        return v
+def _emit_program(key):
+    """Source of f0, which decides one program shape on one domain kind.
 
-    def make_step(kind, payload, kids, out):
-        if kind == "top":
-            def step():
-                vals[out] = of_ext(pol.full_w)
-        elif kind == "bot":
-            def step():
-                vals[out] = of_int(pol.full_u)
-        elif kind == "and":
-            a, b = kids
+    key is (kind, *_Program.key).  f0 has one loop per proposition, the
+    last innermost, and computes each slot right under the loop of the
+    highest proposition it depends on, so a slot is recomputed only when
+    one of its propositions changes; past MAX_LOOPS propositions the
+    innermost ones share one loop over their product.  f0 returns the loop
+    indices of the first valuation whose left side is not below its right
+    side, or None.
 
-            def step():
-                vals[out] = of_ext(vals[a][0] & vals[b][0])
-        elif kind == "or":
-            a, b = kids
-
-            def step():
-                vals[out] = of_int(vals[a][1] & vals[b][1])
+    A frame program holds extents e<slot> and intents i<slot> as locals.
+    Conjunctions and disjunctions look up the other mask in by_ext or
+    by_int only where it is read; connectives look up their pair in a
+    memo per connective, keyed as _section_pair reads.  An algebra program
+    reads meet, join and the operation tables, a unary one as a list.
+    """
+    kind, nodes, deps, lhs, rhs, m = key
+    frame = kind == "frame"
+    loops = min(m, MAX_LOOPS)
+    at = [[] for _ in range(loops + 1)]  # at[k]: slots computed in loop k - 1
+    props = [None] * m
+    for slot, (op, payload, _) in enumerate(nodes):
+        if op == "prop":
+            props[payload] = slot
         else:
-            conn = frame.signature.get(payload)
-            rel = frame.relations[payload]
-            memo = memos.setdefault(payload, {})
-            # G reads intents at monotone coordinates and yields an extent;
-            # F reads extents there and yields an intent.
-            mono, close = (1, of_ext) if conn.family == "G" else (0, of_int)
-            reads = tuple(
-                (c, mono if e == "1" else 1 - mono) for c, e in zip(kids, conn.order_type)
-            )
+            at[min(deps[slot], loops - 1) + 1].append(slot)
+    need = [set() for _ in nodes]  # which of "e" and "i" each slot must give
+    need[lhs].add("e")
+    need[rhs].add("e")
+    for slot in reversed(range(len(nodes))):
+        op, payload, kids = nodes[slot]
+        reads = _reads(payload) if op == "conn" else [{"and": "e", "or": "i"}.get(op)] * len(kids)
+        for c, mask in zip(kids, reads):
+            need[c].add(mask)
+    params = "D, by_ext, by_int, W, U" if frame else "dom, meet, join, leq, top, bot"
+    lines = [f"def f0(fns, {params}, tables, product):"]
+    nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
+    if nconns:
+        lines.append(f"    {''.join(f'R{c}, ' for c in range(nconns))}= tables")
 
-            if len(reads) == 1:
-                ((a, pick),) = reads
+    def step(slot):
+        op, payload, kids = nodes[slot]
+        if not frame:
+            if op in ("top", "bot"):
+                return [f"v{slot} = {op}"]
+            if op in ("and", "or"):
+                return [f"v{slot} = {'meet' if op == 'and' else 'join'}[v{kids[0]}][v{kids[1]}]"]
+            return [f"v{slot} = R{payload[0]}[{_key([f'v{c}' for c in kids])}]"]
+        if op == "conn":
+            reads = [mask + str(c) for c, mask in zip(kids, _reads(payload))]
+            return [f"e{slot}, i{slot} = R{payload[0]}[{_key(reads)}]"]
+        if op in ("top", "bot"):
+            have, value = ("e", "W") if op == "top" else ("i", "U")
+        else:
+            have = "e" if op == "and" else "i"
+            value = f"{have}{kids[0]} & {have}{kids[1]}"
+        other, memo = ("i", "by_ext") if have == "e" else ("e", "by_int")
+        derived = [f"{other}{slot} = {memo}[{have}{slot}]"] if other in need[slot] else []
+        return [f"{have}{slot} = {value}"] + derived
 
-                def step():
-                    key = vals[a][pick]
-                    v = memo.get(key)
-                    if v is None:
-                        v = memo[key] = close(section_zero(rel, (key,)))
-                    vals[out] = v
+    found = []
+    for depth in range(loops + 1):
+        if depth:
+            group = props[depth - 1 :] if depth == loops else props[depth - 1 : depth]
+            targets = [f"(e{s}, i{s})" if frame else f"v{s}" for s in group]
+            found += [f"D.index((e{s}, i{s}))" if frame else f"v{s}" for s in group]
+            source = "D" if frame else "dom"
+            if len(group) > 1:
+                source = f"product({source}, repeat={len(group)})"
+            lines.append(f"{'    ' * depth}for {', '.join(targets)} in {source}:")
+        lines += ["    " * (depth + 1) + line for slot in at[depth] for line in step(slot)]
+    pad = "    " * (loops + 1)
+    lines.append(pad + (f"if e{lhs} & ~e{rhs}:" if frame else f"if not leq[v{lhs}][v{rhs}]:"))
+    lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
+    lines.append("    return None")
+    return lines
+
+
+def _key(names):
+    """A table key: the one name of a unary connective, else their tuple."""
+    return names[0] if len(names) == 1 else f"({''.join(n + ', ' for n in names)})"
+
+
+def _reads(payload):
+    """The mask, "e" or "i", a connective reads at each coordinate.
+
+    A G connective reads intents at its monotone coordinates and extents
+    at its antitone ones, and yields an extent; F the other way round.
+    """
+    _, family, order = payload
+    mono, anti = ("i", "e") if family == "G" else ("e", "i")
+    return [mono if e == "1" else anti for e in order]
+
+
+# Valuations times slots up to which a check runs as a plain loop.  Like
+# the generated code, the plain loop recomputes a slot only when one of its
+# propositions changes, so this bounds its work from above; emitting and
+# compiling a program (0.2-0.5 ms) costs about as much as a full scan of
+# 2000 such steps in the plain loop.
+PLAIN_WORK = 2000
+
+
+def _valuations(n, m):
+    """Index tuples in product order, each with the first position changed.
+
+    The last position runs fastest, so every later position changed too;
+    the first tuple comes with -1.
+    """
+    changed = -1
+    for picked in product(range(n), repeat=m):
+        yield picked, changed
+        changed = m - 1
+        while changed >= 0 and picked[changed] == n - 1:
+            changed -= 1
+
+
+def _plan(program):
+    """steps[k + 1]: (slot, op, payload, children, reads) of the slots a
+    valuation recomputes when proposition k is the first that changed,
+    that is the slots depending on a proposition k or later, in slot
+    order; the first valuation (k = -1) computes all of them.  reads is a
+    connective's _reads, one flag per coordinate: True for intent.
+    """
+    nodes, deps, _, _, m = program.key
+    steps = [[] for _ in range(m + 1)]
+    for slot, (op, payload, kids) in enumerate(nodes):
+        reads = op == "conn" and [mask == "i" for mask in _reads(payload)]
+        for k in range(deps[slot] + 2):
+            steps[k].append((slot, op, payload, kids, reads))
+    return steps
+
+
+def _plain_frame(program, pairs, by_ext, by_int, memos, full_w, full_u):
+    """What the frame code of _emit_program returns, without compiling it.
+
+    Like that code, a valuation recomputes only the slots that depend on
+    a proposition that changed.
+    """
+    lhs, rhs = program.key[2:4]
+    steps = _plan(program)
+    vals = [None] * len(program.nodes)
+    for picked, changed in _valuations(len(pairs), program.key[4]):
+        for slot, op, payload, kids, reads in steps[changed + 1]:
+            if op == "prop":
+                vals[slot] = pairs[picked[payload]]
+            elif op in ("and", "top"):
+                ext = vals[kids[0]][0] & vals[kids[1]][0] if kids else full_w
+                vals[slot] = ext, by_ext[ext]
+            elif op in ("or", "bot"):
+                itn = vals[kids[0]][1] & vals[kids[1]][1] if kids else full_u
+                vals[slot] = by_int[itn], itn
+            elif len(kids) == 1:
+                vals[slot] = memos[payload[0]][vals[kids[0]][reads[0]]]
             else:
-                def step():
-                    key = tuple([vals[c][pick] for c, pick in reads])
-                    v = memo.get(key)
-                    if v is None:
-                        v = memo[key] = close(section_zero(rel, key))
-                    vals[out] = v
-        return step
+                masks = tuple([vals[c][side] for c, side in zip(kids, reads)])
+                vals[slot] = memos[payload[0]][masks]
+        if vals[lhs][0] & ~vals[rhs][0]:
+            return picked
+    return None
 
-    return make_step
+
+def _plain_algebra(program, alg):
+    """What the algebra code of _emit_program returns, without compiling it.
+
+    It reads meet and join only when a slot needs them, as a complex
+    algebra fills them lazily.
+    """
+    lhs, rhs = program.key[2:4]
+    ops = list(map(alg.ops.__getitem__, program.conns))
+    steps = _plan(program)
+    vals = [None] * len(program.nodes)
+    for picked, changed in _valuations(alg.size, program.key[4]):
+        for slot, op, payload, kids, _ in steps[changed + 1]:
+            if op == "prop":
+                vals[slot] = picked[payload]
+            elif op == "conn" and len(kids) == 1:
+                vals[slot] = ops[payload[0]][(vals[kids[0]],)]
+            elif op == "conn":
+                vals[slot] = ops[payload[0]][tuple([vals[c] for c in kids])]
+            elif op in ("and", "or"):
+                vals[slot] = (alg.meet if op == "and" else alg.join)[vals[kids[0]]][vals[kids[1]]]
+            else:
+                vals[slot] = alg.top if op == "top" else alg.bot
+        if not alg.leq[vals[lhs]][vals[rhs]]:
+            return picked
+    return None
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -410,14 +510,21 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
         raise CapExceededError(
             f"{total} valuations needed, cap is {cap}; raise the cap to proceed"
         )
-    program = _Program(sequent, props)
-    domain = [(c.extent, c.intent) for c in concepts]
-    vals, lhs, rhs = program.vals, program.lhs, program.rhs
-    picked = program.scan(
-        domain,
-        _frame_steps(frame, domain, vals),
-        lambda: not vals[lhs][0] & ~vals[rhs][0],
-    )
+    program = _Program(sequent, props, frame.signature)
+    pol = frame.polarity
+    pairs = [(c.extent, c.intent) for c in concepts]
+    by_ext = _closed(pairs, pol.up)
+    by_int = _closed([(i, e) for e, i in pairs], pol.down)
+    sig = frame.signature
+    memos = [
+        _closed((), partial(_section_pair, frame.relations[c], sig.get(c), by_ext, by_int))
+        for c in program.conns
+    ]
+    if total * len(program.nodes) <= PLAIN_WORK:
+        picked = _plain_frame(program, pairs, by_ext, by_int, memos, pol.full_w, pol.full_u)
+    else:
+        fns = compiled(_emit_program, ("frame",) + program.key)
+        picked = fns[0](fns, pairs, by_ext, by_int, pol.full_w, pol.full_u, memos, product)
     if picked is None:
         return ValidityVerdict(True, None, total)
     counter = {p: concepts[i] for p, i in zip(props, picked)}
@@ -428,43 +535,27 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     """Validity computed in a finite algebra via its operation tables.
 
     Runs the program frame_validates uses, on element indices, with
-    meet/join and the operation tables as the steps.
+    meet, join and the operation tables in place of the frame's sections.
     """
     validate_formula(sequent, alg.signature)
     props = sorted(props_of(sequent))
     total = alg.size ** len(props)
     if cap is not None and total > cap:
         raise CapExceededError(f"{total} assignments needed, cap is {cap}")
-    program = _Program(sequent, props)
-    vals = program.vals
-
-    def make_step(kind, payload, kids, out):
-        if kind in ("top", "bot"):
-            value = alg.top if kind == "top" else alg.bot
-
-            def step():
-                vals[out] = value
-        elif kind in ("and", "or"):
-            table = alg.meet if kind == "and" else alg.join
-            a, b = kids
-
-            def step():
-                vals[out] = table[vals[a]][vals[b]]
-        elif len(kids) == 1:
-            table, (a,) = alg.ops[payload], kids
-
-            def step():
-                vals[out] = table[(vals[a],)]
-        else:
-            table = alg.ops[payload]
-
-            def step():
-                vals[out] = table[tuple([vals[c] for c in kids])]
-        return step
-
-    # the cached matrix view, not a shift of a cone mask: indexing tuples is
-    # the cheapest order test per valuation, and the view is built once
-    leq, lhs, rhs = alg.leq, program.lhs, program.rhs
-    return program.scan(
-        range(alg.size), make_step, lambda: leq[vals[lhs]][vals[rhs]]
-    ) is None
+    program = _Program(sequent, props, alg.signature)
+    if total * len(program.nodes) <= PLAIN_WORK:
+        return _plain_algebra(program, alg) is None
+    # meet and join are read only if used, as a complex algebra fills them
+    # lazily; leq is the matrix view, not shifts of cone masks: indexing
+    # tuples is the cheapest order test per valuation, and it is built once
+    kinds = {op for op, _, _ in program.nodes}
+    meet = alg.meet if "and" in kinds else None
+    join = alg.join if "or" in kinds else None
+    dom = range(alg.size)
+    tables = [
+        [alg.ops[c][(x,)] for x in dom] if alg.signature.get(c).arity == 1 else alg.ops[c]
+        for c in program.conns
+    ]
+    fns = compiled(_emit_program, ("algebra",) + program.key)
+    picked = fns[0](fns, dom, meet, join, alg.leq, alg.top, alg.bot, tables, product)
+    return picked is None

@@ -14,6 +14,7 @@ import pytest
 from lekit import (
     And,
     Bot,
+    Conn,
     Connective,
     FormatError,
     Frame,
@@ -22,6 +23,7 @@ from lekit import (
     Or,
     Polarity,
     Prop,
+    Sequent,
     Signature,
     SortError,
     Top,
@@ -32,12 +34,24 @@ from lekit import (
     props_of,
 )
 from lekit.algebra import NormalityReport
-from lekit.bitset import bits, subsets
+from lekit.bitset import bits
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import SIG_BOX, random_polarity
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def mask_of(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def subsets(n):
+    """All subsets of range(n) as masks, in increasing mask order."""
+    return range(1 << n)
 
 
 def golden_path(name):
@@ -325,6 +339,19 @@ def all_box_frames_2x2():
             if check_compatibility(fr).passed:
                 frames.append(fr)
     return frames
+
+
+def renamed(phi, names):
+    """phi (a formula or sequent) with propositions and connectives renamed."""
+    if isinstance(phi, Sequent):
+        return Sequent(renamed(phi.lhs, names), renamed(phi.rhs, names))
+    if isinstance(phi, Prop):
+        return Prop(names[phi.name])
+    if isinstance(phi, (And, Or)):
+        return type(phi)(renamed(phi.left, names), renamed(phi.right, names))
+    if isinstance(phi, Conn):
+        return Conn(names[phi.name], tuple(renamed(a, names) for a in phi.args))
+    return phi
 
 
 def frame_validates_by_models(frame, sequent):

@@ -23,7 +23,6 @@ from lekit import (
     verify_normality,
 )
 from lekit.algebra import residuated
-from lekit.bitset import mask_of
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
@@ -42,6 +41,7 @@ from conftest import (
     cones_of,
     find_isomorphism_by_leq,
     leq_closure_fixpoint,
+    mask_of,
     normality_by_lookup,
     product_leq_by_pairs,
 )

@@ -19,10 +19,10 @@ from lekit import (
     product_algebra,
     verify_normality,
 )
-from lekit.bitset import bits, mask_of
+from lekit.bitset import bits
 from lekit.sampling import random_box_frame
 
-from conftest import brute_filters, brute_ideals
+from conftest import brute_filters, brute_ideals, mask_of
 
 
 def test_coproduct_shapes(frame_f1, frame_f2):

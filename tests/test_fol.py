@@ -1,13 +1,21 @@
 """Standard translation, sort checking, and first order evaluation."""
 
+import gc
+import io
 import random
+import tokenize
+import weakref
 
 import pytest
 
 from lekit import (
+    Connective,
     FormatError,
+    Frame,
     Model,
+    Polarity,
     Prop,
+    Signature,
     SortError,
     check_sorts,
     enumerate_concepts,
@@ -20,7 +28,8 @@ from lekit import (
     standard_translate,
     translate_sequent,
 )
-from lekit import fol
+from lekit import emit, fol
+from lekit.frame import Relation, connective_sorts
 from lekit.fol import (
     Eq,
     Exists,
@@ -35,7 +44,15 @@ from lekit.fol import (
 )
 from lekit.sampling import SIG_BOX, random_box_frame, random_formula, random_sequent
 
-from conftest import PROPS, SIG_MIX, all_box_frames_2x2, eval_fo_recursive, random_frame
+from conftest import (
+    PROPS,
+    SIG_MIX,
+    all_box_frames_2x2,
+    boolean_frame,
+    eval_fo_recursive,
+    random_frame,
+    renamed,
+)
 
 XV = Var("W", "x")
 YV = Var("U", "y")
@@ -263,3 +280,194 @@ def test_program_cache_never_serves_a_collected_sentence(frame_f1):
             del second
     assert reused
     assert all(ref() is not None for ref, _ in fol._PROGRAMS.values())
+
+
+@pytest.fixture(params=["generated", "plain"])
+def path(request, monkeypatch):
+    """Every evaluation through generated code, or through the plain walk."""
+    monkeypatch.setattr(fol, "PLAIN_VISITS", -1 if request.param == "generated" else 10**9)
+    fol._PROGRAMS.clear()
+    yield request.param
+    fol._PROGRAMS.clear()
+
+
+def test_both_paths_match_the_recursive_oracle(path, frame_f1):
+    test_compiled_eval_fo_matches_recursive_oracle()
+    test_shadowed_variables_exists_and_eq(frame_f1)
+    test_free_variables_from_env(frame_f1)
+    test_errors_raise_only_when_reached(frame_f1)
+
+
+def test_a_sentence_compiles_once_its_walks_add_up(frame_f1):
+    fof = translate_sequent(parse_sequent("box p |- p", SIG_BOX), SIG_BOX, "pairing")
+    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
+    sentence = fol._sentence(fof)
+    per_call = sentence.atom_visits(max(frame_f1.polarity.nw, frame_f1.polarity.nu))
+    emit.compiled.cache_clear()
+    for _ in range(fol.PLAIN_VISITS // per_call):
+        eval_fo(m, fof)
+    assert sentence.fns is None and emit.compiled.cache_info().misses == 0
+    for _ in range(3):
+        assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
+    assert sentence.fns is not None and emit.compiled.cache_info().misses == 1
+
+
+def _sentence_fns(fof):
+    return emit.compiled(fol._emit_sentence, fol._sentence(fof).key + ((),))
+
+
+def _sentence_source(fof, absent=()):
+    return "\n".join(fol._emit_sentence(fol._Sentence(fof).key + (absent,)))
+
+
+def test_hostile_names_never_become_code(path):
+    conns = (
+        Connective("class", "G", 1, ("1",)),
+        Connective("lambda", "F", 2, ("1", "d")),
+        Connective("__import__", "G", 2, ("d", "1")),
+    )
+    plain = tuple(Connective(f"c{i}", c.family, c.arity, c.order_type) for i, c in enumerate(conns))
+    props = sorted(("x'y", "p\nq", "__import__('os')"))
+    names = {c.name: d.name for c, d in zip(conns, plain)}
+    names.update({p: f"p{k}" for k, p in enumerate(props)})
+    hostile = set(names)
+    rng = random.Random(109)
+    for i in range(12):
+        fr = boolean_frame(rng, 2 + i % 2, conns)
+        concepts = enumerate_concepts(fr.polarity)
+        seq = random_sequent(rng, fr.signature, props, 2)
+        twin_seq = renamed(seq, names)
+        for form in SEQUENT_FORMS:
+            fof = translate_sequent(seq, fr.signature, form)
+            twin = translate_sequent(twin_seq, Signature(plain), form)
+            assert _sentence_fns(fof) is _sentence_fns(twin)
+            tokens = list(tokenize.generate_tokens(io.StringIO(_sentence_source(fof)).readline))
+            assert not [t for t in tokens if t.type in (tokenize.STRING, tokenize.COMMENT)]
+            assert not [t for t in tokens if t.string in hostile]
+            for _ in range(3):
+                m = Model(fr, {p: rng.choice(concepts) for p in props})
+                assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
+    # names reach the user only in error messages, passed as data
+    fr = boolean_frame(rng, 2, conns)
+    m = Model(fr, {})
+    bad_var = Var("W", "__import__('os')")
+    for fof in (
+        Forall(XV, RAtom(")\nimport os\n(", (XV, YV))),
+        Exists(YV, PredAtom("int", "x'y\n", YV)),
+        Forall(YV, NAtom(bad_var, YV)),
+        Forall(XV, FAnd(Eq(XV, XV), Prop("lambda: 0"))),
+    ):
+        got = _outcome(eval_fo, m, fof, {YV: 0})
+        assert isinstance(got, tuple) and got == _outcome(eval_fo_recursive, m, fof, {YV: 0})
+        absent = tuple(range(len(fol._Sentence(fof).inputs)))
+        tokens = list(tokenize.generate_tokens(io.StringIO(_sentence_source(fof, absent)).readline))
+        assert not [t for t in tokens if t.type in (tokenize.STRING, tokenize.COMMENT)]
+
+
+def test_equal_sentences_share_code_and_results(frame_f1):
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    concepts = enumerate_concepts(frame_f1.polarity)
+    for form in SEQUENT_FORMS:
+        first = translate_sequent(seq, SIG_BOX, form)
+        again = translate_sequent(seq, SIG_BOX, form)
+        assert first == again and first is not again
+        fns = _sentence_fns(first)
+        misses = emit.compiled.cache_info().misses
+        assert _sentence_fns(again) is fns
+        assert emit.compiled.cache_info().misses == misses
+        for p in concepts:
+            for q in concepts:
+                m = Model(frame_f1, {"p": p, "q": q})
+                assert eval_fo(m, first) == eval_fo(m, again) == eval_fo_recursive(m, first)
+    # different sentences of one shape share code; different shapes do not
+    x2 = Var("W", "z")
+    fns = _sentence_fns(Forall(XV, NAtom(XV, YV)))
+    assert fns is _sentence_fns(Forall(x2, NAtom(x2, YV)))
+    assert fns is not _sentence_fns(Exists(XV, NAtom(XV, YV)))
+
+
+@pytest.fixture
+def small_functions(monkeypatch):
+    """Generated functions of one loop and two statement levels each."""
+    monkeypatch.setattr(fol, "MAX_LOOPS", 1)
+    monkeypatch.setattr(fol, "_MAX_DEPTH", 2)
+    monkeypatch.setattr(fol, "_MAX_PARENS", 4)
+    monkeypatch.setattr(fol, "PLAIN_VISITS", -1)
+    emit.compiled.cache_clear()
+    fol._PROGRAMS.clear()
+    yield
+    emit.compiled.cache_clear()
+    fol._PROGRAMS.clear()
+
+
+def test_split_sentences_match_the_recursive_oracle(small_functions):
+    rng = random.Random(113)
+    helpers = 0
+    for _ in range(25):
+        fr = random_frame(rng, SIG_MIX, 3)
+        concepts = enumerate_concepts(fr.polarity)
+        seq = random_sequent(rng, SIG_MIX, PROPS[:2], 2)
+        phi = random_formula(rng, SIG_MIX, PROPS[:2], 3)
+        sentences = [translate_sequent(seq, SIG_MIX, f) for f in SEQUENT_FORMS]
+        stx = standard_translate(phi, SIG_MIX, "W")
+        for _ in range(2):
+            m = Model(fr, {p: rng.choice(concepts) for p in PROPS[:2]})
+            for fof in sentences:
+                assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
+            for w in range(fr.polarity.nw):
+                assert eval_fo(m, stx, {XV: w}) == eval_fo_recursive(m, stx, {XV: w})
+        helpers += sum(len(fol._sentence(f).fns) - 1 for f in sentences)
+    assert helpers > 100
+
+
+def test_deep_sentences_on_a_one_point_frame(path):
+    pol = Polarity.from_names(["a"], ["u"], [("a", "u")])
+    fr = Frame(
+        pol,
+        SIG_BOX,
+        {
+            c.name: Relation(connective_sorts(c), (1,) * (c.arity + 1), set())
+            for c in SIG_BOX.connectives
+        },
+    )
+    m = Model(fr, {})
+    deep = NAtom(XV, YV)
+    for i in range(60):
+        v = Var("W" if i % 2 else "U", f"z{i}")
+        if i % 3:
+            deep = Forall(v, FAnd(Exists(XV, deep), Eq(v, v)))
+        else:
+            deep = Exists(v, FImp(NAtom(XV, YV), Forall(YV, deep)))
+    chain = Eq(XV, XV)
+    for i in range(300):
+        chain = FAnd(chain, NAtom(XV, YV)) if i % 2 else FImp(RAtom("box", (XV, YV)), chain)
+    for fof in (Forall(YV, deep), Forall(XV, Forall(YV, chain))):
+        assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
+    assert len(_sentence_fns(Forall(YV, deep))) > 1
+
+
+def test_eval_fo_leaves_no_cycle_holding_a_frame(path):
+    rng = random.Random(127)
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    gc.collect()
+    gc.disable()
+    try:
+        for warm in (False, True):
+            if not warm:
+                emit.compiled.cache_clear()
+            fr = random_box_frame(rng, 3, 3)
+            fof = translate_sequent(seq, SIG_BOX, "pairing")
+            c = enumerate_concepts(fr.polarity)[0]
+            eval_fo(Model(fr, {"p": c, "q": c}), fof)
+            ref = weakref.ref(fr)
+            del fr, c
+            assert ref() is None
+        # compiling a new shape leaves no cyclic garbage either
+        emit.compiled.cache_clear()
+        fof = Forall(XV, Exists(YV, FAnd(NAtom(XV, YV), RAtom("box", (XV, YV)))))
+        m = Model(random_box_frame(rng, 3, 3), {})
+        gc.collect()
+        eval_fo(m, fof)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -19,11 +19,10 @@ from lekit import (
     load_frame,
     save_frame,
 )
-from lekit.bitset import subsets
 from lekit.frame import Relation, connective_sorts, section_i, section_zero
 from lekit.sampling import SIG_BOX, random_box_frame
 
-from conftest import all_box_frames_2x2, golden_path, load_json
+from conftest import all_box_frames_2x2, golden_path, load_json, subsets
 
 
 def test_connective_sorts():

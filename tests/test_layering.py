@@ -11,6 +11,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lekit"
 RANK = {
     "errors": 0,
     "bitset": 0,
+    "emit": 1,
     "syntax": 1,
     "polarity": 2,
     "frame": 3,
@@ -26,6 +27,7 @@ RANK = {
 }
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+CODE_BUILTINS = {"exec", "eval", "compile"}
 
 
 def _tree(name):
@@ -59,3 +61,26 @@ def test_imports_only_earlier_modules(name):
         and RANK[node.module] >= RANK[name]
     ]
     assert not later, f"{name}.py imports modules at or above its rank: {later}"
+
+
+def _code_builtin_users(tree, module):
+    """(module, innermost enclosing function) of each use of exec/eval/compile."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Name) and node.id in CODE_BUILTINS:
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_emitter_compiles_code():
+    users = set()
+    for path in SRC.glob("*.py"):
+        users |= _code_builtin_users(_tree(path.stem), path.stem)
+    assert users == {("emit", "compiled")}, users

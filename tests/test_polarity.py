@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lekit import CapExceededError, FormatError, Polarity, enumerate_concepts
-from lekit.bitset import bits, mask_of, names_of, subsets
+from lekit.bitset import bits, names_of
 from lekit.polarity import concept_of_u, concept_of_w
 
-from conftest import brute_concepts
+from conftest import brute_concepts, mask_of, subsets
 
 
 def rand_polarity(nw, nu, pair_mask):

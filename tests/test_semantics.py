@@ -1,17 +1,27 @@
 """Formula evaluation, satisfaction, and sequent validity."""
 
+import gc
+import io
 import random
+import tokenize
+import weakref
 
 import pytest
 
 from lekit import (
     And,
+    Bot,
     Conn,
     Connective,
+    Frame,
     IncompatibleFrameError,
     Model,
     Or,
+    Polarity,
+    Prop,
     Sequent,
+    Signature,
+    Top,
     algebra_validates,
     build_complex_algebra,
     cosatisfies,
@@ -23,10 +33,13 @@ from lekit import (
     model_validates,
     parse_formula,
     parse_sequent,
+    props_of,
     satisfies,
     satisfies_recursive,
 )
+from lekit import emit, semantics
 from lekit.constructions import product_algebra
+from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
     random_box_frame,
@@ -43,6 +56,7 @@ from conftest import (
     boolean_frame,
     frame_validates_by_models,
     random_frame,
+    renamed,
 )
 
 
@@ -242,3 +256,208 @@ def test_algebra_program_matches_tree_walk():
             assert algebra_validates(alg, seq) == want, seq
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.fixture(params=["generated", "plain"])
+def path(request, monkeypatch):
+    """Every validity check through generated code, or through the plain loop."""
+    monkeypatch.setattr(semantics, "PLAIN_WORK", -1 if request.param == "generated" else 10**9)
+    return request.param
+
+
+def test_both_paths_match_the_oracles(path):
+    test_frame_program_matches_model_oracle()
+    test_algebra_program_matches_tree_walk()
+
+
+def test_small_checks_compile_nothing():
+    fr = all_box_frames_2x2()[7]
+    alg = build_complex_algebra(fr)
+    small = parse_sequent(r"box (p /\ q) |- box p \/ q", SIG_BOX)
+    emit.compiled.cache_clear()
+    frame_validates(fr, small)
+    algebra_validates(alg, small)
+    assert emit.compiled.cache_info().misses == 0
+    # past PLAIN_WORK valuations times slots the shape is compiled, once per kind
+    slots = len(semantics._Program(small, ["p", "q"], SIG_BOX).nodes)
+    k = 1
+    while 4**k * slots <= semantics.PLAIN_WORK:
+        k += 1
+    frame = boolean_frame(random.Random(131), k, SIG_BOX.connectives)
+    big = build_complex_algebra(frame, check=False)
+    assert big.size == 2**k
+    for _ in range(2):
+        algebra_validates(big, small)
+    assert emit.compiled.cache_info().misses == 1
+
+
+def _verdict(frame, seq):
+    v = frame_validates(frame, seq)
+    return v.valid, v.counter_valuation, v.valuations_checked
+
+
+def _program_fns(kind, seq, sig):
+    program = semantics._Program(seq, sorted(props_of(seq)), sig)
+    return emit.compiled(semantics._emit_program, (kind,) + program.key)
+
+
+def _program_source(kind, seq, sig):
+    program = semantics._Program(seq, sorted(props_of(seq)), sig)
+    return "\n".join(semantics._emit_program((kind,) + program.key))
+
+
+# Connective names must be identifiers, and Python keywords are; proposition
+# names built in code can be any string.
+HOSTILE_CONNS = (
+    Connective("class", "G", 1, ("1",)),
+    Connective("lambda", "F", 2, ("1", "d")),
+    Connective("__import__", "G", 2, ("d", "1")),
+    Connective("yield", "F", 1, ("d",)),
+)
+HOSTILE_PROPS = ("x'y", 'a"b', "p\nq", "__import__('os')", ")\n", "while")
+
+
+def _hostile_cases():
+    rng = random.Random(97)
+    plain_conns = tuple(
+        Connective(f"c{i}", c.family, c.arity, c.order_type) for i, c in enumerate(HOSTILE_CONNS)
+    )
+    for i in range(40):
+        props = sorted(rng.sample(HOSTILE_PROPS, 1 + i % 3))
+        # plain names in the same sorted order, so that the twin is the same program
+        names = {p: f"p{k}" for k, p in enumerate(props)}
+        names.update({c.name: d.name for c, d in zip(HOSTILE_CONNS, plain_conns)})
+        if i % 2:
+            frame = random_frame(rng, Signature(HOSTILE_CONNS), 3)
+        else:
+            frame = boolean_frame(rng, 2 + i % 3, HOSTILE_CONNS)
+        twin = Frame(
+            frame.polarity,
+            Signature(plain_conns),
+            {names[c]: rel for c, rel in frame.relations.items()},
+        )
+        seq = random_sequent(rng, frame.signature, props, 2)
+        yield frame, seq, twin, renamed(seq, names), names
+
+
+def test_hostile_names_never_become_code(path):
+    hostile = {c.name for c in HOSTILE_CONNS} | set(HOSTILE_PROPS)
+    compared = 0
+    for frame, seq, twin, plain, names in _hostile_cases():
+        valid, counter, checked = _verdict(frame, seq)
+        assert (valid, counter, checked) == frame_validates_by_models(frame, seq)
+        twin_counter = None if valid else {names[p]: c for p, c in counter.items()}
+        assert _verdict(twin, plain) == (valid, twin_counter, checked)
+        try:
+            alg = build_complex_algebra(frame)
+        except IncompatibleFrameError:
+            alg = None
+        if alg is not None:
+            assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq)
+            compared += 1
+        for kind in ("frame", "algebra"):
+            # the hostile sequent runs the very code its plain twin runs
+            assert _program_fns(kind, seq, frame.signature) is _program_fns(
+                kind, plain, twin.signature
+            )
+            source = _program_source(kind, seq, frame.signature)
+            tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+            assert not [t for t in tokens if t.type in (tokenize.STRING, tokenize.COMMENT)]
+            assert not [t for t in tokens if t.string in hostile]
+    assert compared >= 10
+
+
+def test_program_code_is_keyed_by_family_and_order_type(path):
+    rng = random.Random(101)
+    text = r"k(p) |- k(q /\ p) \/ q"
+    variants = [
+        Connective("k", family, 1, (order,)) for family in ("F", "G") for order in ("1", "d")
+    ]
+    seen = {}
+    for conn in variants:
+        sig = Signature((conn,))
+        seq = parse_sequent(text, sig)
+        for kind in ("frame", "algebra"):
+            seen[(conn, kind)] = _program_fns(kind, seq, sig)
+        for k in (2, 3):
+            fr = boolean_frame(rng, k, (conn,))
+            assert _verdict(fr, seq) == frame_validates_by_models(fr, seq)
+            alg = build_complex_algebra(fr)
+            assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq)
+    # one shape, four connectives, two domain kinds: eight functions
+    assert len({id(fns) for fns in seen.values()}) == len(seen) == 8
+
+
+@pytest.fixture
+def few_loops(monkeypatch):
+    """Programs with at most two loops each, so the product loop runs."""
+    monkeypatch.setattr(semantics, "MAX_LOOPS", 2)
+    monkeypatch.setattr(semantics, "PLAIN_WORK", -1)
+    emit.compiled.cache_clear()
+    yield
+    emit.compiled.cache_clear()
+
+
+def test_programs_past_the_loop_limit_match_the_oracles(few_loops):
+    seen = set()
+    for i, (fr, seq) in enumerate(_validity_cases()):
+        if i % 3 or len(props_of(seq)) < 3:
+            continue
+        assert _verdict(fr, seq) == frame_validates_by_models(fr, seq), seq
+        seen.add(frame_validates_by_models(fr, seq)[0])
+    rng = random.Random(103)
+    for alg in list(_algebras())[::4]:
+        for _ in range(4):
+            seq = random_sequent(rng, alg.signature, PROPS, 2)
+            assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq), seq
+    assert seen == {True, False}
+    assert "product(" in _program_source("frame", parse_sequent(r"p /\ q |- r", SIG_BOX), SIG_BOX)
+
+
+def test_many_propositions_on_a_one_concept_frame(path):
+    # more propositions than CPython allows nested loops in one function
+    pol = Polarity.from_names(["a"], ["x"], [("a", "x")])
+    full = {
+        c.name: Relation(connective_sorts(c), (1,) * (c.arity + 1), {(0,) * (c.arity + 1)})
+        for c in SIG_BOX.connectives
+    }
+    fr = Frame(pol, SIG_BOX, full)
+    props = [Prop(f"p{i:02}") for i in range(25)]
+    lhs, rhs = props[0], props[-1]
+    for p in props[1:]:
+        lhs = And(lhs, Conn("box", (p,)))
+        rhs = Or(rhs, p)
+    for seq in (Sequent(lhs, rhs), Sequent(rhs, Bot()), Sequent(Top(), lhs)):
+        assert _verdict(fr, seq) == frame_validates_by_models(fr, seq)
+        alg = build_complex_algebra(fr)
+        assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq)
+
+
+def test_validity_checks_leave_no_cycle_holding_a_frame(path):
+    rng = random.Random(107)
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    gc.collect()
+    gc.disable()
+    try:
+        for warm in (False, True):
+            if not warm:
+                emit.compiled.cache_clear()
+            fr = random_box_frame(rng, 4, 4)
+            frame_validates(fr, seq)
+            ref = weakref.ref(fr)
+            del fr
+            assert ref() is None
+            alg = build_complex_algebra(random_box_frame(rng, 4, 4))
+            algebra_validates(alg, seq)
+            ref = weakref.ref(alg)
+            del alg
+            assert ref() is None
+        # compiling new shapes leaves no cyclic garbage either
+        emit.compiled.cache_clear()
+        fr, alg = random_box_frame(rng, 3, 3), build_complex_algebra(random_box_frame(rng, 3, 3))
+        gc.collect()
+        frame_validates(fr, seq)
+        algebra_validates(alg, seq)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
