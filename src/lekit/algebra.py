@@ -20,11 +20,11 @@ The complex algebra of a compatible frame has the concept lattice as
 carrier.  Its cones come from the concept-by-point incidence, itself a
 polarity, through the section kernel meet_rows: the concepts above a
 concept are those whose extents hold all of its extent, those below it
-are those whose intents hold all of its intent.  A family-F connective
-sends concepts to the concept whose intent is the 0-section of its
-relation at the arguments' extents (intents at antitone coordinates);
-family-G connectives dually produce the extent from the arguments'
-intents (extents at antitone coordinates).
+are those whose intents hold all of its intent.  A connective reads its
+relation by the sorts of its coordinates: at a W coordinate the argument
+concept's extent, at a U coordinate its intent.  The 0-section of those
+masks is the extent of the value when the head has sort W (family G) and
+its intent when the head has sort U (family F).
 """
 
 from __future__ import annotations
@@ -289,27 +289,20 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
     pol = frame.polarity
     concepts = enumerate_concepts(pol, cap)
     n = len(concepts)
-    ext_index = {c.extent: i for i, c in enumerate(concepts)}
-    int_index = {c.intent: i for i, c in enumerate(concepts)}
+    index = {
+        "W": {c.extent: i for i, c in enumerate(concepts)},
+        "U": {c.intent: i for i, c in enumerate(concepts)},
+    }
+    masks = {"W": [c.extent for c in concepts], "U": [c.intent for c in concepts]}
     ops = {}
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
+        head, *coords = rel.sorts
+        reads = [masks[s] for s in coords]
         table = {}
-        for tup in product(range(n), repeat=conn.arity):
-            if conn.family == "G":
-                args = tuple(
-                    concepts[t].intent if e == "1" else concepts[t].extent
-                    for t, e in zip(tup, conn.order_type)
-                )
-                ext = section_zero(rel, args)
-                idx = ext_index.get(ext)
-            else:
-                args = tuple(
-                    concepts[t].extent if e == "1" else concepts[t].intent
-                    for t, e in zip(tup, conn.order_type)
-                )
-                itn = section_zero(rel, args)
-                idx = int_index.get(itn)
+        for tup in product(range(n), repeat=rel.arity):
+            args = tuple(map(list.__getitem__, reads, tup))  # reads[k][tup[k]]
+            idx = index[head].get(section_zero(rel, args))
             if idx is None:
                 raise IncompatibleFrameError(
                     f"operation {conn.name!r} leaves the concept lattice; "

@@ -112,7 +112,12 @@ def _cap(args):
     if args.cap is not None:
         return args.cap
     env = os.environ.get("LEKIT_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise LekitError(f"LEKIT_CAP must be an integer, got {env!r}") from None
 
 
 def _emit(args, report_dict, text):

@@ -105,22 +105,13 @@ def filter_ideal_frame(alg, check_normal=True):
         if fs[i] & is_[j]
     ]
     pol = Polarity(w_names, u_names, pairs)
+    points = {"W": fs, "U": is_}  # at every coordinate, the head too
     relations = {}
     for conn in alg.signature.connectives:
         sorts = connective_sorts(conn)
         sizes = tuple(pol.size(s) for s in sorts)
         table = alg.ops[conn.name]
-        if conn.family == "F":
-            # head ideal; coordinate i ranges over filters when monotone
-            coord_sets = [
-                (fs if e == "1" else is_) for e in conn.order_type
-            ]
-            head_sets = is_
-        else:
-            coord_sets = [
-                (is_ if e == "1" else fs) for e in conn.order_type
-            ]
-            head_sets = fs
+        head_sets, *coord_sets = map(points.get, sorts)
         tuples = set()
         for head in range(alg.size):
             for coords in product(*(range(alg.size) for _ in range(conn.arity))):

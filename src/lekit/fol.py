@@ -128,40 +128,30 @@ def _st(phi, sig, sort, var, gen):
             return Eq(var, var)
         y = gen.fresh("U")
         return Forall(y, NAtom(var, y))
-    if isinstance(phi, And):
-        if sort == "W":
-            return FAnd(_st(phi.left, sig, "W", var, gen), _st(phi.right, sig, "W", var, gen))
-        x = gen.fresh("W")
-        return Forall(x, FImp(_st(phi, sig, "W", x, gen), NAtom(x, var)))
-    if isinstance(phi, Or):
-        if sort == "U":
-            return FAnd(_st(phi.left, sig, "U", var, gen), _st(phi.right, sig, "U", var, gen))
-        y = gen.fresh("U")
-        return Forall(y, FImp(_st(phi, sig, "U", y, gen), NAtom(var, y)))
+    if isinstance(phi, And) and sort == "W":
+        return FAnd(_st(phi.left, sig, "W", var, gen), _st(phi.right, sig, "W", var, gen))
+    if isinstance(phi, Or) and sort == "U":
+        return FAnd(_st(phi.left, sig, "U", var, gen), _st(phi.right, sig, "U", var, gen))
     if isinstance(phi, Conn):
         conn = sig.get(phi.name)
         if conn is None:
             raise FormatError(f"unknown connective {phi.name!r}")
-        coord_sorts = connective_sorts(conn)[1:]
-        if conn.family == "G":
-            if sort == "W":
-                fresh = [gen.fresh(s) for s in coord_sorts]
-                ante = _conj(
-                    [_st(a, sig, v.sort, v, gen) for a, v in zip(phi.args, fresh)]
-                )
-                return _foralls(fresh, _imp(ante, RAtom(phi.name, (var,) + tuple(fresh))))
-            x = gen.fresh("W")
-            return Forall(x, FImp(_st(phi, sig, "W", x, gen), NAtom(x, var)))
-        # family F
-        if sort == "U":
+        head, *coord_sorts = connective_sorts(conn)
+        if sort == head:
             fresh = [gen.fresh(s) for s in coord_sorts]
             ante = _conj(
                 [_st(a, sig, v.sort, v, gen) for a, v in zip(phi.args, fresh)]
             )
             return _foralls(fresh, _imp(ante, RAtom(phi.name, (var,) + tuple(fresh))))
-        y = gen.fresh("U")
-        return Forall(y, FImp(_st(phi, sig, "U", y, gen), NAtom(var, y)))
-    raise TypeError(f"not a formula: {phi!r}")
+    elif not isinstance(phi, (And, Or)):
+        raise TypeError(f"not a formula: {phi!r}")
+    # the other sort: closed through N from the translation at the sort
+    # where the clause is direct
+    if sort == "U":
+        x = gen.fresh("W")
+        return Forall(x, FImp(_st(phi, sig, "W", x, gen), NAtom(x, var)))
+    y = gen.fresh("U")
+    return Forall(y, FImp(_st(phi, sig, "U", y, gen), NAtom(var, y)))
 
 
 def standard_translate(phi, sig, sort="W", var=None):

@@ -3,10 +3,14 @@
 For a family-F connective of order type e the relation lives on
 U x W^e, where coordinate i has sort W when e[i] == "1" and sort U when
 e[i] == "d".  Family-G relations live on W x U^e with the sorts swapped.
+connective_sorts is the one place that reads this off a connective; the
+code elsewhere goes by the sorts alone.
 
-Sections generalise the Galois maps: the 0-section collects the heads
-related to everything in a tuple of argument sets, and the i-section is
-the 0-section of the relation with coordinates 0 and i exchanged.
+Sections generalise the Galois maps: the j-section collects the points
+at coordinate j related to everything in a tuple of argument sets at the
+other coordinates.  The 0-section reads heads, the i-section (i >= 1)
+reads coordinate i with the head among the arguments.  Each is read from
+a row index of the relation for head coordinate j, built on first use.
 Compatibility asks all point-tuple sections to be stable.
 """
 
@@ -32,7 +36,14 @@ def connective_sorts(conn):
 
 
 class Relation:
-    """An (n+1)-ary sorted relation with the head at coordinate 0."""
+    """An (n+1)-ary sorted relation with the head at coordinate 0.
+
+    rows[j] is its row index for head coordinate j, built on first use:
+    rows[j][prefix][v] holds the points at coordinate j related to prefix +
+    (v,) at the other coordinates in order, where prefix covers all of them
+    but the last and v is the last one.  Arity 0 keeps its heads in one row
+    at a single phantom coordinate.
+    """
 
     def __init__(self, sorts, sizes, tuples):
         self.sorts = tuple(sorts)
@@ -46,34 +57,7 @@ class Relation:
                 if not 0 <= v < size:
                     raise FormatError(f"relation tuple {t} out of range")
         self.tuples = tuples
-        # rows[prefix][v]: heads related to prefix + (v,), where prefix holds
-        # coordinates 1..n-1 and v the last one; arity 0 keeps its heads in
-        # one row at a single phantom coordinate.
-        width = self.sizes[-1] if self.arity else 1
-        rows = {}
-        for t in tuples:
-            row = rows.get(t[1:-1])
-            if row is None:
-                row = rows[t[1:-1]] = [0] * width
-            row[t[-1] if self.arity else 0] |= 1 << t[0]
-        self.rows = rows
-        self._swapped = {}
-
-    def swap(self, i):
-        """The relation with coordinates 0 and i exchanged."""
-        if i in self._swapped:
-            return self._swapped[i]
-        if not 1 <= i <= self.arity:
-            raise SortError(f"no coordinate {i} in a relation of arity {self.arity}")
-        order = list(range(self.arity + 1))
-        order[0], order[i] = order[i], order[0]
-        rel = Relation(
-            tuple(self.sorts[j] for j in order),
-            tuple(self.sizes[j] for j in order),
-            {tuple(t[j] for j in order) for t in self.tuples},
-        )
-        self._swapped[i] = rel
-        return rel
+        self.rows = _RowIndex(tuples, self.sizes)
 
     def __eq__(self, other):
         return (
@@ -84,25 +68,38 @@ class Relation:
         )
 
 
+class _RowIndex(dict):
+    """The row indices of a relation by head coordinate, each built when
+    first looked up (see Relation)."""
+
+    __slots__ = ("tuples", "sizes")
+
+    def __init__(self, tuples, sizes):
+        self.tuples = tuples
+        self.sizes = sizes
+
+    def __missing__(self, j):
+        arity = len(self.sizes) - 1
+        if not 0 <= j <= arity:
+            raise SortError(f"no coordinate {j} in a relation of arity {arity}")
+        width = self.sizes[-1 if j < arity else -2] if arity else 1
+        rows = self[j] = {}
+        for t in self.tuples:
+            others = t[:j] + t[j + 1 :]
+            prefix = others[:-1]
+            row = rows.get(prefix)
+            if row is None:
+                row = rows[prefix] = [0] * width
+            row[others[-1] if others else 0] |= 1 << t[j]
+        return rows
+
+
 def section_zero(rel, args):
     """Heads related to every tuple in the product of the argument masks.
 
     With an empty product this is the full head sort.
     """
-    if len(args) != rel.arity:
-        raise SortError(f"expected {rel.arity} argument sets, got {len(args)}")
-    acc = (1 << rel.sizes[0]) - 1
-    *outer, last = args or (1,)  # arity 0: select the phantom coordinate
-    if not last:
-        return acc
-    for prefix in product(*(tuple(bits(a)) for a in outer)):
-        row = rel.rows.get(prefix)
-        if row is None:
-            return 0
-        acc = meet_rows(row, last, acc)
-        if not acc:
-            break
-    return acc
+    return _section_at(rel, 0, args)
 
 
 def section_i(rel, i, head, rest):
@@ -111,9 +108,32 @@ def section_i(rel, i, head, rest):
     rest gives the argument masks for the remaining coordinates 1..n in
     order, skipping coordinate i; head is the mask for coordinate 0.
     """
-    swapped = rel.swap(i)
-    args = rest[: i - 1] + (head,) + rest[i - 1 :]
-    return section_zero(swapped, args)
+    if not 1 <= i <= rel.arity:
+        raise SortError(f"no coordinate {i} in a relation of arity {rel.arity}")
+    return _section_at(rel, i, (head,) + rest)
+
+
+def _section_at(rel, j, args):
+    """The j-section: points at coordinate j related to every tuple in the
+    product of args, the masks at the other coordinates in order.
+
+    With an empty product this is the full sort of coordinate j.
+    """
+    if len(args) != rel.arity:
+        raise SortError(f"expected {rel.arity} argument sets, got {len(args)}")
+    rows = rel.rows[j]
+    acc = (1 << rel.sizes[j]) - 1
+    *outer, last = args or (1,)  # arity 0: select the phantom coordinate
+    if not last:
+        return acc
+    for prefix in product(*(tuple(bits(a)) for a in outer)):
+        row = rows.get(prefix)
+        if row is None:
+            return 0
+        acc = meet_rows(row, last, acc)
+        if not acc:
+            break
+    return acc
 
 
 class Frame:
@@ -277,51 +297,30 @@ def _point_names(polarity, sorts, tup):
 
 
 def check_compatibility(frame):
-    """Check stability of all point-tuple sections of every relation."""
+    """Check stability of all point-tuple sections of every relation.
+
+    Coordinate by coordinate, from the head, over the point tuples at the
+    other coordinates in product order.
+    """
     pol = frame.polarity
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
-        arg_ranges = [range(pol.size(s)) for s in rel.sorts[1:]]
-        for tup in product(*arg_ranges):
-            mask = section_zero(rel, tuple(1 << v for v in tup))
-            if not pol.stable(mask, rel.sorts[0]):
-                return CompatibilityReport(
-                    False,
-                    conn.name,
-                    "0-section",
-                    _point_names(pol, rel.sorts[1:], tup),
-                    names_of(mask, pol.names(rel.sorts[0])),
-                    names_of(pol.closure(mask, rel.sorts[0]), pol.names(rel.sorts[0])),
-                )
-        for i in range(1, rel.arity + 1):
-            rest_sorts = rel.sorts[1:i] + rel.sorts[i + 1 :]
-            rest_ranges = [range(pol.size(s)) for s in rest_sorts]
-            for head in range(pol.size(rel.sorts[0])):
-                for tup in product(*rest_ranges):
-                    mask = section_i(rel, i, 1 << head, tuple(1 << v for v in tup))
-                    if not pol.stable(mask, rel.sorts[i]):
-                        pts = (pol.names(rel.sorts[0])[head],) + _point_names(
-                            pol, rest_sorts, tup
-                        )
-                        return CompatibilityReport(
-                            False,
-                            conn.name,
-                            f"{i}-section",
-                            pts,
-                            names_of(mask, pol.names(rel.sorts[i])),
-                            names_of(
-                                pol.closure(mask, rel.sorts[i]), pol.names(rel.sorts[i])
-                            ),
-                        )
+        for j, sort in enumerate(rel.sorts):
+            other_sorts = rel.sorts[:j] + rel.sorts[j + 1 :]
+            rows = rel.rows[j]
+            for tup in product(*(range(pol.size(s)) for s in other_sorts)):
+                row = rows.get(tup[:-1])  # a point tuple's section is one entry
+                mask = row[tup[-1] if tup else 0] if row else 0
+                if not pol.stable(mask, sort):
+                    return CompatibilityReport(
+                        False,
+                        conn.name,
+                        f"{j}-section",
+                        _point_names(pol, other_sorts, tup),
+                        names_of(mask, pol.names(sort)),
+                        names_of(pol.closure(mask, sort), pol.names(sort)),
+                    )
     return CompatibilityReport(True)
-
-
-def _section_at(rel, j, args):
-    """The j-section of rel at the full argument tuple args (length n+1)."""
-    if j == 0:
-        return section_zero(rel, args[1:])
-    rest = args[1:j] + args[j + 1 :]
-    return section_i(rel, j, args[0], rest)
 
 
 def check_compatibility_alt(frame, combo_cap=ALT_COMBO_CAP):
@@ -354,8 +353,8 @@ def check_compatibility_alt(frame, combo_cap=ALT_COMBO_CAP):
                 for j in range(n):
                     if j == i:
                         continue
-                    lhs = _section_at(rel, j, masks)
-                    rhs = _section_at(rel, j, varied)
+                    lhs = _section_at(rel, j, masks[:j] + masks[j + 1 :])
+                    rhs = _section_at(rel, j, varied[:j] + varied[j + 1 :])
                     if lhs != rhs:
                         names = tuple(
                             "{" + ", ".join(names_of(m, pol.names(s))) + "}"

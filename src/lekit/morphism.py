@@ -177,38 +177,25 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
     for conn in pm.source.signature.connectives:
         src_rel = pm.source.relations[conn.name]
         tgt_rel = pm.target.relations[conn.name]
-        coord_ranges = [
-            range(tp.size(s)) for s in tgt_rel.sorts[1:]
-        ]
-        for tup in product(*coord_ranges):
-            if conn.family == "F":
-                lhs = pm.T.down(tp.down(section_zero(tgt_rel, tuple(1 << v for v in tup))))
-                args = []
-                for v, e in zip(tup, conn.order_type):
-                    if e == "1":
-                        args.append(sp.down(pm.T.down(1 << v)))
-                    else:
-                        args.append(sp.up(pm.S.down(1 << v)))
-                rhs = section_zero(src_rel, tuple(args))
-                cond = "p6"
-                side_names = sp.u_names
+        head, *coords = tgt_rel.sorts
+        for tup in product(*(range(tp.size(s)) for s in coords)):
+            # the target section goes back through T (head U) or S (head W);
+            # each target point goes over through T (sort W) or S (sort U)
+            section = section_zero(tgt_rel, tuple(1 << v for v in tup))
+            if head == "U":
+                lhs = pm.T.down(tp.down(section))
             else:
-                lhs = pm.S.down(tp.up(section_zero(tgt_rel, tuple(1 << v for v in tup))))
-                args = []
-                for v, e in zip(tup, conn.order_type):
-                    if e == "1":
-                        args.append(sp.up(pm.S.down(1 << v)))
-                    else:
-                        args.append(sp.down(pm.T.down(1 << v)))
-                rhs = section_zero(src_rel, tuple(args))
-                cond = "p7"
-                side_names = sp.w_names
+                lhs = pm.S.down(tp.up(section))
+            args = tuple(
+                sp.down(pm.T.down(1 << v)) if s == "W" else sp.up(pm.S.down(1 << v))
+                for v, s in zip(tup, coords)
+            )
+            rhs = section_zero(src_rel, args)
             if lhs != rhs:
-                pts = tuple(
-                    tp.names(s)[v] for v, s in zip(tup, tgt_rel.sorts[1:])
-                )
+                pts = tuple(tp.names(s)[v] for v, s in zip(tup, coords))
+                side_names = sp.names(head)
                 return PMorphismReport(
-                    False, cond,
+                    False, "p6" if head == "U" else "p7",
                     f"connective {conn.name!r} at ({', '.join(pts)}): "
                     f"{_show(lhs, side_names)} != {_show(rhs, side_names)}",
                 )

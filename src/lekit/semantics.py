@@ -31,9 +31,9 @@ from itertools import product
 from .bitset import bits
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
-from .frame import section_zero
+from .frame import connective_sorts, section_zero
 from .polarity import Concept, enumerate_concepts
-from .syntax import And, Bot, Conn, Or, Prop, Top, props_of, validate_formula
+from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
 DEFAULT_VALUATION_CAP = 10**6
 
@@ -230,44 +230,52 @@ class _Program:
     nodes[i] is (kind, payload, children) with kind "prop", "top", "bot",
     "and", "or" or "conn" and children earlier slots; equal subformulas
     share one slot.  The payload holds no name: a proposition's index in
-    props, and for a connective (c, family, order type) with c its index
-    in conns.  deps[i] is the highest proposition index slot i depends on,
-    -1 for none.  key is the program's shape: equal keys share one function.
+    props, the sorted proposition names, and for a connective (c, sorts)
+    with c its index in conns and sorts its connective_sorts.  deps[i] is
+    the highest proposition index slot i depends on, -1 for none.  key is
+    the program's shape: equal keys share one function.
+
+    The sequent is walked once.  The walk checks each connective against
+    the signature in pre-order (connective_of, as validate_formula does)
+    and hash-conses the nodes with proposition names in them; one pass
+    over those nodes then numbers the sorted names and finds the deps.
     """
 
-    def __init__(self, sequent, props, signature):
-        self.index = {p: k for k, p in enumerate(props)}
+    def __init__(self, sequent, signature):
         self.signature = signature
         self.conns = {}  # connective name -> its payload
+        self.slots = {}  # node, with proposition names -> its slot
+        lhs, rhs = self._visit(sequent.lhs), self._visit(sequent.rhs)
+        named = list(self.slots)
+        self.props = sorted(name for op, name, _ in named if op == "prop")
+        index = {p: k for k, p in enumerate(self.props)}
         self.nodes = []
         self.deps = []
-        self.slots = {}  # node -> its slot
-        lhs, rhs = self._visit(sequent.lhs), self._visit(sequent.rhs)
-        self.key = (tuple(self.nodes), tuple(self.deps), lhs, rhs, len(props))
+        for op, payload, kids in named:
+            if op == "prop":
+                payload = index[payload]
+            self.nodes.append((op, payload, kids))
+            deps = [payload] if op == "prop" else [self.deps[c] for c in kids]
+            self.deps.append(max(deps) if deps else -1)
+        self.key = (tuple(self.nodes), tuple(self.deps), lhs, rhs, len(self.props))
 
     def _visit(self, phi):
         if isinstance(phi, Prop):
-            node = ("prop", self.index[phi.name], ())
+            node = ("prop", phi.name, ())
         elif isinstance(phi, (And, Or)):
             kids = (self._visit(phi.left), self._visit(phi.right))
             node = ("and" if isinstance(phi, And) else "or", None, kids)
         elif isinstance(phi, Conn):
+            conn = connective_of(phi, self.signature)
             payload = self.conns.get(phi.name)
             if payload is None:
-                conn = self.signature.get(phi.name)
-                payload = self.conns[phi.name] = (len(self.conns), conn.family, conn.order_type)
+                payload = self.conns[phi.name] = (len(self.conns), connective_sorts(conn))
             node = ("conn", payload, tuple(map(self._visit, phi.args)))
         elif isinstance(phi, (Top, Bot)):
             node = ("top" if isinstance(phi, Top) else "bot", None, ())
         else:
             raise TypeError(f"not a formula: {phi!r}")
-        slot = self.slots.get(node)
-        if slot is None:
-            slot = self.slots[node] = len(self.nodes)
-            self.nodes.append(node)
-            deps = [node[1]] if node[0] == "prop" else [self.deps[c] for c in node[2]]
-            self.deps.append(max(deps) if deps else -1)
-        return slot
+        return self.slots.setdefault(node, len(self.slots))
 
 
 def _position(picked, n):
@@ -294,14 +302,15 @@ def _closed(pairs, derive):
     return memo
 
 
-def _section_pair(rel, conn, by_ext, by_int, key):
+def _section_pair(rel, by_ext, by_int, key):
     """The (extent, intent) a connective gives on the masks it reads.
 
-    On incompatible frames it may leave the concept lattice; the pair is
-    computed like any other.
+    The head sort says which of the two the section is.  On incompatible
+    frames it may leave the concept lattice; the pair is computed like any
+    other.
     """
-    mask = section_zero(rel, (key,) if conn.arity == 1 else key)
-    return (mask, by_ext[mask]) if conn.family == "G" else (by_int[mask], mask)
+    mask = section_zero(rel, (key,) if rel.arity == 1 else key)
+    return (mask, by_ext[mask]) if rel.sorts[0] == "W" else (by_int[mask], mask)
 
 
 def _emit_program(key):
@@ -336,7 +345,7 @@ def _emit_program(key):
     need[rhs].add("e")
     for slot in reversed(range(len(nodes))):
         op, payload, kids = nodes[slot]
-        reads = _reads(payload) if op == "conn" else [{"and": "e", "or": "i"}.get(op)] * len(kids)
+        reads = _reads(payload[1]) if op == "conn" else [{"and": "e", "or": "i"}.get(op)] * len(kids)
         for c, mask in zip(kids, reads):
             need[c].add(mask)
     params = "D, by_ext, by_int, W, U" if frame else "dom, meet, join, leq, top, bot"
@@ -354,7 +363,7 @@ def _emit_program(key):
                 return [f"v{slot} = {'meet' if op == 'and' else 'join'}[v{kids[0]}][v{kids[1]}]"]
             return [f"v{slot} = R{payload[0]}[{_key([f'v{c}' for c in kids])}]"]
         if op == "conn":
-            reads = [mask + str(c) for c, mask in zip(kids, _reads(payload))]
+            reads = [mask + str(c) for c, mask in zip(kids, _reads(payload[1]))]
             return [f"e{slot}, i{slot} = R{payload[0]}[{_key(reads)}]"]
         if op in ("top", "bot"):
             have, value = ("e", "W") if op == "top" else ("i", "U")
@@ -388,15 +397,12 @@ def _key(names):
     return names[0] if len(names) == 1 else f"({''.join(n + ', ' for n in names)})"
 
 
-def _reads(payload):
+def _reads(sorts):
     """The mask, "e" or "i", a connective reads at each coordinate.
 
-    A G connective reads intents at its monotone coordinates and extents
-    at its antitone ones, and yields an extent; F the other way round.
+    An argument of sort W is read as an extent, one of sort U as an intent.
     """
-    _, family, order = payload
-    mono, anti = ("i", "e") if family == "G" else ("e", "i")
-    return [mono if e == "1" else anti for e in order]
+    return ["e" if s == "W" else "i" for s in sorts[1:]]
 
 
 # Valuations times slots up to which a check runs as a plain loop.  Like
@@ -431,7 +437,7 @@ def _plan(program):
     nodes, deps, _, _, m = program.key
     steps = [[] for _ in range(m + 1)]
     for slot, (op, payload, kids) in enumerate(nodes):
-        reads = op == "conn" and [mask == "i" for mask in _reads(payload)]
+        reads = op == "conn" and [mask == "i" for mask in _reads(payload[1])]
         for k in range(deps[slot] + 2):
             steps[k].append((slot, op, payload, kids, reads))
     return steps
@@ -502,22 +508,20 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     (extent, intent) pairs, with no complex algebra built, so frames
     loaded without the compatibility check are decided as well.
     """
-    validate_formula(sequent, frame.signature)
+    program = _Program(sequent, frame.signature)
+    props = program.props
     concepts = enumerate_concepts(frame.polarity, concept_cap)
-    props = sorted(props_of(sequent))
     total = len(concepts) ** len(props)
     if cap is not None and total > cap:
         raise CapExceededError(
             f"{total} valuations needed, cap is {cap}; raise the cap to proceed"
         )
-    program = _Program(sequent, props, frame.signature)
     pol = frame.polarity
     pairs = [(c.extent, c.intent) for c in concepts]
     by_ext = _closed(pairs, pol.up)
     by_int = _closed([(i, e) for e, i in pairs], pol.down)
-    sig = frame.signature
     memos = [
-        _closed((), partial(_section_pair, frame.relations[c], sig.get(c), by_ext, by_int))
+        _closed((), partial(_section_pair, frame.relations[c], by_ext, by_int))
         for c in program.conns
     ]
     if total * len(program.nodes) <= PLAIN_WORK:
@@ -537,12 +541,10 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     Runs the program frame_validates uses, on element indices, with
     meet, join and the operation tables in place of the frame's sections.
     """
-    validate_formula(sequent, alg.signature)
-    props = sorted(props_of(sequent))
-    total = alg.size ** len(props)
+    program = _Program(sequent, alg.signature)
+    total = alg.size ** len(program.props)
     if cap is not None and total > cap:
         raise CapExceededError(f"{total} assignments needed, cap is {cap}")
-    program = _Program(sequent, props, alg.signature)
     if total * len(program.nodes) <= PLAIN_WORK:
         return _plain_algebra(program, alg) is None
     # meet and join are read only if used, as a complex algebra fills them

@@ -212,15 +212,22 @@ def validate_formula(phi, signature):
         validate_formula(phi.left, signature)
         validate_formula(phi.right, signature)
     elif isinstance(phi, Conn):
-        c = signature.get(phi.name)
-        if c is None:
-            raise SignatureError(f"unknown connective {phi.name!r}")
-        if len(phi.args) != c.arity:
-            raise SignatureError(
-                f"connective {phi.name!r} expects {c.arity} arguments, got {len(phi.args)}"
-            )
+        connective_of(phi, signature)
         for a in phi.args:
             validate_formula(a, signature)
+
+
+def connective_of(node, signature):
+    """The connective of a Conn node; SignatureError if it is not in the
+    signature or has another arity."""
+    c = signature.get(node.name)
+    if c is None:
+        raise SignatureError(f"unknown connective {node.name!r}")
+    if len(node.args) != c.arity:
+        raise SignatureError(
+            f"connective {node.name!r} expects {c.arity} arguments, got {len(node.args)}"
+        )
+    return c
 
 
 # Tokenizer

@@ -18,6 +18,7 @@ from lekit import (
     Connective,
     FormatError,
     Frame,
+    IncompatibleFrameError,
     Model,
     NotALatticeError,
     Or,
@@ -35,8 +36,9 @@ from lekit import (
 )
 from lekit.algebra import NormalityReport
 from lekit.bitset import bits
-from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom
-from lekit.frame import Relation, connective_sorts
+from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
+from lekit.frame import CompatibilityReport, Relation, connective_sorts, section_zero
+from lekit.morphism import PMorphismReport
 from lekit.sampling import SIG_BOX, random_polarity
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -476,15 +478,285 @@ SIG_MIX = Signature(
 PROPS = ("p", "q", "r")
 
 
+def random_relation(rng, pol, conn):
+    """A relation for conn on pol holding each tuple with probability 0.4."""
+    sorts = connective_sorts(conn)
+    sizes = tuple(pol.size(s) for s in sorts)
+    tuples = {
+        t for t in product(*(range(n) for n in sizes)) if rng.random() < 0.4
+    }
+    return Relation(sorts, sizes, tuples)
+
+
 def random_frame(rng, sig, max_size):
     """A frame with random relations; most are not compatible."""
     pol = random_polarity(rng, rng.randint(1, max_size), rng.randint(1, max_size))
-    relations = {}
-    for conn in sig.connectives:
-        sorts = connective_sorts(conn)
-        sizes = tuple(pol.size(s) for s in sorts)
-        tuples = {
-            t for t in product(*(range(n) for n in sizes)) if rng.random() < 0.4
-        }
-        relations[conn.name] = Relation(sorts, sizes, tuples)
+    relations = {conn.name: random_relation(rng, pol, conn) for conn in sig.connectives}
     return Frame(pol, sig, relations)
+
+
+# The family/order-type versions of the code that now reads sorts, kept as
+# they were before the sorts took over, as oracles for the sort-keyed code.
+
+
+def _names_shown(mask, names):
+    return "{" + ", ".join(names[i] for i in bits(mask)) + "}"
+
+
+def _swapped(rel, i):
+    """rel with coordinates 0 and i exchanged, as a relation of its own."""
+    order = list(range(rel.arity + 1))
+    order[0], order[i] = order[i], order[0]
+    return Relation(
+        tuple(rel.sorts[j] for j in order),
+        tuple(rel.sizes[j] for j in order),
+        {tuple(t[j] for j in order) for t in rel.tuples},
+    )
+
+
+def compatibility_by_swaps(frame):
+    """check_compatibility: 0-sections, then i-sections of swapped copies."""
+    pol = frame.polarity
+
+    def names(sorts, tup):
+        return tuple(pol.names(s)[v] for v, s in zip(tup, sorts))
+
+    def failure(conn, section, points, mask, sort):
+        return CompatibilityReport(
+            False, conn.name, section, points,
+            tuple(pol.names(sort)[i] for i in bits(mask)),
+            tuple(pol.names(sort)[i] for i in bits(pol.closure(mask, sort))),
+        )
+
+    for conn in frame.signature.connectives:
+        rel = frame.relations[conn.name]
+        for tup in product(*(range(pol.size(s)) for s in rel.sorts[1:])):
+            mask = section_zero(rel, tuple(1 << v for v in tup))
+            if not pol.stable(mask, rel.sorts[0]):
+                return failure(conn, "0-section", names(rel.sorts[1:], tup), mask, rel.sorts[0])
+        for i in range(1, rel.arity + 1):
+            swapped = _swapped(rel, i)
+            rest_sorts = rel.sorts[1:i] + rel.sorts[i + 1 :]
+            for head in range(pol.size(rel.sorts[0])):
+                for tup in product(*(range(pol.size(s)) for s in rest_sorts)):
+                    args = tuple(1 << v for v in tup)
+                    args = args[: i - 1] + (1 << head,) + args[i - 1 :]
+                    mask = section_zero(swapped, args)
+                    if not pol.stable(mask, rel.sorts[i]):
+                        points = names(rel.sorts[:1], (head,)) + names(rest_sorts, tup)
+                        return failure(conn, f"{i}-section", points, mask, rel.sorts[i])
+    return CompatibilityReport(True)
+
+
+def complex_algebra_ops_by_family(frame, concepts):
+    """The operation tables of the complex algebra, by family and order type."""
+    ext_index = {c.extent: i for i, c in enumerate(concepts)}
+    int_index = {c.intent: i for i, c in enumerate(concepts)}
+    ops = {}
+    for conn in frame.signature.connectives:
+        rel = frame.relations[conn.name]
+        table = {}
+        for tup in product(range(len(concepts)), repeat=conn.arity):
+            if conn.family == "G":
+                args = tuple(
+                    concepts[t].intent if e == "1" else concepts[t].extent
+                    for t, e in zip(tup, conn.order_type)
+                )
+                idx = ext_index.get(section_zero(rel, args))
+            else:
+                args = tuple(
+                    concepts[t].extent if e == "1" else concepts[t].intent
+                    for t, e in zip(tup, conn.order_type)
+                )
+                idx = int_index.get(section_zero(rel, args))
+            if idx is None:
+                raise IncompatibleFrameError("the operation leaves the concept lattice")
+            table[tup] = idx
+        ops[conn.name] = table
+    return ops
+
+
+def pmorphism_report_by_family(pm):
+    """check_pmorphism with the relation conditions split by family."""
+    sp, tp = pm.source.polarity, pm.target.polarity
+    for u in range(tp.nu):
+        mask = pm.S.down(1 << u)
+        if not sp.stable_w(mask):
+            return PMorphismReport(
+                False, "p2",
+                f"S-0-section at {tp.u_names[u]} = {_names_shown(mask, sp.w_names)} "
+                "is not stable in the source",
+            )
+    for w in range(sp.nw):
+        mask = pm.S.up(1 << w)
+        if not tp.stable_u(mask):
+            return PMorphismReport(
+                False, "p2",
+                f"S-1-section at {sp.w_names[w]} = {_names_shown(mask, tp.u_names)} "
+                "is not stable in the target",
+            )
+    for u in range(sp.nu):
+        mask = pm.T.up(1 << u)
+        if not tp.stable_w(mask):
+            return PMorphismReport(
+                False, "p3",
+                f"T-1-section at {sp.u_names[u]} = {_names_shown(mask, tp.w_names)} "
+                "is not stable in the target",
+            )
+    for w in range(tp.nw):
+        lhs = sp.down(pm.T.down(1 << w))
+        rhs = pm.S.down(tp.up(1 << w))
+        if lhs & ~rhs:
+            return PMorphismReport(
+                False, "p4",
+                f"at {tp.w_names[w]}: the T-0-section closed down = "
+                f"{_names_shown(lhs, sp.w_names)} is not contained in "
+                f"{_names_shown(rhs, sp.w_names)}",
+            )
+    for c in enumerate_concepts(tp):
+        lhs = sp.down(pm.T.down(c.extent))
+        rhs = pm.S.down(c.intent)
+        if lhs != rhs:
+            return PMorphismReport(
+                False, "duality diagnostic",
+                f"at concept {c.show(tp)}: (T-0-section of the extent) closed down "
+                f"= {_names_shown(lhs, sp.w_names)} differs from the S-0-section of the "
+                f"intent {_names_shown(rhs, sp.w_names)}",
+            )
+    for w in range(sp.nw):
+        lhs = pm.T.down(tp.down(pm.S.up(1 << w)))
+        rhs = sp.rows[w]
+        if lhs & ~rhs:
+            return PMorphismReport(
+                False, "p5",
+                f"at {sp.w_names[w]}: T-0-section of the closed S-1-section "
+                f"= {_names_shown(lhs, sp.u_names)} exceeds the up-set "
+                f"{_names_shown(rhs, sp.u_names)}",
+            )
+    for conn in pm.source.signature.connectives:
+        src_rel = pm.source.relations[conn.name]
+        tgt_rel = pm.target.relations[conn.name]
+        for tup in product(*(range(tp.size(s)) for s in tgt_rel.sorts[1:])):
+            section = section_zero(tgt_rel, tuple(1 << v for v in tup))
+            args = []
+            if conn.family == "F":
+                lhs = pm.T.down(tp.down(section))
+                for v, e in zip(tup, conn.order_type):
+                    if e == "1":
+                        args.append(sp.down(pm.T.down(1 << v)))
+                    else:
+                        args.append(sp.up(pm.S.down(1 << v)))
+                cond, side_names = "p6", sp.u_names
+            else:
+                lhs = pm.S.down(tp.up(section))
+                for v, e in zip(tup, conn.order_type):
+                    if e == "1":
+                        args.append(sp.up(pm.S.down(1 << v)))
+                    else:
+                        args.append(sp.down(pm.T.down(1 << v)))
+                cond, side_names = "p7", sp.w_names
+            rhs = section_zero(src_rel, tuple(args))
+            if lhs != rhs:
+                pts = tuple(tp.names(s)[v] for v, s in zip(tup, tgt_rel.sorts[1:]))
+                return PMorphismReport(
+                    False, cond,
+                    f"connective {conn.name!r} at ({', '.join(pts)}): "
+                    f"{_names_shown(lhs, side_names)} != {_names_shown(rhs, side_names)}",
+                )
+    return PMorphismReport(True)
+
+
+def filter_ideal_frame_by_family(alg):
+    """filter_ideal_frame (no normality check), filters and ideals by family."""
+    fs = [frozenset(bits(alg.above[a])) for a in range(alg.size)]
+    is_ = [frozenset(bits(alg.below[a])) for a in range(alg.size)]
+    pol = Polarity(
+        [f"F({alg.names[a]})" for a in range(alg.size)],
+        [f"I({alg.names[a]})" for a in range(alg.size)],
+        [(i, j) for i in range(alg.size) for j in range(alg.size) if fs[i] & is_[j]],
+    )
+    relations = {}
+    for conn in alg.signature.connectives:
+        sorts = connective_sorts(conn)
+        table = alg.ops[conn.name]
+        if conn.family == "F":
+            coord_sets = [(fs if e == "1" else is_) for e in conn.order_type]
+            head_sets = is_
+        else:
+            coord_sets = [(is_ if e == "1" else fs) for e in conn.order_type]
+            head_sets = fs
+        tuples = set()
+        for head in range(alg.size):
+            for coords in product(range(alg.size), repeat=conn.arity):
+                members = [sorted(coord_sets[i][c]) for i, c in enumerate(coords)]
+                if any(table[tup] in head_sets[head] for tup in product(*members)):
+                    tuples.add((head,) + coords)
+        relations[conn.name] = Relation(sorts, tuple(pol.size(s) for s in sorts), tuples)
+    return Frame(pol, alg.signature, relations)
+
+
+def _st_by_family(phi, sig, sort, var, gen):
+    """The standard translation with one clause per family and sort."""
+
+    def st(psi, s, v):
+        return _st_by_family(psi, sig, s, v, gen)
+
+    def foralls(vs, body):
+        for v in reversed(vs):
+            body = Forall(v, body)
+        return body
+
+    def relation_clause(conn):
+        fresh = [gen.fresh(s) for s in connective_sorts(conn)[1:]]
+        parts = [st(a, v.sort, v) for a, v in zip(phi.args, fresh)]
+        atom = RAtom(phi.name, (var,) + tuple(fresh))
+        if not parts:
+            return foralls(fresh, atom)
+        ante = parts[0]
+        for p in parts[1:]:
+            ante = FAnd(ante, p)
+        return foralls(fresh, FImp(ante, atom))
+
+    def via_w():
+        x = gen.fresh("W")
+        return Forall(x, FImp(st(phi, "W", x), NAtom(x, var)))
+
+    def via_u():
+        y = gen.fresh("U")
+        return Forall(y, FImp(st(phi, "U", y), NAtom(var, y)))
+
+    if isinstance(phi, Prop):
+        return PredAtom("ext" if sort == "W" else "int", phi.name, var)
+    if isinstance(phi, Top):
+        if sort == "W":
+            return Eq(var, var)
+        x = gen.fresh("W")
+        return Forall(x, NAtom(x, var))
+    if isinstance(phi, Bot):
+        if sort == "U":
+            return Eq(var, var)
+        y = gen.fresh("U")
+        return Forall(y, NAtom(var, y))
+    if isinstance(phi, And):
+        return FAnd(st(phi.left, "W", var), st(phi.right, "W", var)) if sort == "W" else via_w()
+    if isinstance(phi, Or):
+        return FAnd(st(phi.left, "U", var), st(phi.right, "U", var)) if sort == "U" else via_u()
+    conn = sig.get(phi.name)
+    if conn.family == "G":
+        return relation_clause(conn) if sort == "W" else via_w()
+    return relation_clause(conn) if sort == "U" else via_u()
+
+
+def translate_sequent_by_family(sequent, sig, form):
+    """translate_sequent through _st_by_family."""
+    gen = VarGen()
+    x, y = Var("W", "x"), Var("U", "y")
+    if form == "impl-x":
+        lhs = _st_by_family(sequent.lhs, sig, "W", x, gen)
+        return Forall(x, FImp(lhs, _st_by_family(sequent.rhs, sig, "W", x, gen)))
+    if form == "impl-y":
+        rhs = _st_by_family(sequent.rhs, sig, "U", y, gen)
+        return Forall(y, FImp(rhs, _st_by_family(sequent.lhs, sig, "U", y, gen)))
+    lhs = _st_by_family(sequent.lhs, sig, "W", x, gen)
+    body = FImp(FAnd(lhs, _st_by_family(sequent.rhs, sig, "U", y, gen)), NAtom(x, y))
+    return Forall(x, Forall(y, body))

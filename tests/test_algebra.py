@@ -9,6 +9,7 @@ import pytest
 from lekit import (
     FiniteAlgebra,
     Frame,
+    IncompatibleFrameError,
     NotALatticeError,
     Polarity,
     algebra_from_dict,
@@ -16,6 +17,7 @@ from lekit import (
     build_complex_algebra,
     check_complete_homomorphism,
     coproduct,
+    enumerate_concepts,
     filter_ideal_frame,
     find_isomorphism,
     parse_sequent,
@@ -33,10 +35,12 @@ from lekit.sampling import (
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
 
 from conftest import (
+    SIG_MIX,
     all_box_frames_2x2,
     boolean_frame,
     build_table,
     check_order,
+    complex_algebra_ops_by_family,
     concept_leq_by_extents,
     cones_of,
     find_isomorphism_by_leq,
@@ -44,6 +48,7 @@ from conftest import (
     mask_of,
     normality_by_lookup,
     product_leq_by_pairs,
+    random_frame,
 )
 
 
@@ -552,3 +557,25 @@ def test_checks_leave_no_cycle_holding_a_complex_algebra():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def test_complex_algebra_ops_match_family_branches():
+    # boolean frames (all compatible, up to 16 concepts) and random frames,
+    # most of which leave the concept lattice in some operation
+    rng = random.Random(313)
+    built = refused = 0
+    for k in range(120):
+        if k % 2:
+            fr = boolean_frame(rng, 1 + k % 4, SIG_MIX.connectives)
+        else:
+            fr = random_frame(rng, SIG_MIX, 4)
+        try:
+            expect = complex_algebra_ops_by_family(fr, enumerate_concepts(fr.polarity))
+        except IncompatibleFrameError:
+            with pytest.raises(IncompatibleFrameError):
+                build_complex_algebra(fr, check=False)
+            refused += 1
+            continue
+        assert build_complex_algebra(fr, check=False).ops == expect
+        built += 1
+    assert built >= 60 and refused

@@ -193,6 +193,13 @@ def test_cap_env_var(tmp_path, capsys, monkeypatch):
     assert "cap" in err.lower()
 
 
+def test_cap_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("LEKIT_CAP", "abc")
+    code, _, err = run_cli(["concepts", F1], capsys)
+    assert code == 2
+    assert "LEKIT_CAP" in err
+
+
 def test_cap_flag_overrides(capsys, monkeypatch):
     monkeypatch.setenv("LEKIT_CAP", "1")
     code, _, _ = run_cli(["--cap", "1000", "concepts", F1], capsys)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lekit import (
+    IncompatibleFrameError,
     build_complex_algebra,
     canonical_embedding,
     check_compatibility,
@@ -22,7 +23,15 @@ from lekit import (
 from lekit.bitset import bits
 from lekit.sampling import random_box_frame
 
-from conftest import brute_filters, brute_ideals, mask_of
+from conftest import (
+    SIG_MIX,
+    boolean_frame,
+    brute_filters,
+    brute_ideals,
+    filter_ideal_frame_by_family,
+    mask_of,
+    random_frame,
+)
 
 
 def test_coproduct_shapes(frame_f1, frame_f2):
@@ -137,3 +146,22 @@ def test_product_algebra_componentwise():
                 for l in range(b.size):
                     m = prod.meet[i * b.size + j][k * b.size + l]
                     assert m == a.meet[i][k] * b.size + b.meet[j][l]
+
+
+def test_filter_ideal_frames_match_family_branches():
+    # complex algebras of boolean frames (normal) and of random frames (most
+    # not normal, so the frame is built unchecked)
+    rng = random.Random(414)
+    compared = 0
+    for k in range(80):
+        if k % 2:
+            fr = boolean_frame(rng, 1 + k % 3, SIG_MIX.connectives)
+        else:
+            fr = random_frame(rng, SIG_MIX, 3)
+        try:
+            alg = build_complex_algebra(fr, check=False)
+        except IncompatibleFrameError:
+            continue
+        assert filter_ideal_frame(alg, check_normal=False) == filter_ideal_frame_by_family(alg)
+        compared += 1
+    assert compared >= 40

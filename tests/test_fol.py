@@ -52,6 +52,7 @@ from conftest import (
     eval_fo_recursive,
     random_frame,
     renamed,
+    translate_sequent_by_family,
 )
 
 XV = Var("W", "x")
@@ -471,3 +472,12 @@ def test_eval_fo_leaves_no_cycle_holding_a_frame(path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_sequent_translations_match_family_clauses():
+    rng = random.Random(515)
+    for _ in range(300):
+        seq = random_sequent(rng, SIG_MIX, PROPS, 3)
+        for form in SEQUENT_FORMS:
+            got = format_fo(translate_sequent(seq, SIG_MIX, form))
+            assert got == format_fo(translate_sequent_by_family(seq, SIG_MIX, form))

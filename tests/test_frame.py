@@ -13,6 +13,7 @@ from lekit import (
     PMorphism,
     Polarity,
     Signature,
+    SortError,
     check_compatibility,
     check_compatibility_alt,
     frame_from_dict,
@@ -22,7 +23,15 @@ from lekit import (
 from lekit.frame import Relation, connective_sorts, section_i, section_zero
 from lekit.sampling import SIG_BOX, random_box_frame
 
-from conftest import all_box_frames_2x2, golden_path, load_json, subsets
+from conftest import (
+    SIG_MIX,
+    all_box_frames_2x2,
+    compatibility_by_swaps,
+    golden_path,
+    load_json,
+    random_frame,
+    subsets,
+)
 
 
 def test_connective_sorts():
@@ -152,12 +161,22 @@ def _check_relation_sections(rng):
         t for t in product(*(range(n) for n in sizes)) if rng.random() < density
     }
     rel = Relation(sorts, sizes, tuples)
-    for _ in range(20):
-        masks = tuple(
-            rng.choice(_random_masks(rng, n, k=2)) for n in sizes[1:]
-        )
-        expect = _scan_section(rel.tuples, sizes[0], sizes[1:], masks)
-        assert section_zero(rel, masks) == expect
+    for j in range(arity + 1):
+        # the section at j is the 0-section of the tuples with j moved first
+        moved = {(t[j],) + t[:j] + t[j + 1 :] for t in rel.tuples}
+        other_sizes = sizes[:j] + sizes[j + 1 :]
+        for _ in range(20):
+            masks = tuple(
+                rng.choice(_random_masks(rng, n, k=2)) for n in other_sizes
+            )
+            expect = _scan_section(moved, sizes[j], other_sizes, masks)
+            if j == 0:
+                assert section_zero(rel, masks) == expect
+            else:
+                assert section_i(rel, j, masks[0], masks[1:]) == expect
+    for i in (0, arity + 1):
+        with pytest.raises(SortError):
+            section_i(rel, i, 1, (1,) * (arity - 1))
 
 
 @pytest.mark.parametrize(
@@ -222,6 +241,19 @@ def test_compatibility_checkers_agree_exhaustively():
             )
             frames_checked += 1
     assert frames_checked == 256
+
+
+def test_compatibility_reports_match_swapped_copies():
+    # each connective alone, so that later sections and passes show up too
+    rng = random.Random(808)
+    seen = set()
+    for k in range(300):
+        sig = Signature((SIG_MIX.connectives[k % 5],)) if k % 2 else SIG_MIX
+        fr = random_frame(rng, sig, 5)
+        report = check_compatibility(fr)
+        assert report == compatibility_by_swaps(fr)
+        seen.add(report.section)
+    assert seen == {None, "0-section", "1-section", "2-section"}
 
 
 def test_compatible_frame_census_2x2():

@@ -63,14 +63,14 @@ def test_imports_only_earlier_modules(name):
     assert not later, f"{name}.py imports modules at or above its rank: {later}"
 
 
-def _code_builtin_users(tree, module):
-    """(module, innermost enclosing function) of each use of exec/eval/compile."""
+def _users(tree, module, hit):
+    """(module, innermost enclosing function) of each node where hit(node)."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = getattr(node, "name", "<lambda>")
-        if isinstance(node, ast.Name) and node.id in CODE_BUILTINS:
+        if hit(node):
             found.add((module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -79,8 +79,35 @@ def _code_builtin_users(tree, module):
     return found
 
 
-def test_only_the_emitter_compiles_code():
+def _all_users(hit):
     users = set()
     for path in SRC.glob("*.py"):
-        users |= _code_builtin_users(_tree(path.stem), path.stem)
+        users |= _users(_tree(path.stem), path.stem, hit)
+    return users
+
+
+def test_only_the_emitter_compiles_code():
+    users = _all_users(lambda node: isinstance(node, ast.Name) and node.id in CODE_BUILTINS)
     assert users == {("emit", "compiled")}, users
+
+
+# Where a connective's family and order type may be read.  connective_sorts
+# turns them into the sorts of the relation's coordinates, and the rest of
+# the code goes by those sorts; the others are the oracles and the algebraic
+# laws, stated by family.
+SORT_RULE_READERS = {
+    ("frame", "connective_sorts"),
+    ("semantics", "eval_formula"),
+    ("semantics", "_sat"),
+    ("semantics", "_cosat"),
+    ("algebra", "_columns"),
+    ("algebra", "_column_failure"),
+}
+
+
+def test_family_and_order_type_are_read_by_the_sort_rule_only():
+    users = _all_users(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in ("family", "order_type")
+    )
+    stray = {(m, f) for m, f in users if m != "syntax"} - SORT_RULE_READERS
+    assert not stray, stray

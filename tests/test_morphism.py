@@ -5,6 +5,8 @@ import random
 import pytest
 
 from lekit import (
+    Frame,
+    PMorphism,
     build_complex_algebra,
     check_complete_homomorphism,
     check_pmorphism,
@@ -19,6 +21,8 @@ from lekit.sampling import (
     identity_pmorphism,
     random_box_frame,
 )
+
+from conftest import SIG_MIX, pmorphism_report_by_family, random_frame, random_relation
 
 
 def test_embedding_example_passes(m1_morphism):
@@ -127,3 +131,31 @@ def test_broken_morphism_detected(m1_morphism):
         pm.source, pm.target, pm.s_pairs, frozenset(sorted(pm.t_pairs)[:1])
     )
     assert not check_pmorphism(trimmed).passed
+
+
+def test_pmorphism_reports_match_family_branches():
+    # identities between frames on one polarity whose relations differ in
+    # some connectives reach the relation conditions (p6 for F, p7 for G);
+    # random S and T mostly fail earlier
+    rng = random.Random(909)
+    seen = set()
+    for k in range(240):
+        src = random_frame(rng, SIG_MIX, 4)
+        pol = src.polarity
+        if k % 3:
+            relations = {
+                c.name: random_relation(rng, pol, c) if rng.random() < 0.3 else src.relations[c.name]
+                for c in SIG_MIX.connectives
+            }
+            tgt = Frame(pol, SIG_MIX, relations)
+            pm = PMorphism(src, tgt, pol.pairs, {(u, w) for w, u in pol.pairs})
+        else:
+            tgt = random_frame(rng, SIG_MIX, 4)
+            sp, tp = src.polarity, tgt.polarity
+            s_pairs = {(w, u) for w in range(sp.nw) for u in range(tp.nu) if rng.random() < 0.5}
+            t_pairs = {(u, w) for u in range(sp.nu) for w in range(tp.nw) if rng.random() < 0.5}
+            pm = PMorphism(src, tgt, s_pairs, t_pairs)
+        report = check_pmorphism(pm)
+        assert report == pmorphism_report_by_family(pm)
+        seen.add(report.condition)
+    assert {None, "p2", "p6", "p7"} <= seen, seen

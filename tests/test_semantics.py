@@ -21,6 +21,7 @@ from lekit import (
     Prop,
     Sequent,
     Signature,
+    SignatureError,
     Top,
     algebra_validates,
     build_complex_algebra,
@@ -36,6 +37,7 @@ from lekit import (
     props_of,
     satisfies,
     satisfies_recursive,
+    validate_formula,
 )
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
@@ -279,7 +281,7 @@ def test_small_checks_compile_nothing():
     algebra_validates(alg, small)
     assert emit.compiled.cache_info().misses == 0
     # past PLAIN_WORK valuations times slots the shape is compiled, once per kind
-    slots = len(semantics._Program(small, ["p", "q"], SIG_BOX).nodes)
+    slots = len(semantics._Program(small, SIG_BOX).nodes)
     k = 1
     while 4**k * slots <= semantics.PLAIN_WORK:
         k += 1
@@ -297,12 +299,12 @@ def _verdict(frame, seq):
 
 
 def _program_fns(kind, seq, sig):
-    program = semantics._Program(seq, sorted(props_of(seq)), sig)
+    program = semantics._Program(seq, sig)
     return emit.compiled(semantics._emit_program, (kind,) + program.key)
 
 
 def _program_source(kind, seq, sig):
-    program = semantics._Program(seq, sorted(props_of(seq)), sig)
+    program = semantics._Program(seq, sig)
     return "\n".join(semantics._emit_program((kind,) + program.key))
 
 
@@ -461,3 +463,32 @@ def test_validity_checks_leave_no_cycle_holding_a_frame(path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        (
+            Sequent(
+                And(Prop("p"), Conn("nope", (Prop("q"),))),
+                Conn("box", (Prop("p"), Prop("q"))),
+            ),
+            "unknown connective 'nope'",
+        ),
+        (
+            Sequent(Conn("box", (Conn("box", ()),)), Conn("nope", ())),
+            "connective 'box' expects 1 arguments, got 0",
+        ),
+    ],
+    ids=["unknown", "arity"],
+)
+def test_signature_errors_come_first_in_pre_order(seq, message, frame_f1):
+    with pytest.raises(SignatureError) as oracle:
+        validate_formula(seq, SIG_BOX)
+    assert str(oracle.value) == message
+    alg = build_complex_algebra(frame_f1)
+    # before the concept cap and the valuation cap, which both would refuse
+    with pytest.raises(SignatureError, match=f"^{message}$"):
+        frame_validates(frame_f1, seq, cap=0, concept_cap=0)
+    with pytest.raises(SignatureError, match=f"^{message}$"):
+        algebra_validates(alg, seq, cap=0)
