@@ -29,10 +29,9 @@ its intent when the head has sort U (family F).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product, repeat
+from itertools import compress, product
 
 from .bitset import bits, meet_rows
 from .errors import (
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .frame import check_compatibility, section_zero
 from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
+from .reading import index_rows, name_ids, read_json
 from .syntax import signature_from_dict
 
 
@@ -164,9 +164,6 @@ class FiniteAlgebra:
     def le(self, i, j):
         return bool(self.above[i] >> j & 1)
 
-    def apply(self, name, args):
-        return self.ops[name][tuple(args)]
-
     def to_dict(self):
         pairs = [
             [self.names[i], self.names[j]]
@@ -195,22 +192,11 @@ def algebra_from_dict(data):
             raise FormatError(f"algebra file missing key {key!r}")
     signature = signature_from_dict(data["signature"])
     names = data["elements"]
-    if not isinstance(names, (list, tuple)) or not all(map(isinstance, names, repeat(str))):
-        raise FormatError("algebra file: 'elements' must be a list of element names")
-    idx = {n: i for i, n in enumerate(names)}
-    if len(idx) != len(names):
-        raise FormatError("duplicate element names")
-    if not isinstance(data["leq"], (list, tuple)):
-        raise FormatError("algebra file: 'leq' must be a list of pairs of element names")
+    idx = name_ids(names, "element")
     n = len(names)
     above = [1 << i for i in range(n)]
-    for pair in data["leq"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"leq entry {pair!r} is not a pair of element names")
-        a, b = pair
-        if not (isinstance(a, str) and isinstance(b, str) and a in idx and b in idx):
-            raise FormatError(f"leq pair [{a!r}, {b!r}] uses unknown elements")
-        above[idx[a]] |= 1 << idx[b]
+    for a, b in index_rows(data["leq"], (idx, idx), "element names in leq"):
+        above[a] |= 1 << b
     # reflexive-transitive closure of the given pairs, Warshall on the rows
     for k in range(n):
         bit, up = 1 << k, above[k]
@@ -229,27 +215,14 @@ def algebra_from_dict(data):
         rows = raw_ops.get(conn.name)
         if rows is None:
             raise FormatError(f"missing operation table for {conn.name!r}")
-        if not isinstance(rows, (list, tuple)):
-            raise FormatError(f"operation {conn.name!r}: table must be a list of rows")
-        table = {}
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != conn.arity + 1:
-                raise FormatError(f"operation {conn.name!r}: bad row {row}")
-            for name in row:
-                if not isinstance(name, str) or name not in idx:
-                    raise FormatError(f"operation {conn.name!r}: unknown element {name!r}")
-            table[tuple(idx[a] for a in row[:-1])] = idx[row[-1]]
-        ops[conn.name] = table
+        spaces = (idx,) * (conn.arity + 1)
+        what = f"element names in operation {conn.name!r}"
+        ops[conn.name] = {row[:-1]: row[-1] for row in index_rows(rows, spaces, what)}
     return FiniteAlgebra.from_cones(names, above, below, signature, ops)
 
 
 def load_algebra(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
-    return algebra_from_dict(data)
+    return algebra_from_dict(read_json(path))
 
 
 class ComplexAlgebra(FiniteAlgebra):

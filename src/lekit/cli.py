@@ -34,8 +34,9 @@ from .frame import (
 )
 from .morphism import check_pmorphism, is_injective, is_surjective, load_morphism
 from .polarity import enumerate_concepts
+from .reading import read_json
 from .semantics import frame_validates
-from .syntax import parse_formula, parse_sequent, parse_signature
+from .syntax import parse_formula, parse_sequent, signature_from_dict
 
 
 @functools.cache
@@ -127,6 +128,21 @@ def _emit(args, report_dict, text):
         print(text)
 
 
+def _write_frame(args, frame):
+    """Save the frame to args.output and say so, or print its JSON."""
+    if not args.output:
+        print(json.dumps(frame.to_dict(), indent=2, sort_keys=True))
+        return 0
+    save_frame(frame, args.output)
+    nw, nu = frame.polarity.nw, frame.polarity.nu
+    _emit(
+        args,
+        {"written": args.output, "W": nw, "U": nu},
+        f"wrote {args.output} ({nw} W points, {nu} U points)",
+    )
+    return 0
+
+
 def _load(path, args):
     return load_frame(path, check=not args.no_check)
 
@@ -171,18 +187,7 @@ def run(args):
 
     if args.command == "coproduct":
         frames = [_load(path, args) for path in args.frames]
-        cop = coproduct(frames)
-        data = cop.to_dict()
-        if args.output:
-            save_frame(cop, args.output)
-            _emit(
-                args,
-                {"written": args.output, "W": len(data["W"]), "U": len(data["U"])},
-                f"wrote {args.output} ({len(data['W'])} W points, {len(data['U'])} U points)",
-            )
-        else:
-            print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
+        return _write_frame(args, coproduct(frames))
 
     if args.command == "pmorphism":
         source = _load(args.source, args)
@@ -207,21 +212,10 @@ def run(args):
         else:
             frame = _load(args.frame, args)
             out = filter_ideal_extension(frame, cap)
-        data = out.to_dict()
-        if args.output:
-            save_frame(out, args.output)
-            _emit(
-                args,
-                {"written": args.output, "W": len(data["W"]), "U": len(data["U"])},
-                f"wrote {args.output} ({len(data['W'])} W points, {len(data['U'])} U points)",
-            )
-        else:
-            print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
+        return _write_frame(args, out)
 
     if args.command == "translate":
-        with open(args.signature) as fh:
-            sig = parse_signature(fh.read())
+        sig = signature_from_dict(read_json(args.signature))
         if "|-" in args.text:
             sentence = translate_sequent(parse_sequent(args.text, sig), sig, args.form)
         else:
@@ -275,11 +269,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = run(args)
-    except LekitError as exc:
+    except (LekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         code = 2
     if argv is None:
         sys.exit(code)

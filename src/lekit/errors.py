@@ -38,10 +38,6 @@ class InvalidPMorphismError(LekitError):
     """The given relation pair is not a p-morphism."""
 
 
-class NotAHomomorphismError(LekitError):
-    """The given map fails a homomorphism condition."""
-
-
 class NotALatticeError(LekitError):
     """The given order is not a bounded lattice."""
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 from .bitset import bits, meet_rows, names_of
 from .errors import CapExceededError, FormatError, IncompatibleFrameError, SortError
 from .polarity import Polarity
+from .reading import index_rows, read_json
 from .syntax import signature_from_dict
 
 ALT_COMBO_CAP = 1 << 22
@@ -184,31 +185,14 @@ class Frame:
 
 
 def make_relation(frame_polarity, conn, named_tuples):
+    pol = frame_polarity
     sorts = connective_sorts(conn)
-    sizes = tuple(frame_polarity.size(s) for s in sorts)
-    idx = {
-        "W": {n: i for i, n in enumerate(frame_polarity.w_names)},
-        "U": {n: i for i, n in enumerate(frame_polarity.u_names)},
-    }
-    tuples = set()
-    for t in named_tuples:
-        if not isinstance(t, (list, tuple)):
-            raise FormatError(f"relation tuple {t!r} for {conn.name!r} is not a list")
-        if len(t) != len(sorts):
-            raise FormatError(
-                f"relation tuple {t} for {conn.name!r} has length {len(t)}, "
-                f"expected {len(sorts)}"
-            )
-        row = []
-        for name, s in zip(t, sorts):
-            try:
-                row.append(idx[s][name])
-            except (KeyError, TypeError):  # TypeError: an unhashable name
-                raise FormatError(
-                    f"relation tuple {t} for {conn.name!r}: {name!r} is not a {s} point"
-                ) from None
-        tuples.add(tuple(row))
-    return Relation(sorts, sizes, tuples)
+    tuples = index_rows(
+        named_tuples,
+        [pol.w_ids if s == "W" else pol.u_ids for s in sorts],
+        f"point names in relation {conn.name!r}",
+    )
+    return Relation(sorts, tuple(pol.size(s) for s in sorts), tuples)
 
 
 def frame_from_dict(data):
@@ -218,22 +202,14 @@ def frame_from_dict(data):
         if key not in data:
             raise FormatError(f"frame file missing key {key!r}")
     signature = signature_from_dict(data["signature"])
-    for key in ("W", "U"):
-        names = data[key]
-        if not isinstance(names, (list, tuple)) or not all(map(isinstance, names, repeat(str))):
-            raise FormatError(f"frame file: {key!r} must be a list of point names")
-    if not isinstance(data["N"], (list, tuple)):
-        raise FormatError("frame file: 'N' must be a list of pairs of point names")
     polarity = Polarity.from_names(data["W"], data["U"], data["N"])
     raw_rels = data.get("relations", {})
     if not isinstance(raw_rels, dict):
         raise FormatError("frame file: 'relations' must be an object")
-    relations = {}
-    for conn in signature.connectives:
-        named = raw_rels.get(conn.name, [])
-        if not isinstance(named, (list, tuple)):
-            raise FormatError(f"frame file: relation {conn.name!r} must be a list of tuples")
-        relations[conn.name] = make_relation(polarity, conn, named)
+    relations = {
+        conn.name: make_relation(polarity, conn, raw_rels.get(conn.name, []))
+        for conn in signature.connectives
+    }
     extra = set(raw_rels) - {c.name for c in signature.connectives}
     if extra:
         raise FormatError(f"relations with no matching connective: {sorted(extra)}")
@@ -241,12 +217,7 @@ def frame_from_dict(data):
 
 
 def load_frame(path, check=True):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
-    frame = frame_from_dict(data)
+    frame = frame_from_dict(read_json(path))
     if check:
         report = check_compatibility(frame)
         if not report.passed:

@@ -15,7 +15,6 @@ it need not itself be a closed intent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -24,6 +23,8 @@ from .bitset import bits, names_of
 from .errors import FormatError, InvalidPMorphismError
 from .frame import section_zero
 from .polarity import Polarity, enumerate_concepts
+from .reading import index_rows, read_json
+
 
 class PMorphism:
     def __init__(self, source, target, s_pairs, t_pairs):
@@ -58,30 +59,13 @@ def morphism_from_dict(data, source, target):
     if not isinstance(data, dict) or "S" not in data or "T" not in data:
         raise FormatError("morphism file must be an object with 'S' and 'T' lists")
     sp, tp = source.polarity, target.polarity
-    s_pairs = _index_pairs(data["S"], "S", sp.w_index, tp.u_index)
-    t_pairs = _index_pairs(data["T"], "T", sp.u_index, tp.w_index)
+    s_pairs = index_rows(data["S"], (sp.w_ids, tp.u_ids), "point names in S")
+    t_pairs = index_rows(data["T"], (sp.u_ids, tp.w_ids), "point names in T")
     return PMorphism(source, target, s_pairs, t_pairs)
 
 
-def _index_pairs(named_pairs, key, first, second):
-    """The index pairs of a morphism file's S or T list of name pairs."""
-    if not isinstance(named_pairs, (list, tuple)):
-        raise FormatError(f"morphism file: {key!r} must be a list of pairs of point names")
-    pairs = []
-    for pair in named_pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"{key} entry {pair!r} is not a pair of point names")
-        pairs.append((first(pair[0]), second(pair[1])))
-    return pairs
-
-
 def load_morphism(path, source, target):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
-    return morphism_from_dict(data, source, target)
+    return morphism_from_dict(read_json(path), source, target)
 
 
 @dataclass

@@ -12,24 +12,26 @@ from dataclasses import dataclass
 
 from .bitset import meet_rows, names_of
 from .errors import CapExceededError, FormatError
+from .reading import index_rows, name_ids
 
 DEFAULT_CONCEPT_CAP = 1 << 16
 
 
 class Polarity:
+    """(W, U, N) over named points; w_ids and u_ids map names to indices."""
+
     def __init__(self, w_names, u_names, pairs):
-        w_names = tuple(w_names)
-        u_names = tuple(u_names)
-        if len(set(w_names)) != len(w_names):
-            raise FormatError("duplicate names in W")
-        if len(set(u_names)) != len(u_names):
-            raise FormatError("duplicate names in U")
-        self.w_names = w_names
-        self.u_names = u_names
-        self.nw = len(w_names)
-        self.nu = len(u_names)
+        self.w_ids = name_ids(w_names, "W point")
+        self.u_ids = name_ids(u_names, "U point")
+        self.w_names = tuple(w_names)
+        self.u_names = tuple(u_names)
+        self.nw = len(self.w_names)
+        self.nu = len(self.u_names)
         self.full_w = (1 << self.nw) - 1
         self.full_u = (1 << self.nu) - 1
+        self._relate(pairs)
+
+    def _relate(self, pairs):
         rows = [0] * self.nw
         cols = [0] * self.nu
         seen = set()
@@ -45,25 +47,9 @@ class Polarity:
 
     @classmethod
     def from_names(cls, w_names, u_names, named_pairs):
-        w_names = tuple(w_names)
-        u_names = tuple(u_names)
-        widx = {n: i for i, n in enumerate(w_names)}
-        uidx = {n: i for i, n in enumerate(u_names)}
-        pairs = []
-        for pair in named_pairs:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise FormatError(f"N entry {pair!r} is not a pair of point names")
-            w, u = pair
-            try:
-                wi, ui = widx.get(w), uidx.get(u)
-            except TypeError:  # an unhashable name
-                raise FormatError(f"N entry {pair!r} is not a pair of point names") from None
-            if wi is None:
-                raise FormatError(f"unknown W point {w!r} in N")
-            if ui is None:
-                raise FormatError(f"unknown U point {u!r} in N")
-            pairs.append((wi, ui))
-        return cls(w_names, u_names, pairs)
+        pol = cls(w_names, u_names, ())
+        pol._relate(index_rows(named_pairs, (pol.w_ids, pol.u_ids), "point names in N"))
+        return pol
 
     def n(self, w, u):
         return bool(self.rows[w] >> u & 1)
@@ -105,14 +91,14 @@ class Polarity:
 
     def w_index(self, name):
         try:
-            return self.w_names.index(name)
-        except ValueError:
+            return self.w_ids[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise FormatError(f"unknown W point {name!r}") from None
 
     def u_index(self, name):
         try:
-            return self.u_names.index(name)
-        except ValueError:
+            return self.u_ids[name]
+        except (KeyError, TypeError):
             raise FormatError(f"unknown U point {name!r}") from None
 
     def __eq__(self, other):

@@ -391,6 +391,12 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 def _replaced(value, path, new):
     if not path:
         return new
@@ -428,26 +434,51 @@ FUZZ_FILES = [
     (_golden("morphism2_ST.json"), (["pmorphism", F1, str(golden_path("morphism2_F2.json")), "{}"],)),
     (_golden("nonmorphism_ST.json"), (["pmorphism", F1, M1_SRC, "{}"],)),
     (_complex_algebra_data(), (["filter-ideal", "--algebra", "{}"],)),
+    (_golden("sig_box.json"), (["translate", "{}", "box p |- p"],)),
 ]
 MUTANTS = (5, "x", [], {}, None, [["a"]])
+NEW_KEYS = ("x", "relations", "ops", "box", "name", "arity", "S")
+# every command that reads a file, with {} for the file
+FILE_COMMANDS = FRAME_COMMANDS + (
+    ["pmorphism", M1_SRC, M1_TGT, "{}"],
+    ["filter-ideal", "--algebra", "{}"],
+    ["translate", "{}", "box p |- p"],
+)
+# files that are not JSON text: not UTF-8, and nested past the recursion limit
+RAW_FILES = (b"\xff\xfe\x00{", b"[" * 100_000 + b"]" * 100_000)
+
+
+@st.composite
+def _mutation(draw, data):
+    """data with the value at one path replaced, or a key added to or
+    deleted from the object there."""
+    path = draw(st.sampled_from(list(_paths(data))))
+    target = _at(data, path)
+    kind = draw(st.sampled_from(("replace", "add", "delete")))
+    if kind == "add" and isinstance(target, dict):
+        new = {**target, draw(st.sampled_from(NEW_KEYS)): draw(st.sampled_from(MUTANTS))}
+    elif kind == "delete" and isinstance(target, dict) and target:
+        key = draw(st.sampled_from(sorted(target)))
+        new = {k: v for k, v in target.items() if k != key}
+    else:
+        new = draw(st.sampled_from(MUTANTS))
+    return _replaced(data, path, new)
 
 
 @st.composite
 def mutated_inputs(draw):
+    """The bytes of a golden file after one or two mutations, or of a raw
+    file, and a command that reads it."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(RAW_FILES)), draw(st.sampled_from(FILE_COMMANDS))
     data, commands = draw(st.sampled_from(FUZZ_FILES))
-    path = draw(st.sampled_from(list(_paths(data))))
-    new = draw(st.sampled_from(MUTANTS))
-    return _replaced(data, path, new), draw(st.sampled_from(commands))
+    for _ in range(draw(st.integers(1, 2))):
+        data = draw(_mutation(data))
+    return json.dumps(data).encode(), draw(st.sampled_from(commands))
 
 
-@seed(20181)
-@settings(max_examples=200, deadline=None, database=None)
-@given(mutated_inputs())
-def test_mutated_input_files_keep_the_exit_code_contract(tmp_path_factory, case):
-    data, command = case
-    path = tmp_path_factory.getbasetemp() / "mutated.json"
-    path.write_text(json.dumps(data))
-    argv = [str(path) if arg == "{}" else arg for arg in command]
+def _exit_code(argv):
+    """main's exit code on argv, after checking the exit-code contract."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -458,3 +489,54 @@ def test_mutated_input_files_keep_the_exit_code_contract(tmp_path_factory, case)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: "))
+    return code
+
+
+def _exit_code_on_file(path, contents, command):
+    """_exit_code on command, with {} standing for a file holding contents."""
+    path.write_bytes(contents)
+    return _exit_code([str(path) if arg == "{}" else arg for arg in command])
+
+
+@seed(20181)
+@settings(max_examples=400, deadline=None, database=None)
+@given(mutated_inputs())
+def test_mutated_input_files_keep_the_exit_code_contract(tmp_path_factory, case):
+    contents, command = case
+    _exit_code_on_file(tmp_path_factory.getbasetemp() / "mutated.json", contents, command)
+
+
+@pytest.mark.parametrize("contents", RAW_FILES, ids=["not-utf-8", "nested-100000-deep"])
+@pytest.mark.parametrize(
+    "command",
+    FILE_COMMANDS,
+    ids=["check", "concepts", "valid", "filter-ideal", "coproduct", "pmorphism",
+         "filter-ideal-algebra", "translate"],
+)
+def test_files_that_are_not_json_text_exit_2(tmp_path, contents, command):
+    assert _exit_code_on_file(tmp_path / "raw.json", contents, command) == 2
+
+
+SEQUENT_TOKENS = ("p", "q", "box", "top", "bot", "/\\", "\\/", "|-", "(", ")", ",", "x1", "?")
+SEQUENT_COMMANDS = (["valid", F1], ["translate", SIG], ["translate", SIG, "--form", "pairing"])
+
+
+@seed(20182)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.sampled_from(SEQUENT_TOKENS), max_size=12), st.sampled_from(SEQUENT_COMMANDS))
+def test_drawn_sequent_text_keeps_the_exit_code_contract(tokens, command):
+    _exit_code(command + [" ".join(tokens)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["valid", F1, "(" * 400 + "p" + ")" * 400 + " |- p"],
+        ["translate", SIG, "box " * 250 + "p |- p"],
+    ],
+    ids=["valid-parenthesised", "translate-boxed"],
+)
+def test_deeply_nested_formula_text_exits_2(argv):
+    proc = run_module(argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: input is nested too deeply\n"

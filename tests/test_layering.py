@@ -13,6 +13,7 @@ RANK = {
     "bitset": 0,
     "emit": 1,
     "syntax": 1,
+    "reading": 1,
     "polarity": 2,
     "frame": 3,
     "semantics": 4,
@@ -111,3 +112,35 @@ def test_family_and_order_type_are_read_by_the_sort_rule_only():
     )
     stray = {(m, f) for m, f in users if m != "syntax"} - SORT_RULE_READERS
     assert not stray, stray
+
+
+# Outside input is read in one module: reading.read_json opens and decodes
+# every file lekit reads, and parse_signature decodes signature text.
+# Writing files (save_frame) is not reading.
+JSON_DECODERS = {("reading", "read_json"), ("syntax", "parse_signature")}
+
+
+def _decodes_json(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    )
+
+
+def _opens_for_reading(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes)
+
+
+def test_only_the_reader_decodes_json():
+    users = _all_users(_decodes_json)
+    assert users == JSON_DECODERS, users
+
+
+def test_only_the_reader_opens_files_for_reading():
+    users = _all_users(_opens_for_reading)
+    assert users == {("reading", "read_json")}, users
