@@ -1,4 +1,10 @@
-"""Small helpers for sets of indices packed into Python ints."""
+"""Small helpers for sets of indices packed into Python ints.
+
+meet_rows is the one section kernel: the Galois maps, p-morphism sections
+and relation sections all AND the rows a mask picks.  meet_table is the
+same map for a loop that calls it many times on one set of rows: it reads
+one table of partial ANDs per byte of the mask instead of one row per bit.
+"""
 
 
 def bits(mask):
@@ -12,14 +18,49 @@ def bits(mask):
 def meet_rows(rows, mask, acc):
     """acc ANDed with rows[i] for every set bit i of mask.
 
-    The one section kernel: Galois maps, p-morphism sections and relation
-    sections all reduce to it.  Stops as soon as acc is empty.
+    Stops as soon as acc is empty.
     """
     while mask and acc:
         low = mask & -mask
         acc &= rows[low.bit_length() - 1]
         mask ^= low
     return acc
+
+
+def meet_table(rows, full):
+    """The function m -> meet_rows(rows, m, full), for masks m over range(len(rows)).
+
+    Builds, for each byte of the mask, the table of the ANDs of the rows
+    that byte picks: 2**k entries for a byte of k bits, so len(rows) / 8
+    tables of at most 256 entries each.  A call then does one lookup and
+    one AND per byte.
+    """
+    if len(rows) <= 8:
+        return _byte_table(rows, full).__getitem__
+    tables = [_byte_table(rows[s : s + 8], full) for s in range(0, len(rows), 8)]
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda m: t0[m & 255] & t1[m >> 8]
+    if len(tables) == 3:
+        t0, t1, t2 = tables
+        return lambda m: t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16]
+
+    def meet(m):
+        acc = full
+        for table in tables:
+            acc &= table[m & 255]
+            m >>= 8
+        return acc
+
+    return meet
+
+
+def _byte_table(rows, full):
+    """table[m] = meet_rows(rows, m, full) for every mask m over range(len(rows))."""
+    table = [full]
+    for row in rows:
+        table += [acc & row for acc in table]
+    return table
 
 
 def names_of(mask, names):

@@ -493,6 +493,13 @@ class _SentenceWriter:
 
 def format_fo(fof):
     """Prefix text rendering, with forall_w / forall_u quantifiers."""
+    try:
+        return _format_fo(fof)
+    except RecursionError:
+        raise FormatError("input is nested too deeply") from None
+
+
+def _format_fo(fof):
     if isinstance(fof, NAtom):
         return f"(N {fof.x.name} {fof.y.name})"
     if isinstance(fof, RAtom):
@@ -502,13 +509,13 @@ def format_fo(fof):
     if isinstance(fof, Eq):
         return f"(= {fof.left.name} {fof.right.name})"
     if isinstance(fof, FAnd):
-        return f"(and {format_fo(fof.left)} {format_fo(fof.right)})"
+        return f"(and {_format_fo(fof.left)} {_format_fo(fof.right)})"
     if isinstance(fof, FImp):
-        return f"(-> {format_fo(fof.left)} {format_fo(fof.right)})"
+        return f"(-> {_format_fo(fof.left)} {_format_fo(fof.right)})"
     if isinstance(fof, Forall):
         q = "forall_w" if fof.var.sort == "W" else "forall_u"
-        return f"({q} {fof.var.name} {format_fo(fof.body)})"
+        return f"({q} {fof.var.name} {_format_fo(fof.body)})"
     if isinstance(fof, Exists):
         q = "exists_w" if fof.var.sort == "W" else "exists_u"
-        return f"({q} {fof.var.name} {format_fo(fof.body)})"
+        return f"({q} {fof.var.name} {_format_fo(fof.body)})"
     raise TypeError(f"not a first order formula: {fof!r}")

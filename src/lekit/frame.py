@@ -271,17 +271,22 @@ def check_compatibility(frame):
     """Check stability of all point-tuple sections of every relation.
 
     Coordinate by coordinate, from the head, over the point tuples at the
-    other coordinates in product order.
+    other coordinates in product order.  Sections repeat a few masks many
+    times, so each sort keeps the masks this call has found stable.
     """
     pol = frame.polarity
+    stable = {"W": set(), "U": set()}
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
         for j, sort in enumerate(rel.sorts):
             other_sorts = rel.sorts[:j] + rel.sorts[j + 1 :]
             rows = rel.rows[j]
+            seen = stable[sort]
             for tup in product(*(range(pol.size(s)) for s in other_sorts)):
                 row = rows.get(tup[:-1])  # a point tuple's section is one entry
                 mask = row[tup[-1] if tup else 0] if row else 0
+                if mask in seen:
+                    continue
                 if not pol.stable(mask, sort):
                     return CompatibilityReport(
                         False,
@@ -291,6 +296,7 @@ def check_compatibility(frame):
                         names_of(mask, pol.names(sort)),
                         names_of(pol.closure(mask, sort), pol.names(sort)),
                     )
+                seen.add(mask)
     return CompatibilityReport(True)
 
 
@@ -315,6 +321,18 @@ def check_compatibility_alt(frame, combo_cap=ALT_COMBO_CAP):
                 f"alternative compatibility check needs {total * n * n} section "
                 f"comparisons, cap is {combo_cap}"
             )
+        if not rel.arity:  # no coordinate to close: the heads must be stable
+            heads = _section_at(rel, 0, ())
+            if not pol.stable(heads, rel.sorts[0]):
+                names = pol.names(rel.sorts[0])
+                return CompatibilityReport(
+                    False,
+                    conn.name,
+                    "0-section",
+                    (),
+                    names_of(heads, names),
+                    names_of(pol.closure(heads, rel.sorts[0]), names),
+                )
         for masks in product(*(range(1 << s) for s in sizes)):
             for i in range(n):
                 closed = pol.closure(masks[i], rel.sorts[i])

@@ -42,8 +42,8 @@ class PMorphism:
         for u, w in t_pairs:
             if not (0 <= u < sp.nu and 0 <= w < tp.nw):
                 raise FormatError(f"T pair ({u}, {w}) out of range")
-        self.S = Polarity(sp.w_names, tp.u_names, s_pairs)
-        self.T = Polarity(sp.u_names, tp.w_names, t_pairs)
+        self.S = Polarity.on_ids(sp.w_ids, tp.u_ids, s_pairs)
+        self.T = Polarity.on_ids(sp.u_ids, tp.w_ids, t_pairs)
         self.s_pairs = self.S.pairs
         self.t_pairs = self.T.pairs
 

@@ -9,8 +9,9 @@ Concepts are stable pairs (extent, intent).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .bitset import meet_rows, names_of
+from .bitset import meet_rows, meet_table, names_of
 from .errors import CapExceededError, FormatError
 from .reading import index_rows, name_ids
 
@@ -21,15 +22,27 @@ class Polarity:
     """(W, U, N) over named points; w_ids and u_ids map names to indices."""
 
     def __init__(self, w_names, u_names, pairs):
-        self.w_ids = name_ids(w_names, "W point")
-        self.u_ids = name_ids(u_names, "U point")
-        self.w_names = tuple(w_names)
-        self.u_names = tuple(u_names)
+        self._points(name_ids(w_names, "W point"), name_ids(u_names, "U point"))
+        self._relate(pairs)
+
+    @classmethod
+    def on_ids(cls, w_ids, u_ids, pairs):
+        """The polarity over names already checked by name_ids, given as the
+        name -> index dicts it returned (shared, not copied)."""
+        pol = cls.__new__(cls)
+        pol._points(w_ids, u_ids)
+        pol._relate(pairs)
+        return pol
+
+    def _points(self, w_ids, u_ids):
+        self.w_ids = w_ids
+        self.u_ids = u_ids
+        self.w_names = tuple(w_ids)
+        self.u_names = tuple(u_ids)
         self.nw = len(self.w_names)
         self.nu = len(self.u_names)
         self.full_w = (1 << self.nw) - 1
         self.full_u = (1 << self.nu) - 1
-        self._relate(pairs)
 
     def _relate(self, pairs):
         rows = [0] * self.nw
@@ -136,50 +149,55 @@ def concept_of_u(polarity, u):
     return Concept(ext, polarity.up(ext))
 
 
-def _next_closures(close, n, cap):
-    """The closed subsets of range(n) under close, in increasing mask order.
+def _close_by_one(rows, close, n, top, cap):
+    """The concepts of a polarity as (closed set, partner) pairs, unordered.
 
-    Ganter's NextClosure: the successor of a closed set A is the first
-    closure of (A above i) + {i}, over the bits i not in A from the lowest,
-    that adds nothing above i.  Bit n-1 is the most significant, so the
-    lectic order is the integer order of the masks.  Raises
+    Kuznetsov's Close-by-One over range(n): rows[i] is the partner of
+    point i, and close maps a partner back to its closed set.  A node is a
+    closed set A with its partner B and a start; its child at a point
+    i >= start outside A has partner B & rows[i] (partners are closed
+    under AND) and closed set close of that, and is kept only when it adds
+    no point below i, so every closed set is reached once.  Raises
     CapExceededError when a closed set beyond the first cap is reached.
     """
     found = []
-    full = (1 << n) - 1
-    a = close(0)
-    while True:
+    stack = [(close(top), top, 0)]
+    while stack:
+        a, b, start = stack.pop()
         if len(found) >= cap:
             raise CapExceededError(
                 f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
             )
-        found.append(a)
-        if a == full:
-            return found
-        for i in range(n):
+        found.append((a, b))
+        for i in range(start, n):
             bit = 1 << i
             if a & bit:
                 continue
-            above = a & ~((bit << 1) - 1)
-            b = close(above | bit)
-            if b & ~a & ~(bit - 1) == bit:
-                a = b
-                break
+            meet = b & rows[i]
+            closed = close(meet)
+            if not (closed ^ a) & (bit - 1):
+                stack.append((closed, meet, i + 1))
+    return found
 
 
 def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
     """All concepts of the polarity, sorted by extent bit pattern.
 
-    Runs NextClosure over the smaller sort, so the work is at most
-    min(|W|, |U|) closures per concept.  cap bounds the number of concepts
-    found: CapExceededError is raised as soon as concept number cap + 1
-    would be emitted.
+    Runs Close-by-One over the smaller sort, so each candidate costs one
+    AND of its parent's partner with a row and one closure read from
+    byte tables (bitset.meet_table) built for this call.  cap bounds the
+    number of concepts found: CapExceededError is raised as soon as
+    concept number cap + 1 would be emitted.
     """
     if cap is None:
         cap = DEFAULT_CONCEPT_CAP
-    if polarity.nw <= polarity.nu:
-        extents = _next_closures(polarity.closure_w, polarity.nw, cap)
-        return [Concept(e, polarity.up(e)) for e in extents]
-    intents = _next_closures(polarity.closure_u, polarity.nu, cap)
-    pairs = sorted((polarity.down(i), i) for i in intents)
-    return [Concept(e, i) for e, i in pairs]
+    pol = polarity
+    if pol.nw <= pol.nu:
+        down = meet_table(pol.cols, pol.full_w)
+        pairs = _close_by_one(pol.rows, down, pol.nw, pol.full_u, cap)
+        pairs.sort()
+        return [Concept(e, i) for e, i in pairs]
+    up = meet_table(pol.rows, pol.full_u)
+    pairs = _close_by_one(pol.cols, up, pol.nu, pol.full_w, cap)
+    pairs.sort(key=itemgetter(1))
+    return [Concept(e, i) for i, e in pairs]

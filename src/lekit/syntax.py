@@ -290,7 +290,11 @@ class _Parser:
         return tok
 
     def formula(self):
-        return self.or_expr()
+        """One whole formula; nesting past the recursion limit is a ParseError."""
+        try:
+            return self.or_expr()
+        except RecursionError:
+            raise ParseError("input is nested too deeply") from None
 
     def or_expr(self):
         node = self.and_expr()

@@ -14,6 +14,7 @@ import pytest
 from lekit import (
     And,
     Bot,
+    CapExceededError,
     Conn,
     Connective,
     FormatError,
@@ -112,6 +113,45 @@ def brute_concepts(pol):
         if pol.up(x) == y:
             found.add((x, y))
     return found
+
+
+def next_closures(close, n, cap):
+    """The closed subsets of range(n) under close, in increasing mask order.
+
+    Ganter's NextClosure: the successor of a closed set A is the first
+    closure of (A above i) + {i}, over the bits i not in A from the lowest,
+    that adds nothing above i.  Bit n-1 is the most significant, so the
+    lectic order is the integer order of the masks.  Raises
+    CapExceededError when a closed set beyond the first cap is reached.
+    """
+    found = []
+    full = (1 << n) - 1
+    a = close(0)
+    while True:
+        if len(found) >= cap:
+            raise CapExceededError(
+                f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
+            )
+        found.append(a)
+        if a == full:
+            return found
+        for i in range(n):
+            bit = 1 << i
+            if a & bit:
+                continue
+            above = a & ~((bit << 1) - 1)
+            b = close(above | bit)
+            if b & ~a & ~(bit - 1) == bit:
+                a = b
+                break
+
+
+def concepts_by_next_closure(pol, cap):
+    """The concepts as (extent, intent) pairs sorted by extent, by NextClosure
+    over the smaller sort with a full down(up(.)) per candidate."""
+    if pol.nw <= pol.nu:
+        return [(e, pol.up(e)) for e in next_closures(pol.closure_w, pol.nw, cap)]
+    return sorted((pol.down(i), i) for i in next_closures(pol.closure_u, pol.nu, cap))
 
 
 def check_order(leq):

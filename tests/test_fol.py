@@ -481,3 +481,11 @@ def test_sequent_translations_match_family_clauses():
         for form in SEQUENT_FORMS:
             got = format_fo(translate_sequent(seq, SIG_MIX, form))
             assert got == format_fo(translate_sequent_by_family(seq, SIG_MIX, form))
+
+
+def test_format_fo_of_deep_sentence_is_a_format_error():
+    sig = Signature((Connective("box", "G", 1, ("1",)),))
+    sentence = translate_sequent(parse_sequent("box " * 250 + "p |- p", sig), sig)
+    with pytest.raises(FormatError, match="nested too deeply"):
+        format_fo(sentence)
+    assert format_fo(translate_sequent(parse_sequent("box " * 20 + "p |- p", sig), sig))

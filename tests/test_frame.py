@@ -21,7 +21,7 @@ from lekit import (
     save_frame,
 )
 from lekit.frame import Relation, connective_sorts, section_i, section_zero
-from lekit.sampling import SIG_BOX, random_box_frame
+from lekit.sampling import SIG_BOX, random_box_frame, random_polarity
 
 from conftest import (
     SIG_MIX,
@@ -30,6 +30,7 @@ from conftest import (
     golden_path,
     load_json,
     random_frame,
+    random_relation,
     subsets,
 )
 
@@ -254,6 +255,33 @@ def test_compatibility_reports_match_swapped_copies():
         assert report == compatibility_by_swaps(fr)
         seen.add(report.section)
     assert seen == {None, "0-section", "1-section", "2-section"}
+
+
+def test_compatibility_memo_keeps_reports():
+    # full and empty relations repeat one section mask at every point tuple,
+    # so masks found stable early come back before a later section fails
+    rng = random.Random(4242)
+    sorts_seen = set()
+    failing = 0
+    for _ in range(200):
+        pol = random_polarity(rng, rng.randint(1, 3), rng.randint(1, 3))
+        relations = {}
+        for conn in SIG_MIX.connectives:
+            rel = random_relation(rng, pol, conn)
+            kind = rng.choice(("full", "empty", "drawn"))
+            if kind != "drawn":
+                every = product(*(range(n) for n in rel.sizes)) if kind == "full" else ()
+                rel = Relation(rel.sorts, rel.sizes, every)
+            relations[conn.name] = rel
+        fr = Frame(pol, SIG_MIX, relations)
+        report = check_compatibility(fr)
+        assert report.passed == check_compatibility_alt(fr).passed
+        assert report == compatibility_by_swaps(fr)
+        if not report.passed:
+            failing += 1
+            sorts_seen.add((report.connective, report.section))
+    assert failing >= 100
+    assert {c.name for c in SIG_MIX.connectives} <= {c for c, _ in sorts_seen}
 
 
 def test_compatible_frame_census_2x2():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lekit import (
+    FormatError,
     Frame,
     PMorphism,
     build_complex_algebra,
@@ -159,3 +160,20 @@ def test_pmorphism_reports_match_family_branches():
         assert report == pmorphism_report_by_family(pm)
         seen.add(report.condition)
     assert {None, "p2", "p6", "p7"} <= seen, seen
+
+
+def test_pmorphism_polarities_reuse_the_frames_names(m1_morphism):
+    pm = m1_morphism
+    sp, tp = pm.source.polarity, pm.target.polarity
+    assert pm.S.w_ids is sp.w_ids and pm.S.u_ids is tp.u_ids
+    assert pm.T.w_ids is sp.u_ids and pm.T.u_ids is tp.w_ids
+    assert (pm.S.w_names, pm.S.u_names) == (sp.w_names, tp.u_names)
+    assert (pm.T.w_names, pm.T.u_names) == (sp.u_names, tp.w_names)
+    assert pm.S.pairs == pm.s_pairs and pm.T.pairs == pm.t_pairs
+    for s_pairs, t_pairs, message in [
+        ([(sp.nw, 0)], [], rf"S pair \({sp.nw}, 0\) out of range"),
+        ([(0, -1)], [], r"S pair \(0, -1\) out of range"),
+        ([], [(0, tp.nw)], rf"T pair \(0, {tp.nw}\) out of range"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            PMorphism(pm.source, pm.target, s_pairs, t_pairs)

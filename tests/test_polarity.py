@@ -5,11 +5,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lekit import CapExceededError, FormatError, Polarity, enumerate_concepts
-from lekit.bitset import bits, names_of
+from lekit import (
+    CapExceededError,
+    FormatError,
+    Polarity,
+    build_complex_algebra,
+    enumerate_concepts,
+    frame_validates,
+    parse_sequent,
+)
+from lekit.bitset import bits, meet_rows, meet_table, names_of
 from lekit.polarity import concept_of_u, concept_of_w
+from lekit.sampling import random_box_frame
 
-from conftest import brute_concepts, mask_of, subsets
+from conftest import brute_concepts, concepts_by_next_closure, mask_of, subsets
 
 
 def rand_polarity(nw, nu, pair_mask):
@@ -178,3 +187,74 @@ def test_from_names_refuses_entries_that_are_not_pairs(entry):
     with pytest.raises(FormatError, match="is not a pair of point names"):
         Polarity.from_names(["a"], ["x"], [entry])
     assert Polarity.from_names(["a"], ["x"], [("a", "x")]).pairs == {(0, 0)}
+
+
+def _differential_polarities():
+    # every shape at every density, then drawn shapes; both sides empty,
+    # one side empty, and nw < nu and nw > nu in turn
+    rng = random.Random(1010)
+    densities = (0.05, 0.3, 0.5, 0.7, 0.95)
+    shapes = [(0, 0), (0, 20), (20, 0), (1, 20), (20, 1), (20, 20), (13, 20), (20, 13), (7, 16)]
+    cases = [(nw, nu, d) for nw, nu in shapes for d in densities]
+    cases += [(rng.randint(0, 20), rng.randint(0, 20), rng.uniform(0.05, 0.95)) for _ in range(30)]
+    for k, (nw, nu, density) in enumerate(cases):
+        pairs = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < density]
+        yield pytest.param(
+            Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs),
+            id=f"{k}-{nw}x{nu}-d{density:.2f}",
+        )
+
+
+@pytest.mark.parametrize("pol", list(_differential_polarities()))
+def test_close_by_one_matches_next_closure(pol):
+    got = [(c.extent, c.intent) for c in enumerate_concepts(pol, 1 << 20)]
+    assert got == concepts_by_next_closure(pol, 1 << 20)
+    if max(pol.nw, pol.nu) <= 12:
+        assert got == sorted(brute_concepts(pol))
+
+
+@pytest.mark.parametrize("nw,nu", [(7, 11), (11, 7)])
+def test_cap_on_either_side(nw, nu):
+    # nw <= nu walks W, nw > nu walks U; the cap counts concepts either way
+    rng = random.Random(nw * 31 + nu)
+    pairs = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < 0.6]
+    pol = Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs)
+    count = len(concepts_by_next_closure(pol, 1 << 20))
+    assert count > 10
+    assert len(enumerate_concepts(pol, cap=count)) == count
+    for cap in (count - 1, 1, 0):
+        with pytest.raises(CapExceededError, match=rf"more than {cap} concepts; raise --cap"):
+            enumerate_concepts(pol, cap=cap)
+        with pytest.raises(CapExceededError, match=rf"more than {cap} concepts; raise --cap"):
+            concepts_by_next_closure(pol, cap)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 24, 25])
+def test_meet_table_matches_meet_rows(width):
+    rng = random.Random(width)
+    for row_bits in (3, 12, 40):
+        full = (1 << row_bits) - 1
+        rows = [rng.getrandbits(row_bits) | rng.getrandbits(row_bits) for _ in range(width)]
+        meet = meet_table(rows, full)
+        every = (1 << width) - 1
+        masks = [0, every] + [rng.getrandbits(width) if width else 0 for _ in range(200)]
+        masks += [1 << i for i in range(width)] + [every ^ 1 << i for i in range(width)]
+        for m in masks:
+            assert meet(m) == meet_rows(rows, m, full), (row_bits, m)
+
+
+def test_no_memo_on_the_polarity():
+    # Concepts are enumerated afresh on every call: a memo kept on the
+    # polarity would turn repeated questions into lookups.
+    fr = random_box_frame(random.Random(7), 6, 6)
+    pol = fr.polarity
+    before = dict(vars(pol))
+    frame_before = dict(vars(fr))
+    rel_keys = {name: set(vars(rel)) for name, rel in fr.relations.items()}
+    enumerate_concepts(pol)
+    build_complex_algebra(fr)
+    frame_validates(fr, parse_sequent("box p |- p", fr.signature))
+    assert vars(pol) == before
+    assert all(vars(pol)[k] is v for k, v in before.items())
+    assert vars(fr) == frame_before
+    assert {name: set(vars(rel)) for name, rel in fr.relations.items()} == rel_keys

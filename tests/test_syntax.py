@@ -175,3 +175,12 @@ def test_signature_rejects_bad_input():
                 ]
             }
         )
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 400 + "p" + ")" * 400
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_sequent(deep + " |- p", SIG_BOX)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(deep, SIG_BOX)
+    assert parse_sequent("(" * 40 + "p" + ")" * 40 + " |- p", SIG_BOX) == Sequent(Prop("p"), Prop("p"))
