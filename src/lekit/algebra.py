@@ -7,24 +7,28 @@ below-mask is below[i] & below[j] (join likewise from the above-masks),
 found through a dict from masks to elements; when there is none, the pair
 has no meet (join) and the order is not a lattice.  The meet and join
 tables are filled on first access.  An algebra given by the user (its
-constructor, from_cones, algebra_from_dict) fills both while it is built,
-so an order that is not a lattice is refused there; complex algebras and
-products, lattices by construction, leave them unfilled until something
-reads them (algebra validity, the homomorphism check, the witness search
-of a failing normality check).  The n x n bool matrix leq is a read-only
-view derived from the masks on first access; building an algebra never
-makes it, and algebra validity reads it as its order table, since
-indexing it is the cheapest order test per valuation.
+constructor, from_cones, algebra_from_dict) has its order checked and
+fills both tables while it is built, so an order that is not a partial
+order or not a lattice is refused there.  Complex algebras and products,
+lattices by construction, skip the order check and leave the tables
+unfilled until something reads them (algebra validity, the homomorphism
+check, the witness search of a failing normality check); their element
+names, too, are built on first read (messages, to_dict, the CLI).  The
+n x n bool matrix leq is a read-only view derived from the masks on first
+access; building an algebra never makes it, and algebra validity reads it
+as its order table, since indexing it is the cheapest order test per
+valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
 carrier.  Its cones come from the concept-by-point incidence, itself a
-polarity, through the section kernel meet_rows: the concepts above a
-concept are those whose extents hold all of its extent, those below it
-are those whose intents hold all of its intent.  A connective reads its
-relation by the sorts of its coordinates: at a W coordinate the argument
-concept's extent, at a U coordinate its intent.  The 0-section of those
-masks is the extent of the value when the head has sort W (family G) and
-its intent when the head has sort U (family F).
+polarity, through the section kernel (meet_each) over the incidence's
+columns: the concepts above a concept are those whose extents hold all of
+its extent, those below it are those whose intents hold all of its
+intent.  A connective reads its relation by the sorts of its coordinates:
+at a W coordinate the argument concept's extent, at a U coordinate its
+intent.  The 0-section of those masks is the extent of the value when the
+head has sort W (family G) and its intent when the head has sort U
+(family F).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 
-from .bitset import bits, meet_rows
+from .bitset import bits, meet_each, transpose
 from .errors import (
     FormatError,
     IncompatibleFrameError,
@@ -50,9 +54,11 @@ class FiniteAlgebra:
 
     FiniteAlgebra(names, leq, signature, ops) takes the order as an n x n
     bool matrix; from_cones takes it as the above/below masks directly.
-    Both end in the same order check, tables and operation validation;
-    from_cones(..., lattice=True) skips filling the tables for an order
-    that is a lattice by construction.
+    Both check that the order is a partial order, fill the tables, and
+    validate the operations; from_cones(..., lattice=True) skips the check
+    and the tables for an order that is a lattice by construction.  names
+    is a sequence, or a function of no arguments that returns one, called
+    on the first read of names.
     """
 
     def __init__(self, names, leq, signature, ops):
@@ -62,7 +68,7 @@ class FiniteAlgebra:
             raise FormatError("leq matrix has wrong shape")
         powers = [1 << j for j in range(n)]
         above = [sum(compress(powers, row)) for row in leq]
-        below = [sum(compress(powers, col)) for col in zip(*leq)]
+        below = transpose(above, n)
         self._setup(names, above, below, signature, ops)
 
     @classmethod
@@ -70,21 +76,25 @@ class FiniteAlgebra:
         """The algebra whose order has above[i] (below[i]) as the mask of
         the elements above (below) element i; below is above transposed.
 
-        lattice=True promises that the order is a lattice, and the meet and
-        join tables are left to be filled on first access.
+        lattice=True promises that the order is a lattice: it is not
+        checked, and the meet and join tables are left to be filled on
+        first access.
         """
         alg = cls.__new__(cls)
         alg._setup(names, above, below, signature, ops, lattice)
         return alg
 
     def _setup(self, names, above, below, signature, ops, lattice=False):
-        self.names = tuple(names)
-        self.size = len(self.names)
+        if callable(names):
+            self._names = names
+        else:
+            self.names = tuple(names)
         self.signature = signature
         self.above = tuple(above)
         self.below = tuple(below)
-        self._check_order()
-        if not lattice:  # fill both tables now, so a non-lattice is refused here
+        self.size = len(self.above)
+        if not lattice:  # check the order and fill both tables now: refuse a non-lattice here
+            self._check_order()
             self.meet, self.join
         self.top = self._extreme(self.below)
         self.bot = self._extreme(self.above)
@@ -106,6 +116,11 @@ class FiniteAlgebra:
                     raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
             table_ops[conn.name] = table
         self.ops = table_ops
+
+    @cached_property
+    def names(self):
+        """The element names, from the function the algebra was built with."""
+        return tuple(self._names())
 
     @cached_property
     def meet(self):
@@ -161,24 +176,18 @@ class FiniteAlgebra:
             rows.append(row)
         return tuple(map(tuple, rows))
 
-    def le(self, i, j):
-        return bool(self.above[i] >> j & 1)
-
     def to_dict(self):
-        pairs = [
-            [self.names[i], self.names[j]]
-            for i in range(self.size)
-            for j in bits(self.above[i])
-        ]
+        names = self.names
+        pairs = [[names[i], names[j]] for i in range(self.size) for j in bits(self.above[i])]
         ops = {}
         for conn in self.signature.connectives:
             rows = []
             for args, val in sorted(self.ops[conn.name].items()):
-                rows.append([self.names[a] for a in args] + [self.names[val]])
+                rows.append([names[a] for a in args] + [names[val]])
             ops[conn.name] = rows
         return {
             "signature": self.signature.to_dict(),
-            "elements": list(self.names),
+            "elements": list(names),
             "leq": pairs,
             "ops": ops,
         }
@@ -203,10 +212,7 @@ def algebra_from_dict(data):
         for i in range(n):
             if above[i] & bit:
                 above[i] |= up
-    below = [0] * n
-    for i, up in enumerate(above):
-        for j in bits(up):
-            below[j] |= 1 << i
+    below = transpose(above, n)
     raw_ops = data.get("ops", {})
     if not isinstance(raw_ops, dict):
         raise FormatError("algebra file: 'ops' must be an object")
@@ -228,26 +234,29 @@ def load_algebra(path):
 class ComplexAlgebra(FiniteAlgebra):
     """The concept lattice of a frame with operations from its relations.
 
-    The order cones are sections of the concept-by-point incidence.
+    The order cones are sections of the concept-by-point incidence: extent
+    inclusion, a partial order once the extents are distinct.  The element
+    names are the concepts shown, built on first read.
     """
 
     def __init__(self, frame, concepts, ops):
         self.frame = frame
-        self.concepts = list(concepts)
-        self._ext_index = {c.extent: i for i, c in enumerate(self.concepts)}
+        self.concepts = concepts = list(concepts)
+        self._ext_index = {c.extent: i for i, c in enumerate(concepts)}
+        if len(self._ext_index) != len(concepts):
+            raise NotALatticeError("leq is not antisymmetric")
         pol = frame.polarity
-        by_w = [0] * pol.nw  # by_w[w]: the concepts whose extent holds w
-        by_u = [0] * pol.nu  # by_u[u]: the concepts whose intent holds u
-        for k, c in enumerate(self.concepts):
-            bit = 1 << k
-            for w in bits(c.extent):
-                by_w[w] |= bit
-            for u in bits(c.intent):
-                by_u[u] |= bit
-        full = (1 << len(self.concepts)) - 1
-        above = [meet_rows(by_w, c.extent, full) for c in self.concepts]
-        below = [meet_rows(by_u, c.intent, full) for c in self.concepts]
-        names = [c.show(pol) for c in self.concepts]
+        extents = [c.extent for c in concepts]
+        intents = [c.intent for c in concepts]
+        full = (1 << len(concepts)) - 1
+        # the columns of the incidence: the concepts whose extent holds w and
+        # those whose intent holds u, ANDed over a concept's extent (intent)
+        above = meet_each(transpose(extents, pol.nw), extents, full)
+        below = meet_each(transpose(intents, pol.nu), intents, full)
+
+        def names():  # refers to no self, so the algebra holds no cycle
+            return [c.show(pol) for c in concepts]
+
         self._setup(names, above, below, frame.signature, ops, lattice=True)
 
     def index_of_extent(self, extent):
@@ -356,17 +365,6 @@ def _residuated(col, gather, principal):
         if got not in principal:
             return False
     return True
-
-
-def residuated(alg):
-    """Whether every operation is residuated in each coordinate.
-
-    The verdict of verify_normality, without the tables or a witness.
-    """
-    return all(
-        _residuated(col, gather, principal)
-        for _, _, _, col, gather, principal in _columns(alg)
-    )
 
 
 def _column_failure(alg, conn, i, rest, col):

@@ -4,6 +4,8 @@ meet_rows is the one section kernel: the Galois maps, p-morphism sections
 and relation sections all AND the rows a mask picks.  meet_table is the
 same map for a loop that calls it many times on one set of rows: it reads
 one table of partial ANDs per byte of the mask instead of one row per bit.
+meet_each picks the one or the other for a list of masks.  transpose turns
+masks over points into masks over the masks' positions.
 """
 
 
@@ -61,6 +63,33 @@ def _byte_table(rows, full):
     for row in rows:
         table += [acc & row for acc in table]
     return table
+
+
+# _DIGITS[j] maps a byte to the ASCII digit of its bit j
+_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def transpose(masks, width):
+    """The columns of masks below 2**width as a bit matrix: bit k of column j
+    is bit j of masks[k].
+
+    Writes the masks as bytes, the last mask first, so column j is every
+    byte j // 8 of a mask, read as binary digits by its bit j % 8.
+    """
+    size = (width + 7) // 8
+    raw = b"".join([m.to_bytes(size, "little") for m in reversed(masks)])
+    return [int(raw[j >> 3 :: size].translate(_DIGITS[j & 7]) or b"0", 2) for j in range(width)]
+
+
+def meet_each(rows, masks, full):
+    """[meet_rows(rows, m, full) for m in masks].
+
+    More than 32 masks read meet_table's tables: below that, building the
+    tables costs more than it saves, even for few rows.
+    """
+    if len(masks) <= 32:
+        return [meet_rows(rows, m, full) for m in masks]
+    return list(map(meet_table(rows, full), masks))
 
 
 def names_of(mask, names):

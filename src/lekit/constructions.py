@@ -96,8 +96,8 @@ def filter_ideal_frame(alg, check_normal=True):
             raise NonNormalAlgebraError(report.message)
     fs = filters(alg)
     is_ = ideals(alg)
-    w_names = [f"F({alg.names[a]})" for a in range(alg.size)]
-    u_names = [f"I({alg.names[a]})" for a in range(alg.size)]
+    w_names = [f"F({x})" for x in alg.names]
+    u_names = [f"I({x})" for x in alg.names]
     pairs = [
         (i, j)
         for i in range(alg.size)
@@ -144,7 +144,9 @@ def product_algebra(a, b):
     """The direct product of two finite algebras over one signature."""
     if a.signature != b.signature:
         raise FormatError("product components must share one signature")
-    names = [f"({x}, {y})" for x in a.names for y in b.names]
+
+    def names():
+        return [f"({x}, {y})" for x in a.names for y in b.names]
 
     def pid(i, j):
         return i * b.size + j
@@ -167,5 +169,5 @@ def product_algebra(a, b):
             bi = tuple(x % b.size for x in args)
             table[args] = pid(a.ops[conn.name][ai], b.ops[conn.name][bi])
         ops[conn.name] = table
-    # a product of lattices is a lattice: its tables wait for a reader
+    # a product of lattices is a lattice: its tables and names wait for a reader
     return FiniteAlgebra.from_cones(names, above, below, a.signature, ops, lattice=True)

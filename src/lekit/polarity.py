@@ -8,8 +8,8 @@ Concepts are stable pairs (extent, intent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .bitset import meet_rows, meet_table, names_of
 from .errors import CapExceededError, FormatError
@@ -126,8 +126,12 @@ class Polarity:
         return f"Polarity(|W|={self.nw}, |U|={self.nu}, |N|={len(self.pairs)})"
 
 
-@dataclass(frozen=True, order=True)
-class Concept:
+class Concept(NamedTuple):
+    """A stable pair, as masks over W and U.
+
+    A tuple: it sorts, hashes and compares equal as the pair (extent, intent).
+    """
+
     extent: int
     intent: int
 
@@ -196,7 +200,7 @@ def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
         down = meet_table(pol.cols, pol.full_w)
         pairs = _close_by_one(pol.rows, down, pol.nw, pol.full_u, cap)
         pairs.sort()
-        return [Concept(e, i) for e, i in pairs]
+        return list(map(Concept._make, pairs))
     up = meet_table(pol.rows, pol.full_u)
     pairs = _close_by_one(pol.cols, up, pol.nu, pol.full_w, cap)
     pairs.sort(key=itemgetter(1))

@@ -1,4 +1,4 @@
-"""Seeded random generators for frames, formulas and morphisms.
+"""Seeded random generators for frames, and the morphisms of the search.
 
 Used by the test suite and by the bounded falsification search.  Random
 unary relations are made compatible by alternately closing rows and
@@ -11,19 +11,9 @@ from .algebra import build_complex_algebra
 from .bitset import bits
 from .constructions import coproduct
 from .frame import Frame, Relation, connective_sorts
-from .morphism import DualHom, PMorphism, dual_pmorphism
+from .morphism import DualHom, dual_pmorphism
 from .polarity import Polarity
-from .syntax import (
-    And,
-    BOT,
-    Conn,
-    Connective,
-    Or,
-    Prop,
-    Sequent,
-    Signature,
-    TOP,
-)
+from .syntax import Connective, Signature
 
 SIG_BOX = Signature((Connective("box", "G", 1, ("1",)),))
 
@@ -75,37 +65,6 @@ def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
     return Frame(pol, SIG_BOX, {"box": rel})
 
 
-def random_formula(rng, sig, props, max_depth):
-    if max_depth == 0 or rng.random() < 0.3:
-        return rng.choice([Prop(p) for p in props] + [TOP, BOT])
-    choices = ["and", "or"] + [c.name for c in sig.connectives]
-    pick = rng.choice(choices)
-    if pick == "and":
-        return And(
-            random_formula(rng, sig, props, max_depth - 1),
-            random_formula(rng, sig, props, max_depth - 1),
-        )
-    if pick == "or":
-        return Or(
-            random_formula(rng, sig, props, max_depth - 1),
-            random_formula(rng, sig, props, max_depth - 1),
-        )
-    conn = sig.get(pick)
-    return Conn(
-        pick,
-        tuple(
-            random_formula(rng, sig, props, max_depth - 1) for _ in range(conn.arity)
-        ),
-    )
-
-
-def random_sequent(rng, sig, props, max_depth):
-    return Sequent(
-        random_formula(rng, sig, props, max_depth),
-        random_formula(rng, sig, props, max_depth),
-    )
-
-
 def component_embedding(f1, f2, cap=None):
     """The injective p-morphism of f1 into the coproduct of f1 and f2.
 
@@ -137,11 +96,3 @@ def diagonal_surjection(fr, cap=None):
         cod.index_of_extent(c.extent | (c.extent << nw)) for c in dom.concepts
     )
     return dual_pmorphism(DualHom(mapping, dom, cod)), cop
-
-
-def identity_pmorphism(fr):
-    """The identity p-morphism: S is the incidence, T its converse."""
-    pol = fr.polarity
-    s_pairs = {(w, u) for w, u in pol.pairs}
-    t_pairs = {(u, w) for w, u in pol.pairs}
-    return PMorphism(fr, fr, s_pairs, t_pairs)

@@ -17,12 +17,14 @@ from lekit import (
     CapExceededError,
     Conn,
     Connective,
+    FiniteAlgebra,
     FormatError,
     Frame,
     IncompatibleFrameError,
     Model,
     NotALatticeError,
     Or,
+    PMorphism,
     Polarity,
     Prop,
     Sequent,
@@ -35,12 +37,13 @@ from lekit import (
     model_validates,
     props_of,
 )
-from lekit.algebra import NormalityReport
+from lekit.algebra import NormalityReport, _columns, _residuated
 from lekit.bitset import bits
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
 from lekit.frame import CompatibilityReport, Relation, connective_sorts, section_zero
 from lekit.morphism import PMorphismReport
 from lekit.sampling import SIG_BOX, random_polarity
+from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -187,6 +190,36 @@ def product_leq_by_pairs(a, b):
     return leq
 
 
+def le(alg, i, j):
+    """Whether element i is below element j, read from the cones."""
+    return bool(alg.above[i] >> j & 1)
+
+
+def eager_build(alg, names):
+    """alg built again the way an order given by the user is built: from its
+    cones with lattice=False, so the order is checked, both tables are filled
+    and names, given here by the caller, are the element names.  The oracle
+    of the lattices by construction, which skip all three.  Raises
+    NotALatticeError where that build refuses alg's order.
+    """
+    return FiniteAlgebra.from_cones(names, alg.above, alg.below, alg.signature, alg.ops)
+
+
+def concept_names(alg):
+    """The element names of a complex algebra: each concept's extent and
+    intent as sets of point names."""
+    pol = alg.frame.polarity
+    return [
+        f"({_names_shown(c.extent, pol.w_names)}, {_names_shown(c.intent, pol.u_names)})"
+        for c in alg.concepts
+    ]
+
+
+def product_names(a_names, b_names):
+    """The element names of a product algebra, from its factors' names."""
+    return [f"({x}, {y})" for x in a_names for y in b_names]
+
+
 def leq_closure_fixpoint(n, pairs):
     """Reflexive-transitive closure of index pairs, rescanning until stable."""
     leq = [[i == j for j in range(n)] for i in range(n)]
@@ -281,6 +314,15 @@ def build_table(names, cone, what):
             row.append(best)
         table.append(tuple(row))
     return tuple(table)
+
+
+def residuated(alg):
+    """Whether every operation is residuated in each coordinate: the verdict
+    of verify_normality, without the tables or a witness."""
+    return all(
+        _residuated(col, gather, principal)
+        for _, _, _, col, gather, principal in _columns(alg)
+    )
 
 
 def normality_by_lookup(alg):
@@ -533,6 +575,45 @@ def random_frame(rng, sig, max_size):
     pol = random_polarity(rng, rng.randint(1, max_size), rng.randint(1, max_size))
     relations = {conn.name: random_relation(rng, pol, conn) for conn in sig.connectives}
     return Frame(pol, sig, relations)
+
+
+def random_formula(rng, sig, props, max_depth):
+    if max_depth == 0 or rng.random() < 0.3:
+        return rng.choice([Prop(p) for p in props] + [TOP, BOT])
+    choices = ["and", "or"] + [c.name for c in sig.connectives]
+    pick = rng.choice(choices)
+    if pick == "and":
+        return And(
+            random_formula(rng, sig, props, max_depth - 1),
+            random_formula(rng, sig, props, max_depth - 1),
+        )
+    if pick == "or":
+        return Or(
+            random_formula(rng, sig, props, max_depth - 1),
+            random_formula(rng, sig, props, max_depth - 1),
+        )
+    conn = sig.get(pick)
+    return Conn(
+        pick,
+        tuple(
+            random_formula(rng, sig, props, max_depth - 1) for _ in range(conn.arity)
+        ),
+    )
+
+
+def random_sequent(rng, sig, props, max_depth):
+    return Sequent(
+        random_formula(rng, sig, props, max_depth),
+        random_formula(rng, sig, props, max_depth),
+    )
+
+
+def identity_pmorphism(fr):
+    """The identity p-morphism: S is the incidence, T its converse."""
+    pol = fr.polarity
+    s_pairs = {(w, u) for w, u in pol.pairs}
+    t_pairs = {(u, w) for w, u in pol.pairs}
+    return PMorphism(fr, fr, s_pairs, t_pairs)
 
 
 # The family/order-type versions of the code that now reads sorts, kept as

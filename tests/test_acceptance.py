@@ -41,14 +41,17 @@ from lekit.sampling import (
     SIG_BOX,
     component_embedding,
     diagonal_surjection,
-    identity_pmorphism,
     random_box_frame,
-    random_formula,
-    random_sequent,
 )
 from lekit.syntax import And, BOT, Conn, Connective, Or, Prop, Signature, TOP
 
-from conftest import all_box_frames_2x2, golden_path
+from conftest import (
+    all_box_frames_2x2,
+    golden_path,
+    identity_pmorphism,
+    random_formula,
+    random_sequent,
+)
 
 
 def _report(name, elapsed, budget):

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from lekit import (
+    ComplexAlgebra,
     FiniteAlgebra,
     Frame,
     IncompatibleFrameError,
@@ -15,6 +16,7 @@ from lekit import (
     algebra_from_dict,
     algebra_validates,
     build_complex_algebra,
+    check_compatibility,
     check_complete_homomorphism,
     coproduct,
     enumerate_concepts,
@@ -24,7 +26,6 @@ from lekit import (
     product_algebra,
     verify_normality,
 )
-from lekit.algebra import residuated
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
@@ -42,13 +43,18 @@ from conftest import (
     check_order,
     complex_algebra_ops_by_family,
     concept_leq_by_extents,
+    concept_names,
     cones_of,
+    eager_build,
     find_isomorphism_by_leq,
+    le,
     leq_closure_fixpoint,
     mask_of,
     normality_by_lookup,
     product_leq_by_pairs,
+    product_names,
     random_frame,
+    residuated,
 )
 
 
@@ -447,7 +453,7 @@ def test_find_isomorphism_matches_matrix_search_on_coproduct_law_pairs():
 
 def test_le_and_to_dict_read_the_cones():
     alg = diamond()
-    assert [[alg.le(i, j) for j in range(4)] for i in range(4)] == [
+    assert [[le(alg, i, j) for j in range(4)] for i in range(4)] == [
         list(row) for row in alg.leq
     ]
     again = algebra_from_dict(alg.to_dict())
@@ -579,3 +585,129 @@ def test_complex_algebra_ops_match_family_branches():
         assert build_complex_algebra(fr, check=False).ops == expect
         built += 1
     assert built >= 60 and refused
+
+
+def _incompatible_algebras(rng, sig, count):
+    """Complex algebras, built with check=False, of random frames that fail
+    the compatibility check but whose operations stay in the concept lattice."""
+    found = []
+    while len(found) < count:
+        frame = random_frame(rng, sig, 3)
+        if check_compatibility(frame).passed:
+            continue
+        try:
+            found.append(build_complex_algebra(frame, check=False))
+        except IncompatibleFrameError:
+            pass
+    return found
+
+
+def _complex_algebras_by_construction(rng):
+    """Seeded complex algebras of box, boolean and SIG_MIX frames, several of
+    them built with check=False, some from frames that are not compatible."""
+    algebras = [build_complex_algebra(random_box_frame(rng, 4, 4)) for _ in range(8)]
+    algebras += [build_complex_algebra(_box_frame(rng, side, side, 0.7)) for side in (6, 9, 12)]
+    for k in (1, 2, 3):
+        for conns in (_binary_connectives(rng), SIG_MIX.connectives):
+            algebras.append(build_complex_algebra(boolean_frame(rng, k, conns), check=False))
+    algebras += _incompatible_algebras(rng, SIG_MIX, 4)
+    algebras += _incompatible_algebras(rng, SIG_BOX, 6)
+    return algebras
+
+
+def _agrees_with_eager_build(alg, names, leq):
+    """alg passes the eager build, and its order, tables, bounds and names
+    are that build's, with leq as the order."""
+    eager = eager_build(alg, names)
+    assert alg.leq == eager.leq == tuple(map(tuple, leq))
+    assert (alg.meet, alg.join) == (eager.meet, eager.join)
+    assert (alg.top, alg.bot) == (eager.top, eager.bot)
+    assert alg.names == eager.names == tuple(names)
+    if alg.size <= 60:  # the triple scan is cubic
+        check_order(leq)
+
+
+def test_lattices_by_construction_match_the_eager_build():
+    rng = random.Random(71)
+    algebras = _complex_algebras_by_construction(rng)
+    for alg in algebras:
+        _agrees_with_eager_build(alg, concept_names(alg), concept_leq_by_extents(alg.concepts))
+    assert any(not check_compatibility(alg.frame).passed for alg in algebras)
+    assert max(alg.size for alg in algebras) > 100
+    sizes = []
+    for a, b in zip(algebras, algebras[1:] + algebras[:1]):
+        if a.signature != b.signature or a.size * b.size > 400:
+            continue
+        prod = product_algebra(a, b)
+        names = product_names(concept_names(a), concept_names(b))
+        _agrees_with_eager_build(prod, names, product_leq_by_pairs(a, b))
+        sizes.append(prod.size)
+    assert len(sizes) >= 10 and max(sizes) > 50
+
+
+@pytest.mark.parametrize(
+    "leq, message",
+    [
+        ([[1, 0], [0, 0]], "leq is not reflexive"),
+        ([[1, 1], [1, 1]], "leq is not antisymmetric"),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "leq is not transitive"),
+    ],
+)
+def test_orders_given_by_the_user_are_checked(leq, message):
+    leq = [[bool(x) for x in row] for row in leq]
+    names = [f"e{i}" for i in range(len(leq))]
+    with pytest.raises(NotALatticeError, match=f"^{message}$"):
+        FiniteAlgebra(names, leq, EMPTY_SIGNATURE, {})
+    above, below = cones_of(leq)
+    with pytest.raises(NotALatticeError, match=f"^{message}$"):
+        FiniteAlgebra.from_cones(names, above, below, EMPTY_SIGNATURE, {})
+
+
+def test_algebra_files_are_checked():
+    # a file's leq is closed reflexively and transitively, so of the three
+    # order laws only antisymmetry can fail there
+    data = {
+        "elements": ["a", "b", "c"],
+        "leq": [["a", "b"], ["b", "c"], ["c", "a"]],
+        "signature": {"connectives": []},
+        "ops": {},
+    }
+    with pytest.raises(NotALatticeError, match="^leq is not antisymmetric$"):
+        algebra_from_dict(data)
+
+
+def test_complex_algebra_refuses_a_repeated_concept(frame_f1):
+    alg = build_complex_algebra(frame_f1)
+    with pytest.raises(NotALatticeError, match="^leq is not antisymmetric$"):
+        ComplexAlgebra(frame_f1, alg.concepts + alg.concepts[:1], alg.ops)
+
+
+def test_lattices_by_construction_do_no_hidden_work(monkeypatch):
+    # building, checking normality and validity make no order check and
+    # no names; only a reader of the names (messages, to_dict) builds them
+    checked = []
+    check_order_of = FiniteAlgebra._check_order
+
+    def counted(alg):
+        checked.append(alg)
+        return check_order_of(alg)
+
+    monkeypatch.setattr(FiniteAlgebra, "_check_order", counted)
+    rng = random.Random(73)
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.6)) for side in (4, 8, 12)]
+    booleans = [
+        build_complex_algebra(boolean_frame(rng, k, SIG_BOX.connectives), check=False)
+        for k in (2, 3)
+    ]
+    products = [product_algebra(boxes[0], boxes[1]), product_algebra(*booleans)]
+    for alg in boxes + booleans + products:
+        assert verify_normality(alg).passed
+        assert not {"names", "meet", "join", "leq"} & set(vars(alg))
+        algebra_validates(alg, seq)
+        assert "names" not in vars(alg)
+    assert not checked
+    # the count does see the order check of an algebra given by its order
+    assert products[0].names[1] == f"({boxes[0].names[0]}, {boxes[1].names[1]})"
+    algebra_from_dict(products[0].to_dict())
+    assert len(checked) == 1

@@ -42,7 +42,7 @@ from lekit.fol import (
     SEQUENT_FORMS,
     Var,
 )
-from lekit.sampling import SIG_BOX, random_box_frame, random_formula, random_sequent
+from lekit.sampling import SIG_BOX, random_box_frame
 
 from conftest import (
     PROPS,
@@ -50,7 +50,9 @@ from conftest import (
     all_box_frames_2x2,
     boolean_frame,
     eval_fo_recursive,
+    random_formula,
     random_frame,
+    random_sequent,
     renamed,
     translate_sequent_by_family,
 )

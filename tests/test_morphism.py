@@ -16,14 +16,15 @@ from lekit import (
     is_injective,
     is_surjective,
 )
-from lekit.sampling import (
-    component_embedding,
-    diagonal_surjection,
-    identity_pmorphism,
-    random_box_frame,
-)
+from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
 
-from conftest import SIG_MIX, pmorphism_report_by_family, random_frame, random_relation
+from conftest import (
+    SIG_MIX,
+    identity_pmorphism,
+    pmorphism_report_by_family,
+    random_frame,
+    random_relation,
+)
 
 
 def test_embedding_example_passes(m1_morphism):

@@ -14,8 +14,8 @@ from lekit import (
     frame_validates,
     parse_sequent,
 )
-from lekit.bitset import bits, meet_rows, meet_table, names_of
-from lekit.polarity import concept_of_u, concept_of_w
+from lekit.bitset import bits, meet_each, meet_rows, meet_table, names_of, transpose
+from lekit.polarity import Concept, concept_of_u, concept_of_w
 from lekit.sampling import random_box_frame
 
 from conftest import brute_concepts, concepts_by_next_closure, mask_of, subsets
@@ -207,10 +207,37 @@ def _differential_polarities():
 
 @pytest.mark.parametrize("pol", list(_differential_polarities()))
 def test_close_by_one_matches_next_closure(pol):
-    got = [(c.extent, c.intent) for c in enumerate_concepts(pol, 1 << 20)]
+    concepts = enumerate_concepts(pol, 1 << 20)
+    got = [(c.extent, c.intent) for c in concepts]
     assert got == concepts_by_next_closure(pol, 1 << 20)
+    assert concepts == got and all(type(c) is Concept for c in concepts)
     if max(pol.nw, pol.nu) <= 12:
         assert got == sorted(brute_concepts(pol))
+
+
+def test_concept_is_the_pair_it_holds():
+    # Concept is a named (extent, intent) pair: it sorts, hashes and unpacks
+    # as that pair, and it compares equal to the plain tuple on purpose, so
+    # a set or dict of pairs finds a concept and the reverse
+    pol = Polarity(["a", "b", "c"], ["x", "y"], [(0, 0), (1, 1), (2, 0), (2, 1)])
+    concepts = enumerate_concepts(pol)
+    pairs = sorted(brute_concepts(pol))
+    assert concepts == pairs == [(c.extent, c.intent) for c in concepts]
+    assert sorted(reversed(concepts)) == concepts
+    assert sorted([Concept(2, 1), Concept(1, 3), Concept(1, 2)]) == [(1, 2), (1, 3), (2, 1)]
+    c = concepts[1]
+    extent, intent = c
+    assert (extent, intent) == (c.extent, c.intent) == (c[0], c[1])
+    assert hash(c) == hash((extent, intent))
+    assert {c} == {(extent, intent)} and (extent, intent) in set(concepts)
+    assert Concept(extent, intent) == c and Concept(intent, extent) != c
+    assert repr(Concept(1, 2)) == "Concept(extent=1, intent=2)"
+    assert [d.show(pol) for d in concepts] == [
+        "({c}, {x, y})",
+        "({a, c}, {x})",
+        "({b, c}, {y})",
+        "({a, b, c}, {})",
+    ]
 
 
 @pytest.mark.parametrize("nw,nu", [(7, 11), (11, 7)])
@@ -241,6 +268,19 @@ def test_meet_table_matches_meet_rows(width):
         masks += [1 << i for i in range(width)] + [every ^ 1 << i for i in range(width)]
         for m in masks:
             assert meet(m) == meet_rows(rows, m, full), (row_bits, m)
+        for count in (0, 1, 32, 33, len(masks)):  # both sides of meet_each's choice
+            assert meet_each(rows, masks[:count], full) == list(map(meet, masks[:count]))
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17])
+def test_transpose_swaps_rows_and_columns(width):
+    rng = random.Random(width)
+    for count in (0, 1, 9, 100):
+        masks = [rng.getrandbits(width) if width else 0 for _ in range(count)]
+        columns = transpose(masks, width)
+        assert len(columns) == width
+        for j, col in enumerate(columns):
+            assert col == mask_of(k for k, m in enumerate(masks) if m >> j & 1)
 
 
 def test_no_memo_on_the_polarity():

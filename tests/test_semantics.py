@@ -42,12 +42,7 @@ from lekit import (
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
 from lekit.frame import Relation, connective_sorts
-from lekit.sampling import (
-    SIG_BOX,
-    random_box_frame,
-    random_formula,
-    random_sequent,
-)
+from lekit.sampling import SIG_BOX, random_box_frame
 
 from conftest import (
     GOLDEN,
@@ -57,7 +52,9 @@ from conftest import (
     all_box_frames_2x2,
     boolean_frame,
     frame_validates_by_models,
+    random_formula,
     random_frame,
+    random_sequent,
     renamed,
 )
 
