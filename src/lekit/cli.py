@@ -32,7 +32,7 @@ from .frame import (
     load_frame,
     save_frame,
 )
-from .morphism import check_pmorphism, is_injective, is_surjective, load_morphism
+from .morphism import check_pmorphism, load_morphism
 from .polarity import enumerate_concepts
 from .reading import read_json
 from .semantics import frame_validates
@@ -193,14 +193,8 @@ def run(args):
         source = _load(args.source, args)
         target = _load(args.target, args)
         pm = load_morphism(args.morphism, source, target)
-        report = check_pmorphism(pm)
-        data = report.to_dict()
-        text = report.message
-        if report.passed:
-            data["surjective"] = is_surjective(pm, cap)
-            data["injective"] = is_injective(pm, cap)
-            text += f"\nsurjective: {data['surjective']}\ninjective: {data['injective']}"
-        _emit(args, data, text)
+        report = check_pmorphism(pm, cap)
+        _emit(args, report.to_dict(), report.message)
         return 0 if report.passed else 1
 
     if args.command == "filter-ideal":

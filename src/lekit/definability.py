@@ -9,16 +9,21 @@ axiomatization.
 Conditions apply to frames with a single unary connective whose relation
 pairs a W point with a U point (either orientation); R below is read as
 a subset of W x U.
+
+One table (_WITNESS) says, per construction, which frames of a witness
+must satisfy the condition and which must then fail it.  falsify walks it
+after one p-morphism check; the search judges each draw on it by bare
+condition checks and returns falsify's report on the first hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .constructions import coproduct, filter_ideal_extension
 from .errors import FormatError, InvalidPMorphismError
-from .frame import check_compatibility
-from .morphism import check_pmorphism, is_injective, is_surjective
+from .morphism import check_pmorphism
 from .sampling import component_embedding, diagonal_surjection, random_box_frame
 
 
@@ -116,6 +121,43 @@ class FalsifyReport:
         }
 
 
+# Per construction: what a p-morphism witness must be, with the detail line
+# saying it is (None: no morphism); the name ("{}" is a number) and the map
+# from a witness (frames, morphism, cap) to the frames that must satisfy the
+# condition; the name and the map to the frame that must then fail it, which
+# runs only once the others pass (so a search builds few coproducts).
+_WITNESS = {
+    "coproduct": (
+        None, "component {}", lambda frames, pm, cap: frames,
+        "the coproduct", lambda frames, pm, cap: coproduct(frames),
+    ),
+    "pmorphic-image": (
+        ("surjective", "verified surjective p-morphism"),
+        "the source", lambda frames, pm, cap: (pm.source,),
+        "the image", lambda frames, pm, cap: pm.target,
+    ),
+    "generated-subframe": (
+        ("injective", "verified injective p-morphism; the source is a generated subframe"),
+        "the ambient frame", lambda frames, pm, cap: (pm.target,),
+        "the subframe", lambda frames, pm, cap: pm.source,
+    ),
+    "filter-ideal": (
+        None, "the filter-ideal extension",
+        lambda frames, pm, cap: (filter_ideal_extension(frames[0], cap),),
+        "the frame", lambda frames, pm, cap: frames[0],
+    ),
+}
+
+
+def _witness(construction):
+    try:
+        return _WITNESS[construction]
+    except KeyError:
+        raise FormatError(
+            f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}"
+        ) from None
+
+
 def falsify(condition, construction, frames, morphism=None, cap=None):
     """Check a closure violation witness for the given construction.
 
@@ -126,107 +168,57 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
     does not.  filter-ideal: a frame whose filter-ideal extension
     satisfies it while the frame itself does not.
     """
+    needs, keeper, keepers, loser, last = _witness(construction)
     details = []
-    if construction == "coproduct":
-        for k, fr in enumerate(frames):
-            holds, witness = check_condition(condition, fr)
-            if not holds:
-                details.append(f"component {k + 1} fails the condition: {witness}")
-                return FalsifyReport(False, condition, construction, details)
-            details.append(f"component {k + 1} satisfies the condition")
-        cop = coproduct(frames)
-        holds, witness = check_condition(condition, cop)
-        if holds:
-            details.append("the coproduct also satisfies the condition")
-            return FalsifyReport(False, condition, construction, details)
-        details.append(f"the coproduct fails it: {witness}")
-        return FalsifyReport(True, condition, construction, details)
-
-    if construction in ("pmorphic-image", "generated-subframe"):
+    if needs:
         if morphism is None:
             raise FormatError(f"{construction} needs a morphism witness")
-        report = check_pmorphism(morphism)
+        report = check_pmorphism(morphism, cap)
         if not report.passed:
             raise InvalidPMorphismError(report.message)
-        if construction == "pmorphic-image":
-            if not is_surjective(morphism, cap):
-                details.append("the p-morphism is not surjective")
-                return FalsifyReport(False, condition, construction, details)
-            keeper, loser = morphism.source, morphism.target
-            details.append("verified surjective p-morphism")
-            roles = ("source", "image")
-        else:
-            if not is_injective(morphism, cap):
-                details.append("the p-morphism is not injective")
-                return FalsifyReport(False, condition, construction, details)
-            keeper, loser = morphism.target, morphism.source
-            details.append("verified injective p-morphism; the source is a generated subframe")
-            roles = ("ambient frame", "subframe")
-        holds, witness = check_condition(condition, keeper)
-        if not holds:
-            details.append(f"the {roles[0]} fails the condition: {witness}")
+        what, line = needs
+        if not getattr(report, what):
+            details.append(f"the p-morphism is not {what}")
             return FalsifyReport(False, condition, construction, details)
-        details.append(f"the {roles[0]} satisfies the condition")
-        holds, witness = check_condition(condition, loser)
-        if holds:
-            details.append(f"the {roles[1]} also satisfies the condition")
-            return FalsifyReport(False, condition, construction, details)
-        details.append(f"the {roles[1]} fails it: {witness}")
-        return FalsifyReport(True, condition, construction, details)
-
-    if construction == "filter-ideal":
-        (fr,) = frames
-        ext = filter_ideal_extension(fr, cap)
-        holds, witness = check_condition(condition, ext)
-        if not holds:
-            details.append(f"the filter-ideal extension fails the condition: {witness}")
-            return FalsifyReport(False, condition, construction, details)
-        details.append("the filter-ideal extension satisfies the condition")
+        details.append(line)
+    elif construction == "filter-ideal" and len(frames) != 1:
+        raise FormatError(f"filter-ideal needs exactly one frame, got {len(frames)}")
+    for k, fr in enumerate(keepers(frames, morphism, cap), 1):
         holds, witness = check_condition(condition, fr)
-        if holds:
-            details.append("the frame also satisfies the condition")
+        if not holds:
+            details.append(f"{keeper.format(k)} fails the condition: {witness}")
             return FalsifyReport(False, condition, construction, details)
-        details.append(f"the frame fails it: {witness}")
-        return FalsifyReport(True, condition, construction, details)
-
-    raise FormatError(
-        f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}"
-    )
+        details.append(f"{keeper.format(k)} satisfies the condition")
+    holds, witness = check_condition(condition, last(frames, morphism, cap))
+    details.append(f"{loser} also satisfies the condition" if holds else f"{loser} fails it: {witness}")
+    return FalsifyReport(not holds, condition, construction, details)
 
 
 def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
-    """Bounded random search for a falsifying witness; None if not found."""
+    """Bounded random search for a falsifying witness; None if not found.
+
+    Each draw is judged by bare condition checks, since the drawn
+    p-morphisms are surjective or injective by construction; the first hit
+    is returned as falsify's report on it.
+    """
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}")
+    _, _, keepers, _, last = _witness(construction)
+    draw = partial(random_box_frame, rng, max_size, max_size)
     for _ in range(tries):
+        frames, pm = [], None
         if construction == "coproduct":
-            f1 = random_box_frame(rng, max_size, max_size)
-            f2 = random_box_frame(rng, max_size, max_size)
-            if not check_condition(condition, f1)[0]:
-                continue
-            if not check_condition(condition, f2)[0]:
-                continue
-            if not check_condition(condition, coproduct([f1, f2]))[0]:
-                return falsify(condition, construction, [f1, f2])
+            frames = [draw(), draw()]
         elif construction == "pmorphic-image":
-            fr = random_box_frame(rng, max_size, max_size)
-            pm, cop = diagonal_surjection(fr)
-            if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
-                if not check_condition(condition, fr)[0]:
-                    return falsify(condition, construction, [], morphism=pm, cap=cap)
+            pm, _ = diagonal_surjection(draw(), cap)
         elif construction == "generated-subframe":
-            f1 = random_box_frame(rng, max_size, max_size)
-            f2 = random_box_frame(rng, max_size, max_size)
-            pm, cop = component_embedding(f1, f2)
-            if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
-                return falsify(condition, construction, [], morphism=pm, cap=cap)
-        elif construction == "filter-ideal":
-            fr = random_box_frame(rng, max_size, max_size)
-            ext = filter_ideal_extension(fr, cap)
-            if check_condition(condition, ext)[0] and not check_condition(condition, fr)[0]:
-                return falsify(condition, construction, [fr], cap=cap)
+            pm, _ = component_embedding(draw(), draw(), cap)
         else:
-            raise FormatError(
-                f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}"
-            )
+            frames = [draw()]
+        for fr in keepers(frames, pm, cap):
+            if not check_condition(condition, fr)[0]:
+                break
+        else:
+            if not check_condition(condition, last(frames, pm, cap))[0]:
+                return falsify(condition, construction, frames, morphism=pm, cap=cap)
     return None

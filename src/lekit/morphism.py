@@ -8,9 +8,12 @@ are the up and down maps: the S 0-section of a set of target U points is
 S.down of it, the T 0-section of a set of target W points is T.down.
 
 The dual sends a target concept a to the source concept whose extent is
-the S 0-section of the intent of a; the T 0-section of the extent of a
-closes down to the same extent (this is checked as a diagnostic), though
-it need not itself be a closed intent.
+the S 0-section of the intent of a, its S-image; the T 0-section of the
+extent of a closes down to the same extent (this is checked as a
+diagnostic), though it need not itself be a closed intent.  A check
+enumerates the target's concepts once, and their S-images also say
+whether the p-morphism is surjective and injective; dual_hom checks on
+the concepts of the target algebra it builds.
 """
 
 from __future__ import annotations
@@ -70,28 +73,53 @@ def load_morphism(path, source, target):
 
 @dataclass
 class PMorphismReport:
+    """A p-morphism check; a pass also says whether the map is onto and one-to-one."""
+
     passed: bool
     condition: str = None
     witness: str = None
+    surjective: bool = None
+    injective: bool = None
 
     @property
     def message(self):
         if self.passed:
-            return "PASS: (S, T) is a p-morphism"
+            return (
+                "PASS: (S, T) is a p-morphism\n"
+                f"surjective: {self.surjective}\ninjective: {self.injective}"
+            )
         return f"FAIL: condition {self.condition} violated: {self.witness}"
 
     def to_dict(self):
-        out = {"passed": self.passed}
-        if not self.passed:
-            out.update(condition=self.condition, witness=self.witness)
-        return out
+        if self.passed:
+            return {"passed": True, "surjective": self.surjective, "injective": self.injective}
+        return {"passed": False, "condition": self.condition, "witness": self.witness}
 
 
 def _show(mask, names):
     return "{" + ", ".join(names_of(mask, names)) + "}"
 
 
-def check_pmorphism(pm, with_duality_diagnostic=True):
+def _images(pm, concepts):
+    """The S-image of each target concept: the S-0-section of its intent."""
+    return [pm.S.down(c.intent) for c in concepts]
+
+
+def _onto(images):
+    """Distinct target concepts have distinct S-images."""
+    return len(set(images)) == len(images)
+
+
+def _one_to_one(pm, images):
+    """Every source concept is an S-image.  The images of a p-morphism's
+    dual map are closed under joins and a concept is the join of its W
+    points' concepts, so the extents of those (down of a row) decide it."""
+    images = set(images)
+    sp = pm.source.polarity
+    return all(sp.down(row) in images for row in sp.rows)
+
+
+def check_pmorphism(pm, cap=None):
     """Check the p-morphism conditions, reporting the first violation.
 
     Checked in order: stability of the S sections (source and target
@@ -99,8 +127,19 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
     back-and-forth inclusion, the section-pair identity at every target
     concept (a consequence of the definition, kept as a diagnostic), the
     second inclusion, and the relation conditions for every connective
-    at all target point tuples.
+    at all target point tuples.  The target's concepts are enumerated
+    first, once, under cap, and a pass reports from their S-images whether
+    the map is surjective and injective.
     """
+    concepts = enumerate_concepts(pm.target.polarity, cap)
+    images = _images(pm, concepts)
+    return _fault(pm, concepts, images) or PMorphismReport(
+        True, surjective=_onto(images), injective=_one_to_one(pm, images)
+    )
+
+
+def _fault(pm, concepts, images):
+    """check_pmorphism's failing report or None, on the target's concepts."""
     sp = pm.source.polarity
     tp = pm.target.polarity
 
@@ -137,17 +176,15 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                 f"at {tp.w_names[w]}: the T-0-section closed down = {_show(lhs, sp.w_names)} "
                 f"is not contained in {_show(rhs, sp.w_names)}",
             )
-    if with_duality_diagnostic:
-        for c in enumerate_concepts(tp):
-            lhs = sp.down(pm.T.down(c.extent))
-            rhs = pm.S.down(c.intent)
-            if lhs != rhs:
-                return PMorphismReport(
-                    False, "duality diagnostic",
-                    f"at concept {c.show(tp)}: (T-0-section of the extent) closed down "
-                    f"= {_show(lhs, sp.w_names)} differs from the S-0-section of the "
-                    f"intent {_show(rhs, sp.w_names)}",
-                )
+    for c, rhs in zip(concepts, images):
+        lhs = sp.down(pm.T.down(c.extent))
+        if lhs != rhs:
+            return PMorphismReport(
+                False, "duality diagnostic",
+                f"at concept {c.show(tp)}: (T-0-section of the extent) closed down "
+                f"= {_show(lhs, sp.w_names)} differs from the S-0-section of the "
+                f"intent {_show(rhs, sp.w_names)}",
+            )
     for w in range(sp.nw):
         lhs = pm.T.down(tp.down(pm.S.up(1 << w)))
         rhs = sp.rows[w]
@@ -184,53 +221,40 @@ def check_pmorphism(pm, with_duality_diagnostic=True):
                     f"{_show(lhs, side_names)} != {_show(rhs, side_names)}",
                 )
 
-    return PMorphismReport(True)
+    return None
 
 
 @dataclass
 class DualHom:
     """A complete homomorphism from the target's algebra to the source's.
 
-    mapping[i] is the index in cod of the image of dom's concept i.
-    raw_extents / raw_intents keep the section pair used to build each
-    image; the raw intent can differ from the image concept's intent, and
-    dualizing uses it to reproduce T exactly.
+    mapping[i] is the index in cod of the image of dom's concept i, whose
+    extent is the S-0-section of concept i's intent.  raw_intents keeps
+    the T-0-section of each concept's extent; it can differ from the image
+    concept's intent, and dualizing uses it to reproduce T exactly.
     """
 
     mapping: tuple
     dom: object
     cod: object
-    raw_extents: tuple = field(default=None)
     raw_intents: tuple = field(default=None)
 
 
-def dual_hom(pm, check=True, cap=None):
+def dual_hom(pm, cap=None):
     """The dual algebra map of a p-morphism.
 
-    Returns a DualHom from the target frame's complex algebra to the
-    source frame's.
+    Builds the target frame's complex algebra, checks the p-morphism on
+    its concepts (InvalidPMorphismError if it fails), and returns a
+    DualHom from that algebra to the source frame's.
     """
-    if check:
-        report = check_pmorphism(pm)
-        if not report.passed:
-            raise InvalidPMorphismError(report.message)
     dom = build_complex_algebra(pm.target, cap=cap, check=False)
+    images = _images(pm, dom.concepts)
+    fault = _fault(pm, dom.concepts, images)
+    if fault:
+        raise InvalidPMorphismError(fault.message)
     cod = build_complex_algebra(pm.source, cap=cap, check=False)
-    mapping = []
-    raw_ext = []
-    raw_int = []
-    for c in dom.concepts:
-        ext = pm.S.down(c.intent)
-        itn = pm.T.down(c.extent)
-        try:
-            mapping.append(cod.index_of_extent(ext))
-        except KeyError:
-            raise InvalidPMorphismError(
-                f"image extent of {c.show(pm.target.polarity)} is not a concept extent"
-            ) from None
-        raw_ext.append(ext)
-        raw_int.append(itn)
-    return DualHom(tuple(mapping), dom, cod, tuple(raw_ext), tuple(raw_int))
+    raw_intents = tuple(pm.T.down(c.extent) for c in dom.concepts)
+    return DualHom(tuple(map(cod.index_of_extent, images)), dom, cod, raw_intents)
 
 
 def dual_pmorphism(hom):
@@ -248,18 +272,11 @@ def dual_pmorphism(hom):
     s_pairs = set()
     t_pairs = set()
     for u in range(tp.nu):
-        ext = tp.down(1 << u)
-        idx = hom.mapping[hom.dom.index_of_extent(ext)]
-        image_ext = (
-            hom.raw_extents[hom.dom.index_of_extent(ext)]
-            if hom.raw_extents is not None
-            else hom.cod.concepts[idx].extent
-        )
-        for w in bits(image_ext):
+        i = hom.dom.index_of_extent(tp.down(1 << u))
+        for w in bits(hom.cod.concepts[hom.mapping[i]].extent):
             s_pairs.add((w, u))
     for w in range(tp.nw):
-        ext = tp.closure_w(1 << w)
-        i = hom.dom.index_of_extent(ext)
+        i = hom.dom.index_of_extent(tp.closure_w(1 << w))
         image_int = (
             hom.raw_intents[i]
             if hom.raw_intents is not None
@@ -272,18 +289,12 @@ def dual_pmorphism(hom):
 
 def is_surjective(pm, cap=None):
     """Distinct target concepts have distinct S-section extents."""
-    seen = set()
-    for c in enumerate_concepts(pm.target.polarity, cap):
-        ext = pm.S.down(c.intent)
-        if ext in seen:
-            return False
-        seen.add(ext)
-    return True
+    return _onto(_images(pm, enumerate_concepts(pm.target.polarity, cap)))
 
 
 def is_injective(pm, cap=None):
-    """Every source concept extent is an S-section of some target concept."""
-    images = {pm.S.down(c.intent) for c in enumerate_concepts(pm.target.polarity, cap)}
-    return all(
-        c.extent in images for c in enumerate_concepts(pm.source.polarity, cap)
-    )
+    """Every source concept extent is an S-section of some target concept.
+
+    For p-morphisms only: it reads the source W points' concepts alone.
+    """
+    return _one_to_one(pm, _images(pm, enumerate_concepts(pm.target.polarity, cap)))

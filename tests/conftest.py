@@ -21,6 +21,7 @@ from lekit import (
     FormatError,
     Frame,
     IncompatibleFrameError,
+    InvalidPMorphismError,
     Model,
     NotALatticeError,
     Or,
@@ -39,10 +40,24 @@ from lekit import (
 )
 from lekit.algebra import NormalityReport, _columns, _residuated
 from lekit.bitset import bits
+from lekit.constructions import coproduct, filter_ideal_extension
+from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
-from lekit.frame import CompatibilityReport, Relation, connective_sorts, section_zero
+from lekit.frame import (
+    CompatibilityReport,
+    Relation,
+    check_compatibility,
+    connective_sorts,
+    section_zero,
+)
 from lekit.morphism import PMorphismReport
-from lekit.sampling import SIG_BOX, random_polarity
+from lekit.sampling import (
+    SIG_BOX,
+    component_embedding,
+    diagonal_surjection,
+    random_box_frame,
+    random_polarity,
+)
 from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -616,6 +631,16 @@ def identity_pmorphism(fr):
     return PMorphism(fr, fr, s_pairs, t_pairs)
 
 
+def random_pmorphism(rng, src, tgt):
+    """Random S and T pairs from src to tgt; mostly not a p-morphism."""
+    sp, tp = src.polarity, tgt.polarity
+    return PMorphism(
+        src, tgt,
+        {(w, u) for w in range(sp.nw) for u in range(tp.nu) if rng.random() < 0.5},
+        {(u, w) for u in range(sp.nu) for w in range(tp.nw) if rng.random() < 0.5},
+    )
+
+
 # The family/order-type versions of the code that now reads sorts, kept as
 # they were before the sorts took over, as oracles for the sort-keyed code.
 
@@ -784,7 +809,7 @@ def pmorphism_report_by_family(pm):
                     f"connective {conn.name!r} at ({', '.join(pts)}): "
                     f"{_names_shown(lhs, side_names)} != {_names_shown(rhs, side_names)}",
                 )
-    return PMorphismReport(True)
+    return PMorphismReport(True, surjective=is_surjective_by_scan(pm), injective=is_injective_by_scan(pm))
 
 
 def filter_ideal_frame_by_family(alg):
@@ -881,3 +906,129 @@ def translate_sequent_by_family(sequent, sig, form):
     lhs = _st_by_family(sequent.lhs, sig, "W", x, gen)
     body = FImp(FAnd(lhs, _st_by_family(sequent.rhs, sig, "U", y, gen)), NAtom(x, y))
     return Forall(x, Forall(y, body))
+
+
+# Injectivity, surjectivity and falsification as they were before one
+# p-morphism check answered them from the target's S-images: full scans of
+# both concept lists, and a search that judges every draw through falsify.
+
+
+def is_surjective_by_scan(pm, cap=None):
+    """Distinct target concepts have distinct S-section extents."""
+    seen = set()
+    for c in enumerate_concepts(pm.target.polarity, cap):
+        ext = pm.S.down(c.intent)
+        if ext in seen:
+            return False
+        seen.add(ext)
+    return True
+
+
+def is_injective_by_scan(pm, cap=None):
+    """Every source concept extent is an S-section of some target concept."""
+    images = {pm.S.down(c.intent) for c in enumerate_concepts(pm.target.polarity, cap)}
+    return all(
+        c.extent in images for c in enumerate_concepts(pm.source.polarity, cap)
+    )
+
+
+def falsify_by_branches(condition, construction, frames, morphism=None, cap=None):
+    """falsify with one branch per construction and its own p-morphism checks."""
+    details = []
+    if construction == "coproduct":
+        for k, fr in enumerate(frames):
+            holds, witness = check_condition(condition, fr)
+            if not holds:
+                details.append(f"component {k + 1} fails the condition: {witness}")
+                return FalsifyReport(False, condition, construction, details)
+            details.append(f"component {k + 1} satisfies the condition")
+        cop = coproduct(frames)
+        holds, witness = check_condition(condition, cop)
+        if holds:
+            details.append("the coproduct also satisfies the condition")
+            return FalsifyReport(False, condition, construction, details)
+        details.append(f"the coproduct fails it: {witness}")
+        return FalsifyReport(True, condition, construction, details)
+
+    if construction in ("pmorphic-image", "generated-subframe"):
+        if morphism is None:
+            raise FormatError(f"{construction} needs a morphism witness")
+        report = pmorphism_report_by_family(morphism)
+        if not report.passed:
+            raise InvalidPMorphismError(report.message)
+        if construction == "pmorphic-image":
+            if not is_surjective_by_scan(morphism, cap):
+                details.append("the p-morphism is not surjective")
+                return FalsifyReport(False, condition, construction, details)
+            keeper, loser = morphism.source, morphism.target
+            details.append("verified surjective p-morphism")
+            roles = ("source", "image")
+        else:
+            if not is_injective_by_scan(morphism, cap):
+                details.append("the p-morphism is not injective")
+                return FalsifyReport(False, condition, construction, details)
+            keeper, loser = morphism.target, morphism.source
+            details.append("verified injective p-morphism; the source is a generated subframe")
+            roles = ("ambient frame", "subframe")
+        holds, witness = check_condition(condition, keeper)
+        if not holds:
+            details.append(f"the {roles[0]} fails the condition: {witness}")
+            return FalsifyReport(False, condition, construction, details)
+        details.append(f"the {roles[0]} satisfies the condition")
+        holds, witness = check_condition(condition, loser)
+        if holds:
+            details.append(f"the {roles[1]} also satisfies the condition")
+            return FalsifyReport(False, condition, construction, details)
+        details.append(f"the {roles[1]} fails it: {witness}")
+        return FalsifyReport(True, condition, construction, details)
+
+    if construction == "filter-ideal":
+        (fr,) = frames
+        ext = filter_ideal_extension(fr, cap)
+        holds, witness = check_condition(condition, ext)
+        if not holds:
+            details.append(f"the filter-ideal extension fails the condition: {witness}")
+            return FalsifyReport(False, condition, construction, details)
+        details.append("the filter-ideal extension satisfies the condition")
+        holds, witness = check_condition(condition, fr)
+        if holds:
+            details.append("the frame also satisfies the condition")
+            return FalsifyReport(False, condition, construction, details)
+        details.append(f"the frame fails it: {witness}")
+        return FalsifyReport(True, condition, construction, details)
+
+    raise FormatError(
+        f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}"
+    )
+
+
+def search_falsification_by_branches(condition, construction, rng, max_size=3, tries=200, cap=None):
+    """search_falsification with per-construction pre-checks, through falsify_by_branches."""
+    for _ in range(tries):
+        if construction == "coproduct":
+            f1 = random_box_frame(rng, max_size, max_size)
+            f2 = random_box_frame(rng, max_size, max_size)
+            if not check_condition(condition, f1)[0]:
+                continue
+            if not check_condition(condition, f2)[0]:
+                continue
+            if not check_condition(condition, coproduct([f1, f2]))[0]:
+                return falsify_by_branches(condition, construction, [f1, f2])
+        elif construction == "pmorphic-image":
+            fr = random_box_frame(rng, max_size, max_size)
+            pm, cop = diagonal_surjection(fr)
+            if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
+                if not check_condition(condition, fr)[0]:
+                    return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
+        elif construction == "generated-subframe":
+            f1 = random_box_frame(rng, max_size, max_size)
+            f2 = random_box_frame(rng, max_size, max_size)
+            pm, cop = component_embedding(f1, f2)
+            if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
+                return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
+        else:
+            fr = random_box_frame(rng, max_size, max_size)
+            ext = filter_ideal_extension(fr, cap)
+            if check_condition(condition, ext)[0] and not check_condition(condition, fr)[0]:
+                return falsify_by_branches(condition, construction, [fr], cap=cap)
+    return None

@@ -211,16 +211,28 @@ def test_cap_flag_overrides(capsys, monkeypatch):
     [
         ["concepts", M1_TGT],
         ["pmorphism", M1_SRC, M1_TGT, M1_ST],
+        ["pmorphism", F1, M1_SRC, BAD_ST],
         ["filter-ideal", F1],
         ["valid", F1, "box box p |- p"],
     ],
-    ids=["concepts", "pmorphism", "filter-ideal", "valid"],
+    ids=["concepts", "pmorphism", "pmorphism-fail", "filter-ideal", "valid"],
 )
 def test_cap_zero_is_enforced(argv, capsys):
     # --cap 0 is a cap of zero concepts everywhere, never "use the default"
     code, _, err = run_cli(["--cap", "0"] + argv, capsys)
     assert code == 2
     assert "cap" in err.lower()
+
+
+@pytest.mark.parametrize("frames", [[F1, F2], []], ids=["two-frames", "no-frame"])
+def test_falsify_filter_ideal_needs_one_frame(frames, capsys):
+    code, _, err = run_cli(
+        ["falsify", *frames, "--condition", "R-equals-N-complement",
+         "--construction", "filter-ideal"],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: filter-ideal needs exactly one frame, got {len(frames)}\n"
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

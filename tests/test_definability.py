@@ -11,10 +11,17 @@ from lekit.definability import (
     falsify,
     search_falsification,
 )
-from lekit.errors import FormatError
+from lekit.errors import CapExceededError, FormatError
 from lekit.frame import Frame, Relation, connective_sorts
 from lekit.polarity import Polarity
-from lekit.sampling import SIG_BOX, diagonal_surjection
+from lekit.sampling import SIG_BOX, component_embedding, diagonal_surjection, random_box_frame
+
+from conftest import (
+    falsify_by_branches,
+    identity_pmorphism,
+    random_pmorphism,
+    search_falsification_by_branches,
+)
 
 
 def make_frame(nw, nu, n_pairs, r_tuples):
@@ -83,7 +90,10 @@ def test_pmorphic_image_path_runs(frame_f1):
     )
     # source is the doubled frame: mixed pairs already break the condition
     assert not report.falsified
-    assert "verified surjective" in report.message or "fails the condition" in report.message
+    assert report.details == [
+        "verified surjective p-morphism",
+        "the source fails the condition: (1:a1, 2:x1) is in both of R and N",
+    ]
 
 
 def test_search_falsification_finds_coproduct_witness():
@@ -111,3 +121,92 @@ def test_falsify_report_serialization(frame_f1, frame_f2):
     assert d["falsified"] is True
     assert d["condition"] == "R-equals-N-complement"
     assert isinstance(d["details"], list) and d["details"]
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_filter_ideal_needs_exactly_one_frame(frame_f1, count):
+    with pytest.raises(FormatError, match=f"exactly one frame, got {count}"):
+        falsify("R-equals-N-complement", "filter-ideal", [frame_f1] * count)
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS[1:])
+def test_search_enumerates_under_its_cap(construction):
+    with pytest.raises(CapExceededError):
+        search_falsification(
+            "R-equals-N-complement", construction, random.Random(1), max_size=2, cap=0
+        )
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _branch(outcome):
+    """The exception raised, or the kind of the report's last detail line."""
+    if isinstance(outcome, tuple):
+        return outcome[0]
+    last = outcome["details"][-1]
+    return next(k for k in ("not surjective", "not injective", "fails the condition",
+                            "also satisfies", "fails it") if k in last)
+
+
+def _drawn_pmorphism(rng, a, b):
+    """An identity, a diagonal surjection, a component embedding, or (mostly
+    not a p-morphism) random S and T pairs from a to b."""
+    pick = rng.random()
+    if pick < 0.2:
+        return identity_pmorphism(a)
+    if pick < 0.4:
+        return diagonal_surjection(a)[0]
+    if pick < 0.6:
+        return component_embedding(a, b)[0]
+    return random_pmorphism(rng, a, b)
+
+
+def test_falsify_matches_the_branch_oracle(m1_morphism, m2_morphism, bad_morphism):
+    rng = random.Random(5)
+    witnesses = [(m1_morphism, None, None), (m2_morphism[0], None, None),
+                 (bad_morphism[0], None, None)]
+    for _ in range(200):
+        a, b = random_box_frame(rng, 2, 2), random_box_frame(rng, 2, 2)
+        witnesses.append((_drawn_pmorphism(rng, a, b), a, b))
+    seen = set()
+    for pm, a, b in witnesses:
+        cases = [(con, [], pm) for con in ("pmorphic-image", "generated-subframe")]
+        if a is not None:
+            cases += [("coproduct", [a, b], None), ("coproduct", [a], None),
+                      ("filter-ideal", [a], None)]
+        for cond in sorted(CONDITIONS):
+            for con, frames, morphism in cases:
+                got = _outcome(falsify, cond, con, frames, morphism=morphism)
+                assert got == _outcome(falsify_by_branches, cond, con, frames, morphism=morphism)
+                seen.add((con, _branch(got)))
+    reports = {"fails the condition", "also satisfies", "fails it"}
+    morphism_ends = reports | {"InvalidPMorphismError"}
+    assert seen >= {("coproduct", k) for k in reports}
+    assert seen >= {("filter-ideal", k) for k in ("fails the condition", "also satisfies")}
+    assert seen >= {("pmorphic-image", k) for k in morphism_ends | {"not surjective"}}
+    assert seen >= {("generated-subframe", k) for k in morphism_ends | {"not injective"}}
+    for con in ("pmorphic-image", "generated-subframe", "no-such-construction"):
+        assert _outcome(falsify, "R-equals-N-complement", con, []) == _outcome(
+            falsify_by_branches, "R-equals-N-complement", con, []
+        )
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_search_matches_the_branch_oracle(construction):
+    hits = 0
+    for cond in sorted(CONDITIONS):
+        for size in (1, 2, 3):
+            for seed in range(3):
+                got = search_falsification(cond, construction, random.Random(seed), size, tries=60)
+                want = search_falsification_by_branches(
+                    cond, construction, random.Random(seed), size, tries=60
+                )
+                assert (got and got.to_dict()) == (want and want.to_dict())
+                hits += got is not None
+    if construction == "coproduct":
+        assert hits >= 3

@@ -1,0 +1,97 @@
+"""How many concept enumerations each question costs, counted per polarity."""
+
+import shlex
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from lekit import dual_hom, polarity
+from lekit.cli import main
+
+from conftest import golden_path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The polarity of every enumerate_concepts call, in call order.
+
+    Every lekit module that imported enumerate_concepts gets the counting
+    wrapper, so no caller is missed.
+    """
+    calls = []
+    original = polarity.enumerate_concepts
+
+    def counted(pol, *args, **kwargs):
+        calls.append(pol)
+        return original(pol, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lekit" and getattr(module, "enumerate_concepts", None) is original:
+            monkeypatch.setattr(module, "enumerate_concepts", counted)
+    return calls
+
+
+def readme_commands():
+    """The lekit command lines of README's CLI section, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in argvs if argv and argv[0] == "lekit"]
+
+
+def per_polarity(calls):
+    return sorted(Counter(map(id, calls)).values())
+
+
+def run(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") and "/" not in arg else arg for arg in argv]
+    assert main(argv) in (0, 1)
+
+
+def test_readme_lists_the_commands():
+    commands = {argv[0] for argv in readme_commands()}
+    assert commands == {
+        "check", "concepts", "valid", "coproduct", "pmorphism", "filter-ideal",
+        "translate", "falsify",
+    }
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_enumerate_each_polarity_at_most_once(
+    argv, enumerated, tmp_path, monkeypatch, capsys
+):
+    run(argv, tmp_path, monkeypatch)
+    assert per_polarity(enumerated) in ([], [1])
+    if argv[0] == "pmorphism":
+        assert len(enumerated) == 1  # the target, for the diagnostic and both kinds
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        ["coproduct_F1.json", "morphism2_F2.json", "morphism2_ST.json", "pmorphic-image"],
+        ["morphism1_F2.json", "morphism1_F1.json", "morphism1_ST.json", "generated-subframe"],
+    ],
+    ids=["pmorphic-image", "generated-subframe"],
+)
+def test_falsify_on_a_morphism_enumerates_the_target_once(
+    witness, enumerated, tmp_path, monkeypatch, capsys
+):
+    src, tgt, st, construction = witness
+    argv = ["falsify", str(golden_path(src)), str(golden_path(tgt)),
+            "--morphism", str(golden_path(st)),
+            "--condition", "R-equals-N-complement", "--construction", construction]
+    run(argv, tmp_path, monkeypatch)
+    assert len(enumerated) == 1
+
+
+def test_dual_hom_enumerates_each_side_once(m1_morphism, enumerated):
+    dual_hom(m1_morphism)
+    pols = {id(m1_morphism.source.polarity), id(m1_morphism.target.polarity)}
+    assert set(map(id, enumerated)) == pols
+    assert per_polarity(enumerated) == [1, 1]

@@ -21,8 +21,11 @@ from lekit.sampling import component_embedding, diagonal_surjection, random_box_
 from conftest import (
     SIG_MIX,
     identity_pmorphism,
+    is_injective_by_scan,
+    is_surjective_by_scan,
     pmorphism_report_by_family,
     random_frame,
+    random_pmorphism,
     random_relation,
 )
 
@@ -178,3 +181,25 @@ def test_pmorphism_polarities_reuse_the_frames_names(m1_morphism):
     ]:
         with pytest.raises(FormatError, match=message):
             PMorphism(pm.source, pm.target, s_pairs, t_pairs)
+
+
+def test_injective_and_surjective_match_full_scans(m1_morphism, m2_morphism):
+    # seeded valid p-morphisms: the golden ones, identities, diagonal
+    # surjections and component embeddings, and the random pairs that pass
+    rng = random.Random(31)
+    pms = [m1_morphism, m2_morphism[0]]
+    for _ in range(150):
+        a, b = random_box_frame(rng, 3, 3), random_box_frame(rng, 3, 3)
+        pms += [identity_pmorphism(a), diagonal_surjection(a)[0], component_embedding(a, b)[0],
+                random_pmorphism(rng, a, b)]
+    kinds = set()
+    for pm in pms:
+        report = check_pmorphism(pm)
+        if not report.passed:
+            continue
+        want = (is_surjective_by_scan(pm), is_injective_by_scan(pm))
+        assert (report.surjective, report.injective) == want
+        assert (is_surjective(pm), is_injective(pm)) == want
+        kinds.add(want)
+    # (surjective, injective): both, onto only (not injective), one-to-one only
+    assert kinds >= {(True, True), (True, False), (False, True)}
