@@ -10,14 +10,14 @@ tables are filled on first access.  An algebra given by the user (its
 constructor, from_cones, algebra_from_dict) has its order checked and
 fills both tables while it is built, so an order that is not a partial
 order or not a lattice is refused there.  Complex algebras and products,
-lattices by construction, skip the order check and leave the tables
-unfilled until something reads them (algebra validity, the homomorphism
-check, the witness search of a failing normality check); their element
-names, too, are built on first read (messages, to_dict, the CLI).  The
-n x n bool matrix leq is a read-only view derived from the masks on first
-access; building an algebra never makes it, and algebra validity reads it
-as its order table, since indexing it is the cheapest order test per
-valuation.
+lattices by construction, skip the order and op-table checks and leave
+the tables unfilled until something reads them (algebra validity, the
+homomorphism check, the witness search of a failing normality check);
+their element names, too, are built on first read (messages, to_dict,
+the CLI).  The n x n bool matrix leq is a read-only view derived from the
+masks on first access; building an algebra never makes it, and algebra
+validity reads it as its order table, since indexing it is the cheapest
+order test per valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
 carrier.  Its cones come from the concept-by-point incidence, itself a
@@ -55,8 +55,8 @@ class FiniteAlgebra:
     FiniteAlgebra(names, leq, signature, ops) takes the order as an n x n
     bool matrix; from_cones takes it as the above/below masks directly.
     Both check that the order is a partial order, fill the tables, and
-    validate the operations; from_cones(..., lattice=True) skips the check
-    and the tables for an order that is a lattice by construction.  names
+    validate the operations; from_cones(..., lattice=True) skips the checks
+    and the tables for an algebra that lekit built as a lattice.  names
     is a sequence, or a function of no arguments that returns one, called
     on the first read of names.
     """
@@ -76,9 +76,9 @@ class FiniteAlgebra:
         """The algebra whose order has above[i] (below[i]) as the mask of
         the elements above (below) element i; below is above transposed.
 
-        lattice=True promises that the order is a lattice: it is not
-        checked, and the meet and join tables are left to be filled on
-        first access.
+        lattice=True promises that the order is a lattice and the
+        operation tables are well formed: neither is checked, and the meet
+        and join tables are left to be filled on first access.
         """
         alg = cls.__new__(cls)
         alg._setup(names, above, below, signature, ops, lattice)
@@ -98,24 +98,9 @@ class FiniteAlgebra:
             self.meet, self.join
         self.top = self._extreme(self.below)
         self.bot = self._extreme(self.above)
-        table_ops = {}
-        for conn in signature.connectives:
-            if conn.name not in ops:
-                raise FormatError(f"missing operation table for {conn.name!r}")
-            table = dict(ops[conn.name])
-            expected = self.size**conn.arity
-            if len(table) != expected:
-                raise FormatError(
-                    f"operation {conn.name!r}: table has {len(table)} entries, "
-                    f"expected {expected}"
-                )
-            for args, val in table.items():
-                if len(args) != conn.arity or not all(
-                    0 <= a < self.size for a in args
-                ) or not 0 <= val < self.size:
-                    raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
-            table_ops[conn.name] = table
-        self.ops = table_ops
+        if not lattice:  # lekit's own tables (complex algebras, products) are right as built
+            self._check_ops(ops)
+        self.ops = {conn.name: dict(ops[conn.name]) for conn in signature.connectives}
 
     @cached_property
     def names(self):
@@ -154,6 +139,24 @@ class FiniteAlgebra:
                     raise NotALatticeError("leq is not antisymmetric")
                 if above[j] & ~up:
                     raise NotALatticeError("leq is not transitive")
+
+    def _check_ops(self, ops):
+        """One table per connective, every argument tuple once, all elements."""
+        for conn in self.signature.connectives:
+            if conn.name not in ops:
+                raise FormatError(f"missing operation table for {conn.name!r}")
+            table = dict(ops[conn.name])
+            expected = self.size**conn.arity
+            if len(table) != expected:
+                raise FormatError(
+                    f"operation {conn.name!r}: table has {len(table)} entries, "
+                    f"expected {expected}"
+                )
+            for args, val in table.items():
+                if len(args) != conn.arity or not all(
+                    0 <= a < self.size for a in args
+                ) or not 0 <= val < self.size:
+                    raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
 
     def _extreme(self, cone):
         full = (1 << self.size) - 1

@@ -2,9 +2,10 @@
 
 The coproduct of frames keeps each component's structure and adds every
 cross-component incidence and every mixed-component relation tuple.  The
-filter-ideal frame of a finite algebra has filters as W points, ideals
-as U points, overlap as incidence, and relation tuples witnessing where
-operation values land.
+filter-ideal frame of a finite normal algebra has filters as W points,
+ideals as U points, overlap as incidence, and relation tuples witnessing
+where operation values land; all are principal, so it is read off the
+order cones.
 """
 
 from __future__ import annotations
@@ -88,47 +89,39 @@ def ideals(alg):
     return [frozenset(bits(alg.below[a])) for a in range(alg.size)]
 
 
-def filter_ideal_frame(alg, check_normal=True):
-    """The filter-ideal frame of a finite normal lattice expansion."""
-    if check_normal:
-        report = verify_normality(alg)
-        if not report.passed:
-            raise NonNormalAlgebraError(report.message)
-    fs = filters(alg)
-    is_ = ideals(alg)
-    w_names = [f"F({x})" for x in alg.names]
-    u_names = [f"I({x})" for x in alg.names]
-    pairs = [
-        (i, j)
-        for i in range(alg.size)
-        for j in range(alg.size)
-        if fs[i] & is_[j]
-    ]
-    pol = Polarity(w_names, u_names, pairs)
-    points = {"W": fs, "U": is_}  # at every coordinate, the head too
+def filter_ideal_frame(alg):
+    """The filter-ideal frame of a finite normal lattice expansion, or
+    NonNormalAlgebraError."""
+    report = verify_normality(alg)
+    if not report.passed:
+        raise NonNormalAlgebraError(report.message)
+    return _filter_ideal_frame(alg)
+
+
+def _filter_ideal_frame(alg):
+    """filter_ideal_frame without the check.  F(i) meets I(j) iff i <= j.
+    A normal operation is monotone at its 1 and antitone at its d
+    coordinates, so over the coordinates' filters and ideals it is least
+    (F) or greatest (G) at their generators t: a head ideal I(h) meets
+    its image iff op(t) <= h, a filter F(h) iff h <= op(t)."""
+    pol = Polarity(
+        [f"F({x})" for x in alg.names],
+        [f"I({x})" for x in alg.names],
+        [(i, j) for i in range(alg.size) for j in bits(alg.above[i])],
+    )
+    heads = {"W": alg.below, "U": alg.above}  # the heads of a value, by head sort
     relations = {}
     for conn in alg.signature.connectives:
         sorts = connective_sorts(conn)
-        sizes = tuple(pol.size(s) for s in sorts)
-        table = alg.ops[conn.name]
-        head_sets, *coord_sets = map(points.get, sorts)
-        tuples = set()
-        for head in range(alg.size):
-            for coords in product(*(range(alg.size) for _ in range(conn.arity))):
-                members = [sorted(coord_sets[i][c]) for i, c in enumerate(coords)]
-                hit = any(
-                    table[tup] in head_sets[head] for tup in product(*members)
-                )
-                if hit:
-                    tuples.add((head,) + coords)
-        relations[conn.name] = Relation(sorts, sizes, tuples)
+        cone = heads[sorts[0]]
+        tuples = {(h,) + t for t, v in alg.ops[conn.name].items() for h in bits(cone[v])}
+        relations[conn.name] = Relation(sorts, tuple(pol.size(s) for s in sorts), tuples)
     return Frame(pol, alg.signature, relations)
 
 
 def filter_ideal_extension(frame, cap=None):
-    """The filter-ideal frame of the frame's complex algebra."""
-    alg = build_complex_algebra(frame, cap=cap)
-    return filter_ideal_frame(alg, check_normal=False)
+    """The filter-ideal frame of the frame's (normal) complex algebra."""
+    return _filter_ideal_frame(build_complex_algebra(frame, cap=cap))
 
 
 def canonical_embedding(alg, fif_algebra):

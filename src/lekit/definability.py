@@ -199,7 +199,11 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
 
     Each draw is judged by bare condition checks, since the drawn
     p-morphisms are surjective or injective by construction; the first hit
-    is returned as falsify's report on it.
+    is returned as falsify's report on it.  Under pmorphic-image and
+    generated-subframe the frame that must satisfy the condition is a
+    coproduct (fr + fr, f1 + f2), and each built-in condition holds on one
+    only when it holds on every component (never, for R-equals-N-complement
+    on two: the cross pairs are in R and N), so those searches return None.
     """
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}")
@@ -210,9 +214,9 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
         if construction == "coproduct":
             frames = [draw(), draw()]
         elif construction == "pmorphic-image":
-            pm, _ = diagonal_surjection(draw(), cap)
+            pm, _ = diagonal_surjection(draw())
         elif construction == "generated-subframe":
-            pm, _ = component_embedding(draw(), draw(), cap)
+            pm, _ = component_embedding(draw(), draw())
         else:
             frames = [draw()]
         for fr in keepers(frames, pm, cap):

@@ -13,7 +13,7 @@ extent of a closes down to the same extent (this is checked as a
 diagnostic), though it need not itself be a closed intent.  A check
 enumerates the target's concepts once, and their S-images also say
 whether the p-morphism is surjective and injective; dual_hom checks on
-the concepts of the target algebra it builds.
+the concepts of the target algebra it builds, one for an endomorphism.
 """
 
 from __future__ import annotations
@@ -245,14 +245,15 @@ def dual_hom(pm, cap=None):
 
     Builds the target frame's complex algebra, checks the p-morphism on
     its concepts (InvalidPMorphismError if it fails), and returns a
-    DualHom from that algebra to the source frame's.
+    DualHom from it to the source frame's, itself for an endomorphism.
     """
     dom = build_complex_algebra(pm.target, cap=cap, check=False)
     images = _images(pm, dom.concepts)
     fault = _fault(pm, dom.concepts, images)
     if fault:
         raise InvalidPMorphismError(fault.message)
-    cod = build_complex_algebra(pm.source, cap=cap, check=False)
+    same = pm.source is pm.target
+    cod = dom if same else build_complex_algebra(pm.source, cap=cap, check=False)
     raw_intents = tuple(pm.T.down(c.extent) for c in dom.concepts)
     return DualHom(tuple(map(cod.index_of_extent, images)), dom, cod, raw_intents)
 

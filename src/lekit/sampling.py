@@ -3,15 +3,17 @@
 Used by the test suite and by the bounded falsification search.  Random
 unary relations are made compatible by alternately closing rows and
 columns until nothing changes; closure only adds pairs, so this stops.
+The p-morphisms between a frame and a coproduct are read off the
+incidence N (the coproduct lists component k's points after those of
+the earlier components), so drawing them enumerates nothing.
 """
 
 from __future__ import annotations
 
-from .algebra import build_complex_algebra
 from .bitset import bits
 from .constructions import coproduct
 from .frame import Frame, Relation, connective_sorts
-from .morphism import DualHom, dual_pmorphism
+from .morphism import PMorphism
 from .polarity import Polarity
 from .syntax import Connective, Signature
 
@@ -65,34 +67,28 @@ def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
     return Frame(pol, SIG_BOX, {"box": rel})
 
 
-def component_embedding(f1, f2, cap=None):
-    """The injective p-morphism of f1 into the coproduct of f1 and f2.
+def component_embedding(f1, f2):
+    """(pm, f1 + f2): the injective p-morphism of f1 into the coproduct.
 
-    Built by dualizing the projection of the coproduct's algebra onto
-    f1's algebra.
+    S is f1's N plus every (f1 W, f2 U) pair, T is f1's N reversed plus
+    every (f1 U, f2 W) pair: the dual of the projection onto f1's algebra.
     """
     cop = coproduct([f1, f2])
-    dom = build_complex_algebra(cop, cap=cap, check=False)
-    cod = build_complex_algebra(f1, cap=cap, check=False)
-    nw1 = f1.polarity.nw
-    full1 = (1 << nw1) - 1
-    mapping = tuple(
-        cod.index_of_extent(c.extent & full1) for c in dom.concepts
-    )
-    return dual_pmorphism(DualHom(mapping, dom, cod)), cop
+    p1, p2 = f1.polarity, f2.polarity
+    s_pairs = [*p1.pairs, *((w, p1.nu + u) for w in range(p1.nw) for u in range(p2.nu))]
+    t_pairs = [*((u, w) for w, u in p1.pairs),
+               *((u, p1.nw + w) for u in range(p1.nu) for w in range(p2.nw))]
+    return PMorphism(f1, cop, s_pairs, t_pairs), cop
 
 
-def diagonal_surjection(fr, cap=None):
-    """The surjective p-morphism from the doubled coproduct onto fr.
+def diagonal_surjection(fr):
+    """(pm, fr + fr): the surjective p-morphism of the coproduct onto fr.
 
-    Built by dualizing the diagonal embedding of fr's algebra into the
-    algebra of fr + fr.
+    S is N from each copy, T is N reversed from each copy: the dual of the
+    diagonal embedding of fr's algebra into the coproduct's.
     """
     cop = coproduct([fr, fr])
-    dom = build_complex_algebra(fr, cap=cap, check=False)
-    cod = build_complex_algebra(cop, cap=cap, check=False)
-    nw = fr.polarity.nw
-    mapping = tuple(
-        cod.index_of_extent(c.extent | (c.extent << nw)) for c in dom.concepts
-    )
-    return dual_pmorphism(DualHom(mapping, dom, cod)), cop
+    pol = fr.polarity
+    s_pairs = [(k * pol.nw + w, u) for k in (0, 1) for w, u in pol.pairs]
+    t_pairs = [(k * pol.nu + u, w) for k in (0, 1) for w, u in pol.pairs]
+    return PMorphism(cop, fr, s_pairs, t_pairs), cop

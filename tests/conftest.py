@@ -38,7 +38,7 @@ from lekit import (
     model_validates,
     props_of,
 )
-from lekit.algebra import NormalityReport, _columns, _residuated
+from lekit.algebra import NormalityReport, _columns, _residuated, build_complex_algebra
 from lekit.bitset import bits
 from lekit.constructions import coproduct, filter_ideal_extension
 from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
@@ -50,14 +50,8 @@ from lekit.frame import (
     connective_sorts,
     section_zero,
 )
-from lekit.morphism import PMorphismReport
-from lekit.sampling import (
-    SIG_BOX,
-    component_embedding,
-    diagonal_surjection,
-    random_box_frame,
-    random_polarity,
-)
+from lekit.morphism import DualHom, PMorphismReport, dual_pmorphism
+from lekit.sampling import SIG_BOX, random_box_frame, random_polarity
 from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -631,6 +625,28 @@ def identity_pmorphism(fr):
     return PMorphism(fr, fr, s_pairs, t_pairs)
 
 
+def component_embedding_by_duality(f1, f2, cap=None):
+    """component_embedding, as the dual of the projection of the
+    coproduct's algebra onto f1's algebra."""
+    cop = coproduct([f1, f2])
+    dom = build_complex_algebra(cop, cap=cap, check=False)
+    cod = build_complex_algebra(f1, cap=cap, check=False)
+    full1 = (1 << f1.polarity.nw) - 1
+    mapping = tuple(cod.index_of_extent(c.extent & full1) for c in dom.concepts)
+    return dual_pmorphism(DualHom(mapping, dom, cod)), cop
+
+
+def diagonal_surjection_by_duality(fr, cap=None):
+    """diagonal_surjection, as the dual of the diagonal embedding of fr's
+    algebra into the algebra of fr + fr."""
+    cop = coproduct([fr, fr])
+    dom = build_complex_algebra(fr, cap=cap, check=False)
+    cod = build_complex_algebra(cop, cap=cap, check=False)
+    nw = fr.polarity.nw
+    mapping = tuple(cod.index_of_extent(c.extent | (c.extent << nw)) for c in dom.concepts)
+    return dual_pmorphism(DualHom(mapping, dom, cod)), cop
+
+
 def random_pmorphism(rng, src, tgt):
     """Random S and T pairs from src to tgt; mostly not a p-morphism."""
     sp, tp = src.polarity, tgt.polarity
@@ -1016,14 +1032,14 @@ def search_falsification_by_branches(condition, construction, rng, max_size=3, t
                 return falsify_by_branches(condition, construction, [f1, f2])
         elif construction == "pmorphic-image":
             fr = random_box_frame(rng, max_size, max_size)
-            pm, cop = diagonal_surjection(fr)
+            pm, cop = diagonal_surjection_by_duality(fr)
             if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
                 if not check_condition(condition, fr)[0]:
                     return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
         elif construction == "generated-subframe":
             f1 = random_box_frame(rng, max_size, max_size)
             f2 = random_box_frame(rng, max_size, max_size)
-            pm, cop = component_embedding(f1, f2)
+            pm, cop = component_embedding_by_duality(f1, f2)
             if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
                 return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
         else:

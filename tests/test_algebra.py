@@ -9,6 +9,7 @@ import pytest
 from lekit import (
     ComplexAlgebra,
     FiniteAlgebra,
+    FormatError,
     Frame,
     IncompatibleFrameError,
     NotALatticeError,
@@ -711,3 +712,53 @@ def test_lattices_by_construction_do_no_hidden_work(monkeypatch):
     assert products[0].names[1] == f"({boxes[0].names[0]}, {boxes[1].names[1]})"
     algebra_from_dict(products[0].to_dict())
     assert len(checked) == 1
+
+
+def test_lattices_by_construction_skip_the_op_table_check(monkeypatch):
+    # lekit fills the tables of complex algebras and products itself:
+    # building, checking normality and validity never check their entries
+    checked = []
+    check_ops_of = FiniteAlgebra._check_ops
+
+    def counted(alg, ops):
+        checked.append(alg)
+        return check_ops_of(alg, ops)
+
+    monkeypatch.setattr(FiniteAlgebra, "_check_ops", counted)
+    rng = random.Random(79)
+    seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
+    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.6)) for side in (3, 6)]
+    mixed = build_complex_algebra(boolean_frame(rng, 2, SIG_MIX.connectives), check=False)
+    for alg in boxes + [product_algebra(*boxes), mixed]:
+        assert verify_normality(alg).passed
+        if alg.signature == SIG_BOX:
+            algebra_validates(alg, seq)
+    assert not checked
+    algebra_from_dict(boxes[0].to_dict())
+    assert len(checked) == 1
+
+
+_ORDER_AB = [[True, True], [False, True]]  # a <= b
+
+
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ({}, "missing operation table for 'box'"),
+        ({"box": {(0,): 0}}, "operation 'box': table has 1 entries, expected 2"),
+        ({"box": {(0,): 0, (1,): 2}}, r"operation 'box': bad entry \(1,\) -> 2"),
+        ({"box": {(0,): 0, (0, 1): 1}}, r"operation 'box': bad entry \(0, 1\) -> 1"),
+    ],
+)
+def test_op_tables_given_by_the_user_are_checked(ops, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        FiniteAlgebra("ab", _ORDER_AB, SIG_BOX, ops)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        FiniteAlgebra.from_cones("ab", (0b11, 0b10), (0b01, 0b11), SIG_BOX, ops)
+
+
+def test_op_tables_read_from_a_file_are_checked():
+    data = FiniteAlgebra("ab", _ORDER_AB, SIG_BOX, {"box": {(0,): 0, (1,): 1}}).to_dict()
+    data["ops"]["box"].pop()
+    with pytest.raises(FormatError, match="^operation 'box': table has 1 entries, expected 2$"):
+        algebra_from_dict(data)

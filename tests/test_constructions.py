@@ -5,7 +5,11 @@ import random
 import pytest
 
 from lekit import (
+    Connective,
+    FiniteAlgebra,
     IncompatibleFrameError,
+    NonNormalAlgebraError,
+    Signature,
     build_complex_algebra,
     canonical_embedding,
     check_compatibility,
@@ -148,20 +152,57 @@ def test_product_algebra_componentwise():
                     assert m == a.meet[i][k] * b.size + b.meet[j][l]
 
 
-def test_filter_ideal_frames_match_family_branches():
-    # complex algebras of boolean frames (normal) and of random frames (most
-    # not normal, so the frame is built unchecked)
+def _fif_algebras():
+    """Complex algebras of boolean frames, of compatible random frames and
+    of box frames up to 4 x 4 (all normal), each followed by a copy whose
+    operation tables are drawn at random over the same order (most are
+    not normal)."""
     rng = random.Random(414)
-    compared = 0
+    frames = []
     for k in range(80):
         if k % 2:
-            fr = boolean_frame(rng, 1 + k % 3, SIG_MIX.connectives)
+            frames.append(boolean_frame(rng, 1 + k % 3, SIG_MIX.connectives))
         else:
-            fr = random_frame(rng, SIG_MIX, 3)
+            frames.append(random_frame(rng, SIG_MIX, 3))
+    frames += [random_box_frame(rng, side, side) for side in (1, 2, 3, 4) for _ in range(5)]
+    for fr in frames:
         try:
             alg = build_complex_algebra(fr, check=False)
         except IncompatibleFrameError:
             continue
-        assert filter_ideal_frame(alg, check_normal=False) == filter_ideal_frame_by_family(alg)
-        compared += 1
-    assert compared >= 40
+        yield alg
+        ops = {
+            name: {args: rng.randrange(alg.size) for args in table}
+            for name, table in alg.ops.items()
+        }
+        yield FiniteAlgebra.from_cones(alg.names, alg.above, alg.below, alg.signature, ops)
+
+
+def test_filter_ideal_frames_match_family_branches():
+    compared = refused = 0
+    for alg in _fif_algebras():
+        if verify_normality(alg).passed:
+            assert filter_ideal_frame(alg) == filter_ideal_frame_by_family(alg)
+            compared += 1
+        else:
+            with pytest.raises(NonNormalAlgebraError):
+                filter_ideal_frame(alg)
+            refused += 1
+    assert compared >= 40 and refused >= 20
+
+
+def test_filter_ideal_frame_refuses_a_table_that_is_not_monotone():
+    # the chain 0 < 1 < 2 with a diamond that swaps 1 and 2
+    sig = Signature((Connective("dia", "F", 1, ("1",)),))
+    leq = [[i <= j for j in range(3)] for i in range(3)]
+    alg = FiniteAlgebra("012", leq, sig, {"dia": {(0,): 0, (1,): 2, (2,): 1}})
+    with pytest.raises(NonNormalAlgebraError, match="'dia' is not normal"):
+        filter_ideal_frame(alg)
+
+
+def test_filter_ideal_extension_is_the_frame_of_the_complex_algebra():
+    rng = random.Random(415)
+    frames = [random_box_frame(rng, side, side) for side in (1, 2, 3, 4) for _ in range(4)]
+    frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (1, 2, 3)]
+    for fr in frames:
+        assert filter_ideal_extension(fr) == filter_ideal_frame(build_complex_algebra(fr))

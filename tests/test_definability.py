@@ -129,7 +129,9 @@ def test_filter_ideal_needs_exactly_one_frame(frame_f1, count):
         falsify("R-equals-N-complement", "filter-ideal", [frame_f1] * count)
 
 
-@pytest.mark.parametrize("construction", CONSTRUCTIONS[1:])
+# the p-morphism searches enumerate nothing, so cap=0 has nothing to refuse
+# there: tests/test_enumerations.py counts their enumerations instead
+@pytest.mark.parametrize("construction", ["filter-ideal"])
 def test_search_enumerates_under_its_cap(construction):
     with pytest.raises(CapExceededError):
         search_falsification(

@@ -1,5 +1,6 @@
 """How many concept enumerations each question costs, counted per polarity."""
 
+import random
 import shlex
 import sys
 from collections import Counter
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from lekit import dual_hom, polarity
+from lekit import CapExceededError, dual_hom, dual_pmorphism, load_frame, polarity
 from lekit.cli import main
+from lekit.definability import falsify, search_falsification
+from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
 
-from conftest import golden_path
+from conftest import golden_path, identity_pmorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,3 +98,42 @@ def test_dual_hom_enumerates_each_side_once(m1_morphism, enumerated):
     pols = {id(m1_morphism.source.polarity), id(m1_morphism.target.polarity)}
     assert set(map(id, enumerated)) == pols
     assert per_polarity(enumerated) == [1, 1]
+
+
+def test_dual_hom_of_an_endomorphism_builds_one_algebra(enumerated):
+    pm = identity_pmorphism(load_frame(golden_path("coproduct_F1.json")))
+    hom = dual_hom(pm)
+    assert hom.dom is hom.cod
+    assert per_polarity(enumerated) == [1]
+    back = dual_pmorphism(hom)
+    assert (back.s_pairs, back.t_pairs) == (pm.s_pairs, pm.t_pairs)
+
+
+def test_coproduct_pmorphisms_enumerate_nothing(enumerated):
+    rng = random.Random(3)
+    for _ in range(20):
+        f1, f2 = random_box_frame(rng), random_box_frame(rng)
+        diagonal_surjection(f1)
+        component_embedding(f1, f2)
+    assert enumerated == []
+
+
+@pytest.mark.parametrize("construction", ["pmorphic-image", "generated-subframe"])
+def test_search_on_drawn_pmorphisms_enumerates_nothing(construction, enumerated):
+    # the drawn p-morphisms are read off N and no draw is a hit, so nothing
+    # reaches falsify's p-morphism check
+    for cond in ("R-equals-N-complement", "every-u-has-non-R-w", "R-complement-subset-N"):
+        found = search_falsification(cond, construction, random.Random(1), max_size=2, cap=0)
+        assert found is None
+    assert enumerated == []
+
+
+@pytest.mark.parametrize("construction", ["pmorphic-image", "generated-subframe"])
+def test_falsify_on_a_drawn_pmorphism_enumerates_under_its_cap(construction):
+    fr = load_frame(golden_path("coproduct_F1.json"))
+    if construction == "pmorphic-image":
+        pm, _ = diagonal_surjection(fr)
+    else:
+        pm, _ = component_embedding(fr, fr)
+    with pytest.raises(CapExceededError):
+        falsify("R-equals-N-complement", construction, [], morphism=pm, cap=0)

@@ -144,3 +144,13 @@ def test_only_the_reader_decodes_json():
 def test_only_the_reader_opens_files_for_reading():
     users = _all_users(_opens_for_reading)
     assert users == {("reading", "read_json")}, users
+
+
+def test_sampling_reads_the_coproduct_morphisms_off_n():
+    # diagonal_surjection and component_embedding write S and T down from
+    # the incidence; dualizing an algebra map is the tests' oracle for them
+    imported = set()
+    for node in _tree("sampling").body:
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert not imported & {"algebra", "DualHom", "dual_hom", "dual_pmorphism"}, imported

@@ -9,6 +9,7 @@ from lekit import (
     Frame,
     PMorphism,
     build_complex_algebra,
+    check_compatibility,
     check_complete_homomorphism,
     check_pmorphism,
     dual_hom,
@@ -20,6 +21,9 @@ from lekit.sampling import component_embedding, diagonal_surjection, random_box_
 
 from conftest import (
     SIG_MIX,
+    boolean_frame,
+    component_embedding_by_duality,
+    diagonal_surjection_by_duality,
     identity_pmorphism,
     is_injective_by_scan,
     is_surjective_by_scan,
@@ -87,6 +91,40 @@ def test_dual_then_dual_recovers_morphism(m1_morphism):
     assert back.target is m1_morphism.target
     assert back.s_pairs == m1_morphism.s_pairs
     assert back.t_pairs == m1_morphism.t_pairs
+
+
+def _coproduct_frames():
+    """Box frames of 1x1 up to 4x4 points, some with an empty N, boolean
+    frames and compatible random frames over SIG_MIX."""
+    rng = random.Random(57)
+    for side in (1, 2, 3, 4):
+        for density in (0.0, 0.5, 0.8):
+            for _ in range(4):
+                yield random_box_frame(rng, side, side, density)
+    for k in (1, 2, 3):
+        yield boolean_frame(rng, k, SIG_MIX.connectives)
+    found = 0
+    while found < 12:
+        fr = random_frame(rng, SIG_MIX, 3)
+        if check_compatibility(fr).passed:
+            found += 1
+            yield fr
+
+
+def test_coproduct_pmorphisms_match_the_dual_maps():
+    frames = list(_coproduct_frames())
+    assert any(not fr.polarity.pairs for fr in frames)
+    for a, b in zip(frames, frames[1:] + frames[:1]):
+        if a.signature != b.signature:
+            b = a
+        for got, want in (
+            (diagonal_surjection(a), diagonal_surjection_by_duality(a)),
+            (component_embedding(a, b), component_embedding_by_duality(a, b)),
+        ):
+            (pm, cop), (oracle, oracle_cop) = got, want
+            assert cop == oracle_cop
+            assert (pm.source, pm.target) == (oracle.source, oracle.target)
+            assert (pm.s_pairs, pm.t_pairs) == (oracle.s_pairs, oracle.t_pairs)
 
 
 def test_dual_round_trip_on_generated_morphisms():
