@@ -489,46 +489,54 @@ def algebra_validates_by_walk(alg, sequent):
 
 
 def eval_fo_recursive(model, fof, env=None):
-    """Tarskian evaluation by recursion over the tree, env a dict of Vars."""
-    pol = model.frame.polarity
-    env = env or {}
+    """Tarskian evaluation by recursion over the tree, env a dict of Vars.
 
-    def value(var):
+    A free variable read must be bound in env to a point of its sort.
+    """
+    pol = model.frame.polarity
+    free = env or {}
+    sizes = {"W": pol.nw, "U": pol.nu}
+
+    def value(var, bound):
+        if var in bound:
+            return bound[var]
         try:
-            return env[var]
+            v = free[var]
         except KeyError:
             raise SortError(f"unbound variable {var.name}") from None
+        if not (isinstance(v, int) and 0 <= v < sizes.get(var.sort, 0)):
+            raise SortError(
+                f"variable {var.name} is bound to {v!r}, not a point of sort {var.sort}"
+            )
+        return v
 
-    if isinstance(fof, NAtom):
-        return pol.n(value(fof.x), value(fof.y))
-    if isinstance(fof, RAtom):
-        rel = model.frame.relations.get(fof.name)
-        if rel is None:
-            raise FormatError(f"no relation for connective {fof.name!r}")
-        return tuple(value(v) for v in fof.args) in rel.tuples
-    if isinstance(fof, PredAtom):
-        concept = model.valuation.get(fof.prop)
-        if concept is None:
-            raise FormatError(f"no value assigned to proposition {fof.prop!r}")
-        mask = concept.extent if fof.kind == "ext" else concept.intent
-        return bool(mask >> value(fof.var) & 1)
-    if isinstance(fof, Eq):
-        return value(fof.left) == value(fof.right)
-    if isinstance(fof, FAnd):
-        return eval_fo_recursive(model, fof.left, env) and eval_fo_recursive(
-            model, fof.right, env
-        )
-    if isinstance(fof, FImp):
-        return not eval_fo_recursive(model, fof.left, env) or eval_fo_recursive(
-            model, fof.right, env
-        )
-    if isinstance(fof, (Forall, Exists)):
-        size = pol.nw if fof.var.sort == "W" else pol.nu
-        results = (
-            eval_fo_recursive(model, fof.body, {**env, fof.var: v}) for v in range(size)
-        )
-        return all(results) if isinstance(fof, Forall) else any(results)
-    raise TypeError(f"not a first order formula: {fof!r}")
+    def ev(f, bound):
+        if isinstance(f, NAtom):
+            return pol.n(value(f.x, bound), value(f.y, bound))
+        if isinstance(f, RAtom):
+            rel = model.frame.relations.get(f.name)
+            if rel is None:
+                raise FormatError(f"no relation for connective {f.name!r}")
+            return tuple(value(v, bound) for v in f.args) in rel.tuples
+        if isinstance(f, PredAtom):
+            concept = model.valuation.get(f.prop)
+            if concept is None:
+                raise FormatError(f"no value assigned to proposition {f.prop!r}")
+            mask = concept.extent if f.kind == "ext" else concept.intent
+            return bool(mask >> value(f.var, bound) & 1)
+        if isinstance(f, Eq):
+            return value(f.left, bound) == value(f.right, bound)
+        if isinstance(f, FAnd):
+            return ev(f.left, bound) and ev(f.right, bound)
+        if isinstance(f, FImp):
+            return not ev(f.left, bound) or ev(f.right, bound)
+        if isinstance(f, (Forall, Exists)):
+            size = pol.nw if f.var.sort == "W" else pol.nu
+            results = (ev(f.body, {**bound, f.var: v}) for v in range(size))
+            return all(results) if isinstance(f, Forall) else any(results)
+        raise TypeError(f"not a first order formula: {f!r}")
+
+    return ev(fof, {})
 
 
 def boolean_frame(rng, k, connectives):

@@ -1,8 +1,10 @@
 """Standard translation, sort checking, and first order evaluation."""
 
+import ast
 import gc
 import io
 import random
+import re
 import tokenize
 import weakref
 
@@ -106,6 +108,10 @@ def test_check_sorts_rejects_bad_terms():
     with pytest.raises(SortError):
         # quantified variable used at the wrong sort
         check_sorts(Forall(XV, PredAtom("int", "p", XV)), SIG_BOX)
+    z = Var("Q", "z")
+    for fof in (Forall(z, Eq(z, z)), Exists(z, Eq(XV, XV)), Eq(z, z), FAnd(Eq(XV, XV), Eq(z, z))):
+        with pytest.raises(SortError, match="variable z has sort 'Q'"):
+            check_sorts(fof, SIG_BOX)  # only W and U are sorts
 
 
 def test_pointwise_agreement_random():
@@ -491,3 +497,141 @@ def test_format_fo_of_deep_sentence_is_a_format_error():
     with pytest.raises(FormatError, match="nested too deeply"):
         format_fo(sentence)
     assert format_fo(translate_sequent(parse_sequent("box " * 20 + "p |- p", sig), sig))
+
+
+def test_env_values_must_be_points_of_their_sort(path, frame_f1):
+    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
+    nw, nu = frame_f1.polarity.nw, frame_f1.polarity.nu
+    z = Var("Q", "z")
+    cases = [
+        (NAtom(XV, YV), {XV: -1, YV: 0}, "x", -1, "W"),
+        (NAtom(XV, YV), {XV: 99, YV: 0}, "x", 99, "W"),
+        (NAtom(XV, YV), {XV: "a", YV: 0}, "x", "a", "W"),
+        (NAtom(XV, YV), {XV: 0, YV: nu}, "y", nu, "U"),
+        (Forall(YV, PredAtom("ext", "p", XV)), {XV: nw}, "x", nw, "W"),
+        (Exists(X2, RAtom("box", (XV, YV))), {XV: 0, YV: 0.0}, "y", 0.0, "U"),
+        (Forall(XV, Eq(z, z)), {z: 0}, "z", 0, "Q"),
+    ]
+    for fof, env, name, value, sort in cases:
+        want = (SortError, f"variable {name} is bound to {value!r}, not a point of sort {sort}")
+        assert _outcome(eval_fo, m, fof, env) == want
+        assert _outcome(eval_fo_recursive, m, fof, env) == want
+        # like an absent input, it raises only when evaluation reaches it
+        false = Forall(XV, Forall(X2, Eq(XV, X2)))
+        assert eval_fo(m, FAnd(false, fof), env) is False
+    assert eval_fo(m, NAtom(XV, YV), {XV: nw - 1, YV: nu - 1}) == frame_f1.polarity.n(nw - 1, nu - 1)
+
+
+W_VARS = (XV, X2)
+U_VARS = (YV, Y2)
+Q_VAR = Var("Q", "q")
+
+
+def _random_fo(rng, depth):
+    """A hand-built formula: exists, equality, shadowing, free variables,
+    and now and then an ill-sorted atom, an absent input or a node that is
+    not first order."""
+    if depth == 0 or rng.random() < 0.2:
+        return _random_atom(rng)
+    if rng.random() < 0.35:
+        cls = rng.choice((FAnd, FImp))
+        return cls(_random_fo(rng, depth - 1), _random_fo(rng, depth - 1))
+    var = Q_VAR if rng.random() < 0.02 else rng.choice(W_VARS + U_VARS)
+    return rng.choice((Forall, Exists))(var, _random_fo(rng, depth - 1))
+
+
+def _random_atom(rng):
+    ill = rng.random() < 0.08
+    any_var = W_VARS + U_VARS + (Q_VAR,)
+
+    def var(sort):
+        return rng.choice(any_var if ill else W_VARS if sort == "W" else U_VARS)
+
+    pick = rng.random()
+    if pick < 0.01:
+        return Prop("p")
+    if pick < 0.25:
+        return NAtom(var("W"), var("U"))
+    if pick < 0.4:
+        sort = rng.choice("WU")
+        return Eq(var(sort), var(sort))
+    if pick < 0.6:
+        prop = "nope" if rng.random() < 0.03 else rng.choice(("p", "q"))
+        kind = rng.choice(("ext", "int"))
+        return PredAtom(kind, prop, var("W" if kind == "ext" else "U"))
+    conn = rng.choice(SIG_MIX.connectives)
+    name = "nope" if rng.random() < 0.02 else conn.name
+    return RAtom(name, tuple(var(s) for s in connective_sorts(conn)))
+
+
+# Atoms across sorts, read at a bound variable, where a mask would differ
+# from the loop when the two sorts have different sizes.
+ILL_SORTED = (
+    Exists(XV, Eq(XV, YV)),
+    Forall(YV, Exists(XV, FAnd(Eq(YV, XV), NAtom(XV, Y2)))),
+    Exists(YV, NAtom(YV, XV)),
+    Exists(XV, FImp(PredAtom("int", "p", XV), NAtom(XV, YV))),
+    Forall(XV, RAtom("box", (YV, XV))),
+)
+
+
+def _result(fn, *args):
+    """fn's value, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (FormatError, SortError, TypeError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _empty_relations(fr):
+    rels = {name: Relation(r.sorts, r.sizes, ()) for name, r in fr.relations.items()}
+    return Frame(fr.polarity, fr.signature, rels)
+
+
+def test_masks_match_the_oracle_and_the_plain_walk(path):
+    """Both paths agree with the oracle, verdicts and errors, on seeded cases."""
+    rng = random.Random(131)
+    compared = raised = masked = 0
+    for i in range(40):
+        sig = SIG_BOX if i % 4 == 0 else SIG_MIX
+        fr = random_frame(rng, sig, 4)
+        if i % 5 == 1:
+            fr = _empty_relations(fr)
+        pol = fr.polarity
+        concepts = enumerate_concepts(pol)
+        seq = random_sequent(rng, sig, PROPS[:2], 3)
+        phi = random_formula(rng, sig, PROPS[:2], 3)
+        translations = [translate_sequent(seq, sig, f) for f in SEQUENT_FORMS]
+        hand = [_random_fo(rng, 5) for _ in range(6)] + list(ILL_SORTED)
+        for _ in range(2):
+            m = Model(fr, {p: rng.choice(concepts) for p in PROPS[: rng.choice((1, 2, 2))]})
+            cases = [(f, None) for f in translations]
+            cases += [(standard_translate(phi, sig, "W"), {XV: w}) for w in range(pol.nw)]
+            cases += [(standard_translate(phi, sig, "U"), {YV: u}) for u in range(pol.nu)]
+            for fof in hand:
+                env = {v: rng.randrange(pol.nw if v.sort == "W" else pol.nu) for v in W_VARS + U_VARS}
+                if rng.random() < 0.2:
+                    del env[rng.choice(list(env))]
+                if rng.random() < 0.1:
+                    env[rng.choice(list(env) + [Q_VAR])] = rng.choice((-1, 5, "a"))
+                cases.append((fof, env))
+            for fof, env in cases:
+                got = _result(eval_fo, m, fof, env)
+                assert got == _result(eval_fo_recursive, m, fof, env), format_fo(fof)
+                compared += 1
+                raised += isinstance(got, tuple)
+            masked += sum(bool(re.search(r" m\d+ = ", _sentence_source(fof))) for fof in hand)
+    assert compared > 1000 and raised > 100 and masked > 100
+
+
+def test_box_translations_compile_without_nested_loops():
+    """With every input present, a translation over one unary connective
+    is one mask per quantifier: no for loop inside another."""
+    rng = random.Random(137)
+    for _ in range(40):
+        seq = random_sequent(rng, SIG_BOX, PROPS[:2], 3)
+        for form in SEQUENT_FORMS:
+            tree = ast.parse(_sentence_source(translate_sequent(seq, SIG_BOX, form)))
+            for loop in [n for n in ast.walk(tree) if isinstance(n, ast.For)]:
+                inner = [n for n in ast.walk(loop) if isinstance(n, ast.For)]
+                assert inner == [loop], format_fo(translate_sequent(seq, SIG_BOX, form))
