@@ -111,14 +111,18 @@ def build_parser():
 
 def _cap(args):
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("LEKIT_CAP")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise LekitError(f"LEKIT_CAP must be an integer, got {env!r}") from None
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("LEKIT_CAP")
+        if not env:
+            return None
+        try:
+            cap, source = int(env), "LEKIT_CAP"
+        except ValueError:
+            raise LekitError(f"LEKIT_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise LekitError(f"{source} must be at least 0, got {cap}")
+    return cap
 
 
 def _emit(args, report_dict, text):

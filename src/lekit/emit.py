@@ -12,7 +12,7 @@ through their globals.
 
 import functools
 
-CACHE_SIZE = 2048
+CACHE_SIZE = 2048  # a validity benchmark pool cycle compiles 754 shapes
 # Nested loops per generated function.  CPython refuses more than 20
 # statically nested blocks in one code object.
 MAX_LOOPS = 16

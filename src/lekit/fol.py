@@ -18,9 +18,8 @@ Every subformula of a standard translation has one free variable, so with
 unary connectives the whole sentence is O(quantifiers x n) big-int
 operations.  Other quantifiers are for loops that stop at the first
 witness or counterexample, with short-circuit expressions between them.
-Formula objects are looked up by identity first, until collected.  A
-formula object is walked without compiling (_truth) until its calls add
-up to PLAIN_VISITS atom visits, so a one-off question pays no compile.
+Formula objects are looked up by identity first, until collected, and
+keep their code from their first call with every input present.
 """
 
 from __future__ import annotations
@@ -257,9 +256,9 @@ def _check_sort(var):
 def eval_fo(model, fof, env=None):
     """Tarskian evaluation over the model's frame and valuation.
 
-    env maps the free variables (Var) to point indices.  The sentence is
-    walked, and past PLAIN_VISITS atom visits runs as generated code (see
-    _Sentence), looked up once per sentence object.
+    env maps the free variables (Var) to point indices.  The sentence
+    runs as generated code (see _Sentence), looked up once per sentence
+    object.
     An unbound free variable, or one bound to a value that is not a point
     of its sort, like a missing relation or proposition or a node that is
     not first order, raises only when evaluation reaches it.
@@ -282,10 +281,6 @@ def eval_fo(model, fof, env=None):
     elif sentence.fns is not None:
         fns = sentence.fns
     else:
-        sentence.visits += sentence.atom_visits(max(pol.nw, pol.nu))
-        if sentence.visits <= PLAIN_VISITS and not sentence.bad:
-            points = {-1 - i: v for i, v in enumerate(values)}
-            return _truth(sentence.key[0], pol.rows, pol.nw, pol.nu, values, points)
         fns = sentence.fns = compiled(_emit_sentence, sentence.key + ((),))
     return fns[0](fns, pol.rows, pol.cols, pol.nw, pol.nu, pol.full_w, pol.full_u, values, fail)
 
@@ -300,11 +295,6 @@ def _point(value, sort, pol):
     size = pol.nw if sort == "W" else pol.nu if sort == "U" else 0
     return value if isinstance(value, int) and 0 <= value < size else _ABSENT
 
-
-# Atom visits (atom_visits, summed over calls) a sentence object runs as a
-# plain walk before its code is compiled: emitting and compiling a sentence
-# (0.5-1 ms) costs about as much as the walk spends on a thousand of them.
-PLAIN_VISITS = 1000
 
 # id(sentence) -> (weak reference to the sentence, its _Sentence); an entry
 # is dropped when its sentence is collected.
@@ -345,17 +335,15 @@ class _Sentence:
     variable or extent (True), a U-sorted one or intent (False), or a
     relation (None), so the code can tell well-sorted atoms.  Equal keys
     share their code, so a sentence translated again is served without
-    compiling.  Until its calls have counted PLAIN_VISITS atom visits,
-    _truth walks the shape instead and fns is None.  atoms[d] counts the
-    atoms under d quantifiers.
+    compiling.  fns is that code, from the first call with every input
+    present; until then it is None.
     """
 
     def __init__(self, fof):
         self.inputs = {}
         self.bad = []
         self.quantifiers = 0
-        self.atoms = {}
-        shape = self._walk(fof, {}, 0, 0)
+        shape = self._walk(fof, {}, 0)
         self.inputs = list(self.inputs)
         kinds = tuple(
             attr == "extent" if source == 1 else key.sort == "W" if source == 2 else None
@@ -363,11 +351,6 @@ class _Sentence:
         )
         self.key = (shape, kinds)
         self.fns = None
-        self.visits = 0
-
-    def atom_visits(self, n):
-        """Atoms a full evaluation with n points per sort visits, at most."""
-        return sum(count * n**depth for depth, count in self.atoms.items())
 
     def fail(self, i, env=None):
         """Raise the error of absent input i, or of bad node i - len(inputs)."""
@@ -391,16 +374,15 @@ class _Sentence:
     def _var(self, var, scope):
         return scope[var] if var in scope else -1 - self._input(2, var, None)
 
-    def _walk(self, f, scope, depth, inner):
+    def _walk(self, f, scope, inner):
         if isinstance(f, (FAnd, FImp)):
-            left = self._walk(f.left, scope, depth, inner)
-            right = self._walk(f.right, scope, depth, inner)
+            left = self._walk(f.left, scope, inner)
+            right = self._walk(f.right, scope, inner)
             return ("&" if isinstance(f, FAnd) else ">", left, right)
         if isinstance(f, (Forall, Exists)):
             k = self.quantifiers = self.quantifiers + 1
-            body = self._walk(f.body, {**scope, f.var: k}, depth + 1, k)
+            body = self._walk(f.body, {**scope, f.var: k}, k)
             return ("A" if isinstance(f, Forall) else "E", k, f.var.sort == "W", body)
-        self.atoms[depth] = self.atoms.get(depth, 0) + 1
         if isinstance(f, (NAtom, Eq)):
             a, b = (f.x, f.y) if isinstance(f, NAtom) else (f.left, f.right)
             return ("N" if isinstance(f, NAtom) else "=", self._var(a, scope), self._var(b, scope))
@@ -416,32 +398,6 @@ class _Sentence:
             return ("P", self._input(1, f.prop, attr), self._var(f.var, scope))
         self.bad.append(repr(f))  # the text, as the node may be the sentence itself
         return ("!", len(self.bad) - 1)
-
-
-def _truth(node, rows, nw, nu, X, env):
-    """What the code for a shape node computes, walked without compiling.
-
-    env maps quantifier numbers k, and -1 - i for each input i, to values.
-    The shape reads no absent input and holds no "!" node.
-    """
-    op = node[0]
-    if op == "&":
-        return _truth(node[1], rows, nw, nu, X, env) and _truth(node[2], rows, nw, nu, X, env)
-    if op == ">":
-        return not _truth(node[1], rows, nw, nu, X, env) or _truth(node[2], rows, nw, nu, X, env)
-    if op in ("A", "E"):
-        _, k, is_w, body = node
-        for env[k] in range(nw if is_w else nu):
-            if _truth(body, rows, nw, nu, X, env) is not (op == "A"):
-                return op == "E"
-        return op == "A"
-    if op == "N":
-        return rows[env[node[1]]] >> env[node[2]] & 1 == 1
-    if op == "=":
-        return env[node[1]] == env[node[2]]
-    if op == "R":
-        return tuple(map(env.__getitem__, node[2])) in X[node[1]]
-    return X[node[1]] >> env[node[2]] & 1 == 1
 
 
 # Per generated function: nested statements before the rest of a sentence

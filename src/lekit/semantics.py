@@ -11,15 +11,13 @@ eval_formula evaluates one formula in one model, and _sat/_cosat give the
 pointwise recursive clauses; the tests use both as oracles.  Validity
 checks hash-cons the sequent into a program of slots with no names in it
 (_Program), and _emit_program writes one loop nest per program shape and
-domain kind, compiled once and cached by emit.compiled: one loop per
-proposition, the last innermost, each slot computed right under the loop
-of its highest proposition, and an early return at the first failing
-valuation.  frame_validates runs it on the concepts' extent and intent
-masks, memoising the Galois maps and each connective's sections for the
-call; algebra_validates runs it on element indices through meet, join
-and the operation tables.  A check of at most PLAIN_WORK valuations
-times slots, where compiling would cost more than it saves, runs the same
-program in a plain loop instead (_plain_frame, _plain_algebra).
+domain kind, compiled once (0.2-0.5 ms) and cached by emit.compiled: one
+loop per proposition, the last innermost, each slot computed right under
+the loop of its highest proposition, and an early return at the first
+failing valuation.  frame_validates runs it on the concepts' extent and
+intent masks, memoising the Galois maps and each connective's sections
+for the call; algebra_validates runs it on element indices through meet,
+join and the operation tables.
 """
 
 from __future__ import annotations
@@ -405,98 +403,12 @@ def _reads(sorts):
     return ["e" if s == "W" else "i" for s in sorts[1:]]
 
 
-# Valuations times slots up to which a check runs as a plain loop.  Like
-# the generated code, the plain loop recomputes a slot only when one of its
-# propositions changes, so this bounds its work from above; emitting and
-# compiling a program (0.2-0.5 ms) costs about as much as a full scan of
-# 2000 such steps in the plain loop.
-PLAIN_WORK = 2000
-
-
-def _valuations(n, m):
-    """Index tuples in product order, each with the first position changed.
-
-    The last position runs fastest, so every later position changed too;
-    the first tuple comes with -1.
-    """
-    changed = -1
-    for picked in product(range(n), repeat=m):
-        yield picked, changed
-        changed = m - 1
-        while changed >= 0 and picked[changed] == n - 1:
-            changed -= 1
-
-
-def _plan(program):
-    """steps[k + 1]: (slot, op, payload, children, reads) of the slots a
-    valuation recomputes when proposition k is the first that changed,
-    that is the slots depending on a proposition k or later, in slot
-    order; the first valuation (k = -1) computes all of them.  reads is a
-    connective's _reads, one flag per coordinate: True for intent.
-    """
-    nodes, deps, _, _, m = program.key
-    steps = [[] for _ in range(m + 1)]
-    for slot, (op, payload, kids) in enumerate(nodes):
-        reads = op == "conn" and [mask == "i" for mask in _reads(payload[1])]
-        for k in range(deps[slot] + 2):
-            steps[k].append((slot, op, payload, kids, reads))
-    return steps
-
-
-def _plain_frame(program, pairs, by_ext, by_int, memos, full_w, full_u):
-    """What the frame code of _emit_program returns, without compiling it.
-
-    Like that code, a valuation recomputes only the slots that depend on
-    a proposition that changed.
-    """
-    lhs, rhs = program.key[2:4]
-    steps = _plan(program)
-    vals = [None] * len(program.nodes)
-    for picked, changed in _valuations(len(pairs), program.key[4]):
-        for slot, op, payload, kids, reads in steps[changed + 1]:
-            if op == "prop":
-                vals[slot] = pairs[picked[payload]]
-            elif op in ("and", "top"):
-                ext = vals[kids[0]][0] & vals[kids[1]][0] if kids else full_w
-                vals[slot] = ext, by_ext[ext]
-            elif op in ("or", "bot"):
-                itn = vals[kids[0]][1] & vals[kids[1]][1] if kids else full_u
-                vals[slot] = by_int[itn], itn
-            elif len(kids) == 1:
-                vals[slot] = memos[payload[0]][vals[kids[0]][reads[0]]]
-            else:
-                masks = tuple([vals[c][side] for c, side in zip(kids, reads)])
-                vals[slot] = memos[payload[0]][masks]
-        if vals[lhs][0] & ~vals[rhs][0]:
-            return picked
-    return None
-
-
-def _plain_algebra(program, alg):
-    """What the algebra code of _emit_program returns, without compiling it.
-
-    It reads meet and join only when a slot needs them, as a complex
-    algebra fills them lazily.
-    """
-    lhs, rhs = program.key[2:4]
-    ops = list(map(alg.ops.__getitem__, program.conns))
-    steps = _plan(program)
-    vals = [None] * len(program.nodes)
-    for picked, changed in _valuations(alg.size, program.key[4]):
-        for slot, op, payload, kids, _ in steps[changed + 1]:
-            if op == "prop":
-                vals[slot] = picked[payload]
-            elif op == "conn" and len(kids) == 1:
-                vals[slot] = ops[payload[0]][(vals[kids[0]],)]
-            elif op == "conn":
-                vals[slot] = ops[payload[0]][tuple([vals[c] for c in kids])]
-            elif op in ("and", "or"):
-                vals[slot] = (alg.meet if op == "and" else alg.join)[vals[kids[0]]][vals[kids[1]]]
-            else:
-                vals[slot] = alg.top if op == "top" else alg.bot
-        if not alg.leq[vals[lhs]][vals[rhs]]:
-            return picked
-    return None
+def _check_cap(total, cap):
+    """Refuse a check of more than cap valuations; a cap of None is none."""
+    if cap is not None and total > cap:
+        raise CapExceededError(
+            f"{total} valuations needed, cap is {cap}; raise the cap to proceed"
+        )
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -512,10 +424,7 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     props = program.props
     concepts = enumerate_concepts(frame.polarity, concept_cap)
     total = len(concepts) ** len(props)
-    if cap is not None and total > cap:
-        raise CapExceededError(
-            f"{total} valuations needed, cap is {cap}; raise the cap to proceed"
-        )
+    _check_cap(total, cap)
     pol = frame.polarity
     pairs = [(c.extent, c.intent) for c in concepts]
     by_ext = _closed(pairs, pol.up)
@@ -524,11 +433,8 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
         _closed((), partial(_section_pair, frame.relations[c], by_ext, by_int))
         for c in program.conns
     ]
-    if total * len(program.nodes) <= PLAIN_WORK:
-        picked = _plain_frame(program, pairs, by_ext, by_int, memos, pol.full_w, pol.full_u)
-    else:
-        fns = compiled(_emit_program, ("frame",) + program.key)
-        picked = fns[0](fns, pairs, by_ext, by_int, pol.full_w, pol.full_u, memos, product)
+    fns = compiled(_emit_program, ("frame",) + program.key)
+    picked = fns[0](fns, pairs, by_ext, by_int, pol.full_w, pol.full_u, memos, product)
     if picked is None:
         return ValidityVerdict(True, None, total)
     counter = {p: concepts[i] for p, i in zip(props, picked)}
@@ -543,10 +449,7 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     """
     program = _Program(sequent, alg.signature)
     total = alg.size ** len(program.props)
-    if cap is not None and total > cap:
-        raise CapExceededError(f"{total} assignments needed, cap is {cap}")
-    if total * len(program.nodes) <= PLAIN_WORK:
-        return _plain_algebra(program, alg) is None
+    _check_cap(total, cap)
     # meet and join are read only if used, as a complex algebra fills them
     # lazily; leq is the matrix view, not shifts of cone masks: indexing
     # tuples is the cheapest order test per valuation, and it is built once

@@ -200,6 +200,20 @@ def test_cap_env_var_not_an_integer(capsys, monkeypatch):
     assert "LEKIT_CAP" in err
 
 
+@pytest.mark.parametrize("argv", [["concepts", F1], ["valid", F1, "box box p |- p"]])
+def test_negative_cap_flag_is_refused(argv, capsys):
+    code, _, err = run_cli(["--cap", "-1"] + argv, capsys)
+    assert code == 2
+    assert err == "error: --cap must be at least 0, got -1\n"
+
+
+def test_negative_cap_env_var_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("LEKIT_CAP", "-3")
+    code, _, err = run_cli(["valid", F1, "box box p |- p"], capsys)
+    assert code == 2
+    assert err == "error: LEKIT_CAP must be at least 0, got -3\n"
+
+
 def test_cap_flag_overrides(capsys, monkeypatch):
     monkeypatch.setenv("LEKIT_CAP", "1")
     code, _, _ = run_cli(["--cap", "1000", "concepts", F1], capsys)

@@ -291,36 +291,6 @@ def test_program_cache_never_serves_a_collected_sentence(frame_f1):
     assert all(ref() is not None for ref, _ in fol._PROGRAMS.values())
 
 
-@pytest.fixture(params=["generated", "plain"])
-def path(request, monkeypatch):
-    """Every evaluation through generated code, or through the plain walk."""
-    monkeypatch.setattr(fol, "PLAIN_VISITS", -1 if request.param == "generated" else 10**9)
-    fol._PROGRAMS.clear()
-    yield request.param
-    fol._PROGRAMS.clear()
-
-
-def test_both_paths_match_the_recursive_oracle(path, frame_f1):
-    test_compiled_eval_fo_matches_recursive_oracle()
-    test_shadowed_variables_exists_and_eq(frame_f1)
-    test_free_variables_from_env(frame_f1)
-    test_errors_raise_only_when_reached(frame_f1)
-
-
-def test_a_sentence_compiles_once_its_walks_add_up(frame_f1):
-    fof = translate_sequent(parse_sequent("box p |- p", SIG_BOX), SIG_BOX, "pairing")
-    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
-    sentence = fol._sentence(fof)
-    per_call = sentence.atom_visits(max(frame_f1.polarity.nw, frame_f1.polarity.nu))
-    emit.compiled.cache_clear()
-    for _ in range(fol.PLAIN_VISITS // per_call):
-        eval_fo(m, fof)
-    assert sentence.fns is None and emit.compiled.cache_info().misses == 0
-    for _ in range(3):
-        assert eval_fo(m, fof) == eval_fo_recursive(m, fof)
-    assert sentence.fns is not None and emit.compiled.cache_info().misses == 1
-
-
 def _sentence_fns(fof):
     return emit.compiled(fol._emit_sentence, fol._sentence(fof).key + ((),))
 
@@ -329,7 +299,7 @@ def _sentence_source(fof, absent=()):
     return "\n".join(fol._emit_sentence(fol._Sentence(fof).key + (absent,)))
 
 
-def test_hostile_names_never_become_code(path):
+def test_hostile_names_never_become_code():
     conns = (
         Connective("class", "G", 1, ("1",)),
         Connective("lambda", "F", 2, ("1", "d")),
@@ -401,7 +371,6 @@ def small_functions(monkeypatch):
     monkeypatch.setattr(fol, "MAX_LOOPS", 1)
     monkeypatch.setattr(fol, "_MAX_DEPTH", 2)
     monkeypatch.setattr(fol, "_MAX_PARENS", 4)
-    monkeypatch.setattr(fol, "PLAIN_VISITS", -1)
     emit.compiled.cache_clear()
     fol._PROGRAMS.clear()
     yield
@@ -429,7 +398,7 @@ def test_split_sentences_match_the_recursive_oracle(small_functions):
     assert helpers > 100
 
 
-def test_deep_sentences_on_a_one_point_frame(path):
+def test_deep_sentences_on_a_one_point_frame():
     pol = Polarity.from_names(["a"], ["u"], [("a", "u")])
     fr = Frame(
         pol,
@@ -455,7 +424,7 @@ def test_deep_sentences_on_a_one_point_frame(path):
     assert len(_sentence_fns(Forall(YV, deep))) > 1
 
 
-def test_eval_fo_leaves_no_cycle_holding_a_frame(path):
+def test_eval_fo_leaves_no_cycle_holding_a_frame():
     rng = random.Random(127)
     seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
     gc.collect()
@@ -499,7 +468,7 @@ def test_format_fo_of_deep_sentence_is_a_format_error():
     assert format_fo(translate_sequent(parse_sequent("box " * 20 + "p |- p", sig), sig))
 
 
-def test_env_values_must_be_points_of_their_sort(path, frame_f1):
+def test_env_values_must_be_points_of_their_sort(frame_f1):
     m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
     nw, nu = frame_f1.polarity.nw, frame_f1.polarity.nu
     z = Var("Q", "z")
@@ -588,8 +557,8 @@ def _empty_relations(fr):
     return Frame(fr.polarity, fr.signature, rels)
 
 
-def test_masks_match_the_oracle_and_the_plain_walk(path):
-    """Both paths agree with the oracle, verdicts and errors, on seeded cases."""
+def test_masks_match_the_oracle():
+    """Generated code agrees with the oracle, verdicts and errors, on seeded cases."""
     rng = random.Random(131)
     compared = raised = masked = 0
     for i in range(40):

@@ -11,6 +11,7 @@ import pytest
 from lekit import (
     And,
     Bot,
+    CapExceededError,
     Conn,
     Connective,
     Frame,
@@ -28,6 +29,7 @@ from lekit import (
     cosatisfies,
     cosatisfies_recursive,
     enumerate_concepts,
+    eval_fo,
     eval_formula,
     frame_validates,
     load_frame,
@@ -37,6 +39,7 @@ from lekit import (
     props_of,
     satisfies,
     satisfies_recursive,
+    translate_sequent,
     validate_formula,
 )
 from lekit import emit, semantics
@@ -181,6 +184,18 @@ def test_valuation_count_reported(frame_f1):
     assert verdict.valuations_checked == 4
 
 
+def test_both_validity_checks_word_the_cap_alike(frame_f1):
+    seq = parse_sequent("box p |- p", SIG_BOX)
+    alg = build_complex_algebra(frame_f1)
+    message = "^4 valuations needed, cap is 0; raise the cap to proceed$"
+    with pytest.raises(CapExceededError, match=message):
+        frame_validates(frame_f1, seq, cap=0)
+    with pytest.raises(CapExceededError, match=message):
+        algebra_validates(alg, seq, cap=0)
+    assert frame_validates(frame_f1, seq, cap=4).valid is False
+    assert algebra_validates(alg, seq, cap=4) is False
+
+
 def _shared_sequent(rng, sig, props, depth):
     """A sequent in which one drawn subformula occurs several times."""
     a = random_formula(rng, sig, props, depth)
@@ -257,37 +272,31 @@ def test_algebra_program_matches_tree_walk():
     assert verdicts == {True, False}
 
 
-@pytest.fixture(params=["generated", "plain"])
-def path(request, monkeypatch):
-    """Every validity check through generated code, or through the plain loop."""
-    monkeypatch.setattr(semantics, "PLAIN_WORK", -1 if request.param == "generated" else 10**9)
-    return request.param
-
-
-def test_both_paths_match_the_oracles(path):
-    test_frame_program_matches_model_oracle()
-    test_algebra_program_matches_tree_walk()
-
-
-def test_small_checks_compile_nothing():
+def test_a_question_compiles_once_per_kind():
     fr = all_box_frames_2x2()[7]
     alg = build_complex_algebra(fr)
-    small = parse_sequent(r"box (p /\ q) |- box p \/ q", SIG_BOX)
+    concepts = enumerate_concepts(fr.polarity)
+    m = Model(fr, {"p": concepts[0], "q": concepts[-1]})
+    text = r"box (p /\ q) |- box p \/ q"
+    seq = parse_sequent(text, SIG_BOX)
+    fof = translate_sequent(seq, SIG_BOX, "pairing")
     emit.compiled.cache_clear()
-    frame_validates(fr, small)
-    algebra_validates(alg, small)
-    assert emit.compiled.cache_info().misses == 0
-    # past PLAIN_WORK valuations times slots the shape is compiled, once per kind
-    slots = len(semantics._Program(small, SIG_BOX).nodes)
-    k = 1
-    while 4**k * slots <= semantics.PLAIN_WORK:
-        k += 1
-    frame = boolean_frame(random.Random(131), k, SIG_BOX.connectives)
-    big = build_complex_algebra(frame, check=False)
-    assert big.size == 2**k
-    for _ in range(2):
-        algebra_validates(big, small)
+    # the first question of each kind compiles its shape, even on 2x2 points
+    want = _verdict(fr, seq)
+    assert want == frame_validates_by_models(fr, seq)
     assert emit.compiled.cache_info().misses == 1
+    valid = algebra_validates(alg, seq)
+    assert valid == algebra_validates_by_walk(alg, seq)
+    assert emit.compiled.cache_info().misses == 2
+    holds = eval_fo(m, fof)
+    assert emit.compiled.cache_info().misses == 3
+    # asked again, parsed again or translated again, it compiles nothing
+    for _ in range(2):
+        again = parse_sequent(text, SIG_BOX)
+        assert _verdict(fr, seq) == _verdict(fr, again) == want
+        assert algebra_validates(alg, seq) == algebra_validates(alg, again) == valid
+        assert eval_fo(m, fof) == eval_fo(m, translate_sequent(again, SIG_BOX, "pairing")) == holds
+    assert emit.compiled.cache_info().misses == 3
 
 
 def _verdict(frame, seq):
@@ -339,7 +348,7 @@ def _hostile_cases():
         yield frame, seq, twin, renamed(seq, names), names
 
 
-def test_hostile_names_never_become_code(path):
+def test_hostile_names_never_become_code():
     hostile = {c.name for c in HOSTILE_CONNS} | set(HOSTILE_PROPS)
     compared = 0
     for frame, seq, twin, plain, names in _hostile_cases():
@@ -366,7 +375,7 @@ def test_hostile_names_never_become_code(path):
     assert compared >= 10
 
 
-def test_program_code_is_keyed_by_family_and_order_type(path):
+def test_program_code_is_keyed_by_family_and_order_type():
     rng = random.Random(101)
     text = r"k(p) |- k(q /\ p) \/ q"
     variants = [
@@ -391,7 +400,6 @@ def test_program_code_is_keyed_by_family_and_order_type(path):
 def few_loops(monkeypatch):
     """Programs with at most two loops each, so the product loop runs."""
     monkeypatch.setattr(semantics, "MAX_LOOPS", 2)
-    monkeypatch.setattr(semantics, "PLAIN_WORK", -1)
     emit.compiled.cache_clear()
     yield
     emit.compiled.cache_clear()
@@ -413,7 +421,7 @@ def test_programs_past_the_loop_limit_match_the_oracles(few_loops):
     assert "product(" in _program_source("frame", parse_sequent(r"p /\ q |- r", SIG_BOX), SIG_BOX)
 
 
-def test_many_propositions_on_a_one_concept_frame(path):
+def test_many_propositions_on_a_one_concept_frame():
     # more propositions than CPython allows nested loops in one function
     pol = Polarity.from_names(["a"], ["x"], [("a", "x")])
     full = {
@@ -432,7 +440,7 @@ def test_many_propositions_on_a_one_concept_frame(path):
         assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq)
 
 
-def test_validity_checks_leave_no_cycle_holding_a_frame(path):
+def test_validity_checks_leave_no_cycle_holding_a_frame():
     rng = random.Random(107)
     seq = parse_sequent("box (p /\\ q) |- box p \\/ q", SIG_BOX)
     gc.collect()
