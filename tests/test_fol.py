@@ -291,6 +291,23 @@ def test_program_cache_never_serves_a_collected_sentence(frame_f1):
     assert all(ref() is not None for ref, _ in fol._PROGRAMS.values())
 
 
+def test_a_sentence_compiles_once(frame_f1):
+    text = "box p |- p"
+    fof = translate_sequent(parse_sequent(text, SIG_BOX), SIG_BOX, "pairing")
+    m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
+    sentence = fol._sentence(fof)
+    emit.compiled.cache_clear()
+    # the first call compiles the sentence's shape, even on a small frame
+    holds = eval_fo(m, fof)
+    assert holds == eval_fo_recursive(m, fof)
+    assert sentence.fns is not None and emit.compiled.cache_info().misses == 1
+    # called again or translated again, it compiles nothing
+    for _ in range(2):
+        again = translate_sequent(parse_sequent(text, SIG_BOX), SIG_BOX, "pairing")
+        assert eval_fo(m, fof) == eval_fo(m, again) == holds
+    assert emit.compiled.cache_info().misses == 1
+
+
 def _sentence_fns(fof):
     return emit.compiled(fol._emit_sentence, fol._sentence(fof).key + ((),))
 

@@ -29,7 +29,6 @@ from lekit import (
     cosatisfies,
     cosatisfies_recursive,
     enumerate_concepts,
-    eval_fo,
     eval_formula,
     frame_validates,
     load_frame,
@@ -39,7 +38,6 @@ from lekit import (
     props_of,
     satisfies,
     satisfies_recursive,
-    translate_sequent,
     validate_formula,
 )
 from lekit import emit, semantics
@@ -275,28 +273,22 @@ def test_algebra_program_matches_tree_walk():
 def test_a_question_compiles_once_per_kind():
     fr = all_box_frames_2x2()[7]
     alg = build_complex_algebra(fr)
-    concepts = enumerate_concepts(fr.polarity)
-    m = Model(fr, {"p": concepts[0], "q": concepts[-1]})
     text = r"box (p /\ q) |- box p \/ q"
     seq = parse_sequent(text, SIG_BOX)
-    fof = translate_sequent(seq, SIG_BOX, "pairing")
     emit.compiled.cache_clear()
-    # the first question of each kind compiles its shape, even on 2x2 points
+    # the first check of each kind compiles its shape, even on 2x2 points
     want = _verdict(fr, seq)
     assert want == frame_validates_by_models(fr, seq)
     assert emit.compiled.cache_info().misses == 1
     valid = algebra_validates(alg, seq)
     assert valid == algebra_validates_by_walk(alg, seq)
     assert emit.compiled.cache_info().misses == 2
-    holds = eval_fo(m, fof)
-    assert emit.compiled.cache_info().misses == 3
-    # asked again, parsed again or translated again, it compiles nothing
+    # asked again or parsed again, it compiles nothing
     for _ in range(2):
         again = parse_sequent(text, SIG_BOX)
         assert _verdict(fr, seq) == _verdict(fr, again) == want
         assert algebra_validates(alg, seq) == algebra_validates(alg, again) == valid
-        assert eval_fo(m, fof) == eval_fo(m, translate_sequent(again, SIG_BOX, "pairing")) == holds
-    assert emit.compiled.cache_info().misses == 3
+    assert emit.compiled.cache_info().misses == 2
 
 
 def _verdict(frame, seq):
