@@ -13,7 +13,6 @@ from .algebra import (
     FiniteAlgebra,
     algebra_from_dict,
     build_complex_algebra,
-    check_complete_homomorphism,
     find_isomorphism,
     load_algebra,
     verify_normality,

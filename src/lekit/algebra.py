@@ -12,7 +12,7 @@ fills both tables while it is built, so an order that is not a partial
 order or not a lattice is refused there.  Complex algebras and products,
 lattices by construction, skip the order and op-table checks and leave
 the tables unfilled until something reads them (algebra validity, the
-homomorphism check, the witness search of a failing normality check);
+witness search of a failing normality check);
 their element names, too, are built on first read (messages, to_dict,
 the CLI).  The n x n bool matrix leq is a read-only view derived from the
 masks on first access; building an algebra never makes it, and algebra
@@ -28,7 +28,9 @@ intent.  A connective reads its relation by the sorts of its coordinates:
 at a W coordinate the argument concept's extent, at a U coordinate its
 intent.  The 0-section of those masks is the extent of the value when the
 head has sort W (family G) and its intent when the head has sort U
-(family F).
+(family F).  The operation tables go through the section kernel too:
+frame.section_table folds the relation's row index one coordinate at a
+time, one meet_each per column, for all argument tuples at once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     IncompatibleFrameError,
     NotALatticeError,
 )
-from .frame import check_compatibility, section_zero
+from .frame import check_compatibility, section_table
 from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
 from .reading import index_rows, name_ids, read_json
 from .syntax import signature_from_dict
@@ -283,18 +285,13 @@ def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
         head, *coords = rel.sorts
-        reads = [masks[s] for s in coords]
-        table = {}
-        for tup in product(range(n), repeat=rel.arity):
-            args = tuple(map(list.__getitem__, reads, tup))  # reads[k][tup[k]]
-            idx = index[head].get(section_zero(rel, args))
-            if idx is None:
-                raise IncompatibleFrameError(
-                    f"operation {conn.name!r} leaves the concept lattice; "
-                    "the frame is not compatible"
-                )
-            table[tup] = idx
-        ops[conn.name] = table
+        ids = list(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
+        if None in ids:
+            raise IncompatibleFrameError(
+                f"operation {conn.name!r} leaves the concept lattice; "
+                "the frame is not compatible"
+            )
+        ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
     return ComplexAlgebra(frame, concepts, ops)
 
 
@@ -426,58 +423,6 @@ def verify_normality(alg):
             if report is not None:
                 return report
     return NormalityReport(True)
-
-
-@dataclass
-class HomReport:
-    passed: bool
-    reason: str = ""
-
-    @property
-    def message(self):
-        return "PASS: complete homomorphism" if self.passed else f"FAIL: {self.reason}"
-
-    def to_dict(self):
-        out = {"passed": self.passed}
-        if not self.passed:
-            out["reason"] = self.reason
-        return out
-
-
-def check_complete_homomorphism(mapping, dom, cod):
-    """Check that mapping preserves bounds, meets, joins and all operations.
-
-    On finite lattices preserving binary meets, joins and both bounds is
-    the same as complete preservation.
-    """
-    mapping = tuple(mapping)
-    if len(mapping) != dom.size or not all(0 <= v < cod.size for v in mapping):
-        return HomReport(False, "mapping is not a function into the codomain")
-    if dom.signature != cod.signature:
-        return HomReport(False, "signature mismatch")
-    if mapping[dom.bot] != cod.bot:
-        return HomReport(False, "bottom is not preserved")
-    if mapping[dom.top] != cod.top:
-        return HomReport(False, "top is not preserved")
-    for a in range(dom.size):
-        for b in range(a + 1, dom.size):
-            if mapping[dom.meet[a][b]] != cod.meet[mapping[a]][mapping[b]]:
-                return HomReport(
-                    False, f"meet of {dom.names[a]!r} and {dom.names[b]!r} not preserved"
-                )
-            if mapping[dom.join[a][b]] != cod.join[mapping[a]][mapping[b]]:
-                return HomReport(
-                    False, f"join of {dom.names[a]!r} and {dom.names[b]!r} not preserved"
-                )
-    for conn in dom.signature.connectives:
-        for args, val in dom.ops[conn.name].items():
-            image = cod.ops[conn.name][tuple(mapping[a] for a in args)]
-            if mapping[val] != image:
-                return HomReport(
-                    False,
-                    f"{conn.name!r} at {tuple(dom.names[a] for a in args)} not preserved",
-                )
-    return HomReport(True)
 
 
 def find_isomorphism(a, b, rng=None):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
-from .bitset import bits, meet_rows, names_of
+from .bitset import bits, meet_each, meet_rows, names_of
 from .errors import CapExceededError, FormatError, IncompatibleFrameError, SortError
 from .polarity import Polarity
 from .reading import index_rows, read_json
@@ -135,6 +135,46 @@ def _section_at(rel, j, args):
         if not acc:
             break
     return acc
+
+
+def point_sections(rel, j):
+    """The j-section of every tuple of points at the coordinates other than
+    j, in product order.  Each is one entry of the row index, 0 when the
+    tuple's prefix has no row."""
+    rows = rel.rows[j]
+    others = rel.sizes[:j] + rel.sizes[j + 1 :] or (1,)  # arity 0: the phantom coordinate
+    zero = [0] * others[-1]
+    out = []
+    for prefix in product(*map(range, others[:-1])):
+        out += rows.get(prefix, zero)
+    return out
+
+
+def section_table(rel, reads):
+    """[section_zero(rel, args) for args in product(*reads)], where reads[k]
+    lists the masks at coordinate k + 1.
+
+    Folds the coordinates from the last: cols[prefix][s] is the section at
+    the points prefix of the coordinates not yet folded and the s-th tuple
+    of masks at those folded, and each fold is one meet_each per column.
+    A prefix with no row reads as 0 and an empty mask as the full head
+    sort, as in _section_at.
+    """
+    if not rel.arity:
+        return point_sections(rel, 0)
+    full = (1 << rel.sizes[0]) - 1
+    *outer, last = reads
+    cols = {p: meet_each(row, last, full) for p, row in rel.rows[0].items()}
+    missing = [0 if m else full for m in last]  # the column of a prefix with no row
+    for masks, size in zip(reversed(outer), reversed(rel.sizes[1:-1])):
+        folded = {}
+        for p in {key[:-1] for key in cols}:
+            parts = [cols.get(p + (v,), missing) for v in range(size)]
+            each = [meet_each(col, masks, full) for col in zip(*parts)]
+            folded[p] = list(chain.from_iterable(zip(*each)))
+        missing = [m if mask else full for mask in masks for m in missing]
+        cols = folded
+    return cols.get((), missing)
 
 
 class Frame:
@@ -272,22 +312,24 @@ def check_compatibility(frame):
 
     Coordinate by coordinate, from the head, over the point tuples at the
     other coordinates in product order.  Sections repeat a few masks many
-    times, so each sort keeps the masks this call has found stable.
+    times, so each coordinate closes its distinct masks in the order they
+    first occur, and each sort keeps the masks this call has found stable.
+    The first unstable mask is then that of the first failing tuple.
     """
     pol = frame.polarity
     stable = {"W": set(), "U": set()}
     for conn in frame.signature.connectives:
         rel = frame.relations[conn.name]
         for j, sort in enumerate(rel.sorts):
-            other_sorts = rel.sorts[:j] + rel.sorts[j + 1 :]
-            rows = rel.rows[j]
+            sections = point_sections(rel, j)
             seen = stable[sort]
-            for tup in product(*(range(pol.size(s)) for s in other_sorts)):
-                row = rows.get(tup[:-1])  # a point tuple's section is one entry
-                mask = row[tup[-1] if tup else 0] if row else 0
+            for mask in dict.fromkeys(sections):
                 if mask in seen:
                     continue
                 if not pol.stable(mask, sort):
+                    other_sorts = rel.sorts[:j] + rel.sorts[j + 1 :]
+                    tuples = product(*(range(pol.size(s)) for s in other_sorts))
+                    tup = next(islice(tuples, sections.index(mask), None))
                     return CompatibilityReport(
                         False,
                         conn.name,

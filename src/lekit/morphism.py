@@ -24,7 +24,7 @@ from itertools import product
 from .algebra import ComplexAlgebra, build_complex_algebra
 from .bitset import bits, names_of
 from .errors import FormatError, InvalidPMorphismError
-from .frame import section_zero
+from .frame import point_sections, section_zero
 from .polarity import Polarity, enumerate_concepts
 from .reading import index_rows, read_json
 
@@ -199,10 +199,10 @@ def _fault(pm, concepts, images):
         src_rel = pm.source.relations[conn.name]
         tgt_rel = pm.target.relations[conn.name]
         head, *coords = tgt_rel.sorts
-        for tup in product(*(range(tp.size(s)) for s in coords)):
+        tuples = product(*(range(tp.size(s)) for s in coords))
+        for tup, section in zip(tuples, point_sections(tgt_rel, 0)):
             # the target section goes back through T (head U) or S (head W);
             # each target point goes over through T (sort W) or S (sort U)
-            section = section_zero(tgt_rel, tuple(1 << v for v in tup))
             if head == "U":
                 lhs = pm.T.down(tp.down(section))
             else:

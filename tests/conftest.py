@@ -740,10 +740,42 @@ def complex_algebra_ops_by_family(frame, concepts):
                 )
                 idx = int_index.get(section_zero(rel, args))
             if idx is None:
-                raise IncompatibleFrameError("the operation leaves the concept lattice")
+                raise IncompatibleFrameError(
+                    f"operation {conn.name!r} leaves the concept lattice; "
+                    "the frame is not compatible"
+                )
             table[tup] = idx
         ops[conn.name] = table
     return ops
+
+
+def complete_homomorphism_failure(mapping, dom, cod):
+    """None when mapping preserves bounds, meets, joins and all operations,
+    else the first failure; the oracle for dual_hom's maps.
+
+    On finite lattices preserving binary meets, joins and both bounds is
+    the same as complete preservation.
+    """
+    mapping = tuple(mapping)
+    if len(mapping) != dom.size or not all(0 <= v < cod.size for v in mapping):
+        return "mapping is not a function into the codomain"
+    if dom.signature != cod.signature:
+        return "signature mismatch"
+    if mapping[dom.bot] != cod.bot:
+        return "bottom is not preserved"
+    if mapping[dom.top] != cod.top:
+        return "top is not preserved"
+    for a in range(dom.size):
+        for b in range(a + 1, dom.size):
+            if mapping[dom.meet[a][b]] != cod.meet[mapping[a]][mapping[b]]:
+                return f"meet of {dom.names[a]!r} and {dom.names[b]!r} not preserved"
+            if mapping[dom.join[a][b]] != cod.join[mapping[a]][mapping[b]]:
+                return f"join of {dom.names[a]!r} and {dom.names[b]!r} not preserved"
+    for conn in dom.signature.connectives:
+        for args, val in dom.ops[conn.name].items():
+            if mapping[val] != cod.ops[conn.name][tuple(mapping[a] for a in args)]:
+                return f"{conn.name!r} at {tuple(dom.names[a] for a in args)} not preserved"
+    return None
 
 
 def pmorphism_report_by_family(pm):

@@ -18,7 +18,6 @@ from lekit import (
     algebra_validates,
     build_complex_algebra,
     check_compatibility,
-    check_complete_homomorphism,
     coproduct,
     enumerate_concepts,
     filter_ideal_frame,
@@ -27,6 +26,7 @@ from lekit import (
     product_algebra,
     verify_normality,
 )
+import lekit.frame as frame_module
 from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
@@ -42,6 +42,7 @@ from conftest import (
     boolean_frame,
     build_table,
     check_order,
+    complete_homomorphism_failure,
     complex_algebra_ops_by_family,
     concept_leq_by_extents,
     concept_names,
@@ -169,16 +170,14 @@ def test_normality_failure_detected():
 def test_homomorphism_checker():
     dom = two_chain()
     cod = diamond()
-    ok = check_complete_homomorphism([0, 3], dom, cod)
-    assert ok.passed
-    bad = check_complete_homomorphism([1, 3], dom, cod)  # does not send bot to bot
-    assert not bad.passed
+    assert complete_homomorphism_failure([0, 3], dom, cod) is None
+    # does not send bot to bot
+    assert complete_homomorphism_failure([1, 3], dom, cod) == "bottom is not preserved"
     # splitting the incomparable pair across the chain is a homomorphism
-    ok2 = check_complete_homomorphism([0, 1, 0, 1], cod, dom)
-    assert ok2.passed
+    assert complete_homomorphism_failure([0, 1, 0, 1], cod, dom) is None
     # collapsing both to 1 breaks the meet: a /\ b = bot but 1 /\ 1 = 1
-    bad2 = check_complete_homomorphism([0, 1, 1, 1], cod, dom)
-    assert not bad2.passed
+    bad = complete_homomorphism_failure([0, 1, 1, 1], cod, dom)
+    assert bad is not None and bad.startswith("meet of ")
 
 
 def test_op_preservation_checked():
@@ -186,10 +185,9 @@ def test_op_preservation_checked():
     leq2 = [[True, True], [False, True]]
     dom = FiniteAlgebra(["0", "1"], leq2, sig, {"box": {(0,): 0, (1,): 1}})
     cod = FiniteAlgebra(["0", "1"], leq2, sig, {"box": {(0,): 0, (1,): 1}})
-    assert check_complete_homomorphism([0, 1], dom, cod).passed
+    assert complete_homomorphism_failure([0, 1], dom, cod) is None
     cod2 = FiniteAlgebra(["0", "1"], leq2, sig, {"box": {(0,): 1, (1,): 1}})
-    rep = check_complete_homomorphism([0, 1], dom, cod2)
-    assert not rep.passed
+    assert complete_homomorphism_failure([0, 1], dom, cod2) == "'box' at ('0',) not preserved"
 
 
 def test_find_isomorphism_random_frames():
@@ -199,7 +197,7 @@ def test_find_isomorphism_random_frames():
         alg = build_complex_algebra(fr)
         iso = find_isomorphism(alg, alg)
         assert iso is not None
-        assert check_complete_homomorphism(iso, alg, alg).passed
+        assert complete_homomorphism_failure(iso, alg, alg) is None
 
 
 def test_find_isomorphism_distinguishes():
@@ -566,6 +564,33 @@ def test_checks_leave_no_cycle_holding_a_complex_algebra():
         gc.enable()
 
 
+def _ops_match_family_branches(frame):
+    """Compare the built tables with the per-tuple oracle; False when the
+    oracle finds the frame leaves the concept lattice, after checking that
+    the build refuses it with the same message."""
+    try:
+        expect = complex_algebra_ops_by_family(frame, enumerate_concepts(frame.polarity))
+    except IncompatibleFrameError as err:
+        with pytest.raises(IncompatibleFrameError) as got:
+            build_complex_algebra(frame, check=False)
+        assert str(got.value) == str(err)
+        return False
+    assert build_complex_algebra(frame, check=False).ops == expect
+    return True
+
+
+def _sparse_box_frames(rng):
+    """Box frames, mostly not compatible, whose relation is empty, one pair
+    or about 5 % of the pairs."""
+    box = SIG_BOX.connectives[0]
+    for side in (6, 10, 16):
+        pol = random_polarity(rng, side, side, 0.7)
+        pairs = [(w, u) for w in range(side) for u in range(side) if rng.random() < 0.05]
+        for tuples in ((), [(rng.randrange(side), rng.randrange(side))], pairs):
+            rel = Relation(connective_sorts(box), (side, side), tuples)
+            yield Frame(pol, SIG_BOX, {"box": rel})
+
+
 def test_complex_algebra_ops_match_family_branches():
     # boolean frames (all compatible, up to 16 concepts) and random frames,
     # most of which leave the concept lattice in some operation
@@ -576,16 +601,45 @@ def test_complex_algebra_ops_match_family_branches():
             fr = boolean_frame(rng, 1 + k % 4, SIG_MIX.connectives)
         else:
             fr = random_frame(rng, SIG_MIX, 4)
-        try:
-            expect = complex_algebra_ops_by_family(fr, enumerate_concepts(fr.polarity))
-        except IncompatibleFrameError:
-            with pytest.raises(IncompatibleFrameError):
-                build_complex_algebra(fr, check=False)
+        if _ops_match_family_branches(fr):
+            built += 1
+        else:
             refused += 1
-            continue
-        assert build_complex_algebra(fr, check=False).ops == expect
-        built += 1
     assert built >= 60 and refused
+    # stabilized box frames of 6-16 points, dense like the benchmark's;
+    # SIG_MIX boolean frames (binary, antitone and nullary connectives) and
+    # the filter-ideal frames of 2^3 and 2^4; sparse box relations
+    dense = [_box_frame(rng, side, side, 0.7) for side in (6, 8, 10, 12, 14, 16)]
+    booleans = [boolean_frame(rng, k, SIG_MIX.connectives) for k in (3, 4, 3, 4)]
+    fifs = [
+        filter_ideal_frame(build_complex_algebra(boolean_frame(rng, k, SIG_MIX.connectives)))
+        for k in (3, 4)
+    ]
+    for fr in dense + booleans + fifs:
+        assert _ops_match_family_branches(fr)
+    assert max(len(fr.relations["box"].tuples) for fr in dense) > 200
+    assert [fr.polarity.nw for fr in fifs] == [8, 16]
+    sparse = [_ops_match_family_branches(fr) for fr in _sparse_box_frames(rng)]
+    assert any(sparse) and not all(sparse)
+
+
+def test_complex_algebra_tables_make_no_per_tuple_sections(monkeypatch):
+    # the tables fold the row index: no section_zero (or other _section_at)
+    # call per argument tuple
+    rng = random.Random(331)
+    fif = filter_ideal_frame(build_complex_algebra(boolean_frame(rng, 4, SIG_MIX.connectives)))
+    calls = []
+    section_at = frame_module._section_at
+
+    def counted(*args):
+        calls.append(args)
+        return section_at(*args)
+
+    monkeypatch.setattr(frame_module, "_section_at", counted)
+    alg = build_complex_algebra(fif)
+    assert alg.size == 16 and not calls
+    frame_module.section_zero(fif.relations["c"], ())
+    assert len(calls) == 1  # the counter does see a section
 
 
 def _incompatible_algebras(rng, sig, count):

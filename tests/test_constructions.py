@@ -13,7 +13,6 @@ from lekit import (
     build_complex_algebra,
     canonical_embedding,
     check_compatibility,
-    check_complete_homomorphism,
     coproduct,
     enumerate_concepts,
     filter_ideal_extension,
@@ -32,6 +31,7 @@ from conftest import (
     boolean_frame,
     brute_filters,
     brute_ideals,
+    complete_homomorphism_failure,
     filter_ideal_frame_by_family,
     mask_of,
     random_frame,
@@ -71,7 +71,7 @@ def test_coproduct_algebra_is_product_of_component_algebras():
         assert cp_alg.size == prod.size
         iso = find_isomorphism(cp_alg, prod)
         assert iso is not None
-        assert check_complete_homomorphism(iso, cp_alg, prod).passed
+        assert complete_homomorphism_failure(iso, cp_alg, prod) is None
 
 
 def test_coproduct_custom_labels(frame_f1, frame_f2):
@@ -126,7 +126,7 @@ def test_filter_ideal_algebra_recovers_original():
         fif_alg = build_complex_algebra(fif)
         emb = canonical_embedding(alg, fif_alg)
         assert sorted(set(emb)) == sorted(range(fif_alg.size))  # bijection
-        assert check_complete_homomorphism(emb, alg, fif_alg).passed
+        assert complete_homomorphism_failure(emb, alg, fif_alg) is None
 
 
 def test_filter_ideal_extension_of_frame(frame_f1):

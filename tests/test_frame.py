@@ -20,12 +20,20 @@ from lekit import (
     load_frame,
     save_frame,
 )
-from lekit.frame import Relation, connective_sorts, section_i, section_zero
+from lekit.frame import (
+    Relation,
+    connective_sorts,
+    point_sections,
+    section_i,
+    section_table,
+    section_zero,
+)
 from lekit.sampling import SIG_BOX, random_box_frame, random_polarity
 
 from conftest import (
     SIG_MIX,
     all_box_frames_2x2,
+    boolean_frame,
     compatibility_by_swaps,
     golden_path,
     load_json,
@@ -149,19 +157,25 @@ def _check_pmorphism_sections(rng):
         assert pm.T.up(y) == _scan_section(t_conv, tp.nw, (sp.nu,), (y,))
 
 
-def _check_relation_sections(rng):
+def _random_sorted_relation(rng, max_size=5):
+    """A relation of arity 0-3 on random sorts, of random density."""
     arity = rng.randint(0, 3)
     conn = Connective(
         "c", rng.choice("FG"), arity, tuple(rng.choice("1d") for _ in range(arity))
     )
     sorts = connective_sorts(conn)
-    size = {"W": rng.randint(1, 5), "U": rng.randint(1, 5)}
+    size = {"W": rng.randint(1, max_size), "U": rng.randint(1, max_size)}
     sizes = tuple(size[s] for s in sorts)
     density = rng.random()
     tuples = {
         t for t in product(*(range(n) for n in sizes)) if rng.random() < density
     }
-    rel = Relation(sorts, sizes, tuples)
+    return Relation(sorts, sizes, tuples)
+
+
+def _check_relation_sections(rng):
+    rel = _random_sorted_relation(rng)
+    arity, sizes = rel.arity, rel.sizes
     for j in range(arity + 1):
         # the section at j is the 0-section of the tuples with j moved first
         moved = {(t[j],) + t[:j] + t[j + 1 :] for t in rel.tuples}
@@ -189,6 +203,47 @@ def test_sections_match_raw_pairs(check):
     rng = random.Random(2024)
     for _ in range(150):
         check(rng)
+
+
+def test_section_table_matches_section_zero():
+    # every argument tuple of the mask lists, in product order, on dense and
+    # sparse relations (prefixes with no row) and with empty and full masks
+    rng = random.Random(2027)
+    arities = set()
+    for _ in range(300):
+        rel = _random_sorted_relation(rng, max_size=7)
+        if rng.random() < 0.3:  # sparse: most prefixes have no row
+            rel = Relation(rel.sorts, rel.sizes, [t for t in rel.tuples if rng.random() < 0.1])
+        # one coordinate may take more than 32 masks, which meet_each reads
+        # from byte tables
+        long = rng.randrange(max(rel.arity, 1))
+        counts = [rng.randint(1, 40 if k == long else 5) for k in range(rel.arity)]
+        reads = [
+            [rng.choice(_random_masks(rng, n)) for _ in range(count)]
+            for n, count in zip(rel.sizes[1:], counts)
+        ]
+        expect = [section_zero(rel, args) for args in product(*reads)]
+        assert section_table(rel, reads) == expect
+        arities.add(rel.arity)
+    assert arities == {0, 1, 2, 3}
+
+
+def test_point_sections_are_the_sections_of_singletons():
+    rng = random.Random(2029)
+    frames = [random_frame(rng, SIG_MIX, 4) for _ in range(20)]
+    frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (1, 2, 3)]
+    for fr in frames:
+        for rel in fr.relations.values():
+            for j in range(rel.arity + 1):
+                expect = []
+                for tup in product(*map(range, rel.sizes[:j] + rel.sizes[j + 1 :])):
+                    singletons = tuple(1 << v for v in tup)
+                    if j == 0:
+                        expect.append(section_zero(rel, singletons))
+                    else:
+                        expect.append(section_i(rel, j, singletons[0], singletons[1:]))
+                assert point_sections(rel, j) == expect
+    assert {rel.arity for rel in frames[0].relations.values()} == {0, 1, 2}
 
 
 def test_section_antitone_in_arguments():

@@ -10,7 +10,6 @@ from lekit import (
     PMorphism,
     build_complex_algebra,
     check_compatibility,
-    check_complete_homomorphism,
     check_pmorphism,
     dual_hom,
     dual_pmorphism,
@@ -22,6 +21,7 @@ from lekit.sampling import component_embedding, diagonal_surjection, random_box_
 from conftest import (
     SIG_MIX,
     boolean_frame,
+    complete_homomorphism_failure,
     component_embedding_by_duality,
     diagonal_surjection_by_duality,
     identity_pmorphism,
@@ -48,7 +48,7 @@ def test_embedding_example_dual_hom(m1_morphism):
     # the dual map goes from the target's algebra to the source's
     assert hom.dom.size == tgt_alg.size == 4
     assert hom.cod.size == src_alg.size == 2
-    assert check_complete_homomorphism(hom.mapping, hom.dom, hom.cod).passed
+    assert complete_homomorphism_failure(hom.mapping, hom.dom, hom.cod) is None
     # bottom and the atom containing a1 collapse to the source bottom,
     # the atom containing b1 and top go to the source top
     names = hom.dom.names
@@ -139,9 +139,9 @@ def test_dual_round_trip_on_generated_morphisms():
             report = check_pmorphism(pm)
             assert report.passed, report.message
             hom = dual_hom(pm)
-            assert check_complete_homomorphism(
+            assert complete_homomorphism_failure(
                 hom.mapping, hom.dom, hom.cod
-            ).passed
+            ) is None
             back = dual_pmorphism(hom)
             assert back.s_pairs == pm.s_pairs
             assert back.t_pairs == pm.t_pairs
