@@ -425,12 +425,12 @@ def verify_normality(alg):
     return NormalityReport(True)
 
 
-def find_isomorphism(a, b, rng=None):
+def find_isomorphism(a, b):
     """A signature-preserving lattice isomorphism a -> b, or None.
 
-    Backtracking over order-compatible assignments; rng, when given,
-    shuffles the candidate order so repeated calls can find different
-    automorphisms.
+    Backtracking over order-compatible assignments, with an explicit stack
+    over the elements of a, fewest candidates first, so its depth is not
+    bounded by the recursion limit.
     """
     if a.size != b.size or a.signature != b.signature:
         return None
@@ -450,12 +450,7 @@ def find_isomorphism(a, b, rng=None):
     inv_b = [invariant(b, x) for x in range(b.size)]
     if sorted(inv_a) != sorted(inv_b):
         return None
-    candidates = []
-    for x in range(a.size):
-        cs = [y for y in range(b.size) if inv_b[y] == inv_a[x]]
-        if rng is not None:
-            rng.shuffle(cs)
-        candidates.append(cs)
+    candidates = [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
     order = sorted(range(a.size), key=lambda x: len(candidates[x]))
     mapping = [None] * a.size
     used = [False] * b.size
@@ -467,31 +462,31 @@ def find_isomorphism(a, b, rng=None):
                     return False
         return True
 
-    def extend(k):
-        if k == len(order):
-            return ops_ok(mapping)
+    trials = [iter(candidates[order[0]])]  # trials[k]: order[k]'s untried candidates
+    while trials:
+        k = len(trials) - 1
         x = order[k]
-        for y in candidates[x]:
+        if mapping[x] is not None:  # back at this level: undo its assignment
+            used[mapping[x]] = False
+            mapping[x] = None
+        up_x, down_x = a.above[x], a.below[x]
+        for y in trials[k]:
             if used[y]:
                 continue
-            ok = True
-            up_x, down_x, up_y, down_y = a.above[x], a.below[x], b.above[y], b.below[y]
-            for x2 in order[:k]:
+            up_y, down_y = b.above[y], b.below[y]
+            for x2 in order[:k]:  # y must agree with the earlier assignments on the order
                 y2 = mapping[x2]
-                if (up_x >> x2 & 1) != (up_y >> y2 & 1) or (
-                    down_x >> x2 & 1
-                ) != (down_y >> y2 & 1):
-                    ok = False
+                if (up_x >> x2 & 1) != (up_y >> y2 & 1) or (down_x >> x2 & 1) != (down_y >> y2 & 1):
                     break
-            if ok:
+            else:
                 mapping[x] = y
                 used[y] = True
-                if extend(k + 1):
-                    return True
-                mapping[x] = None
-                used[y] = False
-        return False
-
-    found = extend(0)
-    extend = None  # the closure refers to itself: break the cycle
-    return list(mapping) if found else None
+                break
+        else:
+            trials.pop()
+            continue
+        if k + 1 < len(order):
+            trials.append(iter(candidates[order[k + 1]]))
+        elif ops_ok(mapping):
+            return mapping
+    return None

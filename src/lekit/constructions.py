@@ -19,16 +19,14 @@ from .frame import Frame, Relation, connective_sorts
 from .polarity import Polarity
 
 
-def coproduct(frames, labels=None):
-    """The coproduct frame; points are renamed 'k:name' per component."""
+def coproduct(frames):
+    """The coproduct frame; points are renamed 'k:name' per component, k from 1."""
     if not frames:
         raise FormatError("coproduct needs at least one frame")
     sig = frames[0].signature
     for fr in frames[1:]:
         if fr.signature != sig:
             raise FormatError("coproduct components must share one signature")
-    if labels is None:
-        labels = [str(k + 1) for k in range(len(frames))]
     w_names = []
     u_names = []
     w_off = []
@@ -38,8 +36,8 @@ def coproduct(frames, labels=None):
     for k, fr in enumerate(frames):
         w_off.append(len(w_names))
         u_off.append(len(u_names))
-        w_names.extend(f"{labels[k]}:{n}" for n in fr.polarity.w_names)
-        u_names.extend(f"{labels[k]}:{n}" for n in fr.polarity.u_names)
+        w_names.extend(f"{k + 1}:{n}" for n in fr.polarity.w_names)
+        u_names.extend(f"{k + 1}:{n}" for n in fr.polarity.u_names)
         w_comp.extend([k] * fr.polarity.nw)
         u_comp.extend([k] * fr.polarity.nu)
     pairs = []

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .constructions import coproduct, filter_ideal_extension
-from .errors import FormatError, InvalidPMorphismError
+from .errors import CapExceededError, FormatError, InvalidPMorphismError
 from .morphism import check_pmorphism
+from .polarity import DEFAULT_CONCEPT_CAP
 from .sampling import component_embedding, diagonal_surjection, random_box_frame
 
 
@@ -204,9 +205,17 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
     coproduct (fr + fr, f1 + f2), and each built-in condition holds on one
     only when it holds on every component (never, for R-equals-N-complement
     on two: the cross pairs are in R and N), so those searches return None.
+    A drawn frame has at most 2**max_size concepts, so a max_size with
+    2**max_size above the concept cap is refused before any draw.
     """
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}")
+    cap = DEFAULT_CONCEPT_CAP if cap is None else cap
+    if max_size >= cap.bit_length():  # 2**max_size > cap, without computing 2**max_size
+        raise CapExceededError(
+            f"--max-size {max_size} draws frames of up to 2**{max_size} concepts, "
+            f"above the concept cap {cap}; lower --max-size or raise --cap or LEKIT_CAP"
+        )
     _, _, keepers, _, last = _witness(construction)
     draw = partial(random_box_frame, rng, max_size, max_size)
     for _ in range(tries):

@@ -161,19 +161,15 @@ def _st(phi, sig, sort, var, gen):
     return Forall(y, FImp(_st(phi, sig, "U", y, gen), NAtom(var, y)))
 
 
-def standard_translate(phi, sig, sort="W", var=None):
+def standard_translate(phi, sig, sort="W"):
     """The W-sorted (extent) or U-sorted (intent) translation of phi.
 
-    The free variable defaults to x (sort W) or y (sort U).
+    The free variable is x (sort W) or y (sort U).
     """
     validate_formula(phi, sig)
     if sort not in ("W", "U"):
         raise SortError(f"sort must be 'W' or 'U', got {sort!r}")
-    if var is None:
-        var = Var(sort, "x" if sort == "W" else "y")
-    elif var.sort != sort:
-        raise SortError(f"variable {var.name} has sort {var.sort}, expected {sort}")
-    return _st(phi, sig, sort, var, VarGen())
+    return _st(phi, sig, sort, Var(sort, "x" if sort == "W" else "y"), VarGen())
 
 
 def translate_sequent(sequent, sig, form="impl-x"):

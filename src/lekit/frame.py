@@ -342,7 +342,7 @@ def check_compatibility(frame):
     return CompatibilityReport(True)
 
 
-def check_compatibility_alt(frame, combo_cap=ALT_COMBO_CAP):
+def check_compatibility_alt(frame):
     """Equivalent compatibility test via closure invariance of sections.
 
     For every tuple of argument sets, every coordinate i and every other
@@ -358,10 +358,10 @@ def check_compatibility_alt(frame, combo_cap=ALT_COMBO_CAP):
         total = 1
         for s in sizes:
             total <<= s
-        if total * n * n > combo_cap:
+        if total * n * n > ALT_COMBO_CAP:
             raise CapExceededError(
                 f"alternative compatibility check needs {total * n * n} section "
-                f"comparisons, cap is {combo_cap}"
+                f"comparisons, cap is {ALT_COMBO_CAP}"
             )
         if not rel.arity:  # no coordinate to close: the heads must be stable
             heads = _section_at(rel, 0, ())

@@ -5,7 +5,10 @@ with S between source W points and target U points, and T between source
 U points and target W points.  Both are held as polarities, S over
 (source W, target U) and T over (source U, target W), so their sections
 are the up and down maps: the S 0-section of a set of target U points is
-S.down of it, the T 0-section of a set of target W points is T.down.
+S.down of it, the T 0-section of a set of target W points is T.down.  At
+one point either section is a read: a column (0-section) or a row.  The
+relation conditions p6/p7 read the source's sections at the images of
+all target point tuples from one frame.section_table per connective.
 
 The dual sends a target concept a to the source concept whose extent is
 the S 0-section of the intent of a, its S-image; the T 0-section of the
@@ -19,12 +22,12 @@ the concepts of the target algebra it builds, one for an endomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .algebra import ComplexAlgebra, build_complex_algebra
 from .bitset import bits, names_of
 from .errors import FormatError, InvalidPMorphismError
-from .frame import point_sections, section_zero
+from .frame import point_sections, section_table
 from .polarity import Polarity, enumerate_concepts
 from .reading import index_rows, read_json
 
@@ -144,7 +147,7 @@ def _fault(pm, concepts, images):
     tp = pm.target.polarity
 
     for u in range(tp.nu):
-        mask = pm.S.down(1 << u)
+        mask = pm.S.cols[u]
         if not sp.stable_w(mask):
             return PMorphismReport(
                 False, "p2",
@@ -152,7 +155,7 @@ def _fault(pm, concepts, images):
                 "is not stable in the source",
             )
     for w in range(sp.nw):
-        mask = pm.S.up(1 << w)
+        mask = pm.S.rows[w]
         if not tp.stable_u(mask):
             return PMorphismReport(
                 False, "p2",
@@ -160,7 +163,7 @@ def _fault(pm, concepts, images):
                 "is not stable in the target",
             )
     for u in range(sp.nu):
-        mask = pm.T.up(1 << u)
+        mask = pm.T.rows[u]
         if not tp.stable_w(mask):
             return PMorphismReport(
                 False, "p3",
@@ -168,8 +171,8 @@ def _fault(pm, concepts, images):
                 "is not stable in the target",
             )
     for w in range(tp.nw):
-        lhs = sp.down(pm.T.down(1 << w))
-        rhs = pm.S.down(tp.up(1 << w))
+        lhs = sp.down(pm.T.cols[w])
+        rhs = pm.S.down(tp.rows[w])
         if lhs & ~rhs:
             return PMorphismReport(
                 False, "p4",
@@ -186,7 +189,7 @@ def _fault(pm, concepts, images):
                 f"intent {_show(rhs, sp.w_names)}",
             )
     for w in range(sp.nw):
-        lhs = pm.T.down(tp.down(pm.S.up(1 << w)))
+        lhs = pm.T.down(tp.down(pm.S.rows[w]))
         rhs = sp.rows[w]
         if lhs & ~rhs:
             return PMorphismReport(
@@ -195,24 +198,22 @@ def _fault(pm, concepts, images):
                 f"= {_show(lhs, sp.u_names)} exceeds the up-set {_show(rhs, sp.u_names)}",
             )
 
+    # each target point goes over through T (sort W) or S (sort U), and
+    # the target section goes back through T (head U) or S (head W)
+    over = {
+        "W": [sp.down(col) for col in pm.T.cols],
+        "U": [sp.up(col) for col in pm.S.cols],
+    }
     for conn in pm.source.signature.connectives:
         src_rel = pm.source.relations[conn.name]
         tgt_rel = pm.target.relations[conn.name]
         head, *coords = tgt_rel.sorts
-        tuples = product(*(range(tp.size(s)) for s in coords))
-        for tup, section in zip(tuples, point_sections(tgt_rel, 0)):
-            # the target section goes back through T (head U) or S (head W);
-            # each target point goes over through T (sort W) or S (sort U)
-            if head == "U":
-                lhs = pm.T.down(tp.down(section))
-            else:
-                lhs = pm.S.down(tp.up(section))
-            args = tuple(
-                sp.down(pm.T.down(1 << v)) if s == "W" else sp.up(pm.S.down(1 << v))
-                for v, s in zip(tup, coords)
-            )
-            rhs = section_zero(src_rel, args)
+        rhs_all = section_table(src_rel, [over[s] for s in coords])
+        for k, (section, rhs) in enumerate(zip(point_sections(tgt_rel, 0), rhs_all)):
+            lhs = pm.T.down(tp.down(section)) if head == "U" else pm.S.down(tp.up(section))
             if lhs != rhs:
+                tuples = product(*(range(tp.size(s)) for s in coords))
+                tup = next(islice(tuples, k, None))
                 pts = tuple(tp.names(s)[v] for v, s in zip(tup, coords))
                 side_names = sp.names(head)
                 return PMorphismReport(
@@ -273,11 +274,11 @@ def dual_pmorphism(hom):
     s_pairs = set()
     t_pairs = set()
     for u in range(tp.nu):
-        i = hom.dom.index_of_extent(tp.down(1 << u))
+        i = hom.dom.index_of_extent(tp.cols[u])
         for w in bits(hom.cod.concepts[hom.mapping[i]].extent):
             s_pairs.add((w, u))
     for w in range(tp.nw):
-        i = hom.dom.index_of_extent(tp.closure_w(1 << w))
+        i = hom.dom.index_of_extent(tp.down(tp.rows[w]))
         image_int = (
             hom.raw_intents[i]
             if hom.raw_intents is not None

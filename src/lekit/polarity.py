@@ -143,13 +143,13 @@ class Concept(NamedTuple):
 
 def concept_of_w(polarity, w):
     """The concept generated by a single W point."""
-    ext = polarity.closure_w(1 << w)
+    ext = polarity.down(polarity.rows[w])
     return Concept(ext, polarity.up(ext))
 
 
 def concept_of_u(polarity, u):
     """The concept generated by a single U point."""
-    ext = polarity.down(1 << u)
+    ext = polarity.cols[u]
     return Concept(ext, polarity.up(ext))
 
 

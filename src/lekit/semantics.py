@@ -16,8 +16,10 @@ loop per proposition, the last innermost, each slot computed right under
 the loop of its highest proposition, and an early return at the first
 failing valuation.  frame_validates runs it on the concepts' extent and
 intent masks, memoising the Galois maps and each connective's sections
-for the call; algebra_validates runs it on element indices through meet,
-join and the operation tables.
+for the call: a connective gives the mask of its head sort, as a
+conjunction gives an extent and a disjunction an intent, and the other
+mask is derived where it is read.  algebra_validates runs it on element
+indices through meet, join and the operation tables.
 """
 
 from __future__ import annotations
@@ -300,15 +302,10 @@ def _closed(pairs, derive):
     return memo
 
 
-def _section_pair(rel, by_ext, by_int, key):
-    """The (extent, intent) a connective gives on the masks it reads.
-
-    The head sort says which of the two the section is.  On incompatible
-    frames it may leave the concept lattice; the pair is computed like any
-    other.
-    """
-    mask = section_zero(rel, (key,) if rel.arity == 1 else key)
-    return (mask, by_ext[mask]) if rel.sorts[0] == "W" else (by_int[mask], mask)
+def _section(rel, key):
+    """The 0-section a connective gives on the masks it reads, keyed as
+    _key writes them: one bare mask for a unary connective."""
+    return section_zero(rel, (key,) if rel.arity == 1 else key)
 
 
 def _emit_program(key):
@@ -323,10 +320,12 @@ def _emit_program(key):
     side, or None.
 
     A frame program holds extents e<slot> and intents i<slot> as locals.
-    Conjunctions and disjunctions look up the other mask in by_ext or
-    by_int only where it is read; connectives look up their pair in a
-    memo per connective, keyed as _section_pair reads.  An algebra program
-    reads meet, join and the operation tables, a unary one as a list.
+    Each slot computes the mask of its operation: a conjunction or top an
+    extent, a disjunction or bottom an intent, and a connective the mask
+    of its head sort, looked up in a memo per connective keyed as _section
+    reads.  The other mask is looked up in by_ext or by_int only where it
+    is read.  An algebra program reads meet, join and the operation
+    tables, a unary one as a list.
     """
     kind, nodes, deps, lhs, rhs, m = key
     frame = kind == "frame"
@@ -362,8 +361,9 @@ def _emit_program(key):
             return [f"v{slot} = R{payload[0]}[{_key([f'v{c}' for c in kids])}]"]
         if op == "conn":
             reads = [mask + str(c) for c, mask in zip(kids, _reads(payload[1]))]
-            return [f"e{slot}, i{slot} = R{payload[0]}[{_key(reads)}]"]
-        if op in ("top", "bot"):
+            have = "e" if payload[1][0] == "W" else "i"
+            value = f"R{payload[0]}[{_key(reads)}]"
+        elif op in ("top", "bot"):
             have, value = ("e", "W") if op == "top" else ("i", "U")
         else:
             have = "e" if op == "and" else "i"
@@ -426,13 +426,11 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     total = len(concepts) ** len(props)
     _check_cap(total, cap)
     pol = frame.polarity
+    # plain tuples: the loops unpack them faster than Concepts, a subclass
     pairs = [(c.extent, c.intent) for c in concepts]
     by_ext = _closed(pairs, pol.up)
     by_int = _closed([(i, e) for e, i in pairs], pol.down)
-    memos = [
-        _closed((), partial(_section_pair, frame.relations[c], by_ext, by_int))
-        for c in program.conns
-    ]
+    memos = [_closed((), partial(_section, frame.relations[c])) for c in program.conns]
     fns = compiled(_emit_program, ("frame",) + program.key)
     picked = fns[0](fns, pairs, by_ext, by_int, pol.full_w, pol.full_u, memos, product)
     if picked is None:

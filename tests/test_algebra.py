@@ -200,6 +200,17 @@ def test_find_isomorphism_random_frames():
         assert complete_homomorphism_failure(iso, alg, alg) is None
 
 
+def test_find_isomorphism_maps_a_long_chain_to_itself():
+    # one backtracking level per element: deeper than the recursion limit
+    n = 1200
+    full = (1 << n) - 1
+    above = [full ^ ((1 << i) - 1) for i in range(n)]
+    below = [(1 << (i + 1)) - 1 for i in range(n)]
+    ops = {"box": {(x,): x for x in range(n)}}
+    chain = FiniteAlgebra.from_cones(list(map(str, range(n))), above, below, SIG_BOX, ops, lattice=True)
+    assert find_isomorphism(chain, chain) == list(range(n))
+
+
 def test_find_isomorphism_distinguishes():
     a = two_chain()
     b = diamond()

@@ -268,6 +268,21 @@ def test_falsify_search_max_size_below_one(size, capsys):
     assert "--max-size" in err
 
 
+@pytest.mark.parametrize("argv", [["--max-size", "1000000"], ["--cap", "0", "--max-size", "1"]])
+def test_falsify_search_refuses_frames_beyond_the_cap(argv, capsys):
+    # a frame of at most n x n points has at most 2**n concepts: refused
+    # before anything is drawn
+    *cap, flag, size = argv
+    code, _, err = run_cli(
+        [*cap, "falsify", "--search", flag, size,
+         "--condition", "R-equals-N-complement", "--construction", "coproduct"],
+        capsys,
+    )
+    assert code == 2
+    assert f"--max-size {size} draws frames of up to 2**{size} concepts" in err
+    assert "--cap or LEKIT_CAP" in err
+
+
 def run_module(argv):
     """Run python -m lekit in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -74,12 +74,6 @@ def test_coproduct_algebra_is_product_of_component_algebras():
         assert complete_homomorphism_failure(iso, cp_alg, prod) is None
 
 
-def test_coproduct_custom_labels(frame_f1, frame_f2):
-    cp = coproduct([frame_f1, frame_f2], labels=["L", "R"])
-    assert "L:a1" in cp.polarity.w_names
-    assert "R:x2" in cp.polarity.u_names
-
-
 def test_filters_and_ideals_against_subset_scan():
     rng = random.Random(37)
     for _ in range(12):

@@ -113,6 +113,16 @@ def test_search_falsification_rejects_max_size_below_one(size):
         )
 
 
+def test_search_falsification_bounds_max_size_by_the_cap():
+    # 2**16 concepts fit the default cap, 2**17 do not
+    with pytest.raises(CapExceededError, match=r"--max-size 17 draws frames of up to 2\*\*17"):
+        search_falsification("R-equals-N-complement", "coproduct", random.Random(1), max_size=17)
+    found = search_falsification(
+        "R-equals-N-complement", "coproduct", random.Random(1), max_size=17, tries=1, cap=1 << 17
+    )
+    assert found is None or found.falsified
+
+
 def test_falsify_report_serialization(frame_f1, frame_f2):
     report = falsify(
         "R-equals-N-complement", "coproduct", [frame_f1, frame_f2]

@@ -121,9 +121,10 @@ def test_coproduct_pmorphisms_enumerate_nothing(enumerated):
 @pytest.mark.parametrize("construction", ["pmorphic-image", "generated-subframe"])
 def test_search_on_drawn_pmorphisms_enumerates_nothing(construction, enumerated):
     # the drawn p-morphisms are read off N and no draw is a hit, so nothing
-    # reaches falsify's p-morphism check
+    # reaches falsify's p-morphism check; 4 = 2**2 is the least cap that
+    # admits max_size 2
     for cond in ("R-equals-N-complement", "every-u-has-non-R-w", "R-complement-subset-N"):
-        found = search_falsification(cond, construction, random.Random(1), max_size=2, cap=0)
+        found = search_falsification(cond, construction, random.Random(1), max_size=2, cap=4)
         assert found is None
     assert enumerated == []
 

@@ -154,3 +154,43 @@ def test_sampling_reads_the_coproduct_morphisms_off_n():
         if isinstance(node, ast.ImportFrom):
             imported |= {node.module} | {alias.name for alias in node.names}
     assert not imported & {"algebra", "DualHom", "dual_hom", "dual_pmorphism"}, imported
+
+
+# A section at one point is a read: row w of N is up of {w}, column u is
+# down of {u}, and likewise for the relations S and T of a p-morphism.
+GALOIS_MAPS = {"up", "down", "closure_w", "closure_u", "stable_w", "stable_u"}
+
+
+def _one_point_argument(node):
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+    )
+
+
+def test_point_sections_are_reads():
+    users = _all_users(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GALOIS_MAPS
+        and any(map(_one_point_argument, node.args))
+    )
+    assert not users, users
+
+
+def test_relation_conditions_fold_through_section_table():
+    imported = {
+        alias.name
+        for node in _tree("morphism").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "section_zero" not in imported, imported
+
+
+def test_connective_memos_hold_bare_sections():
+    # the validity program derives a connective's other mask where it reads it
+    defined = {node.name for node in _tree("semantics").body if isinstance(node, ast.FunctionDef)}
+    assert "_section_pair" not in defined

@@ -16,6 +16,7 @@ from lekit import (
     is_injective,
     is_surjective,
 )
+from lekit.frame import Relation
 from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
 
 from conftest import (
@@ -202,6 +203,31 @@ def test_pmorphism_reports_match_family_branches():
         assert report == pmorphism_report_by_family(pm)
         seen.add(report.condition)
     assert {None, "p2", "p6", "p7"} <= seen, seen
+
+
+@pytest.mark.parametrize(
+    "name, toggled, condition, points",
+    [
+        ("f", (1, 1, 2), "p6", "w1, u2"),  # F on W x U: tuple 5 of 9
+        ("g", (0, 2, 1), "p7", "w2, u1"),  # G on W x U, its W from a "d" coordinate: tuple 7
+        ("c", (2,), "p6", ""),  # nullary: its one tuple is ()
+    ],
+)
+def test_relation_conditions_report_the_first_failing_tuple(name, toggled, condition, points):
+    # the identity between two frames on one polarity that differ in one
+    # tuple of one relation; every set is stable in this polarity, so the
+    # first target tuple whose section differs is the one toggled
+    src = boolean_frame(random.Random(17), 3, SIG_MIX.connectives)
+    pol = src.polarity
+    relations = dict(src.relations)
+    rel = relations[name]
+    relations[name] = Relation(rel.sorts, rel.sizes, rel.tuples ^ {toggled})
+    tgt = Frame(pol, SIG_MIX, relations)
+    pm = PMorphism(src, tgt, pol.pairs, {(u, w) for w, u in pol.pairs})
+    report = check_pmorphism(pm)
+    assert report == pmorphism_report_by_family(pm)
+    assert report.condition == condition
+    assert report.witness.startswith(f"connective {name!r} at ({points}): ")
 
 
 def test_pmorphism_polarities_reuse_the_frames_names(m1_morphism):
