@@ -11,15 +11,28 @@ eval_formula evaluates one formula in one model, and _sat/_cosat give the
 pointwise recursive clauses; the tests use both as oracles.  Validity
 checks hash-cons the sequent into a program of slots with no names in it
 (_Program), and _emit_program writes one loop nest per program shape and
-domain kind, compiled once (0.2-0.5 ms) and cached by emit.compiled: one
-loop per proposition, the last innermost, each slot computed right under
-the loop of its highest proposition, and an early return at the first
-failing valuation.  frame_validates runs it on the concepts' extent and
-intent masks, memoising the Galois maps and each connective's sections
-for the call: a connective gives the mask of its head sort, as a
-conjunction gives an extent and a disjunction an intent, and the other
-mask is derived where it is read.  algebra_validates runs it on element
-indices through meet, join and the operation tables.
+domain kind, compiled once (0.3-0.5 ms) and cached by emit.compiled: one
+loop per proposition, the last innermost, each over a domain passed in,
+each slot computed right under the loop of its highest proposition, and
+an early return at the first failing valuation.  frame_validates runs it
+on the concepts' extent and intent masks, with the Galois maps and each
+connective's sections memoised for the call in exact dicts: a connective
+gives the mask of its head sort, as a conjunction gives an extent and a
+disjunction an intent, and the other mask is derived where it is read.
+algebra_validates runs it on element indices through meet, join and the
+operation tables.
+
+Every concept is the join of the concepts of its W points and the meet of
+those of its U points, and normal operations preserve such joins and
+meets (Conradie and Palmigiano, "Algorithmic correspondence and
+canonicity for non-distributive logics", APAL 2019).  So the emitter also
+works out, once per shape, a plan for each proposition from how the two
+sides vary with it (_plan): all, top alone, bot alone, the join
+generators or the meet generators.  A check scans the reduced domains
+first and answers valid from that only when the reduction is sound for
+the frame or algebra at hand; otherwise, and on any failure, it scans
+every valuation, so a counter-valuation is always the first in full
+order and valuations_checked counts the valuations the verdict covers.
 """
 
 from __future__ import annotations
@@ -28,10 +41,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
+from .algebra import ComplexAlgebra, verify_normality
 from .bitset import bits
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
-from .frame import connective_sorts, section_zero
+from .frame import check_compatibility, connective_sorts, section_zero
 from .polarity import Concept, enumerate_concepts
 from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
@@ -231,14 +245,15 @@ class _Program:
     "and", "or" or "conn" and children earlier slots; equal subformulas
     share one slot.  The payload holds no name: a proposition's index in
     props, the sorted proposition names, and for a connective (c, sorts)
-    with c its index in conns and sorts its connective_sorts.  deps[i] is
-    the highest proposition index slot i depends on, -1 for none.  key is
-    the program's shape: equal keys share one function.
+    with c its index in conns and sorts its connective_sorts.  key is the
+    program's shape: equal keys share one function.  Everything else the
+    emitter needs (where each slot is computed, the plans) follows from
+    the key, so it is worked out once per shape, not here.
 
     The sequent is walked once.  The walk checks each connective against
     the signature in pre-order (connective_of, as validate_formula does)
     and hash-conses the nodes with proposition names in them; one pass
-    over those nodes then numbers the sorted names and finds the deps.
+    over those nodes then numbers the sorted names.
     """
 
     def __init__(self, sequent, signature):
@@ -247,32 +262,28 @@ class _Program:
         self.slots = {}  # node, with proposition names -> its slot
         lhs, rhs = self._visit(sequent.lhs), self._visit(sequent.rhs)
         named = list(self.slots)
-        self.props = sorted(name for op, name, _ in named if op == "prop")
+        self.props = sorted([name for op, name, _ in named if op == "prop"])
         index = {p: k for k, p in enumerate(self.props)}
-        self.nodes = []
-        self.deps = []
-        for op, payload, kids in named:
-            if op == "prop":
-                payload = index[payload]
-            self.nodes.append((op, payload, kids))
-            deps = [payload] if op == "prop" else [self.deps[c] for c in kids]
-            self.deps.append(max(deps) if deps else -1)
-        self.key = (tuple(self.nodes), tuple(self.deps), lhs, rhs, len(self.props))
+        self.nodes = tuple(
+            [(op, index[x], kids) if op == "prop" else (op, x, kids) for op, x, kids in named]
+        )
+        self.key = (self.nodes, lhs, rhs, len(self.props))
 
     def _visit(self, phi):
-        if isinstance(phi, Prop):
+        kind = type(phi)  # the formula classes are final: no subclass to dispatch on
+        if kind is Prop:
             node = ("prop", phi.name, ())
-        elif isinstance(phi, (And, Or)):
+        elif kind is And or kind is Or:
             kids = (self._visit(phi.left), self._visit(phi.right))
-            node = ("and" if isinstance(phi, And) else "or", None, kids)
-        elif isinstance(phi, Conn):
+            node = ("and" if kind is And else "or", None, kids)
+        elif kind is Conn:
             conn = connective_of(phi, self.signature)
             payload = self.conns.get(phi.name)
             if payload is None:
                 payload = self.conns[phi.name] = (len(self.conns), connective_sorts(conn))
             node = ("conn", payload, tuple(map(self._visit, phi.args)))
-        elif isinstance(phi, (Top, Bot)):
-            node = ("top" if isinstance(phi, Top) else "bot", None, ())
+        elif kind is Top or kind is Bot:
+            node = ("top" if kind is Top else "bot", None, ())
         else:
             raise TypeError(f"not a formula: {phi!r}")
         return self.slots.setdefault(node, len(self.slots))
@@ -286,56 +297,142 @@ def _position(picked, n):
     return pos + 1
 
 
-class _Closed(dict):
-    """A memo that derives a missing value and keeps it (see _closed)."""
-
-    __slots__ = ("derive",)
-
-    def __missing__(self, key):
-        value = self[key] = self.derive(key)
-        return value
-
-
-def _closed(pairs, derive):
-    memo = _Closed(pairs)
-    memo.derive = derive
-    return memo
-
-
 def _section(rel, key):
     """The 0-section a connective gives on the masks it reads, keyed as
     _key writes them: one bare mask for a unary connective."""
     return section_zero(rel, (key,) if rel.arity == 1 else key)
 
 
-def _emit_program(key):
-    """Source of f0, which decides one program shape on one domain kind.
+# What a proposition may range over, by its plan (_plan); generated code
+# returns a plan as indices into this tuple.
+_DOMAINS = ("all", "top", "bot", "joins", "meets")
+_OTHER = {"join": "meet", "meet": "join"}
 
-    key is (kind, *_Program.key).  f0 has one loop per proposition, the
-    last innermost, and computes each slot right under the loop of the
-    highest proposition it depends on, so a slot is recomputed only when
-    one of its propositions changes; past MAX_LOOPS propositions the
-    innermost ones share one loop over their product.  f0 returns the loop
-    indices of the first valuation whose left side is not below its right
-    side, or None.
+
+def _image(sign, over):
+    """The operation a map of this sign sends the operation over to."""
+    return over if sign > 0 else _OTHER[over]
+
+
+def _through(shape, monotone, over):
+    """A slot's shape seen through an argument place that is monotone or
+    antitone and sends non-empty `over`s to its head's operation: the slot
+    keeps of the operations it distributes over the one it sends to
+    `over`."""
+    sign, ops = shape
+    return (sign if monotone else -sign, ops & {_image(sign, over)})
+
+
+def _shapes(nodes, p):
+    """What each slot is as a map of proposition p, the others fixed.
+
+    None when p does not occur; else (sign, ops): sign 1 for monotone, -1
+    for antitone, 0 for neither, and ops the non-empty lattice operations
+    ("join", "meet") the map distributes over, sending each to itself
+    when monotone and to the other when antitone.  p is monotone and
+    distributes over both.  A place of a conjunction (disjunction) is
+    monotone and distributes over meets (joins), and the two sides keep
+    what both keep, so a conjunction with a join-preserving part does not
+    preserve joins: the lattice need not be distributive.  A connective's
+    place is monotone when its sort differs from the head's; there a head
+    W distributes over meets and a head U over joins, and at an antitone
+    place over the other operation, as normal operations do.  With p in
+    two of its arguments a connective keeps only its sign.
+    """
+    shapes = []
+    for op, payload, kids in nodes:
+        if op == "prop":
+            shapes.append((1, {"join", "meet"}) if payload == p else None)
+            continue
+        if op == "conn":
+            head, *coords = payload[1]
+            own = "join" if head == "U" else "meet"
+            places = [(s != head, own if s != head else _OTHER[own]) for s in coords]
+        else:
+            places = [(True, "meet" if op == "and" else "join")] * len(kids)
+        parts = [_through(shapes[c], *place) for c, place in zip(kids, places) if shapes[c]]
+        if not parts:
+            shapes.append(None)
+            continue
+        sign = parts[0][0] if all(s == parts[0][0] for s, _ in parts) else 0
+        keep = sign and (op != "conn" or len(parts) == 1)
+        shapes.append((sign, set.intersection(*(ops for _, ops in parts)) if keep else set()))
+    return shapes
+
+
+def _plan(left, right):
+    """The domain a proposition ranges over, from the shapes of the two
+    sides in it (see _shapes); a side without it is both monotone and
+    antitone and distributes over both operations.
+
+    Lhs monotone and rhs antitone: top alone, since lhs(x) <= lhs(top)
+    <= rhs(top) <= rhs(x).  Lhs antitone and rhs monotone: bot.  Else,
+    for a sign both sides share, "joins" when the lhs sends non-empty
+    joins to joins or the rhs sends them to meets, since every element is
+    a join of join-generators and the other side bounds each of them;
+    "meets" dually.
+    """
+    signs = [{1, -1} if x is None else {x[0]} for x in (left, right)]
+    ops = [{"join", "meet"} if x is None else x[1] for x in (left, right)]
+    if 1 in signs[0] and -1 in signs[1]:
+        return "top"
+    if -1 in signs[0] and 1 in signs[1]:
+        return "bot"
+    for sign in signs[0] & signs[1] - {0}:
+        # the operations the lhs sends to joins or the rhs to meets
+        gens = ops[0] & {_image(sign, "join")} | ops[1] & {_image(sign, "meet")}
+        for gen in ("join", "meet"):
+            if gen in gens:
+                return gen + "s"
+    return "all"
+
+
+def _memo_read(target, memo, key, derive):
+    """Lines reading memo[key] into target, deriving and keeping a missing
+    value: the memos are exact dicts, whose reads CPython specializes."""
+    return [
+        "try:",
+        f"    {target} = {memo}[{key}]",
+        "except KeyError:",
+        f"    {target} = {memo}[{key}] = {derive}({key})",
+    ]
+
+
+def _emit_program(key):
+    """Source of f0, which decides one program shape on one domain kind,
+    and of f1, which returns the program's plan.
+
+    key is (kind, *_Program.key).  f0 takes one domain per proposition.
+    It has one loop per proposition, the last innermost, and computes each
+    slot right under the loop of the highest proposition it depends on, so
+    a slot is recomputed only when one of its propositions changes; past
+    MAX_LOOPS propositions the innermost ones share one loop over the
+    product of their domains.  f0 returns the indices, in their domains, of
+    the first valuation whose left side is not below its right side, or
+    None.  f1 returns the plan of each proposition (_plan) as indices into
+    _DOMAINS, so it is worked out once per shape.
 
     A frame program holds extents e<slot> and intents i<slot> as locals.
     Each slot computes the mask of its operation: a conjunction or top an
     extent, a disjunction or bottom an intent, and a connective the mask
-    of its head sort, looked up in a memo per connective keyed as _section
-    reads.  The other mask is looked up in by_ext or by_int only where it
-    is read.  An algebra program reads meet, join and the operation
-    tables, a unary one as a list.
+    of its head sort, read from a memo per connective keyed as _section
+    reads.  The other mask is read from by_ext or by_int only where it is
+    read.  A missing memo entry is derived (the connective's section, up
+    or down) and kept.  An algebra program reads meet, join and the
+    operation tables, a unary one as a list.
     """
-    kind, nodes, deps, lhs, rhs, m = key
+    kind, nodes, lhs, rhs, m = key
     frame = kind == "frame"
     loops = min(m, MAX_LOOPS)
     at = [[] for _ in range(loops + 1)]  # at[k]: slots computed in loop k - 1
     props = [None] * m
-    for slot, (op, payload, _) in enumerate(nodes):
+    deps = []  # deps[slot]: the highest proposition the slot depends on, -1 for none
+    for slot, (op, payload, kids) in enumerate(nodes):
         if op == "prop":
             props[payload] = slot
+            deps.append(payload)
         else:
+            deps.append(max([deps[c] for c in kids], default=-1))
             at[min(deps[slot], loops - 1) + 1].append(slot)
     need = [set() for _ in nodes]  # which of "e" and "i" each slot must give
     need[lhs].add("e")
@@ -345,11 +442,18 @@ def _emit_program(key):
         reads = _reads(payload[1]) if op == "conn" else [{"and": "e", "or": "i"}.get(op)] * len(kids)
         for c, mask in zip(kids, reads):
             need[c].add(mask)
-    params = "D, by_ext, by_int, W, U" if frame else "dom, meet, join, leq, top, bot"
-    lines = [f"def f0(fns, {params}, tables, product):"]
+    if frame:
+        params = "by_ext, by_int, up, down, W, U, tables, sections"
+    else:
+        params = "meet, join, leq, top, bot, tables"
+    lines = [f"def f0(fns, doms, {params}, product):"]
     nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
     if nconns:
         lines.append(f"    {''.join(f'R{c}, ' for c in range(nconns))}= tables")
+        if frame:
+            lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
+    if m:
+        lines.append(f"    {''.join(f'D{k}, ' for k in range(m))}= doms")
 
     def step(slot):
         op, payload, kids = nodes[slot]
@@ -362,31 +466,38 @@ def _emit_program(key):
         if op == "conn":
             reads = [mask + str(c) for c, mask in zip(kids, _reads(payload[1]))]
             have = "e" if payload[1][0] == "W" else "i"
-            value = f"R{payload[0]}[{_key(reads)}]"
+            compute = _memo_read(f"{have}{slot}", f"R{payload[0]}", _key(reads), f"S{payload[0]}")
         elif op in ("top", "bot"):
             have, value = ("e", "W") if op == "top" else ("i", "U")
+            compute = [f"{have}{slot} = {value}"]
         else:
             have = "e" if op == "and" else "i"
-            value = f"{have}{kids[0]} & {have}{kids[1]}"
-        other, memo = ("i", "by_ext") if have == "e" else ("e", "by_int")
-        derived = [f"{other}{slot} = {memo}[{have}{slot}]"] if other in need[slot] else []
-        return [f"{have}{slot} = {value}"] + derived
+            compute = [f"{have}{slot} = {have}{kids[0]} & {have}{kids[1]}"]
+        other, memo, derive = ("i", "by_ext", "up") if have == "e" else ("e", "by_int", "down")
+        if other not in need[slot]:
+            return compute
+        return compute + _memo_read(f"{other}{slot}", memo, f"{have}{slot}", derive)
 
     found = []
     for depth in range(loops + 1):
         if depth:
-            group = props[depth - 1 :] if depth == loops else props[depth - 1 : depth]
-            targets = [f"(e{s}, i{s})" if frame else f"v{s}" for s in group]
-            found += [f"D.index((e{s}, i{s}))" if frame else f"v{s}" for s in group]
-            source = "D" if frame else "dom"
+            group = range(depth - 1, m if depth == loops else depth)
+            targets = [f"(e{props[k]}, i{props[k]})" if frame else f"v{props[k]}" for k in group]
+            found += [f"D{k}.index({t})" for k, t in zip(group, targets)]
+            source = ", ".join(f"D{k}" for k in group)
             if len(group) > 1:
-                source = f"product({source}, repeat={len(group)})"
+                source = f"product({source})"
             lines.append(f"{'    ' * depth}for {', '.join(targets)} in {source}:")
         lines += ["    " * (depth + 1) + line for slot in at[depth] for line in step(slot)]
     pad = "    " * (loops + 1)
     lines.append(pad + (f"if e{lhs} & ~e{rhs}:" if frame else f"if not leq[v{lhs}][v{rhs}]:"))
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
+    plans = []
+    for p in range(m):
+        shapes = _shapes(nodes, p)
+        plans.append(f"{_DOMAINS.index(_plan(shapes[lhs], shapes[rhs]))}, ")
+    lines += ["def f1(fns):", f"    return ({''.join(plans)})"]
     return lines
 
 
@@ -411,6 +522,54 @@ def _check_cap(total, cap):
         )
 
 
+def _failure(fns, args, full, domain, sound, first):
+    """A valuation the program fns fails, as indices into the domains it
+    scanned, or None when it fails none.
+
+    When the plan (fns[1]) gives some propositions a domain(plan) smaller
+    than full, the reduced scan runs first, on those domains and full for
+    the others: a domain that holds everything reduces nothing, and its
+    plan asks for no soundness check.  A pass there answers when
+    sound(plans) holds for the set of plans that reduced; a failure there
+    is a real one, and answers unless first asks for the first failing
+    valuation in full order.  Else the full scan runs, so an invalid
+    sequent pays no soundness check.
+    """
+    plans = [_DOMAINS[k] for k in fns[1](fns)]
+    doms = {p: domain(p) for p in set(plans) - {"all"}}
+    reducing = {p for p, d in doms.items() if len(d) < len(full)}
+    if reducing:
+        doms = {p: doms[p] if p in reducing else full for p in plans}
+        picked = fns[0](fns, [doms[p] for p in plans], *args)
+        if picked is None:
+            if sound(reducing):
+                return None
+        elif not first:
+            return picked
+    return fns[0](fns, [full] * len(plans), *args)
+
+
+def _concepts_of(pol, by_ext, by_int, plan):
+    """The (extent, intent) pairs a proposition with this plan ranges over:
+    top, bot, the W-point concepts and bot, or the U-point concepts and top.
+    Every concept is the join of the W-point concepts below it and the
+    meet of the U-point concepts above it."""
+    top = (pol.full_w, by_ext[pol.full_w])
+    bot = (by_int[pol.full_u], pol.full_u)
+    if plan == "joins":
+        return list(dict.fromkeys([(by_int[r], r) for r in pol.rows] + [bot]))
+    if plan == "meets":
+        return list(dict.fromkeys([(c, by_ext[c]) for c in pol.cols] + [top]))
+    return [top if plan == "top" else bot]
+
+
+def _frame_reduction_holds(frame, plans):
+    """Top and bot need only monotone connectives, and the program reads
+    raw sections, which are monotone in every argument on any frame.
+    Generators need normal operations, which a compatible frame gives."""
+    return plans <= {"top", "bot"} or check_compatibility(frame).passed
+
+
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
     """Check the sequent under every valuation of its propositions.
 
@@ -419,6 +578,18 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     reported.  The sequent runs as one compiled program on the concepts'
     (extent, intent) pairs, with no complex algebra built, so frames
     loaded without the compatibility check are decided as well.
+
+    A proposition whose shape allows it ranges over fewer concepts first
+    (_plan): top or bot alone, or the W-point concepts and bot (join
+    generators), or the U-point concepts and top (meet generators).  A
+    pass of that reduced scan answers valid at once when it used only top
+    and bot; with generators, only when the frame is compatible, so that
+    its operations are normal.  Else, and whenever the reduced scan
+    fails, every valuation is scanned, so the counter-valuation is the
+    first in full order.  valuations_checked is the number of valuations
+    the verdict covers: all of them (c**k for c concepts and k
+    propositions) when valid, else the counter-valuation's position.  The
+    cap bounds c**k, since the full scan may run.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -428,22 +599,61 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     pol = frame.polarity
     # plain tuples: the loops unpack them faster than Concepts, a subclass
     pairs = [(c.extent, c.intent) for c in concepts]
-    by_ext = _closed(pairs, pol.up)
-    by_int = _closed([(i, e) for e, i in pairs], pol.down)
-    memos = [_closed((), partial(_section, frame.relations[c])) for c in program.conns]
+    by_ext = dict(pairs)
+    by_int = {i: e for e, i in pairs}
+    memos = [{} for _ in program.conns]
+    sections = [partial(_section, frame.relations[c]) for c in program.conns]
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     fns = compiled(_emit_program, ("frame",) + program.key)
-    picked = fns[0](fns, pairs, by_ext, by_int, pol.full_w, pol.full_u, memos, product)
+    domain = partial(_concepts_of, pol, by_ext, by_int)
+    sound = partial(_frame_reduction_holds, frame)
+    picked = _failure(fns, args, pairs, domain, sound, first=True)
     if picked is None:
         return ValidityVerdict(True, None, total)
     counter = {p: concepts[i] for p, i in zip(props, picked)}
     return ValidityVerdict(False, counter, _position(picked, len(concepts)))
 
 
+def _irreducibles(cones):
+    """The elements whose cone, less themselves, is another element's cone:
+    from the below cones the join-irreducibles, from the above cones the
+    meet-irreducibles."""
+    own = set(cones)
+    return [x for x, cone in enumerate(cones) if cone & ~(1 << x) in own]
+
+
+def _elements_of(alg, plan):
+    """The elements a proposition with this plan ranges over: top, bot,
+    the join-irreducibles and bot, or the meet-irreducibles and top."""
+    if plan == "joins":
+        return _irreducibles(alg.below) + [alg.bot]
+    if plan == "meets":
+        return _irreducibles(alg.above) + [alg.top]
+    return [alg.top if plan == "top" else alg.bot]
+
+
+def _algebra_reduction_holds(alg, plans):
+    """Top and bot need only monotone operations, which a complex algebra
+    has: its tables are its frame's raw sections (_frame_reduction_holds).
+    Anything else needs normal operations; tables given by the user need
+    not even be monotone."""
+    bounds = plans <= {"top", "bot"} and isinstance(alg, ComplexAlgebra)
+    return bounds or verify_normality(alg).passed
+
+
 def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     """Validity computed in a finite algebra via its operation tables.
 
     Runs the program frame_validates uses, on element indices, with
-    meet, join and the operation tables in place of the frame's sections.
+    meet, join and the operation tables in place of the frame's sections,
+    and with the same plans; join generators are the join-irreducibles
+    and bot, meet generators the meet-irreducibles and top.  A pass of a
+    reduced scan answers valid when it used only top and bot on a complex
+    algebra, and else only when verify_normality passes, since tables
+    given by the user need not even be monotone; otherwise every
+    valuation is scanned.  A failure of the reduced scan answers invalid
+    at once: an algebra's verdict names no counter-valuation.  The cap
+    bounds all size**k valuations.
     """
     program = _Program(sequent, alg.signature)
     total = alg.size ** len(program.props)
@@ -459,6 +669,8 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
         [alg.ops[c][(x,)] for x in dom] if alg.signature.get(c).arity == 1 else alg.ops[c]
         for c in program.conns
     ]
+    args = (meet, join, alg.leq, alg.top, alg.bot, tables, product)
     fns = compiled(_emit_program, ("algebra",) + program.key)
-    picked = fns[0](fns, dom, meet, join, alg.leq, alg.top, alg.bot, tables, product)
-    return picked is None
+    domain = partial(_elements_of, alg)
+    sound = partial(_algebra_reduction_holds, alg)
+    return _failure(fns, args, dom, domain, sound, first=False) is None

@@ -16,9 +16,9 @@ RANK = {
     "reading": 1,
     "polarity": 2,
     "frame": 3,
-    "semantics": 4,
     "fol": 4,
     "algebra": 4,
+    "semantics": 5,
     "constructions": 5,
     "morphism": 6,
     "sampling": 7,
@@ -194,3 +194,18 @@ def test_connective_memos_hold_bare_sections():
     # the validity program derives a connective's other mask where it reads it
     defined = {node.name for node in _tree("semantics").body if isinstance(node, ast.FunctionDef)}
     assert "_section_pair" not in defined
+
+
+def test_validity_memos_are_exact_dicts():
+    # CPython specializes subscripts on an exact dict only: the validity
+    # program derives a missing entry in its own except clause
+    tree = _tree("semantics")
+    subclasses = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "dict" for base in node.bases)
+    ]
+    assert not subclasses, subclasses
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_Closed", "_closed"}

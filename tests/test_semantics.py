@@ -5,6 +5,7 @@ import io
 import random
 import tokenize
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from lekit import (
     CapExceededError,
     Conn,
     Connective,
+    FiniteAlgebra,
     Frame,
     IncompatibleFrameError,
     Model,
@@ -26,10 +28,12 @@ from lekit import (
     Top,
     algebra_validates,
     build_complex_algebra,
+    check_compatibility,
     cosatisfies,
     cosatisfies_recursive,
     enumerate_concepts,
     eval_formula,
+    filter_ideal_frame,
     frame_validates,
     load_frame,
     model_validates,
@@ -39,11 +43,12 @@ from lekit import (
     satisfies,
     satisfies_recursive,
     validate_formula,
+    verify_normality,
 )
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
 from lekit.frame import Relation, connective_sorts
-from lekit.sampling import SIG_BOX, random_box_frame
+from lekit.sampling import SIG_BOX, random_box_frame, random_polarity, stabilize_box_relation
 
 from conftest import (
     GOLDEN,
@@ -55,6 +60,7 @@ from conftest import (
     frame_validates_by_models,
     random_formula,
     random_frame,
+    random_relation,
     random_sequent,
     renamed,
 )
@@ -489,3 +495,185 @@ def test_signature_errors_come_first_in_pre_order(seq, message, frame_f1):
         frame_validates(frame_f1, seq, cap=0, concept_cap=0)
     with pytest.raises(SignatureError, match=f"^{message}$"):
         algebra_validates(alg, seq, cap=0)
+
+
+
+# Reduced scans: each proposition ranges over the domain its plan gives
+# (_plan), checked against the full scan, in which every one ranges over
+# all concepts or elements.
+
+# Polarities whose concept lattices are M3 and N5, the lattices that are
+# not distributive.
+M3 = Polarity.from_names(["a", "b", "c"], ["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c")])
+N5 = Polarity.from_names(
+    ["a", "b", "c"], ["a", "b", "c"], [("a", "a"), ("a", "b"), ("b", "b"), ("c", "c")]
+)
+
+
+def _full_scan(monkeypatch, check, *args):
+    """check(*args) with every plan read as "all"."""
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "_DOMAINS", ("all",) * len(semantics._DOMAINS))
+        return check(*args)
+
+
+def _spy(monkeypatch, name):
+    """Count what semantics.<name>, the soundness test run after each
+    reduced scan that passes, answers: True is a verdict by reduced scan."""
+    seen = Counter()
+    real = getattr(semantics, name)
+
+    def spy(*args):
+        holds = real(*args)
+        seen[holds] += 1
+        return holds
+
+    monkeypatch.setattr(semantics, name, spy)
+    return seen
+
+
+def _box_frame_on(rng, pol):
+    """A compatible box frame on pol, its relation grown from a sparse seed."""
+    seed = [(w, u) for w in range(pol.nw) for u in range(pol.nu) if rng.random() < 0.3]
+    sorts = connective_sorts(SIG_BOX.connectives[0])
+    rel = Relation(sorts, (pol.nw, pol.nu), stabilize_box_relation(pol, seed))
+    return Frame(pol, SIG_BOX, {"box": rel})
+
+
+def _reduction_frames(rng):
+    """Box frames of 6x6 to 8x8 points (many not distributive), SIG_MIX
+    boolean frames, the filter-ideal frames of 2^3 and 2^4, and M3 and N5
+    with compatible box relations and random SIG_MIX ones."""
+    for n in (6, 7, 8):
+        for _ in range(3):
+            yield _box_frame_on(rng, random_polarity(rng, n, n, 0.6))
+    for k in (2, 3, 2, 3):
+        yield boolean_frame(rng, k, SIG_MIX.connectives)
+    for k in (3, 4):
+        yield filter_ideal_frame(build_complex_algebra(boolean_frame(rng, k, SIG_MIX.connectives)))
+    for pol in (M3, N5):
+        for _ in range(3):
+            yield _box_frame_on(rng, pol)
+            relations = {c.name: random_relation(rng, pol, c) for c in SIG_MIX.connectives}
+            yield Frame(pol, SIG_MIX, relations)
+
+
+def test_polarities_m3_and_n5_have_those_lattices():
+    # the number of elements below each element tells the two apart
+    for pol, below in ((M3, [1, 2, 2, 2, 5]), (N5, [1, 2, 2, 3, 5])):
+        alg = build_complex_algebra(Frame(pol, Signature(()), {}))
+        assert sorted(c.bit_count() for c in alg.below) == below
+
+
+def test_reduced_scans_answer_as_the_full_scan_on_frames(monkeypatch):
+    seen = _spy(monkeypatch, "_frame_reduction_holds")
+    rng = random.Random(109)
+    compatible = Counter()
+    for fr in _reduction_frames(rng):
+        compatible[check_compatibility(fr).passed] += 1
+        props = PROPS if fr.polarity.nw < 6 else PROPS[:2]
+        for i in range(16):
+            seq = random_sequent(rng, fr.signature, props[: 1 + i % len(props)], 3)
+            assert _verdict(fr, seq) == _full_scan(monkeypatch, _verdict, fr, seq), seq
+    assert compatible[True] >= 20 and compatible[False] >= 3, compatible
+    assert seen[True] >= 100, seen
+    # frames that are not compatible, from the model-oracle cases and with
+    # random relations on 4x4 and 5x5 points: there a reduced pass over
+    # generators is refused
+    seen.clear()
+    cases = [(fr, seq) for fr, seq in _validity_cases() if not check_compatibility(fr).passed]
+    for i in range(30):
+        pol = random_polarity(rng, 4 + i % 2, 4 + i % 2, 0.5)
+        fr = Frame(pol, SIG_MIX, {c.name: random_relation(rng, pol, c) for c in SIG_MIX.connectives})
+        cases += [(fr, random_sequent(rng, SIG_MIX, PROPS[: 1 + j % 2], 3)) for j in range(8)]
+    for fr, seq in cases:
+        assert _verdict(fr, seq) == _full_scan(monkeypatch, _verdict, fr, seq), seq
+    assert seen[True] >= 100 and seen[False] >= 5, seen
+
+
+def _non_monotone_algebra():
+    """2^2 with a box that sends top to bottom and fixes the rest."""
+    leq = [[i & ~j == 0 for j in range(4)] for i in range(4)]  # element i is the bit set i
+    box = {(x,): 0 if x == 3 else x for x in range(4)}
+    return FiniteAlgebra(["0", "a", "b", "1"], leq, SIG_BOX, {"box": box})
+
+
+def test_reduced_scans_answer_as_the_full_scan_on_algebras(monkeypatch):
+    seen = _spy(monkeypatch, "_algebra_reduction_holds")
+    rng = random.Random(127)
+    for alg in _algebras():
+        for i in range(12):
+            props = PROPS[: 1 + i % 3]
+            seq = random_sequent(rng, alg.signature, props, 3 if len(props) < 3 else 2)
+            assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq), seq
+    assert seen[True] >= 100, seen
+    # tables that are not monotone: a reduced pass is never taken for valid
+    seen.clear()
+    alg = _non_monotone_algebra()
+    assert not verify_normality(alg).passed
+    assert semantics._elements_of(alg, "joins") == [1, 2, 0]
+    # p <= box p on the join-irreducibles and bottom, and box p <= q at
+    # p = top and q = bottom, but neither on the whole algebra
+    for text in ("p |- box p", "box p |- q"):
+        assert algebra_validates(alg, parse_sequent(text, SIG_BOX)) is False
+    for _ in range(60):
+        seq = random_sequent(rng, SIG_BOX, PROPS[:2], 3)
+        assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq), seq
+    assert seen[False] >= 10 and not seen[True], seen
+
+
+def _covers(alg, x, leq):
+    """The elements that leq(y, x) puts right below x."""
+    below = [y for y in range(alg.size) if y != x and leq(y, x)]
+    return [y for y in below if not any(z != y and leq(y, z) for z in below)]
+
+
+def test_irreducibles_are_the_elements_with_one_cover():
+    for alg in _algebras():
+        def up(y, x):
+            return alg.leq[x][y]
+
+        def down(y, x):
+            return alg.leq[y][x]
+
+        joins = [x for x in range(alg.size) if len(_covers(alg, x, down)) == 1]
+        meets = [x for x in range(alg.size) if len(_covers(alg, x, up)) == 1]
+        assert semantics._irreducibles(alg.below) == joins
+        assert semantics._irreducibles(alg.above) == meets
+
+
+# One row per shape rule: the sequent, and the plan of each proposition.
+# fj is a binary F connective monotone in both places.
+SIG_PLANS = Signature(SIG_MIX.connectives + (Connective("fj", "F", 2, ("1", "1")),))
+PLAN_RULES = {
+    "lhs-monotone-rhs-without-p": ("p |- top", {"p": "top"}),
+    "lhs-without-p-rhs-monotone": ("c |- p", {"p": "bot"}),
+    "lhs-preserves-joins": ("p |- box p", {"p": "joins"}),
+    "rhs-preserves-meets": (r"p /\ q |- p", {"p": "meets", "q": "top"}),
+    "G-keeps-meets-at-1": ("box p |- p", {"p": "meets"}),
+    "or-and-F-keep-joins": (r"dia p \/ q |- dia (p \/ q)", {"p": "joins", "q": "joins"}),
+    "and-over-join-part": (r"dia p /\ q |- dia p", {"p": "all", "q": "top"}),
+    "or-over-meet-part": (r"box p |- box p \/ q", {"p": "all", "q": "bot"}),
+    "F-d-takes-no-joins": (r"dia p \/ f(q, p) |- p", {"p": "all", "q": "top"}),
+    "F-d-makes-joins": ("f(q, g(p, q)) |- p", {"p": "joins", "q": "all"}),
+    "G-d-makes-meets": ("box p |- g(f(q, p), q)", {"p": "meets", "q": "all"}),
+    "lhs-antitone-rhs-joins-to-meets": ("f(q, p) |- g(p, q)", {"p": "joins", "q": "joins"}),
+    "lhs-meets-to-joins-rhs-antitone": (
+        r"f(q, p) |- g(p, bot) \/ q",
+        {"p": "meets", "q": "joins"},
+    ),
+    "p-twice-keeps-sign": ("fj(p, p) |- top", {"p": "top"}),
+    "p-twice-breaks-joins": ("fj(p, p) |- dia p", {"p": "all"}),
+    "p-at-both-signs": ("f(p, p) |- top", {"p": "all"}),
+    "anchor": (r"box(p /\ q) |- box(p) \/ q", {"p": "all", "q": "all"}),
+}
+
+
+@pytest.mark.parametrize("rule", PLAN_RULES)
+def test_plans_follow_the_shape_rules(rule):
+    text, want = PLAN_RULES[rule]
+    program = semantics._Program(parse_sequent(text, SIG_PLANS), SIG_PLANS)
+    for kind in ("frame", "algebra"):
+        fns = emit.compiled(semantics._emit_program, (kind,) + program.key)
+        plans = [semantics._DOMAINS[k] for k in fns[1](fns)]
+        assert dict(zip(program.props, plans)) == want
