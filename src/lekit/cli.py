@@ -8,6 +8,7 @@ enumeration cap; --cap overrides it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -24,7 +25,7 @@ from .definability import (
     falsify,
     search_falsification,
 )
-from .errors import LekitError
+from .errors import IncompatibleFrameError, LekitError
 from .fol import SEQUENT_FORMS, format_fo, standard_translate, translate_sequent
 from .frame import (
     check_compatibility,
@@ -151,6 +152,20 @@ def _load(path, args):
     return load_frame(path, check=not args.no_check)
 
 
+@contextlib.contextmanager
+def _checked_as(paths):
+    """Name the frame files in an incompatibility found past the load.
+
+    A filter-ideal extension checks its frame as it builds the complex
+    algebra, --no-check or not, so its frame is loaded unchecked and
+    checked once; this keeps the message a checked load gives.
+    """
+    try:
+        yield
+    except IncompatibleFrameError as exc:
+        raise IncompatibleFrameError(f"{', '.join(paths)}: {exc}") from None
+
+
 def run(args):
     cap = _cap(args)
 
@@ -208,8 +223,8 @@ def run(args):
             alg = load_algebra(args.algebra)
             out = filter_ideal_frame(alg)
         else:
-            frame = _load(args.frame, args)
-            out = filter_ideal_extension(frame, cap)
+            with _checked_as([args.frame]):
+                out = filter_ideal_extension(load_frame(args.frame, check=False), cap)
         return _write_frame(args, out)
 
     if args.command == "translate":
@@ -244,7 +259,8 @@ def run(args):
                 )
                 return 1
         else:
-            frames = [_load(path, args) for path in args.frames]
+            check = not args.no_check and args.construction != "filter-ideal"
+            frames = [load_frame(path, check=check) for path in args.frames]
             morphism = None
             if args.construction in ("pmorphic-image", "generated-subframe"):
                 if len(frames) != 2 or not args.morphism:
@@ -253,9 +269,10 @@ def run(args):
                     )
                 morphism = load_morphism(args.morphism, frames[0], frames[1])
                 frames = []
-            report = falsify(
-                args.condition, args.construction, frames, morphism=morphism, cap=cap
-            )
+            with _checked_as(args.frames):
+                report = falsify(
+                    args.condition, args.construction, frames, morphism=morphism, cap=cap
+                )
         _emit(args, report.to_dict(), report.message)
         return 0 if report.falsified else 1
 

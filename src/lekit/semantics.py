@@ -22,17 +22,15 @@ disjunction an intent, and the other mask is derived where it is read.
 algebra_validates runs it on element indices through meet, join and the
 operation tables.
 
-Every concept is the join of the concepts of its W points and the meet of
-those of its U points, and normal operations preserve such joins and
-meets (Conradie and Palmigiano, "Algorithmic correspondence and
-canonicity for non-distributive logics", APAL 2019).  So the emitter also
-works out, once per shape, a plan for each proposition from how the two
-sides vary with it (_plan): all, top alone, bot alone, the join
-generators or the meet generators.  A check scans the reduced domains
-first and answers valid from that only when the reduction is sound for
-the frame or algebra at hand; otherwise, and on any failure, it scans
-every valuation, so a counter-valuation is always the first in full
-order and valuations_checked counts the valuations the verdict covers.
+The emitter also works out, once per shape, a plan for each proposition
+from the signs of the two sides in it (_plan): all, or top alone when the
+left side is monotone in it and the right antitone, or bot alone in the
+dual case.  A check scans those reduced domains first and answers valid
+from a pass when the operations it read are monotone: always on a frame,
+whose sections are, and on an algebra when it is a complex algebra or
+normal.  Otherwise, and on a frame's failure, it scans every valuation,
+so a counter-valuation is always the first in full order and
+valuations_checked counts the valuations the verdict covers.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .algebra import ComplexAlgebra, verify_normality
 from .bitset import bits
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
-from .frame import check_compatibility, connective_sorts, section_zero
+from .frame import connective_sorts, section_zero
 from .polarity import Concept, enumerate_concepts
 from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
@@ -217,7 +215,10 @@ class ValidityVerdict:
 
     def describe(self, frame):
         if self.valid:
-            return f"valid ({self.valuations_checked} valuations checked)"
+            n = self.valuations_checked
+            return f"valid ({n} valuation{'' if n == 1 else 's'} checked)"
+        if not self.counter_valuation:
+            return "invalid under the empty valuation (the sequent has no propositions)"
         pol = frame.polarity
         parts = ", ".join(
             f"{p} = {c.show(pol)}" for p, c in sorted(self.counter_valuation.items())
@@ -305,85 +306,45 @@ def _section(rel, key):
 
 # What a proposition may range over, by its plan (_plan); generated code
 # returns a plan as indices into this tuple.
-_DOMAINS = ("all", "top", "bot", "joins", "meets")
-_OTHER = {"join": "meet", "meet": "join"}
+_DOMAINS = ("all", "top", "bot")
 
 
-def _image(sign, over):
-    """The operation a map of this sign sends the operation over to."""
-    return over if sign > 0 else _OTHER[over]
-
-
-def _through(shape, monotone, over):
-    """A slot's shape seen through an argument place that is monotone or
-    antitone and sends non-empty `over`s to its head's operation: the slot
-    keeps of the operations it distributes over the one it sends to
-    `over`."""
-    sign, ops = shape
-    return (sign if monotone else -sign, ops & {_image(sign, over)})
-
-
-def _shapes(nodes, p):
-    """What each slot is as a map of proposition p, the others fixed.
-
-    None when p does not occur; else (sign, ops): sign 1 for monotone, -1
-    for antitone, 0 for neither, and ops the non-empty lattice operations
-    ("join", "meet") the map distributes over, sending each to itself
-    when monotone and to the other when antitone.  p is monotone and
-    distributes over both.  A place of a conjunction (disjunction) is
-    monotone and distributes over meets (joins), and the two sides keep
-    what both keep, so a conjunction with a join-preserving part does not
-    preserve joins: the lattice need not be distributive.  A connective's
-    place is monotone when its sort differs from the head's; there a head
-    W distributes over meets and a head U over joins, and at an antitone
-    place over the other operation, as normal operations do.  With p in
-    two of its arguments a connective keeps only its sign.
+def _signs(nodes, p):
+    """The sign of each slot as a map of proposition p, the others fixed:
+    None when p does not occur, 1 for monotone, -1 for antitone, 0 for
+    neither.  p is monotone, and so are the places of a conjunction or
+    disjunction; a connective's place is monotone when its sort differs
+    from the head's, else antitone, since the program reads raw sections.
+    A slot has the sign its arguments with p give it through their places
+    when they agree, else 0.
     """
-    shapes = []
+    signs = []
     for op, payload, kids in nodes:
         if op == "prop":
-            shapes.append((1, {"join", "meet"}) if payload == p else None)
+            signs.append(1 if payload == p else None)
             continue
         if op == "conn":
             head, *coords = payload[1]
-            own = "join" if head == "U" else "meet"
-            places = [(s != head, own if s != head else _OTHER[own]) for s in coords]
+            places = [1 if s != head else -1 for s in coords]
         else:
-            places = [(True, "meet" if op == "and" else "join")] * len(kids)
-        parts = [_through(shapes[c], *place) for c, place in zip(kids, places) if shapes[c]]
-        if not parts:
-            shapes.append(None)
-            continue
-        sign = parts[0][0] if all(s == parts[0][0] for s, _ in parts) else 0
-        keep = sign and (op != "conn" or len(parts) == 1)
-        shapes.append((sign, set.intersection(*(ops for _, ops in parts)) if keep else set()))
-    return shapes
+            places = [1] * len(kids)
+        parts = {signs[c] * place for c, place in zip(kids, places) if signs[c] is not None}
+        signs.append(parts.pop() if len(parts) == 1 else 0 if parts else None)
+    return signs
 
 
 def _plan(left, right):
-    """The domain a proposition ranges over, from the shapes of the two
-    sides in it (see _shapes); a side without it is both monotone and
-    antitone and distributes over both operations.
+    """The domain a proposition ranges over, from its signs on the two
+    sides (see _signs); a side without it (None) is both monotone and
+    antitone.
 
     Lhs monotone and rhs antitone: top alone, since lhs(x) <= lhs(top)
-    <= rhs(top) <= rhs(x).  Lhs antitone and rhs monotone: bot.  Else,
-    for a sign both sides share, "joins" when the lhs sends non-empty
-    joins to joins or the rhs sends them to meets, since every element is
-    a join of join-generators and the other side bounds each of them;
-    "meets" dually.
+    <= rhs(top) <= rhs(x).  Lhs antitone and rhs monotone: bot.  Else all.
     """
-    signs = [{1, -1} if x is None else {x[0]} for x in (left, right)]
-    ops = [{"join", "meet"} if x is None else x[1] for x in (left, right)]
-    if 1 in signs[0] and -1 in signs[1]:
+    if left in (1, None) and right in (-1, None):
         return "top"
-    if -1 in signs[0] and 1 in signs[1]:
+    if left in (-1, None) and right in (1, None):
         return "bot"
-    for sign in signs[0] & signs[1] - {0}:
-        # the operations the lhs sends to joins or the rhs to meets
-        gens = ops[0] & {_image(sign, "join")} | ops[1] & {_image(sign, "meet")}
-        for gen in ("join", "meet"):
-            if gen in gens:
-                return gen + "s"
     return "all"
 
 
@@ -493,11 +454,9 @@ def _emit_program(key):
     lines.append(pad + (f"if e{lhs} & ~e{rhs}:" if frame else f"if not leq[v{lhs}][v{rhs}]:"))
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
-    plans = []
-    for p in range(m):
-        shapes = _shapes(nodes, p)
-        plans.append(f"{_DOMAINS.index(_plan(shapes[lhs], shapes[rhs]))}, ")
-    lines += ["def f1(fns):", f"    return ({''.join(plans)})"]
+    signs = [_signs(nodes, p) for p in range(m)]
+    plans = "".join(f"{_DOMAINS.index(_plan(s[lhs], s[rhs]))}, " for s in signs)
+    lines += ["def f1(fns):", f"    return ({plans})"]
     return lines
 
 
@@ -522,27 +481,22 @@ def _check_cap(total, cap):
         )
 
 
-def _failure(fns, args, full, domain, sound, first):
+def _failure(fns, args, full, domain, first, sound=None):
     """A valuation the program fns fails, as indices into the domains it
     scanned, or None when it fails none.
 
-    When the plan (fns[1]) gives some propositions a domain(plan) smaller
-    than full, the reduced scan runs first, on those domains and full for
-    the others: a domain that holds everything reduces nothing, and its
-    plan asks for no soundness check.  A pass there answers when
-    sound(plans) holds for the set of plans that reduced; a failure there
-    is a real one, and answers unless first asks for the first failing
-    valuation in full order.  Else the full scan runs, so an invalid
-    sequent pays no soundness check.
+    When the plan (fns[1]) gives some proposition top or bot alone and
+    full holds more than that one value, the reduced scan runs first, on
+    domain(plan) for those and full for the others.  A pass there answers
+    unless sound is given and sound() fails; a failure there is a real
+    one, and answers unless first asks for the first failing valuation in
+    full order.  Else the full scan runs.
     """
     plans = [_DOMAINS[k] for k in fns[1](fns)]
-    doms = {p: domain(p) for p in set(plans) - {"all"}}
-    reducing = {p for p, d in doms.items() if len(d) < len(full)}
-    if reducing:
-        doms = {p: doms[p] if p in reducing else full for p in plans}
-        picked = fns[0](fns, [doms[p] for p in plans], *args)
+    if len(full) > 1 and plans.count("all") < len(plans):
+        picked = fns[0](fns, [full if p == "all" else domain(p) for p in plans], *args)
         if picked is None:
-            if sound(reducing):
+            if sound is None or sound():
                 return None
         elif not first:
             return picked
@@ -550,24 +504,11 @@ def _failure(fns, args, full, domain, sound, first):
 
 
 def _concepts_of(pol, by_ext, by_int, plan):
-    """The (extent, intent) pairs a proposition with this plan ranges over:
-    top, bot, the W-point concepts and bot, or the U-point concepts and top.
-    Every concept is the join of the W-point concepts below it and the
-    meet of the U-point concepts above it."""
-    top = (pol.full_w, by_ext[pol.full_w])
-    bot = (by_int[pol.full_u], pol.full_u)
-    if plan == "joins":
-        return list(dict.fromkeys([(by_int[r], r) for r in pol.rows] + [bot]))
-    if plan == "meets":
-        return list(dict.fromkeys([(c, by_ext[c]) for c in pol.cols] + [top]))
-    return [top if plan == "top" else bot]
-
-
-def _frame_reduction_holds(frame, plans):
-    """Top and bot need only monotone connectives, and the program reads
-    raw sections, which are monotone in every argument on any frame.
-    Generators need normal operations, which a compatible frame gives."""
-    return plans <= {"top", "bot"} or check_compatibility(frame).passed
+    """The (extent, intent) pair a proposition with this plan ranges over:
+    top or bot alone."""
+    if plan == "top":
+        return [(pol.full_w, by_ext[pol.full_w])]
+    return [(by_int[pol.full_u], pol.full_u)]
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -579,17 +520,15 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     (extent, intent) pairs, with no complex algebra built, so frames
     loaded without the compatibility check are decided as well.
 
-    A proposition whose shape allows it ranges over fewer concepts first
-    (_plan): top or bot alone, or the W-point concepts and bot (join
-    generators), or the U-point concepts and top (meet generators).  A
-    pass of that reduced scan answers valid at once when it used only top
-    and bot; with generators, only when the frame is compatible, so that
-    its operations are normal.  Else, and whenever the reduced scan
-    fails, every valuation is scanned, so the counter-valuation is the
-    first in full order.  valuations_checked is the number of valuations
-    the verdict covers: all of them (c**k for c concepts and k
-    propositions) when valid, else the counter-valuation's position.  The
-    cap bounds c**k, since the full scan may run.
+    A proposition whose plan (_plan) is top or bot alone ranges over it
+    first.  A pass of that reduced scan answers valid with no check of the
+    frame: raw sections are monotone or antitone in each argument on any
+    frame, compatible or not, as _plan assumes.  Else, and whenever the
+    reduced scan fails, every valuation is scanned, so the
+    counter-valuation is the first in full order.  valuations_checked is
+    the number of valuations the verdict covers: all of them (c**k for c
+    concepts and k propositions) when valid, else the counter-valuation's
+    position.  The cap bounds c**k, since the full scan may run.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -606,39 +545,23 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     fns = compiled(_emit_program, ("frame",) + program.key)
     domain = partial(_concepts_of, pol, by_ext, by_int)
-    sound = partial(_frame_reduction_holds, frame)
-    picked = _failure(fns, args, pairs, domain, sound, first=True)
+    picked = _failure(fns, args, pairs, domain, first=True)
     if picked is None:
         return ValidityVerdict(True, None, total)
     counter = {p: concepts[i] for p, i in zip(props, picked)}
     return ValidityVerdict(False, counter, _position(picked, len(concepts)))
 
 
-def _irreducibles(cones):
-    """The elements whose cone, less themselves, is another element's cone:
-    from the below cones the join-irreducibles, from the above cones the
-    meet-irreducibles."""
-    own = set(cones)
-    return [x for x, cone in enumerate(cones) if cone & ~(1 << x) in own]
-
-
 def _elements_of(alg, plan):
-    """The elements a proposition with this plan ranges over: top, bot,
-    the join-irreducibles and bot, or the meet-irreducibles and top."""
-    if plan == "joins":
-        return _irreducibles(alg.below) + [alg.bot]
-    if plan == "meets":
-        return _irreducibles(alg.above) + [alg.top]
+    """The element a proposition with this plan ranges over: top or bot."""
     return [alg.top if plan == "top" else alg.bot]
 
 
-def _algebra_reduction_holds(alg, plans):
-    """Top and bot need only monotone operations, which a complex algebra
-    has: its tables are its frame's raw sections (_frame_reduction_holds).
-    Anything else needs normal operations; tables given by the user need
-    not even be monotone."""
-    bounds = plans <= {"top", "bot"} and isinstance(alg, ComplexAlgebra)
-    return bounds or verify_normality(alg).passed
+def _algebra_reduction_holds(alg):
+    """Top and bot need only monotone operations.  A complex algebra has
+    them, since its tables are its frame's raw sections; tables given by
+    the user need not be monotone, so they must pass verify_normality."""
+    return isinstance(alg, ComplexAlgebra) or verify_normality(alg).passed
 
 
 def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
@@ -646,14 +569,11 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
 
     Runs the program frame_validates uses, on element indices, with
     meet, join and the operation tables in place of the frame's sections,
-    and with the same plans; join generators are the join-irreducibles
-    and bot, meet generators the meet-irreducibles and top.  A pass of a
-    reduced scan answers valid when it used only top and bot on a complex
-    algebra, and else only when verify_normality passes, since tables
-    given by the user need not even be monotone; otherwise every
-    valuation is scanned.  A failure of the reduced scan answers invalid
-    at once: an algebra's verdict names no counter-valuation.  The cap
-    bounds all size**k valuations.
+    and with the same plans.  A pass of the reduced scan answers valid
+    when _algebra_reduction_holds, else every valuation is scanned.  A
+    failure of the reduced scan answers invalid at once: an algebra's
+    verdict names no counter-valuation.  The cap bounds all size**k
+    valuations.
     """
     program = _Program(sequent, alg.signature)
     total = alg.size ** len(program.props)
@@ -673,4 +593,4 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     fns = compiled(_emit_program, ("algebra",) + program.key)
     domain = partial(_elements_of, alg)
     sound = partial(_algebra_reduction_holds, alg)
-    return _failure(fns, args, dom, domain, sound, first=False) is None
+    return _failure(fns, args, dom, domain, first=False, sound=sound) is None

@@ -91,6 +91,21 @@ def test_valid_json(capsys):
     assert data["counter_valuation"]
 
 
+def test_one_valuation_is_worded_in_the_singular(capsys):
+    code, out, _ = run_cli(["valid", F1, "bot |- top"], capsys)
+    assert code == 0
+    assert out.strip() == "valid (1 valuation checked)"
+
+
+def test_invalid_sequent_without_propositions_reads_whole(capsys):
+    code, out, _ = run_cli(["valid", F1, "top |- bot"], capsys)
+    assert code == 1
+    assert out.strip() == "invalid under the empty valuation (the sequent has no propositions)"
+    code, out, _ = run_cli(["--json", "valid", F1, "top |- bot"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "valuations_checked": 1, "counter_valuation": {}}
+
+
 def test_valid_parse_error(capsys):
     code, _, err = run_cli(["valid", F1, "box p |-"], capsys)
     assert code == 2
@@ -123,6 +138,34 @@ def test_filter_ideal_from_frame(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert len(data["W"]) == 4  # one filter per concept
+
+
+INCOMPATIBLE = {
+    "signature": {"connectives": [{"name": "box", "family": "G", "arity": 1, "order_type": ["1"]}]},
+    "W": ["a", "b"],
+    "U": ["x", "y"],
+    "N": [["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]],
+    "relations": {"box": [["a", "x"]]},
+}
+
+
+@pytest.mark.parametrize("no_check", [[], ["--no-check"]], ids=["checked", "no-check"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["filter-ideal"],
+        ["falsify", "--condition", "R-equals-N-complement", "--construction", "filter-ideal"],
+    ],
+    ids=["filter-ideal", "falsify-filter-ideal"],
+)
+def test_filter_ideal_of_an_incompatible_frame_exits_2_naming_it(
+    command, no_check, tmp_path, capsys
+):
+    # the extension checks the frame once, as it builds the complex algebra
+    path = _write_json(tmp_path, "bad.json", INCOMPATIBLE)
+    code, out, err = run_cli(no_check + command[:1] + [path] + command[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: FAIL: connective 'box'")
 
 
 def test_translate_formula(capsys):

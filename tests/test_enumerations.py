@@ -1,4 +1,5 @@
-"""How many concept enumerations each question costs, counted per polarity."""
+"""How many concept enumerations and compatibility checks each question
+costs, counted per polarity and per frame."""
 
 import random
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lekit import CapExceededError, dual_hom, dual_pmorphism, load_frame, polarity
+from lekit import CapExceededError, dual_hom, dual_pmorphism, frame, load_frame, polarity
 from lekit.cli import main
 from lekit.definability import falsify, search_falsification
 from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
@@ -18,24 +19,35 @@ from conftest import golden_path, identity_pmorphism
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture
-def enumerated(monkeypatch):
-    """The polarity of every enumerate_concepts call, in call order.
+def counted(monkeypatch, home, name):
+    """The first argument of every call of home.<name>, in call order.
 
-    Every lekit module that imported enumerate_concepts gets the counting
+    Every lekit module that imported the function gets the counting
     wrapper, so no caller is missed.
     """
     calls = []
-    original = polarity.enumerate_concepts
+    original = getattr(home, name)
 
-    def counted(pol, *args, **kwargs):
-        calls.append(pol)
-        return original(pol, *args, **kwargs)
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lekit" and getattr(module, "enumerate_concepts", None) is original:
-            monkeypatch.setattr(module, "enumerate_concepts", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "lekit" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The polarity of every enumerate_concepts call, in call order."""
+    return counted(monkeypatch, polarity, "enumerate_concepts")
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The frame of every check_compatibility call, in call order."""
+    return counted(monkeypatch, frame, "check_compatibility")
 
 
 def readme_commands():
@@ -46,7 +58,7 @@ def readme_commands():
     return [argv[1:] for argv in argvs if argv and argv[0] == "lekit"]
 
 
-def per_polarity(calls):
+def per_argument(calls):
     return sorted(Counter(map(id, calls)).values())
 
 
@@ -69,9 +81,25 @@ def test_readme_commands_enumerate_each_polarity_at_most_once(
     argv, enumerated, tmp_path, monkeypatch, capsys
 ):
     run(argv, tmp_path, monkeypatch)
-    assert per_polarity(enumerated) in ([], [1])
+    assert per_argument(enumerated) in ([], [1])
     if argv[0] == "pmorphism":
         assert len(enumerated) == 1  # the target, for the diagnostic and both kinds
+
+
+FALSIFY_FILTER_IDEAL = [
+    "falsify", "golden/coproduct_F1.json",
+    "--condition", "R-equals-N-complement", "--construction", "filter-ideal",
+]
+
+
+@pytest.mark.parametrize(
+    "argv", readme_commands() + [FALSIFY_FILTER_IDEAL], ids=" ".join
+)
+def test_commands_check_each_frame_at_most_once(argv, checked, tmp_path, monkeypatch, capsys):
+    run(argv, tmp_path, monkeypatch)
+    assert set(per_argument(checked)) <= {1}
+    if argv[0] in ("valid", "filter-ideal"):
+        assert len(checked) == 1
 
 
 @pytest.mark.parametrize(
@@ -97,14 +125,14 @@ def test_dual_hom_enumerates_each_side_once(m1_morphism, enumerated):
     dual_hom(m1_morphism)
     pols = {id(m1_morphism.source.polarity), id(m1_morphism.target.polarity)}
     assert set(map(id, enumerated)) == pols
-    assert per_polarity(enumerated) == [1, 1]
+    assert per_argument(enumerated) == [1, 1]
 
 
 def test_dual_hom_of_an_endomorphism_builds_one_algebra(enumerated):
     pm = identity_pmorphism(load_frame(golden_path("coproduct_F1.json")))
     hom = dual_hom(pm)
     assert hom.dom is hom.cod
-    assert per_polarity(enumerated) == [1]
+    assert per_argument(enumerated) == [1]
     back = dual_pmorphism(hom)
     assert (back.s_pairs, back.t_pairs) == (pm.s_pairs, pm.t_pairs)
 

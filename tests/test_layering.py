@@ -209,3 +209,14 @@ def test_validity_memos_are_exact_dicts():
     assert not subclasses, subclasses
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_Closed", "_closed"}
+
+
+def test_validity_checks_no_frame_for_compatibility():
+    # validity decides frames loaded without the check, and its reduced
+    # scans need only the monotone raw sections: the load is the one check
+    users = _users(
+        _tree("semantics"),
+        "semantics",
+        lambda node: isinstance(node, ast.Name) and node.id == "check_compatibility",
+    )
+    assert not users, users
