@@ -241,8 +241,6 @@ def run(args):
 
     if args.command == "falsify":
         if args.search:
-            if args.max_size < 1:
-                raise LekitError(f"--max-size must be at least 1, got {args.max_size}")
             rng = random.Random(args.seed)
             report = search_falsification(
                 args.condition,

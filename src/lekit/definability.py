@@ -19,13 +19,12 @@ condition checks and returns falsify's report on the first hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .constructions import coproduct, filter_ideal_extension
 from .errors import CapExceededError, FormatError, InvalidPMorphismError
 from .morphism import check_pmorphism
 from .polarity import DEFAULT_CONCEPT_CAP
-from .sampling import component_embedding, diagonal_surjection, random_box_frame
+from .sampling import box_frame, component_embedding, diagonal_surjection, draw_box_key
 
 
 def box_pairs(frame):
@@ -198,18 +197,24 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
 def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
     """Bounded random search for a falsifying witness; None if not found.
 
-    Each draw is judged by bare condition checks, since the drawn
-    p-morphisms are surjective or injective by construction; the first hit
-    is returned as falsify's report on it.  Under pmorphic-image and
-    generated-subframe the frame that must satisfy the condition is a
-    coproduct (fr + fr, f1 + f2), and each built-in condition holds on one
-    only when it holds on every component (never, for R-equals-N-complement
-    on two: the cross pairs are in R and N), so those searches return None.
-    A drawn frame has at most 2**max_size concepts, so a max_size with
-    2**max_size above the concept cap is refused before any draw.
+    Each try draws one frame key, or two under coproduct and
+    generated-subframe, with random_box_frame's rng calls: the result
+    depends only on the seed, max_size and tries.  Each distinct key's
+    frame is built and judged once per call.  The first drawn frame must
+    fail the condition, but under coproduct both must satisfy it (the
+    second is built only if the first does).  Bare condition checks judge
+    a try, the drawn p-morphisms being surjective or injective by
+    construction; the first hit is returned as falsify's report.  Under
+    pmorphic-image and generated-subframe the frame that must satisfy the
+    condition is a coproduct (fr + fr, f1 + f2), on which each built-in
+    condition holds only when it holds on every component (never, for
+    R-equals-N-complement on two: the cross pairs are in R and N), so
+    those searches return None.  A drawn frame has at most 2**max_size
+    concepts, so a max_size with 2**max_size above the cap is refused.
     """
     if max_size < 1:
-        raise FormatError(f"max_size must be at least 1, got {max_size}")
+        raise FormatError(f"max_size must be at least 1, got {max_size}; "
+                          "pass --max-size 1 or more")
     cap = DEFAULT_CONCEPT_CAP if cap is None else cap
     if max_size >= cap.bit_length():  # 2**max_size > cap, without computing 2**max_size
         raise CapExceededError(
@@ -217,21 +222,31 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
             f"above the concept cap {cap}; lower --max-size or raise --cap or LEKIT_CAP"
         )
     _, _, keepers, _, last = _witness(construction)
-    draw = partial(random_box_frame, rng, max_size, max_size)
+    seen = {}  # drawn key -> (its frame, whether the frame satisfies the condition)
+
+    def drawn(key):
+        if key not in seen:
+            fr = box_frame(key)
+            seen[key] = fr, check_condition(condition, fr)[0]
+        return seen[key]
+
+    per_try = 2 if construction in ("coproduct", "generated-subframe") else 1
     for _ in range(tries):
-        frames, pm = [], None
+        keys = [draw_box_key(rng, max_size, max_size) for _ in range(per_try)]
+        fr, holds = drawn(keys[0])
+        frames, pm = [fr], None
         if construction == "coproduct":
-            frames = [draw(), draw()]
-        elif construction == "pmorphic-image":
-            pm, _ = diagonal_surjection(draw())
+            if holds and drawn(keys[1])[1]:
+                frames.append(seen[keys[1]][0])
+                if not check_condition(condition, last(frames, pm, cap))[0]:
+                    return falsify(condition, construction, frames, cap=cap)
+            continue
+        if holds:
+            continue
+        if construction == "pmorphic-image":
+            frames, (pm, _) = [], diagonal_surjection(fr)
         elif construction == "generated-subframe":
-            pm, _ = component_embedding(draw(), draw())
-        else:
-            frames = [draw()]
-        for fr in keepers(frames, pm, cap):
-            if not check_condition(condition, fr)[0]:
-                break
-        else:
-            if not check_condition(condition, last(frames, pm, cap))[0]:
-                return falsify(condition, construction, frames, morphism=pm, cap=cap)
+            frames, (pm, _) = [], component_embedding(fr, box_frame(keys[1]))
+        if all(check_condition(condition, f)[0] for f in keepers(frames, pm, cap)):
+            return falsify(condition, construction, frames, morphism=pm, cap=cap)
     return None

@@ -1,6 +1,8 @@
 """Seeded random generators for frames, and the morphisms of the search.
 
-Used by the test suite and by the bounded falsification search.  Random
+Used by the test suite and by the bounded falsification search.  A frame
+is drawn as a key of bits (draw_box_key) and built from it (box_frame),
+so the search can build and judge each distinct draw once.  Random
 unary relations are made compatible by alternately closing rows and
 columns until nothing changes; closure only adds pairs, so this stops.
 The p-morphisms between a frame and a coproduct are read off the
@@ -18,15 +20,6 @@ from .polarity import Polarity
 from .syntax import Connective, Signature
 
 SIG_BOX = Signature((Connective("box", "G", 1, ("1",)),))
-
-
-def random_polarity(rng, nw, nu, density=0.5):
-    w_names = [f"w{i}" for i in range(nw)]
-    u_names = [f"u{i}" for i in range(nu)]
-    pairs = [
-        (w, u) for w in range(nw) for u in range(nu) if rng.random() < density
-    ]
-    return Polarity(w_names, u_names, pairs)
 
 
 def stabilize_box_relation(pol, pairs):
@@ -52,19 +45,28 @@ def stabilize_box_relation(pol, pairs):
     return {(w, u) for w in range(pol.nw) for u in bits(rows[w])}
 
 
+def draw_box_key(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
+    """The rng calls of one random_box_frame, as the key (nw, nu, n, seed):
+    cell (w, u) of N and of the relation's seed is bit w * nu + u."""
+    nw, nu = rng.randint(1, max_w), rng.randint(1, max_u)
+    cells, coin = range(nw * nu), rng.random
+    n = sum(1 << i for i in cells if coin() < density)
+    return nw, nu, n, sum(1 << i for i in cells if coin() < rel_density)
+
+
+def box_frame(key):
+    """The compatible frame for the single box signature drawn as key."""
+    nw, nu, n, seed = key
+    w_ids, u_ids = {f"w{i}": i for i in range(nw)}, {f"u{i}": i for i in range(nu)}
+    pol = Polarity.on_ids(w_ids, u_ids, [divmod(i, nu) for i in bits(n)])
+    pairs = stabilize_box_relation(pol, [divmod(i, nu) for i in bits(seed)])
+    rel = Relation(connective_sorts(SIG_BOX.connectives[0]), (nw, nu), pairs)
+    return Frame(pol, SIG_BOX, {"box": rel})
+
+
 def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
     """A random compatible frame for the single box signature."""
-    nw = rng.randint(1, max_w)
-    nu = rng.randint(1, max_u)
-    pol = random_polarity(rng, nw, nu, density)
-    seed_pairs = [
-        (w, u) for w in range(nw) for u in range(nu) if rng.random() < rel_density
-    ]
-    pairs = stabilize_box_relation(pol, seed_pairs)
-    conn = SIG_BOX.connectives[0]
-    sorts = connective_sorts(conn)
-    rel = Relation(sorts, (pol.nw, pol.nu), {(w, u) for w, u in pairs})
-    return Frame(pol, SIG_BOX, {"box": rel})
+    return box_frame(draw_box_key(rng, max_w, max_u, density, rel_density))
 
 
 def component_embedding(f1, f2):

@@ -51,7 +51,7 @@ from lekit.frame import (
     section_zero,
 )
 from lekit.morphism import DualHom, PMorphismReport, dual_pmorphism
-from lekit.sampling import SIG_BOX, random_box_frame, random_polarity
+from lekit.sampling import SIG_BOX, stabilize_box_relation
 from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -577,6 +577,29 @@ SIG_MIX = Signature(
 PROPS = ("p", "q", "r")
 
 
+def random_polarity(rng, nw, nu, density=0.5):
+    w_names = [f"w{i}" for i in range(nw)]
+    u_names = [f"u{i}" for i in range(nu)]
+    pairs = [
+        (w, u) for w in range(nw) for u in range(nu) if rng.random() < density
+    ]
+    return Polarity(w_names, u_names, pairs)
+
+
+def random_box_frame_by_polarity(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
+    """random_box_frame as one random_polarity and one stabilize_box_relation
+    per call, with the same rng calls: the drawer's oracle."""
+    nw = rng.randint(1, max_w)
+    nu = rng.randint(1, max_u)
+    pol = random_polarity(rng, nw, nu, density)
+    seed_pairs = [
+        (w, u) for w in range(nw) for u in range(nu) if rng.random() < rel_density
+    ]
+    pairs = stabilize_box_relation(pol, seed_pairs)
+    rel = Relation(connective_sorts(SIG_BOX.connectives[0]), (nw, nu), pairs)
+    return Frame(pol, SIG_BOX, {"box": rel})
+
+
 def random_relation(rng, pol, conn):
     """A relation for conn on pol holding each tuple with probability 0.4."""
     sorts = connective_sorts(conn)
@@ -1062,8 +1085,8 @@ def search_falsification_by_branches(condition, construction, rng, max_size=3, t
     """search_falsification with per-construction pre-checks, through falsify_by_branches."""
     for _ in range(tries):
         if construction == "coproduct":
-            f1 = random_box_frame(rng, max_size, max_size)
-            f2 = random_box_frame(rng, max_size, max_size)
+            f1 = random_box_frame_by_polarity(rng, max_size, max_size)
+            f2 = random_box_frame_by_polarity(rng, max_size, max_size)
             if not check_condition(condition, f1)[0]:
                 continue
             if not check_condition(condition, f2)[0]:
@@ -1071,19 +1094,19 @@ def search_falsification_by_branches(condition, construction, rng, max_size=3, t
             if not check_condition(condition, coproduct([f1, f2]))[0]:
                 return falsify_by_branches(condition, construction, [f1, f2])
         elif construction == "pmorphic-image":
-            fr = random_box_frame(rng, max_size, max_size)
+            fr = random_box_frame_by_polarity(rng, max_size, max_size)
             pm, cop = diagonal_surjection_by_duality(fr)
             if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
                 if not check_condition(condition, fr)[0]:
                     return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
         elif construction == "generated-subframe":
-            f1 = random_box_frame(rng, max_size, max_size)
-            f2 = random_box_frame(rng, max_size, max_size)
+            f1 = random_box_frame_by_polarity(rng, max_size, max_size)
+            f2 = random_box_frame_by_polarity(rng, max_size, max_size)
             pm, cop = component_embedding_by_duality(f1, f2)
             if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
                 return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
         else:
-            fr = random_box_frame(rng, max_size, max_size)
+            fr = random_box_frame_by_polarity(rng, max_size, max_size)
             ext = filter_ideal_extension(fr, cap)
             if check_condition(condition, ext)[0] and not check_condition(condition, fr)[0]:
                 return falsify_by_branches(condition, construction, [fr], cap=cap)

@@ -31,7 +31,6 @@ from lekit.frame import Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
     random_box_frame,
-    random_polarity,
     stabilize_box_relation,
 )
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
@@ -56,6 +55,7 @@ from conftest import (
     product_leq_by_pairs,
     product_names,
     random_frame,
+    random_polarity,
     residuated,
 )
 

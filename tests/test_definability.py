@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lekit import definability
 from lekit.definability import (
     CONDITIONS,
     CONSTRUCTIONS,
@@ -14,11 +15,19 @@ from lekit.definability import (
 from lekit.errors import CapExceededError, FormatError
 from lekit.frame import Frame, Relation, connective_sorts
 from lekit.polarity import Polarity
-from lekit.sampling import SIG_BOX, component_embedding, diagonal_surjection, random_box_frame
+from lekit.sampling import (
+    SIG_BOX,
+    box_frame,
+    component_embedding,
+    diagonal_surjection,
+    draw_box_key,
+    random_box_frame,
+)
 
 from conftest import (
     falsify_by_branches,
     identity_pmorphism,
+    random_box_frame_by_polarity,
     random_pmorphism,
     search_falsification_by_branches,
 )
@@ -222,3 +231,66 @@ def test_search_matches_the_branch_oracle(construction):
                 hits += got is not None
     if construction == "coproduct":
         assert hits >= 3
+
+
+@pytest.mark.parametrize("density, rel_density", [(0.5, 0.3), (0.2, 0.7), (0.8, 0.1), (0.0, 1.0)])
+def test_draws_match_the_polarity_oracle(density, rel_density):
+    # the same frames from the same rng calls, one draw or many per rng
+    for size in range(1, 7):
+        for seed in range(3):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                key = draw_box_key(got_rng, size, 7 - size, density, rel_density)
+                want = random_box_frame_by_polarity(want_rng, size, 7 - size, density, rel_density)
+                assert box_frame(key) == want
+                assert got_rng.getstate() == want_rng.getstate()
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = random_box_frame(got_rng, size, size, density, rel_density)
+                assert got == random_box_frame_by_polarity(want_rng, size, size, density, rel_density)
+                assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_the_benchmarked_search_matches_the_branch_oracle():
+    # bench/workloads.py runs README's search: coproduct, --max-size 2
+    for seed in range(10):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = search_falsification("R-equals-N-complement", "coproduct", got_rng, 2, tries=200)
+        want = search_falsification_by_branches(
+            "R-equals-N-complement", "coproduct", want_rng, 2, tries=200
+        )
+        assert (got and got.to_dict()) == (want and want.to_dict())
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_search_builds_and_judges_each_draw_once_per_call(construction, monkeypatch):
+    cond = "every-u-has-non-R-w"  # holds on a coproduct iff on every component: no hit
+    drawn, built, judged = [], [], []
+    draw, build = definability.draw_box_key, definability.box_frame
+    monkeypatch.setattr(definability, "draw_box_key", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+    monkeypatch.setattr(definability, "box_frame", lambda key: built.append(key) or build(key))
+    monkeypatch.setattr(
+        definability, "check_condition", lambda c, fr: judged.append(fr) or check_condition(c, fr)
+    )
+    per_try = 2 if construction in ("coproduct", "generated-subframe") else 1
+    counts = []
+    for _ in range(2):
+        drawn.clear(), built.clear(), judged.clear()
+        assert search_falsification(cond, construction, random.Random(0), 2) is None
+        assert len(drawn) == 200 * per_try
+        assert len(set(map(id, judged))) == len(judged)  # no frame judged twice
+        counts.append((len(built), len(judged)))
+    assert counts[0] == counts[1]  # nothing built or judged in one call serves the next
+    monkeypatch.undo()
+    tries = list(zip(*[iter(drawn)] * per_try))
+    holds = {key: check_condition(cond, box_frame(key))[0] for key in drawn}
+    firsts = {t[0] for t in tries}
+    if construction == "coproduct":  # a try's second frame only when its first holds
+        want = len(firsts | {b for a, b in tries if holds[a]})
+        assert want < len(set(drawn))
+    elif construction == "generated-subframe":  # the second, once per try whose first fails
+        want = len(firsts) + sum(not holds[a] for a, _ in tries)
+    else:
+        want = len(firsts)
+    assert counts[0][0] == want

@@ -28,7 +28,7 @@ from lekit.frame import (
     section_table,
     section_zero,
 )
-from lekit.sampling import SIG_BOX, random_box_frame, random_polarity
+from lekit.sampling import SIG_BOX, random_box_frame
 
 from conftest import (
     SIG_MIX,
@@ -38,6 +38,7 @@ from conftest import (
     golden_path,
     load_json,
     random_frame,
+    random_polarity,
     random_relation,
     subsets,
 )

@@ -48,7 +48,7 @@ from lekit import (
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
 from lekit.frame import Relation, connective_sorts
-from lekit.sampling import SIG_BOX, random_box_frame, random_polarity, stabilize_box_relation
+from lekit.sampling import SIG_BOX, random_box_frame, stabilize_box_relation
 
 from conftest import (
     GOLDEN,
@@ -60,6 +60,7 @@ from conftest import (
     frame_validates_by_models,
     random_formula,
     random_frame,
+    random_polarity,
     random_relation,
     random_sequent,
     renamed,
