@@ -4,10 +4,10 @@ meet_rows is the one section kernel: the Galois maps, p-morphism sections
 and relation sections all AND the rows a mask picks.  meet_table is the
 same map for a loop that calls it many times on one set of rows: it reads
 one table of partial ANDs per byte of the mask instead of one row per bit.
-meet_each picks the one or the other for a list of masks: the cones of a
-complex algebra and the folds of its operation tables (frame.section_table)
-go through it.  transpose turns masks over points into masks over the
-masks' positions.
+meet_each picks the one or the other for a list of masks: the partners of
+the concepts an enumeration found, the cones of a complex algebra and the
+folds of its operation tables (frame.section_table) go through it.
+transpose turns masks over points into masks over the masks' positions.
 """
 
 

@@ -8,10 +8,9 @@ Concepts are stable pairs (extent, intent).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
-from .bitset import meet_rows, meet_table, names_of
+from .bitset import meet_each, meet_rows, names_of
 from .errors import CapExceededError, FormatError
 from .reading import index_rows, name_ids
 
@@ -153,55 +152,44 @@ def concept_of_u(polarity, u):
     return Concept(ext, polarity.up(ext))
 
 
-def _close_by_one(rows, close, n, top, cap):
-    """The concepts of a polarity as (closed set, partner) pairs, unordered.
+def _meets(gens, top, cap):
+    """top and the ANDs of every nonempty set of gens, as a set.
 
-    Kuznetsov's Close-by-One over range(n): rows[i] is the partner of
-    point i, and close maps a partner back to its closed set.  A node is a
-    closed set A with its partner B and a start; its child at a point
-    i >= start outside A has partner B & rows[i] (partners are closed
-    under AND) and closed set close of that, and is kept only when it adds
-    no point below i, so every closed set is reached once.  Raises
-    CapExceededError when a closed set beyond the first cap is reached.
+    Each gen ANDs into every mask found so far, so the set is closed under
+    AND after each one; on a polarity's rows these are its intents, on its
+    columns its extents.  Raises CapExceededError when more than cap are
+    found.  Every mask in the set is in the final one, so it stays within
+    2 * cap.
     """
-    found = []
-    stack = [(close(top), top, 0)]
-    while stack:
-        a, b, start = stack.pop()
-        if len(found) >= cap:
-            raise CapExceededError(
-                f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
-            )
-        found.append((a, b))
-        for i in range(start, n):
-            bit = 1 << i
-            if a & bit:
-                continue
-            meet = b & rows[i]
-            closed = close(meet)
-            if not (closed ^ a) & (bit - 1):
-                stack.append((closed, meet, i + 1))
+    found = {top}
+    for gen in gens:
+        if len(found) > cap:
+            break
+        found.update([b & gen for b in found])
+    if len(found) > cap:
+        raise CapExceededError(
+            f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
+        )
     return found
 
 
 def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
     """All concepts of the polarity, sorted by extent bit pattern.
 
-    Runs Close-by-One over the smaller sort, so each candidate costs one
-    AND of its parent's partner with a row and one closure read from
-    byte tables (bitset.meet_table) built for this call.  cap bounds the
-    number of concepts found: CapExceededError is raised as soon as
-    concept number cap + 1 would be emitted.
+    The extents are W and the ANDs of the columns of N, the intents U and
+    the ANDs of its rows (Ganter and Wille).  So one side is found as the
+    AND-closure of the lines of the smaller sort, the columns when
+    nu <= nw and else the rows, with no closure per candidate, and its
+    partners in one bitset.meet_each call.  cap bounds the number of
+    concepts: CapExceededError is raised when there are more than cap.
     """
     if cap is None:
         cap = DEFAULT_CONCEPT_CAP
     pol = polarity
-    if pol.nw <= pol.nu:
-        down = meet_table(pol.cols, pol.full_w)
-        pairs = _close_by_one(pol.rows, down, pol.nw, pol.full_u, cap)
-        pairs.sort()
-        return list(map(Concept._make, pairs))
-    up = meet_table(pol.rows, pol.full_u)
-    pairs = _close_by_one(pol.cols, up, pol.nu, pol.full_w, cap)
-    pairs.sort(key=itemgetter(1))
-    return [Concept(e, i) for i, e in pairs]
+    if pol.nu <= pol.nw:
+        extents = sorted(_meets(pol.cols, pol.full_w, cap))
+        pairs = zip(extents, meet_each(pol.rows, extents, pol.full_u))
+    else:
+        intents = list(_meets(pol.rows, pol.full_u, cap))
+        pairs = sorted(zip(meet_each(pol.cols, intents, pol.full_w), intents))
+    return list(map(Concept._make, pairs))

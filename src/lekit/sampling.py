@@ -23,25 +23,32 @@ SIG_BOX = Signature((Connective("box", "G", 1, ("1",)),))
 
 
 def stabilize_box_relation(pol, pairs):
-    """Grow a W x U relation until all rows are intents and columns extents."""
-    rows = [0] * pol.nw
+    """Grow a W x U relation until all rows are intents and columns extents.
+
+    The result is the least such relation holding pairs.  Rows and
+    columns are kept in step, and a line is closed again only when it
+    gained a pair since it was last closed.
+    """
+    rows, cols = [0] * pol.nw, [0] * pol.nu
     for w, u in pairs:
         rows[w] |= 1 << u
-    changed = True
-    while changed:
-        changed = False
-        for w in range(pol.nw):
-            closed = pol.closure_u(rows[w])
-            if closed != rows[w]:
-                rows[w] = closed
-                changed = True
-        for u in range(pol.nu):
-            col = sum(1 << w for w in range(pol.nw) if rows[w] >> u & 1)
-            closed = pol.closure_w(col)
-            if closed != col:
-                for w in bits(closed & ~col):
-                    rows[w] |= 1 << u
-                changed = True
+        cols[u] |= 1 << w
+    open_w, open_u = pol.full_w, pol.full_u
+    while open_w or open_u:
+        for w in bits(open_w):
+            added = pol.closure_u(rows[w]) & ~rows[w]
+            rows[w] |= added
+            for u in bits(added):
+                cols[u] |= 1 << w
+            open_u |= added
+        open_w = 0
+        for u in bits(open_u):
+            added = pol.closure_w(cols[u]) & ~cols[u]
+            cols[u] |= added
+            for w in bits(added):
+                rows[w] |= 1 << u
+            open_w |= added
+        open_u = 0
     return {(w, u) for w in range(pol.nw) for u in bits(rows[w])}
 
 

@@ -39,7 +39,7 @@ from lekit import (
     props_of,
 )
 from lekit.algebra import NormalityReport, _columns, _residuated, build_complex_algebra
-from lekit.bitset import bits
+from lekit.bitset import bits, meet_table
 from lekit.constructions import coproduct, filter_ideal_extension
 from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
@@ -51,7 +51,7 @@ from lekit.frame import (
     section_zero,
 )
 from lekit.morphism import DualHom, PMorphismReport, dual_pmorphism
-from lekit.sampling import SIG_BOX, stabilize_box_relation
+from lekit.sampling import SIG_BOX
 from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -164,6 +164,48 @@ def concepts_by_next_closure(pol, cap):
     if pol.nw <= pol.nu:
         return [(e, pol.up(e)) for e in next_closures(pol.closure_w, pol.nw, cap)]
     return sorted((pol.down(i), i) for i in next_closures(pol.closure_u, pol.nu, cap))
+
+
+def close_by_one(rows, close, n, top, cap):
+    """The concepts of a polarity as (closed set, partner) pairs, unordered.
+
+    Kuznetsov's Close-by-One over range(n): rows[i] is the partner of
+    point i, and close maps a partner back to its closed set.  A node is a
+    closed set A with its partner B and a start; its child at a point
+    i >= start outside A has partner B & rows[i] (partners are closed
+    under AND) and closed set close of that, and is kept only when it adds
+    no point below i, so every closed set is reached once.  Raises
+    CapExceededError when a closed set beyond the first cap is reached.
+    """
+    found = []
+    stack = [(close(top), top, 0)]
+    while stack:
+        a, b, start = stack.pop()
+        if len(found) >= cap:
+            raise CapExceededError(
+                f"more than {cap} concepts; raise --cap or LEKIT_CAP to proceed"
+            )
+        found.append((a, b))
+        for i in range(start, n):
+            bit = 1 << i
+            if a & bit:
+                continue
+            meet = b & rows[i]
+            closed = close(meet)
+            if not (closed ^ a) & (bit - 1):
+                stack.append((closed, meet, i + 1))
+    return found
+
+
+def concepts_by_close_by_one(pol, cap):
+    """The concepts as (extent, intent) pairs sorted by extent, by
+    Close-by-One over the smaller sort with closures read from byte tables:
+    the enumeration enumerate_concepts used before the AND-closure."""
+    if pol.nw <= pol.nu:
+        down = meet_table(pol.cols, pol.full_w)
+        return sorted(close_by_one(pol.rows, down, pol.nw, pol.full_u, cap))
+    up = meet_table(pol.rows, pol.full_u)
+    return sorted((e, i) for i, e in close_by_one(pol.cols, up, pol.nu, pol.full_w, cap))
 
 
 def check_order(leq):
@@ -586,16 +628,40 @@ def random_polarity(rng, nw, nu, density=0.5):
     return Polarity(w_names, u_names, pairs)
 
 
+def stabilize_box_relation_by_passes(pol, pairs):
+    """stabilize_box_relation's oracle: close every row, then every column
+    rebuilt bit by bit from the rows, until a whole pass changes nothing."""
+    rows = [0] * pol.nw
+    for w, u in pairs:
+        rows[w] |= 1 << u
+    changed = True
+    while changed:
+        changed = False
+        for w in range(pol.nw):
+            closed = pol.closure_u(rows[w])
+            if closed != rows[w]:
+                rows[w] = closed
+                changed = True
+        for u in range(pol.nu):
+            col = sum(1 << w for w in range(pol.nw) if rows[w] >> u & 1)
+            closed = pol.closure_w(col)
+            if closed != col:
+                for w in bits(closed & ~col):
+                    rows[w] |= 1 << u
+                changed = True
+    return {(w, u) for w in range(pol.nw) for u in bits(rows[w])}
+
+
 def random_box_frame_by_polarity(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
-    """random_box_frame as one random_polarity and one stabilize_box_relation
-    per call, with the same rng calls: the drawer's oracle."""
+    """random_box_frame as one random_polarity and one stabilization by
+    passes per call, with the same rng calls: the drawer's oracle."""
     nw = rng.randint(1, max_w)
     nu = rng.randint(1, max_u)
     pol = random_polarity(rng, nw, nu, density)
     seed_pairs = [
         (w, u) for w in range(nw) for u in range(nu) if rng.random() < rel_density
     ]
-    pairs = stabilize_box_relation(pol, seed_pairs)
+    pairs = stabilize_box_relation_by_passes(pol, seed_pairs)
     rel = Relation(connective_sorts(SIG_BOX.connectives[0]), (nw, nu), pairs)
     return Frame(pol, SIG_BOX, {"box": rel})
 

@@ -22,6 +22,7 @@ from lekit.sampling import (
     diagonal_surjection,
     draw_box_key,
     random_box_frame,
+    stabilize_box_relation,
 )
 
 from conftest import (
@@ -29,7 +30,9 @@ from conftest import (
     identity_pmorphism,
     random_box_frame_by_polarity,
     random_pmorphism,
+    random_polarity,
     search_falsification_by_branches,
+    stabilize_box_relation_by_passes,
 )
 
 
@@ -249,6 +252,20 @@ def test_draws_match_the_polarity_oracle(density, rel_density):
                 got = random_box_frame(got_rng, size, size, density, rel_density)
                 assert got == random_box_frame_by_polarity(want_rng, size, size, density, rel_density)
                 assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.5, 0.8, 1.0])
+def test_stabilized_relation_matches_the_pass_oracle(density):
+    # the least relation holding the seed whose rows are intents and whose
+    # columns are extents is unique, so the pairs must agree exactly
+    rng = random.Random(f"stabilize/{density}")
+    for nw in range(7):
+        for nu in range(7):
+            for rel_density in (0.0, 0.1, 0.3, 0.6, 1.0):
+                pol = random_polarity(rng, nw, nu, density)
+                seed = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < rel_density]
+                want = stabilize_box_relation_by_passes(pol, seed)
+                assert stabilize_box_relation(pol, seed) == want, (pol.pairs, seed)
 
 
 def test_the_benchmarked_search_matches_the_branch_oracle():

@@ -14,11 +14,18 @@ from lekit import (
     frame_validates,
     parse_sequent,
 )
+from lekit import polarity
 from lekit.bitset import bits, meet_each, meet_rows, meet_table, names_of, transpose
 from lekit.polarity import Concept, concept_of_u, concept_of_w
 from lekit.sampling import random_box_frame
 
-from conftest import brute_concepts, concepts_by_next_closure, mask_of, subsets
+from conftest import (
+    brute_concepts,
+    concepts_by_close_by_one,
+    concepts_by_next_closure,
+    mask_of,
+    subsets,
+)
 
 
 def rand_polarity(nw, nu, pair_mask):
@@ -205,14 +212,41 @@ def _differential_polarities():
         )
 
 
-@pytest.mark.parametrize("pol", list(_differential_polarities()))
+DIFFERENTIAL_POLARITIES = list(_differential_polarities())
+
+
+@pytest.mark.parametrize("pol", DIFFERENTIAL_POLARITIES)
 def test_close_by_one_matches_next_closure(pol):
+    # the AND-closure enumeration against the Close-by-One it replaced and
+    # against NextClosure, and its cap at the exact concept count
     concepts = enumerate_concepts(pol, 1 << 20)
     got = [(c.extent, c.intent) for c in concepts]
+    assert got == concepts_by_close_by_one(pol, 1 << 20)
     assert got == concepts_by_next_closure(pol, 1 << 20)
     assert concepts == got and all(type(c) is Concept for c in concepts)
     if max(pol.nw, pol.nu) <= 12:
         assert got == sorted(brute_concepts(pol))
+    count = len(got)
+    assert enumerate_concepts(pol, cap=count) == concepts
+    message = rf"more than {count - 1} concepts; raise --cap or LEKIT_CAP to proceed"
+    with pytest.raises(CapExceededError, match=message):
+        enumerate_concepts(pol, cap=count - 1)
+    with pytest.raises(CapExceededError, match=message):
+        concepts_by_close_by_one(pol, count - 1)
+
+
+@pytest.mark.parametrize("pol", DIFFERENTIAL_POLARITIES)
+def test_enumeration_closes_each_concept_once(pol, monkeypatch):
+    # one meet_each over exactly the partners found: no closure per candidate
+    calls = []
+
+    def spy(rows, masks, full):
+        calls.append(len(masks))
+        return meet_each(rows, masks, full)
+
+    monkeypatch.setattr(polarity, "meet_each", spy)
+    concepts = enumerate_concepts(pol, 1 << 20)
+    assert calls == [len(concepts)]
 
 
 def test_concept_is_the_pair_it_holds():
@@ -242,7 +276,8 @@ def test_concept_is_the_pair_it_holds():
 
 @pytest.mark.parametrize("nw,nu", [(7, 11), (11, 7)])
 def test_cap_on_either_side(nw, nu):
-    # nw <= nu walks W, nw > nu walks U; the cap counts concepts either way
+    # nu <= nw ANDs the columns, nu > nw the rows; the cap counts concepts
+    # either way
     rng = random.Random(nw * 31 + nu)
     pairs = [(w, u) for w in range(nw) for u in range(nu) if rng.random() < 0.6]
     pol = Polarity([f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)], pairs)
