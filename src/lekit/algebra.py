@@ -31,6 +31,14 @@ head has sort W (family G) and its intent when the head has sort U
 (family F).  The operation tables go through the section kernel too:
 frame.section_table folds the relation's row index one coordinate at a
 time, one meet_each per column, for all argument tuples at once.
+
+verify_normality checks residuation column by column.  It reads each
+operation table once, in product order, into a flat list, so a column is
+a slice of it with its coordinate's stride.  A column is residuated when
+the OR of the preimages over each cone is a principal cone; that OR
+depends only on the cone's cut by the column's image, so it is taken
+once per distinct cut.  A box column of a complex algebra often has an
+image of a few elements, so a few ORs stand for hundreds of cones.
 """
 
 from __future__ import annotations
@@ -334,34 +342,50 @@ def _columns(alg):
     down-set (up-set at an antitone coordinate), that is, one of the cones
     in principal.  G is dual: {v : col[v] >= b} from above[b], a principal
     up-set (down-set at an antitone coordinate).
+
+    Each table is read once, in product order, into a flat list; a column
+    is a slice of it with the stride of coordinate i, so a unary column is
+    the flat list itself.
     """
     n = alg.size
     downs, ups = set(alg.below), set(alg.above)
     for conn in alg.signature.connectives:
-        table = alg.ops[conn.name]
+        k = conn.arity
+        if not k:  # a constant has no column
+            continue
+        flat = list(map(alg.ops[conn.name].__getitem__, product(range(n), repeat=k)))
         gather = alg.below if conn.family == "F" else alg.above
-        for i in range(conn.arity):
+        for i in range(k):
             monotone = conn.order_type[i] == "1"
             principal = downs if (conn.family == "F") == monotone else ups
-            for rest in product(range(n), repeat=conn.arity - 1):
-                col = [table[rest[:i] + (v,) + rest[i:]] for v in range(n)]
-                yield conn, i, rest, col, gather, principal
+            if k == 1:
+                yield conn, i, (), flat, gather, principal
+                continue
+            step = n ** (k - 1 - i)  # of coordinate i in flat
+            block = n * step  # of the coordinates before i
+            for j, rest in enumerate(product(range(n), repeat=k - 1)):
+                start = j // step * block + j % step
+                yield conn, i, rest, flat[start : start + block : step], gather, principal
 
 
 def _residuated(col, gather, principal):
     """True when the OR of the preimages over each gather cone is in principal.
 
-    Only elements in the image of col have a preimage, so each cone is
-    first cut down to the image: at most one OR per comparable pair.
+    Only elements in the image of col have a preimage, and the OR over a
+    cone depends only on its cut by the image, so there is one OR per
+    distinct cut: a handful where the image is small.
     """
     pre = {}  # pre[x]: the mask of the arguments that col sends to x
     for v, x in enumerate(col):
         pre[x] = pre.get(x, 0) | 1 << v
-    image = sum(1 << x for x in pre)
-    for cone in gather:
+    image = 0
+    for x in pre:
+        image |= 1 << x
+    for cut in {cone & image for cone in gather}:
         got = 0
-        for x in bits(cone & image):
-            got |= pre[x]
+        for x, args in pre.items():
+            if cut >> x & 1:
+                got |= args
         if got not in principal:
             return False
     return True
@@ -413,9 +437,10 @@ def verify_normality(alg):
     in a coordinate exactly when it is residuated there (Gehrke and
     Harding, "Bounded lattice expansions", J. Algebra 2001): an F-column
     has an upper adjoint, a G-column a lower one.  Each column is checked
-    that way first, from the order cones alone, at one OR per comparable
-    pair; only a column that fails is scanned pair by pair through the
-    meet and join tables, for the first unit or pair that breaks a law.
+    that way first, from the order cones alone, at one OR of preimages per
+    distinct cut of a cone by the column's image; only a column that fails
+    is scanned pair by pair through the meet and join tables, for the
+    first unit or pair that breaks a law.
     """
     for conn, i, rest, col, gather, principal in _columns(alg):
         if not _residuated(col, gather, principal):

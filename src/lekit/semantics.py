@@ -19,8 +19,13 @@ on the concepts' extent and intent masks, with the Galois maps and each
 connective's sections memoised for the call in exact dicts: a connective
 gives the mask of its head sort, as a conjunction gives an extent and a
 disjunction an intent, and the other mask is derived where it is read.
-algebra_validates runs it on element indices through meet, join and the
-operation tables.
+A one-proposition sequent whose scan is full reads every concept's mask
+in a unary connective that takes the proposition itself (_fills); that
+connective's memo is filled before the scan from one frame.section_table
+over the concepts' masks, the kernel the complex algebra's tables use,
+so on a compatible frame no valuation pays a section_zero miss.
+algebra_validates runs the program on element indices through meet,
+join and the operation tables.
 
 The emitter also works out, once per shape, a plan for each proposition
 from the signs of the two sides in it (_plan): all, or top alone when the
@@ -43,7 +48,7 @@ from .algebra import ComplexAlgebra, verify_normality
 from .bitset import bits
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
-from .frame import connective_sorts, section_zero
+from .frame import connective_sorts, section_table, section_zero
 from .polarity import Concept, enumerate_concepts
 from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
@@ -371,7 +376,9 @@ def _emit_program(key):
     product of their domains.  f0 returns the indices, in their domains, of
     the first valuation whose left side is not below its right side, or
     None.  f1 returns the plan of each proposition (_plan) as indices into
-    _DOMAINS, so it is worked out once per shape.
+    _DOMAINS, so it is worked out once per shape.  A frame program's f2
+    returns the connectives whose memos frame_validates fills from a
+    table: _fills for one proposition with plan all, else none.
 
     A frame program holds extents e<slot> and intents i<slot> as locals.
     Each slot computes the mask of its operation: a conjunction or top an
@@ -455,9 +462,38 @@ def _emit_program(key):
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
     signs = [_signs(nodes, p) for p in range(m)]
-    plans = "".join(f"{_DOMAINS.index(_plan(s[lhs], s[rhs]))}, " for s in signs)
-    lines += ["def f1(fns):", f"    return ({plans})"]
+    plans = [_plan(s[lhs], s[rhs]) for s in signs]
+    lines += ["def f1(fns):", f"    return ({''.join(f'{_DOMAINS.index(p)}, ' for p in plans)})"]
+    if frame:
+        fill = _fills(nodes) if plans == ["all"] else []
+        lines += ["def f2(fns):", f"    return ({''.join(f'{c}, ' for c in fill)})"]
     return lines
+
+
+def _fills(nodes):
+    """The unary connectives that read the one proposition p itself, up to
+    the lattice laws of top and bot: p, p /\\ top, p \\/ (p \\/ bot) and so
+    on, but not p /\\ bot, which is bot.
+
+    A full scan gives such a connective every concept's mask, so its memo
+    is filled from one section table before the scan.  One that reads some
+    other formula in p may see only a few masks, fewer misses than the
+    table has entries.
+    """
+    value, fill = [], set()  # value[slot]: "p", "top", "bot", or None for any other
+    for op, payload, kids in nodes:
+        if op in ("and", "or"):
+            unit, zero = ("top", "bot") if op == "and" else ("bot", "top")
+            rest = {value[c] for c in kids} - {unit}
+            if zero in rest:
+                value.append(zero)
+            else:
+                value.append(rest.pop() if len(rest) == 1 else None if rest else unit)
+            continue
+        if op == "conn" and len(kids) == 1 and value[kids[0]] == "p":
+            fill.add(payload[0])
+        value.append("p" if op == "prop" else op if op in ("top", "bot") else None)
+    return sorted(fill)
 
 
 def _key(names):
@@ -529,6 +565,13 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     the number of valuations the verdict covers: all of them (c**k for c
     concepts and k propositions) when valid, else the counter-valuation's
     position.  The cap bounds c**k, since the full scan may run.
+
+    With one proposition and a full scan, the memo of each unary
+    connective that reads the proposition itself (_fills, once per shape)
+    is filled first from one section_table over the concepts' extents or
+    intents, by the sort of its coordinate.  The memos are built per call
+    and hold the same sections a miss computes; a mask that is no concept
+    (on an incompatible frame) is still derived at its first read.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -540,10 +583,14 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     pairs = [(c.extent, c.intent) for c in concepts]
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
-    memos = [{} for _ in program.conns]
-    sections = [partial(_section, frame.relations[c]) for c in program.conns]
+    rels = [frame.relations[c] for c in program.conns]
+    memos = [{} for _ in rels]
+    sections = [partial(_section, rel) for rel in rels]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     fns = compiled(_emit_program, ("frame",) + program.key)
+    for c in fns[2](fns):
+        masks = list(by_ext if rels[c].sorts[1] == "W" else by_int)
+        memos[c] = dict(zip(masks, section_table(rels[c], [masks])))
     domain = partial(_concepts_of, pol, by_ext, by_int)
     picked = _failure(fns, args, pairs, domain, first=True)
     if picked is None:

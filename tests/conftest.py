@@ -6,6 +6,7 @@ are checked against an independent code path.
 """
 
 import json
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from lekit import (
     model_validates,
     props_of,
 )
-from lekit.algebra import NormalityReport, _columns, _residuated, build_complex_algebra
+from lekit import emit, semantics
+from lekit.algebra import NormalityReport, build_complex_algebra
 from lekit.bitset import bits, meet_table
 from lekit.constructions import coproduct, filter_ideal_extension
 from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
@@ -367,12 +369,45 @@ def build_table(names, cone, what):
     return tuple(table)
 
 
+def columns_by_tuples(alg):
+    """Every (connective, coordinate, rest) column as algebra._columns yields
+    it, each entry looked up by an argument tuple built for it."""
+    n = alg.size
+    downs, ups = set(alg.below), set(alg.above)
+    for conn in alg.signature.connectives:
+        table = alg.ops[conn.name]
+        gather = alg.below if conn.family == "F" else alg.above
+        for i in range(conn.arity):
+            monotone = conn.order_type[i] == "1"
+            principal = downs if (conn.family == "F") == monotone else ups
+            for rest in product(range(n), repeat=conn.arity - 1):
+                col = [table[rest[:i] + (v,) + rest[i:]] for v in range(n)]
+                yield conn, i, rest, col, gather, principal
+
+
+def residuated_per_cone(col, gather, principal):
+    """algebra._residuated with one OR per gather cone, each cone cut down
+    to the column's image."""
+    pre = {}
+    for v, x in enumerate(col):
+        pre[x] = pre.get(x, 0) | 1 << v
+    image = sum(1 << x for x in pre)
+    for cone in gather:
+        got = 0
+        for x in bits(cone & image):
+            got |= pre[x]
+        if got not in principal:
+            return False
+    return True
+
+
 def residuated(alg):
     """Whether every operation is residuated in each coordinate: the verdict
-    of verify_normality, without the tables or a witness."""
+    of verify_normality, without the tables or a witness, computed apart
+    from algebra's column read and cut loop."""
     return all(
-        _residuated(col, gather, principal)
-        for _, _, _, col, gather, principal in _columns(alg)
+        residuated_per_cone(col, gather, principal)
+        for _, _, _, col, gather, principal in columns_by_tuples(alg)
     )
 
 
@@ -504,6 +539,29 @@ def frame_validates_by_models(frame, sequent):
         if not model_validates(model, sequent):
             return False, dict(zip(props, combo)), checked
     return True, None, checked
+
+
+def frame_validates_memo_only(frame, sequent):
+    """frame_validates with every section memo empty at the start, so each
+    section is one section_zero at its first read, as (valid,
+    counter-valuation, valuations checked).  Runs the same program and
+    plans; only the one-proposition table fill is left out."""
+    program = semantics._Program(sequent, frame.signature)
+    concepts = enumerate_concepts(frame.polarity)
+    pol = frame.polarity
+    pairs = [(c.extent, c.intent) for c in concepts]
+    by_ext = dict(pairs)
+    by_int = {i: e for e, i in pairs}
+    memos = [{} for _ in program.conns]
+    sections = [partial(semantics._section, frame.relations[c]) for c in program.conns]
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
+    fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
+    domain = partial(semantics._concepts_of, pol, by_ext, by_int)
+    picked = semantics._failure(fns, args, pairs, domain, first=True)
+    if picked is None:
+        return True, None, len(concepts) ** len(program.props)
+    counter = {p: concepts[i] for p, i in zip(program.props, picked)}
+    return False, counter, semantics._position(picked, len(concepts))
 
 
 def algebra_validates_by_walk(alg, sequent):

@@ -42,6 +42,7 @@ from lekit import (
     props_of,
     satisfies,
     satisfies_recursive,
+    save_frame,
     validate_formula,
     verify_normality,
 )
@@ -58,6 +59,7 @@ from conftest import (
     all_box_frames_2x2,
     boolean_frame,
     frame_validates_by_models,
+    frame_validates_memo_only,
     random_formula,
     random_frame,
     random_polarity,
@@ -674,3 +676,79 @@ def test_plans_follow_the_shape_rules(rule):
         fns = emit.compiled(semantics._emit_program, (kind,) + program.key)
         plans = [semantics._DOMAINS[k] for k in fns[1](fns)]
         assert dict(zip(program.props, plans)) == want
+
+
+# One-proposition sequents over SIG_BOX: box reading p (also through box p
+# and p /\ top), boxes reading only constants or p /\ bot, and axioms that
+# fail at an early valuation on most frames.
+FILL_SEQUENTS = (
+    r"box(box p) /\ p |- box p \/ p",
+    r"box(p /\ top) |- box(box(p \/ bot))",
+    r"p /\ box top |- box bot \/ p",
+    r"box(p /\ bot) /\ p |- p \/ box(top \/ p)",
+    "box p |- p",
+    "p |- box p",
+    "box(box p) |- box p",
+    "p |- box top",
+)
+
+
+def _fill_frames(rng, tmp_path):
+    """Compatible box frames of 2x2 to 16x16 points, SIG_MIX boolean
+    frames, and frames of random relations (box and SIG_MIX) saved and
+    loaded back with check=False."""
+    for n in (2, 3, 4, 5, 6, 8, 10, 12, 14, 16):
+        yield _box_frame_on(rng, random_polarity(rng, n, n, 0.7))
+    for k in (1, 2, 3, 4):
+        yield boolean_frame(rng, k, SIG_MIX.connectives)
+    for i in range(12):
+        sig = SIG_BOX if i % 2 else SIG_MIX
+        pol = random_polarity(rng, 2 + i % 5, 2 + i % 4, 0.5)
+        fr = Frame(pol, sig, {c.name: random_relation(rng, pol, c) for c in sig.connectives})
+        path = tmp_path / f"random{i}.json"
+        save_frame(fr, path)
+        yield load_frame(path, check=False)
+
+
+def test_table_fill_answers_as_the_memos_alone(monkeypatch, tmp_path):
+    tables = _spy(monkeypatch, "section_table")
+    rng = random.Random(137)
+    seen = Counter()
+    for fr in _fill_frames(rng, tmp_path):
+        compatible = check_compatibility(fr).passed
+        seqs = [random_sequent(rng, fr.signature, PROPS[: 1 + i % 2], 3) for i in range(12)]
+        if fr.signature == SIG_BOX:
+            seqs += [parse_sequent(text, SIG_BOX) for text in FILL_SEQUENTS]
+        for seq in seqs:
+            want = frame_validates_memo_only(fr, seq)
+            tables.clear()
+            assert _verdict(fr, seq) == want, seq
+            seen[compatible, bool(tables), want[0]] += 1
+    # the fill runs on compatible and incompatible frames, for valid and
+    # invalid sequents alike, and is skipped where it does not apply
+    for compatible in (True, False):
+        for valid in (True, False):
+            assert seen[compatible, True, valid] >= 5, seen
+            assert seen[compatible, False, valid] >= 5, seen
+
+
+def test_one_proposition_sections_come_from_one_table(monkeypatch):
+    rng = random.Random(139)
+    fr = _box_frame_on(rng, random_polarity(rng, 10, 10, 0.7))
+    assert check_compatibility(fr).passed
+    zero = _spy(monkeypatch, "section_zero")
+    tables = _spy(monkeypatch, "section_table")
+    for text in (r"box(box p) /\ p |- box p \/ p", "box p |- p", r"box(p /\ top) |- box(box p)"):
+        seq = parse_sequent(text, SIG_BOX)
+        want = frame_validates_memo_only(fr, seq)
+        assert zero
+        zero.clear()
+        assert _verdict(fr, seq) == want
+        assert not zero and len(tables) == 1, text
+        tables.clear()
+    # boxes that read only constants, p /\ bot among them, and two
+    # propositions: the memos alone, each section at its first read
+    for text in (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", r"box(p /\ q) |- box p \/ q"):
+        seq = parse_sequent(text, SIG_BOX)
+        assert _verdict(fr, seq) == frame_validates_memo_only(fr, seq)
+        assert zero and not tables, text
