@@ -6,13 +6,13 @@ operations over the comparable pairs, and meet[i][j] is the element whose
 below-mask is below[i] & below[j] (join likewise from the above-masks),
 found through a dict from masks to elements; when there is none, the pair
 has no meet (join) and the order is not a lattice.  The meet and join
-tables are filled on first access.  An algebra given by the user (its
-constructor, from_cones, algebra_from_dict) has its order checked and
-fills both tables while it is built, so an order that is not a partial
-order or not a lattice is refused there.  Complex algebras and products,
-lattices by construction, skip the order and op-table checks and leave
-the tables unfilled until something reads them (algebra validity, the
-witness search of a failing normality check);
+tables are filled on first access.  An algebra given by the user
+(FiniteAlgebra(...), from_cones, algebra_from_dict) has its order checked
+and fills both tables while it is built, so an order that is not a
+partial order or not a lattice is refused there.  Complex algebras and
+products, lattices by construction, skip the order and op-table checks
+and leave the tables unfilled until something reads them (algebra
+validity, the witness search of a failing normality check);
 their element names, too, are built on first read (messages, to_dict,
 the CLI).  The n x n bool matrix leq is a read-only view derived from the
 masks on first access; building an algebra never makes it, and algebra
@@ -20,17 +20,18 @@ validity reads it as its order table, since indexing it is the cheapest
 order test per valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
-carrier.  Its cones come from the concept-by-point incidence, itself a
-polarity, through the section kernel (meet_each) over the incidence's
-columns: the concepts above a concept are those whose extents hold all of
-its extent, those below it are those whose intents hold all of its
-intent.  A connective reads its relation by the sorts of its coordinates:
-at a W coordinate the argument concept's extent, at a U coordinate its
-intent.  The 0-section of those masks is the extent of the value when the
-head has sort W (family G) and its intent when the head has sort U
-(family F).  The operation tables go through the section kernel too:
-frame.section_table folds the relation's row index one coordinate at a
-time, one meet_each per column, for all argument tuples at once.
+carrier, and ComplexAlgebra builds it from the frame alone, taking no
+concepts or tables.  Its cones come from the concept-by-point incidence,
+itself a polarity, through the section kernel (meet_each) over the
+incidence's columns: the concepts above a concept are those whose extents
+hold all of its extent, those below it are those whose intents hold all
+of its intent.  A connective reads its relation by its coordinates'
+sorts: the argument's extent at W, its intent at U.  The 0-section of
+those masks is the extent of the value when the head has sort W (family
+G) and its intent when the head has sort U (family F).  The operation
+tables go through the section kernel too: frame.section_table folds the
+relation's row index one coordinate at a time, one meet_each per column,
+for all argument tuples at once.
 
 verify_normality checks residuation column by column.  It reads each
 operation table once, in product order, into a flat list, so a column is
@@ -54,7 +55,7 @@ from .errors import (
     NotALatticeError,
 )
 from .frame import check_compatibility, section_table
-from .polarity import DEFAULT_CONCEPT_CAP, enumerate_concepts
+from .polarity import DEFAULT_CONCEPT_CAP, Concept, concept_pairs
 from .reading import index_rows, name_ids, read_json
 from .syntax import signature_from_dict
 
@@ -245,27 +246,40 @@ def load_algebra(path):
 
 
 class ComplexAlgebra(FiniteAlgebra):
-    """The concept lattice of a frame with operations from its relations.
+    """The concept lattice of a frame, each operation its frame's section
+    map, so monotone or antitone in each argument by construction.
 
-    The order cones are sections of the concept-by-point incidence: extent
-    inclusion, a partial order once the extents are distinct.  The element
-    names are the concepts shown, built on first read.
+    Enumerates the concepts once under cap; their extents and intents feed
+    the cones, the tables (IncompatibleFrameError when a section is no
+    concept) and index_of_extent.  Element names are built on first read.
     """
 
-    def __init__(self, frame, concepts, ops):
+    def __init__(self, frame, cap=DEFAULT_CONCEPT_CAP):
         self.frame = frame
-        self.concepts = concepts = list(concepts)
-        self._ext_index = {c.extent: i for i, c in enumerate(concepts)}
-        if len(self._ext_index) != len(concepts):
-            raise NotALatticeError("leq is not antisymmetric")
         pol = frame.polarity
-        extents = [c.extent for c in concepts]
-        intents = [c.intent for c in concepts]
-        full = (1 << len(concepts)) - 1
+        pairs = concept_pairs(pol, cap)
+        n = len(pairs)
+        extents, intents = map(list, zip(*pairs))
+        masks = {"W": extents, "U": intents}
+        index = {"W": dict(zip(extents, range(n))), "U": dict(zip(intents, range(n)))}
+        ops = {}
+        for conn in frame.signature.connectives:
+            rel = frame.relations[conn.name]
+            head, *coords = rel.sorts
+            ids = list(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
+            if None in ids:
+                raise IncompatibleFrameError(
+                    f"operation {conn.name!r} leaves the concept lattice; "
+                    "the frame is not compatible"
+                )
+            ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
+        full = (1 << n) - 1
         # the columns of the incidence: the concepts whose extent holds w and
         # those whose intent holds u, ANDed over a concept's extent (intent)
         above = meet_each(transpose(extents, pol.nw), extents, full)
         below = meet_each(transpose(intents, pol.nu), intents, full)
+        self._ext_index = index["W"]
+        self.concepts = concepts = list(map(Concept._make, pairs))
 
         def names():  # refers to no self, so the algebra holds no cycle
             return [c.show(pol) for c in concepts]
@@ -277,30 +291,12 @@ class ComplexAlgebra(FiniteAlgebra):
 
 
 def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
+    """ComplexAlgebra(frame, cap), after the frame's compatibility check unless not check."""
     if check:
         report = check_compatibility(frame)
         if not report.passed:
             raise IncompatibleFrameError(report.message)
-    pol = frame.polarity
-    concepts = enumerate_concepts(pol, cap)
-    n = len(concepts)
-    index = {
-        "W": {c.extent: i for i, c in enumerate(concepts)},
-        "U": {c.intent: i for i, c in enumerate(concepts)},
-    }
-    masks = {"W": [c.extent for c in concepts], "U": [c.intent for c in concepts]}
-    ops = {}
-    for conn in frame.signature.connectives:
-        rel = frame.relations[conn.name]
-        head, *coords = rel.sorts
-        ids = list(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
-        if None in ids:
-            raise IncompatibleFrameError(
-                f"operation {conn.name!r} leaves the concept lattice; "
-                "the frame is not compatible"
-            )
-        ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
-    return ComplexAlgebra(frame, concepts, ops)
+    return ComplexAlgebra(frame, cap)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .algebra import ComplexAlgebra, build_complex_algebra
 from .bitset import bits, names_of
 from .errors import FormatError, InvalidPMorphismError
 from .frame import point_sections, section_table
-from .polarity import Polarity, enumerate_concepts
+from .polarity import Concept, Polarity, concept_pairs
 from .reading import index_rows, read_json
 
 
@@ -104,8 +104,8 @@ def _show(mask, names):
 
 
 def _images(pm, concepts):
-    """The S-image of each target concept: the S-0-section of its intent."""
-    return [pm.S.down(c.intent) for c in concepts]
+    """The S-image of each target (extent, intent) pair: the S-0-section of its intent."""
+    return [pm.S.down(intent) for _, intent in concepts]
 
 
 def _onto(images):
@@ -134,7 +134,7 @@ def check_pmorphism(pm, cap=None):
     first, once, under cap, and a pass reports from their S-images whether
     the map is surjective and injective.
     """
-    concepts = enumerate_concepts(pm.target.polarity, cap)
+    concepts = concept_pairs(pm.target.polarity, cap)
     images = _images(pm, concepts)
     return _fault(pm, concepts, images) or PMorphismReport(
         True, surjective=_onto(images), injective=_one_to_one(pm, images)
@@ -142,7 +142,7 @@ def check_pmorphism(pm, cap=None):
 
 
 def _fault(pm, concepts, images):
-    """check_pmorphism's failing report or None, on the target's concepts."""
+    """check_pmorphism's failing report or None, on the target's concept pairs."""
     sp = pm.source.polarity
     tp = pm.target.polarity
 
@@ -179,14 +179,14 @@ def _fault(pm, concepts, images):
                 f"at {tp.w_names[w]}: the T-0-section closed down = {_show(lhs, sp.w_names)} "
                 f"is not contained in {_show(rhs, sp.w_names)}",
             )
-    for c, rhs in zip(concepts, images):
-        lhs = sp.down(pm.T.down(c.extent))
+    for (extent, intent), rhs in zip(concepts, images):
+        lhs = sp.down(pm.T.down(extent))
         if lhs != rhs:
             return PMorphismReport(
                 False, "duality diagnostic",
-                f"at concept {c.show(tp)}: (T-0-section of the extent) closed down "
-                f"= {_show(lhs, sp.w_names)} differs from the S-0-section of the "
-                f"intent {_show(rhs, sp.w_names)}",
+                f"at concept {Concept(extent, intent).show(tp)}: (T-0-section of the "
+                f"extent) closed down = {_show(lhs, sp.w_names)} differs from the "
+                f"S-0-section of the intent {_show(rhs, sp.w_names)}",
             )
     for w in range(sp.nw):
         lhs = pm.T.down(tp.down(pm.S.rows[w]))
@@ -291,7 +291,7 @@ def dual_pmorphism(hom):
 
 def is_surjective(pm, cap=None):
     """Distinct target concepts have distinct S-section extents."""
-    return _onto(_images(pm, enumerate_concepts(pm.target.polarity, cap)))
+    return _onto(_images(pm, concept_pairs(pm.target.polarity, cap)))
 
 
 def is_injective(pm, cap=None):
@@ -299,4 +299,4 @@ def is_injective(pm, cap=None):
 
     For p-morphisms only: it reads the source W points' concepts alone.
     """
-    return _one_to_one(pm, _images(pm, enumerate_concepts(pm.target.polarity, cap)))
+    return _one_to_one(pm, _images(pm, concept_pairs(pm.target.polarity, cap)))

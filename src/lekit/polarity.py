@@ -173,8 +173,9 @@ def _meets(gens, top, cap):
     return found
 
 
-def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
-    """All concepts of the polarity, sorted by extent bit pattern.
+def concept_pairs(polarity, cap=DEFAULT_CONCEPT_CAP):
+    """All concepts of the polarity as plain (extent, intent) tuples,
+    sorted by extent bit pattern.
 
     The extents are W and the ANDs of the columns of N, the intents U and
     the ANDs of its rows (Ganter and Wille).  So one side is found as the
@@ -182,14 +183,18 @@ def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
     nu <= nw and else the rows, with no closure per candidate, and its
     partners in one bitset.meet_each call.  cap bounds the number of
     concepts: CapExceededError is raised when there are more than cap.
+    Every enumeration inside lekit goes through here.
     """
     if cap is None:
         cap = DEFAULT_CONCEPT_CAP
     pol = polarity
     if pol.nu <= pol.nw:
         extents = sorted(_meets(pol.cols, pol.full_w, cap))
-        pairs = zip(extents, meet_each(pol.rows, extents, pol.full_u))
-    else:
-        intents = list(_meets(pol.rows, pol.full_u, cap))
-        pairs = sorted(zip(meet_each(pol.cols, intents, pol.full_w), intents))
-    return list(map(Concept._make, pairs))
+        return list(zip(extents, meet_each(pol.rows, extents, pol.full_u)))
+    intents = list(_meets(pol.rows, pol.full_u, cap))
+    return sorted(zip(meet_each(pol.cols, intents, pol.full_w), intents))
+
+
+def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
+    """concept_pairs as Concepts, for the public API and the CLI."""
+    return list(map(Concept._make, concept_pairs(polarity, cap)))

@@ -49,7 +49,7 @@ from .bitset import bits
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
 from .frame import connective_sorts, section_table, section_zero
-from .polarity import Concept, enumerate_concepts
+from .polarity import Concept, concept_pairs
 from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
 DEFAULT_VALUATION_CAP = 10**6
@@ -552,9 +552,9 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
 
     Valuations are scanned in concept enumeration order, propositions
     sorted by name, the last one fastest; the first failing valuation is
-    reported.  The sequent runs as one compiled program on the concepts'
-    (extent, intent) pairs, with no complex algebra built, so frames
-    loaded without the compatibility check are decided as well.
+    reported as Concepts.  The sequent runs as one compiled program on the
+    plain (extent, intent) tuples of concept_pairs, with no complex algebra
+    built, so frames loaded unchecked are decided as well.
 
     A proposition whose plan (_plan) is top or bot alone ranges over it
     first.  A pass of that reduced scan answers valid with no check of the
@@ -575,12 +575,10 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     """
     program = _Program(sequent, frame.signature)
     props = program.props
-    concepts = enumerate_concepts(frame.polarity, concept_cap)
-    total = len(concepts) ** len(props)
-    _check_cap(total, cap)
     pol = frame.polarity
-    # plain tuples: the loops unpack them faster than Concepts, a subclass
-    pairs = [(c.extent, c.intent) for c in concepts]
+    pairs = concept_pairs(pol, concept_cap)
+    total = len(pairs) ** len(props)
+    _check_cap(total, cap)
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
     rels = [frame.relations[c] for c in program.conns]
@@ -595,8 +593,8 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     picked = _failure(fns, args, pairs, domain, first=True)
     if picked is None:
         return ValidityVerdict(True, None, total)
-    counter = {p: concepts[i] for p, i in zip(props, picked)}
-    return ValidityVerdict(False, counter, _position(picked, len(concepts)))
+    counter = {p: Concept._make(pairs[i]) for p, i in zip(props, picked)}
+    return ValidityVerdict(False, counter, _position(picked, len(pairs)))
 
 
 def _elements_of(alg, plan):
@@ -606,8 +604,8 @@ def _elements_of(alg, plan):
 
 def _algebra_reduction_holds(alg):
     """Top and bot need only monotone operations.  A complex algebra has
-    them, since its tables are its frame's raw sections; tables given by
-    the user need not be monotone, so they must pass verify_normality."""
+    them, since it is built from its frame alone, its tables the raw
+    sections; a user's tables need not be, so they must pass verify_normality."""
     return isinstance(alg, ComplexAlgebra) or verify_normality(alg).passed
 
 

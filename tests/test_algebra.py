@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from lekit import (
-    ComplexAlgebra,
     FiniteAlgebra,
     FormatError,
     Frame,
@@ -763,12 +762,6 @@ def test_algebra_files_are_checked():
     }
     with pytest.raises(NotALatticeError, match="^leq is not antisymmetric$"):
         algebra_from_dict(data)
-
-
-def test_complex_algebra_refuses_a_repeated_concept(frame_f1):
-    alg = build_complex_algebra(frame_f1)
-    with pytest.raises(NotALatticeError, match="^leq is not antisymmetric$"):
-        ComplexAlgebra(frame_f1, alg.concepts + alg.concepts[:1], alg.ops)
 
 
 def test_lattices_by_construction_do_no_hidden_work(monkeypatch):

@@ -132,6 +132,24 @@ def test_pmorphism_fail(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["valid", F1, "box p |- p"], "invalid; counter-valuation: p = ({a1}, {x1})\n"),
+        (
+            ["pmorphism", F1, M1_SRC, BAD_ST],
+            "FAIL: condition duality diagnostic violated: at concept ({a2}, {x2}): "
+            "(T-0-section of the extent) closed down = {} differs from the "
+            "S-0-section of the intent {a1, b1}\n",
+        ),
+    ],
+    ids=["valid", "pmorphism"],
+)
+def test_failures_show_their_concepts_exactly(argv, text, capsys):
+    # both read the concepts as plain pairs and show a Concept only here
+    assert run_cli(argv, capsys)[:2] == (1, text)
+
+
 def test_filter_ideal_from_frame(tmp_path, capsys):
     out_path = tmp_path / "fif.json"
     code, _, _ = run_cli(["filter-ideal", F1, "-o", str(out_path)], capsys)

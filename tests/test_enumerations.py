@@ -40,8 +40,9 @@ def counted(monkeypatch, home, name):
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    """The polarity of every enumerate_concepts call, in call order."""
-    return counted(monkeypatch, polarity, "enumerate_concepts")
+    """The polarity of every concept enumeration, in call order: every one,
+    enumerate_concepts included, goes through concept_pairs."""
+    return counted(monkeypatch, polarity, "concept_pairs")
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from lekit import (
     CapExceededError,
     FormatError,
+    Frame,
     Polarity,
+    Signature,
     build_complex_algebra,
     enumerate_concepts,
     frame_validates,
@@ -16,7 +18,7 @@ from lekit import (
 )
 from lekit import polarity
 from lekit.bitset import bits, meet_each, meet_rows, meet_table, names_of, transpose
-from lekit.polarity import Concept, concept_of_u, concept_of_w
+from lekit.polarity import Concept, concept_of_u, concept_of_w, concept_pairs
 from lekit.sampling import random_box_frame
 
 from conftest import (
@@ -179,6 +181,18 @@ def _seeded_polarities():
 def test_next_closure_matches_brute_force(pol):
     concepts = enumerate_concepts(pol)
     assert [(c.extent, c.intent) for c in concepts] == sorted(brute_concepts(pol))
+
+
+@pytest.mark.parametrize("pol", list(_seeded_polarities()))
+def test_concept_pairs_are_plain_tuples(pol):
+    # lekit reads the pairs inside; enumerate_concepts hands out Concepts,
+    # and so do the counter-valuations of frame validity
+    pairs = concept_pairs(pol)
+    assert all(type(pair) is tuple for pair in pairs)
+    assert pairs == sorted(brute_concepts(pol)) == enumerate_concepts(pol)
+    verdict = frame_validates(Frame(pol, Signature(()), {}), parse_sequent("p |- q"))
+    assert verdict.valid == (len(pairs) == 1)
+    assert all(type(c) is Concept for c in (verdict.counter_valuation or {}).values())
 
 
 def test_empty_polarity_has_one_concept():

@@ -13,6 +13,7 @@ from lekit import (
     And,
     Bot,
     CapExceededError,
+    ComplexAlgebra,
     Conn,
     Connective,
     FiniteAlgebra,
@@ -58,6 +59,7 @@ from conftest import (
     algebra_validates_by_walk,
     all_box_frames_2x2,
     boolean_frame,
+    eager_build,
     frame_validates_by_models,
     frame_validates_memo_only,
     random_formula,
@@ -637,6 +639,36 @@ def test_reduced_scans_answer_as_the_full_scan_on_algebras(monkeypatch):
         seq = random_sequent(rng, SIG_BOX, PROPS[:2], 3)
         assert algebra_validates(alg, seq) == algebra_validates_by_walk(alg, seq), seq
     assert seen.count(False) >= 10 and True not in seen, Counter(seen)
+
+
+def test_a_complex_algebra_takes_no_tables():
+    # the reduced scan trusts a ComplexAlgebra's tables to be its frame's
+    # sections, so it takes none: a box that sends top to bot and every
+    # other element to top fails "box p |- q" as a user's algebra
+    fr = load_frame(GOLDEN / "coproduct_F1.json")
+    alg = build_complex_algebra(fr)
+    box = {(x,): alg.bot if x == alg.top else alg.top for x in range(alg.size)}
+    with pytest.raises(TypeError, match="but 4 were given"):
+        ComplexAlgebra(fr, alg.concepts, {"box": box})
+    user = FiniteAlgebra.from_cones(alg.names, alg.above, alg.below, SIG_BOX, {"box": box})
+    assert algebra_validates(user, parse_sequent("box p |- q", SIG_BOX)) is False
+    assert ComplexAlgebra(fr).ops == alg.ops
+
+
+def test_complex_algebras_answer_as_their_eager_build():
+    # the same cones and tables built as a user's algebra must pass
+    # verify_normality before a reduced pass answers: the verdicts agree
+    rng = random.Random(131)
+    verdicts = set()
+    for alg in _algebras():
+        eager = eager_build(alg, alg.names)
+        for i in range(8):
+            props = PROPS[: i % 4]
+            seq = random_sequent(rng, alg.signature, props, 3 if len(props) < 3 else 2)
+            got = algebra_validates(alg, seq)
+            assert got == algebra_validates(eager, seq), seq
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # One row per shape rule: the sequent, and the plan of each proposition.
