@@ -9,23 +9,29 @@ has no meet (join) and the order is not a lattice.  The meet and join
 tables are filled on first access.  An algebra given by the user
 (FiniteAlgebra(...), from_cones, algebra_from_dict) has its order checked
 and fills both tables while it is built, so an order that is not a
-partial order or not a lattice is refused there.  Complex algebras and
-products, lattices by construction, skip the order and op-table checks
-and leave the tables unfilled until something reads them (algebra
-validity, the witness search of a failing normality check);
-their element names, too, are built on first read (messages, to_dict,
-the CLI).  The n x n bool matrix leq is a read-only view derived from the
-masks on first access; building an algebra never makes it, and algebra
-validity reads it as its order table, since indexing it is the cheapest
-order test per valuation.
+partial order or not a lattice is refused there, and its operation
+tables are copied.  Complex algebras and products, lattices by
+construction, skip the order and op-table checks, keep the operation
+tables lekit built for them without a copy, and leave the meet and join
+tables unfilled until something reads them (algebra validity, the
+witness search of a failing normality check); their element names, too,
+are built on first read (messages, to_dict, the CLI).  The n x n bool
+matrix leq is a read-only view derived from the masks on first access;
+building an algebra never makes it, and algebra validity reads it as its
+order table, since indexing it is the cheapest order test per valuation.
 
 The complex algebra of a compatible frame has the concept lattice as
 carrier, and ComplexAlgebra builds it from the frame alone, taking no
-concepts or tables.  Its cones come from the concept-by-point incidence,
-itself a polarity, through the section kernel (meet_each) over the
-incidence's columns: the concepts above a concept are those whose extents
-hold all of its extent, those below it are those whose intents hold all
-of its intent.  A connective reads its relation by its coordinates'
+concepts or tables.  A build does only what it must do at once: it
+enumerates the concepts under the cap and builds the operation tables,
+so CapExceededError and IncompatibleFrameError come from the build.  The
+concepts come sorted by extent, and extent inclusion implies <, so bot
+is the first and top the last.  The cones, the Concepts and the element
+names wait for a reader.  The cones come from the concept-by-point
+incidence, itself a polarity, through the section kernel (meet_each) over
+the incidence's columns: the concepts above a concept are those whose
+extents hold all of its extent, those below it are those whose intents
+hold all of its intent.  A connective reads its relation by its coordinates'
 sorts: the argument's extent at W, its intent at U.  The 0-section of
 those masks is the extent of the value when the head has sort W (family
 G) and its intent when the head has sort U (family F).  The operation
@@ -39,13 +45,15 @@ a slice of it with its coordinate's stride.  A column is residuated when
 the OR of the preimages over each cone is a principal cone; that OR
 depends only on the cone's cut by the column's image, so it is taken
 once per distinct cut.  A box column of a complex algebra often has an
-image of a few elements, so a few ORs stand for hundreds of cones.
+image of a few elements, so a few ORs stand for hundreds of cones.  The
+set of principal cones is built only for the cones a column compares
+with, so checking a box algebra, whose columns gather and compare up-cones,
+never computes its down-cones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, product
 
 from .bitset import bits, meet_each, transpose
@@ -58,6 +66,23 @@ from .frame import check_compatibility, section_table
 from .polarity import DEFAULT_CONCEPT_CAP, Concept, concept_pairs
 from .reading import index_rows, name_ids, read_json
 from .syntax import signature_from_dict
+
+
+class _lazy:
+    """An attribute computed on its first read and stored in the instance's
+    __dict__, where later reads find it before this descriptor.  Unlike
+    functools.cached_property (Python 3.11), a first read takes no lock."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class FiniteAlgebra:
@@ -88,8 +113,9 @@ class FiniteAlgebra:
         the elements above (below) element i; below is above transposed.
 
         lattice=True promises that the order is a lattice and the
-        operation tables are well formed: neither is checked, and the meet
-        and join tables are left to be filled on first access.
+        operation tables are well formed and belong to this algebra alone:
+        neither is checked, the tables are kept without a copy, and the
+        meet and join tables are left to be filled on first access.
         """
         alg = cls.__new__(cls)
         alg._setup(names, above, below, signature, ops, lattice)
@@ -109,26 +135,28 @@ class FiniteAlgebra:
             self.meet, self.join
         self.top = self._extreme(self.below)
         self.bot = self._extreme(self.above)
-        if not lattice:  # lekit's own tables (complex algebras, products) are right as built
+        if lattice:  # lekit built these tables right, for this algebra alone
+            self.ops = ops
+        else:
             self._check_ops(ops)
-        self.ops = {conn.name: dict(ops[conn.name]) for conn in signature.connectives}
+            self.ops = {conn.name: dict(ops[conn.name]) for conn in signature.connectives}
 
-    @cached_property
+    @_lazy
     def names(self):
         """The element names, from the function the algebra was built with."""
         return tuple(self._names())
 
-    @cached_property
+    @_lazy
     def meet(self):
         """meet[i][j], the index of the meet of elements i and j."""
         return self._build_table(self.below, "meet")
 
-    @cached_property
+    @_lazy
     def join(self):
         """join[i][j], the index of the join of elements i and j."""
         return self._build_table(self.above, "join")
 
-    @cached_property
+    @_lazy
     def leq(self):
         """The order as a read-only n x n bool matrix, derived from the cones."""
         n = self.size
@@ -249,45 +277,72 @@ class ComplexAlgebra(FiniteAlgebra):
     """The concept lattice of a frame, each operation its frame's section
     map, so monotone or antitone in each argument by construction.
 
-    Enumerates the concepts once under cap; their extents and intents feed
-    the cones, the tables (IncompatibleFrameError when a section is no
-    concept) and index_of_extent.  Element names are built on first read.
+    A build enumerates the concepts once under cap (CapExceededError past
+    it) and builds the operation tables (IncompatibleFrameError when a
+    section is no concept), through one extent (intent) index per head
+    sort that a connective has; the extent index also serves
+    index_of_extent.  pairs keeps the concepts as plain (extent, intent)
+    tuples, sorted by extent, so bot is the first and top the last.  The
+    cones above and below, the Concepts and the element names wait for a
+    reader.
     """
 
     def __init__(self, frame, cap=DEFAULT_CONCEPT_CAP):
         self.frame = frame
-        pol = frame.polarity
-        pairs = concept_pairs(pol, cap)
-        n = len(pairs)
-        extents, intents = map(list, zip(*pairs))
+        self.signature = frame.signature
+        self.pairs = pairs = concept_pairs(frame.polarity, cap)
+        self.size = n = len(pairs)
+        # extent inclusion implies <, and no two extents are equal
+        self.bot, self.top = 0, n - 1
+        extents, intents = zip(*pairs)
+        self._extents, self._intents = extents, intents
         masks = {"W": extents, "U": intents}
-        index = {"W": dict(zip(extents, range(n))), "U": dict(zip(intents, range(n)))}
-        ops = {}
-        for conn in frame.signature.connectives:
+        index = {"W": dict(zip(extents, range(n)))}
+        self.ops = {}
+        for conn in self.signature.connectives:
             rel = frame.relations[conn.name]
             head, *coords = rel.sorts
+            if head not in index:
+                index[head] = dict(zip(masks[head], range(n)))
             ids = list(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
             if None in ids:
                 raise IncompatibleFrameError(
                     f"operation {conn.name!r} leaves the concept lattice; "
                     "the frame is not compatible"
                 )
-            ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
-        full = (1 << n) - 1
-        # the columns of the incidence: the concepts whose extent holds w and
-        # those whose intent holds u, ANDed over a concept's extent (intent)
-        above = meet_each(transpose(extents, pol.nw), extents, full)
-        below = meet_each(transpose(intents, pol.nu), intents, full)
+            self.ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
         self._ext_index = index["W"]
-        self.concepts = concepts = list(map(Concept._make, pairs))
 
-        def names():  # refers to no self, so the algebra holds no cycle
-            return [c.show(pol) for c in concepts]
+    @_lazy
+    def above(self):
+        """above[i], the mask of the concepts whose extents hold concept i's."""
+        return _cones(self._extents, self.frame.polarity.nw)
 
-        self._setup(names, above, below, frame.signature, ops, lattice=True)
+    @_lazy
+    def below(self):
+        """below[i], the mask of the concepts whose intents hold concept i's."""
+        return _cones(self._intents, self.frame.polarity.nu)
+
+    @_lazy
+    def concepts(self):
+        """The concepts as Concepts, in the order of pairs."""
+        return list(map(Concept._make, self.pairs))
+
+    @_lazy
+    def names(self):
+        """Each concept shown as its extent and intent, by point names."""
+        pol = self.frame.polarity
+        return tuple(c.show(pol) for c in self.concepts)
 
     def index_of_extent(self, extent):
         return self._ext_index[extent]
+
+
+def _cones(masks, width):
+    """For each mask below 2**width, the mask of the positions of the masks
+    that hold it: the columns of the masks (the positions whose mask holds
+    a point), ANDed over its points."""
+    return tuple(meet_each(transpose(masks, width), masks, (1 << len(masks)) - 1))
 
 
 def build_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP, check=True):
@@ -337,14 +392,15 @@ def _columns(alg):
     the preimages of the elements in gather[b] = below[b], is a principal
     down-set (up-set at an antitone coordinate), that is, one of the cones
     in principal.  G is dual: {v : col[v] >= b} from above[b], a principal
-    up-set (down-set at an antitone coordinate).
+    up-set (down-set at an antitone coordinate).  Each set of principal
+    cones is built when the first column that compares with it comes.
 
     Each table is read once, in product order, into a flat list; a column
     is a slice of it with the stride of coordinate i, so a unary column is
     the flat list itself.
     """
     n = alg.size
-    downs, ups = set(alg.below), set(alg.above)
+    principals = {}  # the set of the down-cones (True) or up-cones, once a column reads it
     for conn in alg.signature.connectives:
         k = conn.arity
         if not k:  # a constant has no column
@@ -352,8 +408,10 @@ def _columns(alg):
         flat = list(map(alg.ops[conn.name].__getitem__, product(range(n), repeat=k)))
         gather = alg.below if conn.family == "F" else alg.above
         for i in range(k):
-            monotone = conn.order_type[i] == "1"
-            principal = downs if (conn.family == "F") == monotone else ups
+            down = (conn.family == "F") == (conn.order_type[i] == "1")
+            if down not in principals:
+                principals[down] = set(alg.below if down else alg.above)
+            principal = principals[down]
             if k == 1:
                 yield conn, i, (), flat, gather, principal
                 continue
@@ -471,7 +529,10 @@ def find_isomorphism(a, b):
     inv_b = [invariant(b, x) for x in range(b.size)]
     if sorted(inv_a) != sorted(inv_b):
         return None
-    candidates = [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
+    groups = {}  # b's elements by invariant, ascending
+    for y, inv in enumerate(inv_b):
+        groups.setdefault(inv, []).append(y)
+    candidates = [groups[inv] for inv in inv_a]
     order = sorted(range(a.size), key=lambda x: len(candidates[x]))
     mapping = [None] * a.size
     used = [False] * b.size

@@ -4,9 +4,11 @@ meet_rows is the one section kernel: the Galois maps, p-morphism sections
 and relation sections all AND the rows a mask picks.  meet_table is the
 same map for a loop that calls it many times on one set of rows: it reads
 one table of partial ANDs per byte of the mask instead of one row per bit.
-meet_each picks the one or the other for a list of masks: the partners of
-the concepts an enumeration found, the cones of a complex algebra and the
-folds of its operation tables (frame.section_table) go through it.
+meet_each is the map over a list of masks: meet_rows for a few masks, else
+the byte tables, read in one comprehension for up to 24 rows and through
+meet_table beyond.  The partners of the concepts an enumeration found, the
+cones of a complex algebra and the folds of its operation tables
+(frame.section_table) go through it.
 transpose turns masks over points into masks over the masks' positions.
 """
 
@@ -42,12 +44,6 @@ def meet_table(rows, full):
     if len(rows) <= 8:
         return _byte_table(rows, full).__getitem__
     tables = [_byte_table(rows[s : s + 8], full) for s in range(0, len(rows), 8)]
-    if len(tables) == 2:
-        t0, t1 = tables
-        return lambda m: t0[m & 255] & t1[m >> 8]
-    if len(tables) == 3:
-        t0, t1, t2 = tables
-        return lambda m: t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16]
 
     def meet(m):
         acc = full
@@ -86,12 +82,23 @@ def transpose(masks, width):
 def meet_each(rows, masks, full):
     """[meet_rows(rows, m, full) for m in masks].
 
-    More than 32 masks read meet_table's tables: below that, building the
-    tables costs more than it saves, even for few rows.
+    More than 32 masks read meet_table's byte tables: below that, building
+    the tables costs more than it saves, even for few rows.  Up to 24 rows,
+    one to three tables, the reads are written out in one comprehension,
+    with no call per mask; more rows call meet_table's function.
     """
     if len(masks) <= 32:
         return [meet_rows(rows, m, full) for m in masks]
-    return list(map(meet_table(rows, full), masks))
+    if len(rows) > 24:
+        return list(map(meet_table(rows, full), masks))
+    t0 = _byte_table(rows[:8], full)
+    if len(rows) <= 8:
+        return [t0[m] for m in masks]
+    t1 = _byte_table(rows[8:16], full)
+    if len(rows) <= 16:
+        return [t0[m & 255] & t1[m >> 8] for m in masks]
+    t2 = _byte_table(rows[16:], full)
+    return [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16] for m in masks]
 
 
 def names_of(mask, names):

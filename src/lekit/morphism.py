@@ -249,13 +249,13 @@ def dual_hom(pm, cap=None):
     DualHom from it to the source frame's, itself for an endomorphism.
     """
     dom = build_complex_algebra(pm.target, cap=cap, check=False)
-    images = _images(pm, dom.concepts)
-    fault = _fault(pm, dom.concepts, images)
+    images = _images(pm, dom.pairs)
+    fault = _fault(pm, dom.pairs, images)
     if fault:
         raise InvalidPMorphismError(fault.message)
     same = pm.source is pm.target
     cod = dom if same else build_complex_algebra(pm.source, cap=cap, check=False)
-    raw_intents = tuple(pm.T.down(c.extent) for c in dom.concepts)
+    raw_intents = tuple(pm.T.down(extent) for extent, _ in dom.pairs)
     return DualHom(tuple(map(cod.index_of_extent, images)), dom, cod, raw_intents)
 
 
@@ -270,19 +270,17 @@ def dual_pmorphism(hom):
     tgt = hom.dom.frame
     src = hom.cod.frame
     tp = tgt.polarity
-    sp = src.polarity
+    cod_pairs = hom.cod.pairs
     s_pairs = set()
     t_pairs = set()
     for u in range(tp.nu):
         i = hom.dom.index_of_extent(tp.cols[u])
-        for w in bits(hom.cod.concepts[hom.mapping[i]].extent):
+        for w in bits(cod_pairs[hom.mapping[i]][0]):
             s_pairs.add((w, u))
     for w in range(tp.nw):
         i = hom.dom.index_of_extent(tp.down(tp.rows[w]))
         image_int = (
-            hom.raw_intents[i]
-            if hom.raw_intents is not None
-            else hom.cod.concepts[hom.mapping[i]].intent
+            hom.raw_intents[i] if hom.raw_intents is not None else cod_pairs[hom.mapping[i]][1]
         )
         for u in bits(image_int):
             t_pairs.add((u, w))

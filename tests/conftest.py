@@ -9,6 +9,7 @@ import json
 from functools import partial
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +42,7 @@ from lekit import (
 )
 from lekit import emit, semantics
 from lekit.algebra import NormalityReport, build_complex_algebra
-from lekit.bitset import bits, meet_table
+from lekit.bitset import bits, meet_rows, meet_table
 from lekit.constructions import coproduct, filter_ideal_extension
 from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
@@ -53,6 +54,7 @@ from lekit.frame import (
     section_zero,
 )
 from lekit.morphism import DualHom, PMorphismReport, dual_pmorphism
+from lekit.polarity import DEFAULT_CONCEPT_CAP, Concept
 from lekit.sampling import SIG_BOX
 from lekit.syntax import BOT, TOP
 
@@ -256,6 +258,33 @@ def eager_build(alg, names):
     NotALatticeError where that build refuses alg's order.
     """
     return FiniteAlgebra.from_cones(names, alg.above, alg.below, alg.signature, alg.ops)
+
+
+def eager_complex_algebra(frame, cap=DEFAULT_CONCEPT_CAP):
+    """The fields of the frame's complex algebra, all computed at once as
+    the eager build did: the Concepts by Close-by-One, sorted by extent;
+    above[i] (below[i]) the AND, over the points of concept i's extent
+    (intent), of the mask of the concepts whose extent (intent) holds the
+    point; top and bot the concepts whose below (above) cone is full;
+    names from the Concepts; and the tables by one section_zero per tuple.
+    The oracle of ComplexAlgebra, which computes most of these on first read.
+    """
+    pol = frame.polarity
+    concepts = [Concept(e, i) for e, i in concepts_by_close_by_one(pol, cap)]
+    full = (1 << len(concepts)) - 1
+    holding_w = [mask_of(k for k, c in enumerate(concepts) if c.extent >> w & 1) for w in range(pol.nw)]
+    holding_u = [mask_of(k for k, c in enumerate(concepts) if c.intent >> u & 1) for u in range(pol.nu)]
+    above = tuple(meet_rows(holding_w, c.extent, full) for c in concepts)
+    below = tuple(meet_rows(holding_u, c.intent, full) for c in concepts)
+    return SimpleNamespace(
+        concepts=concepts,
+        above=above,
+        below=below,
+        top=below.index(full),
+        bot=above.index(full),
+        names=tuple(c.show(pol) for c in concepts),
+        ops=complex_algebra_ops_by_family(frame, concepts),
+    )
 
 
 def concept_names(alg):

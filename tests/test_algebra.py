@@ -26,10 +26,14 @@ from lekit import (
     product_algebra,
     verify_normality,
 )
+import lekit.algebra as algebra_module
 import lekit.frame as frame_module
+from lekit.algebra import ComplexAlgebra
 from lekit.frame import Relation, connective_sorts
+from lekit.polarity import Concept
 from lekit.sampling import (
     SIG_BOX,
+    box_frame,
     random_box_frame,
     stabilize_box_relation,
 )
@@ -47,6 +51,7 @@ from conftest import (
     concept_names,
     cones_of,
     eager_build,
+    eager_complex_algebra,
     find_isomorphism_by_leq,
     le,
     leq_closure_fixpoint,
@@ -381,6 +386,89 @@ def test_complex_algebra_cones_match_extent_matrix():
     assert min(sizes) == 1 and max(sizes) > 500
 
 
+def _oracle_frames(rng):
+    """Seeded box frames up to 16 x 16, SIG_MIX boolean frames, filter-ideal
+    frames of SIG_MIX algebras, and the 0 x 0 and 1 x 1 box frames."""
+    for side, density in ((2, 0.5), (4, 0.5), (6, 0.6), (9, 0.7), (12, 0.7), (16, 0.7)):
+        yield _box_frame(rng, side, side, density)
+    for _ in range(6):
+        yield random_box_frame(rng, 4, 4)
+    for k in (1, 2, 3, 4):
+        yield boolean_frame(rng, k, SIG_MIX.connectives)
+    for k in (2, 3):
+        yield filter_ideal_frame(build_complex_algebra(boolean_frame(rng, k, SIG_MIX.connectives)))
+    yield box_frame((0, 0, 0, 0))
+    for n, seed in ((0, 0), (1, 0), (0, 1), (1, 1)):  # N and the relation empty or full
+        yield box_frame((1, 1, n, seed))
+
+
+@pytest.mark.parametrize("first", ["above", "below", "concepts", "names"])
+def test_complex_algebras_match_the_eager_oracle(first):
+    # whichever field is read first, every field is the eager build's
+    rng = random.Random(97)
+    sizes, signatures = [], set()
+    for frame in _oracle_frames(rng):
+        alg = ComplexAlgebra(frame)
+        eager = eager_complex_algebra(frame)
+        getattr(alg, first)
+        assert (alg.top, alg.bot) == (eager.top, eager.bot)
+        assert (alg.above, alg.below) == (eager.above, eager.below)
+        assert alg.concepts == eager.concepts
+        assert all(type(c) is Concept for c in alg.concepts)
+        assert alg.pairs == [tuple(c) for c in eager.concepts]
+        assert alg.names == eager.names
+        assert alg.ops == eager.ops
+        assert [alg.index_of_extent(c.extent) for c in eager.concepts] == list(range(alg.size))
+        sizes.append(alg.size)
+        signatures.add(frame.signature)
+    assert min(sizes) == 1 and max(sizes) > 500
+    assert signatures == {SIG_BOX, SIG_MIX}
+
+
+def test_a_complex_algebra_build_makes_no_cones_and_no_concepts(monkeypatch):
+    transposed, made = [], []
+    transpose, make = algebra_module.transpose, Concept._make
+    monkeypatch.setattr(algebra_module, "transpose", lambda *a: transposed.append(a) or transpose(*a))
+    monkeypatch.setattr(Concept, "_make", lambda pair: made.append(pair) or make(pair))
+    rng = random.Random(101)
+    frames = [_box_frame(rng, side, side, 0.7) for side in (4, 10, 16)]
+    frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (2, 3)]
+    algebras = [build_complex_algebra(frame) for frame in frames]
+    assert not transposed and not made
+    assert not {"above", "below", "concepts", "names"} & set(vars(algebras[-1]))
+    # the spies do see the cones and the Concepts once something reads them
+    algebras[0].above
+    algebras[0].concepts
+    assert len(transposed) == 1 and len(made) == algebras[0].size
+
+
+def test_box_normality_leaves_the_down_cones_uncomputed():
+    # a box column is G and monotone: it gathers and compares up-cones only
+    rng = random.Random(103)
+    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.7)) for side in (3, 8, 16)]
+    boxes += [build_complex_algebra(random_box_frame(rng, 4, 4)) for _ in range(6)]
+    for alg in boxes:
+        assert verify_normality(alg).passed
+        assert "above" in vars(alg)
+        assert not {"below", "concepts", "names"} & set(vars(alg))
+    # an F column reads the down-cones
+    mixed = build_complex_algebra(boolean_frame(rng, 2, SIG_MIX.connectives))
+    assert verify_normality(mixed).passed
+    assert {"above", "below"} <= set(vars(mixed))
+
+
+def test_only_tables_given_by_the_user_are_copied():
+    n = 3
+    above = [(1 << n) - (1 << i) for i in range(n)]
+    below = [(1 << (i + 1)) - 1 for i in range(n)]
+    names = ["0", "1", "2"]
+    for lattice in (False, True):
+        ops = {"box": {(x,): x for x in range(n)}}
+        alg = FiniteAlgebra.from_cones(names, above, below, SIG_BOX, ops, lattice=lattice)
+        assert alg.ops == ops
+        assert (alg.ops["box"] is ops["box"]) == lattice
+
+
 def _empty_signature_algebras(rng):
     yield two_chain()
     yield diamond()
@@ -459,6 +547,31 @@ def test_find_isomorphism_matches_matrix_search_on_coproduct_law_pairs():
         assert got == find_isomorphism_by_leq(cp_alg, other)
         found.add(got is None)
     assert found == {True, False}
+
+
+def _chain(order, box_rank):
+    """The chain whose element order[r] has rank r from the bottom, built
+    from its cones, with box sending the element of rank r to that of rank
+    box_rank[r]."""
+    n = len(order)
+    rank = {x: r for r, x in enumerate(order)}
+    above = [mask_of(order[rank[x]:]) for x in range(n)]
+    below = [mask_of(order[: rank[x] + 1]) for x in range(n)]
+    ops = {"box": {(x,): order[box_rank[rank[x]]] for x in range(n)}}
+    return FiniteAlgebra.from_cones(list(map(str, range(n))), above, below, SIG_BOX, ops)
+
+
+def test_find_isomorphism_matches_matrix_search_on_long_chains():
+    rng = random.Random(59)
+    n = 200
+    a_order, b_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    down = [max(r - 1, 0) for r in range(n)]
+    a = _chain(a_order, down)
+    iso = find_isomorphism(a, _chain(b_order, down))
+    assert iso == find_isomorphism_by_leq(a, _chain(b_order, down))
+    assert iso == [b_order[a_order.index(x)] for x in range(n)]
+    other = _chain(b_order, [max(r - 2, 0) for r in range(n)])
+    assert find_isomorphism(a, other) is find_isomorphism_by_leq(a, other) is None
 
 
 def test_le_and_to_dict_read_the_cones():
