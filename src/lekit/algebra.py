@@ -36,8 +36,9 @@ sorts: the argument's extent at W, its intent at U.  The 0-section of
 those masks is the extent of the value when the head has sort W (family
 G) and its intent when the head has sort U (family F).  The operation
 tables go through the section kernel too: frame.section_table folds the
-relation's row index one coordinate at a time, one meet_each per column,
-for all argument tuples at once.
+relation's point sections one coordinate at a time, with one meet_each
+per coordinate over ints that pack the sections of all argument tuples
+side by side.
 
 verify_normality checks residuation column by column.  It reads each
 operation table once, in product order, into a flat list, so a column is

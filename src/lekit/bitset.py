@@ -8,9 +8,15 @@ meet_each is the map over a list of masks: meet_rows for a few masks, else
 the byte tables, read in one comprehension for up to 24 rows and through
 meet_table beyond.  The partners of the concepts an enumeration found, the
 cones of a complex algebra and the folds of its operation tables
-(frame.section_table) go through it.
+(frame.section_table) go through it, one call per folded coordinate.
 transpose turns masks over points into masks over the masks' positions.
+pack_columns and split carry many masks in one int, each in a lane of
+whole bytes at least as wide as the masks, so that one AND (and one
+meet_each) acts on all of them: a fold packs the sections of every
+argument tuple it has not yet folded side by side.
 """
+
+from array import array
 
 
 def bits(mask):
@@ -99,6 +105,44 @@ def meet_each(rows, masks, full):
         return [t0[m & 255] & t1[m >> 8] for m in masks]
     t2 = _byte_table(rows[16:], full)
     return [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16] for m in masks]
+
+
+# the array typecodes of the machine lanes, by bytes a lane
+_LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def lane_bytes(width):
+    """Bytes a lane needs to hold masks below 2**width: 1, 2, 4 or 8 (one
+    machine lane, which array and memoryview read in C), beyond 64 bits
+    the fewest that hold them."""
+    size = (width + 7) // 8 or 1
+    return next((b for b in sorted(_LANE_CODES) if b >= size), size)
+
+
+def pack_columns(table, width, lane):
+    """The columns of table, read as rows of width entries, one int each:
+    the int of column v holds table[v + k * width] in its k-th lane of lane
+    bytes.
+
+    An AND of two such ints is the lane-wise AND: nothing carries between
+    lanes.
+    """
+    code = _LANE_CODES.get(lane)
+    if code:
+        cells = array(code, table)
+        return [int.from_bytes(cells[v::width].tobytes(), "little") for v in range(width)]
+    cells = [m.to_bytes(lane, "little") for m in table]
+    return [int.from_bytes(b"".join(cells[v::width]), "little") for v in range(width)]
+
+
+def split(packed, count, lane):
+    """The lanes of the ints in packed, count lanes of lane bytes each, in
+    one list: the lanes of packed[0] first."""
+    raw = b"".join([p.to_bytes(count * lane, "little") for p in packed])
+    code = _LANE_CODES.get(lane)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[k : k + lane], "little") for k in range(0, len(raw), lane)]
 
 
 def names_of(mask, names):

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import islice, product
+from math import prod
 
-from .bitset import bits, meet_each, meet_rows, names_of
+from .bitset import bits, lane_bytes, meet_each, meet_rows, names_of, pack_columns, split
 from .errors import CapExceededError, FormatError, IncompatibleFrameError, SortError
 from .polarity import Polarity
 from .reading import index_rows, read_json
@@ -154,27 +155,36 @@ def section_table(rel, reads):
     """[section_zero(rel, args) for args in product(*reads)], where reads[k]
     lists the masks at coordinate k + 1.
 
-    Folds the coordinates from the last: cols[prefix][s] is the section at
-    the points prefix of the coordinates not yet folded and the s-th tuple
-    of masks at those folded, and each fold is one meet_each per column.
-    A prefix with no row reads as 0 and an empty mask as the full head
-    sort, as in _section_at.
+    Folds the coordinates from the last, starting from the point sections.
+    Before the fold of coordinate j, the table holds the section at every
+    tuple of points at coordinates 1..j and of masks at the coordinates
+    already folded, the mask tuples outermost.  The fold packs, for each
+    point v at j, the sections at v of all the other tuples side by side
+    in one int, each in a lane at least as wide as the head sort
+    (bitset.pack_columns).  ANDs do not carry between lanes, so one
+    meet_each over those ints computes the sections of all the tuples at
+    once, and bitset.split lays them out for the next fold.  Where an int
+    would hold one lane, as in every fold of a unary relation, the fold
+    reads the table as it is.  A prefix with no row reads as 0 and an
+    empty mask as the full head sort, as in _section_at.
     """
+    table = point_sections(rel, 0)
     if not rel.arity:
-        return point_sections(rel, 0)
+        return table
     full = (1 << rel.sizes[0]) - 1
-    *outer, last = reads
-    cols = {p: meet_each(row, last, full) for p, row in rel.rows[0].items()}
-    missing = [0 if m else full for m in last]  # the column of a prefix with no row
-    for masks, size in zip(reversed(outer), reversed(rel.sizes[1:-1])):
-        folded = {}
-        for p in {key[:-1] for key in cols}:
-            parts = [cols.get(p + (v,), missing) for v in range(size)]
-            each = [meet_each(col, masks, full) for col in zip(*parts)]
-            folded[p] = list(chain.from_iterable(zip(*each)))
-        missing = [m if mask else full for mask in masks for m in missing]
-        cols = folded
-    return cols.get((), missing)
+    lane = lane_bytes(rel.sizes[0])
+    tuples = 1  # of the masks at the coordinates folded so far
+    for j in range(rel.arity, 0, -1):
+        size, masks = rel.sizes[j], reads[j - 1]
+        count = prod(rel.sizes[1:j]) * tuples  # lanes a packed int holds
+        if count == 1:
+            table = meet_each(table, masks, full)
+        else:
+            rows = pack_columns(table, size, lane)
+            (full_lanes,) = pack_columns([full] * count, 1, lane)
+            table = split(meet_each(rows, masks, full_lanes), count, lane)
+        tuples *= len(masks)
+    return table
 
 
 class Frame:

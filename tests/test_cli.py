@@ -186,6 +186,29 @@ def test_filter_ideal_of_an_incompatible_frame_exits_2_naming_it(
     assert err.startswith(f"error: {path}: FAIL: connective 'box'")
 
 
+@pytest.mark.parametrize("empty", ["W", "U"])
+def test_a_binary_connective_on_a_sort_of_no_points(empty, tmp_path, capsys):
+    # the operation table folds a coordinate or a head sort of no points:
+    # one concept, and f of it is that concept
+    data = {
+        "signature": {
+            "connectives": [{"name": "f", "family": "F", "arity": 2, "order_type": ["1", "1"]}]
+        },
+        "W": [] if empty == "W" else ["a"],
+        "U": [] if empty == "U" else ["x"],
+        "N": [],
+        "relations": {"f": []},
+    }
+    path = _write_json(tmp_path, "frame.json", data)
+    assert build_complex_algebra(load_frame(path)).ops == {"f": {(0, 0): 0}}
+    for argv in (
+        ["check", path],
+        ["valid", path, "f(p, q) |- p"],
+        ["filter-ideal", path, "-o", str(tmp_path / "fif.json")],
+    ):
+        assert run_cli(argv, capsys)[0] == 0, argv
+
+
 def test_translate_formula(capsys):
     code, out, _ = run_cli(["translate", SIG, "box p"], capsys)
     assert code == 0

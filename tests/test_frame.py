@@ -206,19 +206,44 @@ def test_sections_match_raw_pairs(check):
         check(rng)
 
 
+def _relation_of_sizes(rng, sizes):
+    """A relation of random density with the given coordinate sizes, head
+    first; section_table reads no sorts, so all coordinates but the head
+    are labelled U."""
+    density = rng.random()
+    tuples = {t for t in product(*map(range, sizes)) if rng.random() < density}
+    return Relation(("W",) + ("U",) * (len(sizes) - 1), sizes, tuples)
+
+
 def test_section_table_matches_section_zero():
     # every argument tuple of the mask lists, in product order, on dense and
     # sparse relations (prefixes with no row) and with empty and full masks
     rng = random.Random(2027)
-    arities = set()
+    cases = []
     for _ in range(300):
         rel = _random_sorted_relation(rng, max_size=7)
         if rng.random() < 0.3:  # sparse: most prefixes have no row
             rel = Relation(rel.sorts, rel.sizes, [t for t in rel.tuples if rng.random() < 0.1])
         # one coordinate may take more than 32 masks, which meet_each reads
         # from byte tables
-        long = rng.randrange(max(rel.arity, 1))
-        counts = [rng.randint(1, 40 if k == long else 5) for k in range(rel.arity)]
+        cases.append((rel, rng.randrange(max(rel.arity, 1)), 1))
+    # fixed shapes, each with more than 32 masks at its outermost coordinate
+    for arity in (1, 2, 3):
+        # a sort of no points at the head or at one coordinate
+        for empty in range(arity + 1):
+            sizes = [3] * (arity + 1)
+            sizes[empty] = 0
+            cases.append((_relation_of_sizes(rng, tuple(sizes)), 0, 33))
+        # head sorts at either side of a whole byte and of the widest
+        # machine lane, and beyond it
+        for head in (8, 9, 64, 65, 100):
+            sizes = (head,) + tuple(rng.randint(1, 4) for _ in range(arity))
+            cases.append((_relation_of_sizes(rng, sizes), 0, 33))
+    arities = set()
+    for rel, long, fewest in cases:
+        counts = [
+            rng.randint(fewest, 40) if k == long else rng.randint(1, 5) for k in range(rel.arity)
+        ]
         reads = [
             [rng.choice(_random_masks(rng, n)) for _ in range(count)]
             for n, count in zip(rel.sizes[1:], counts)

@@ -1,9 +1,14 @@
 """Module layering: top-level imports only, in one fixed module order."""
 
 import ast
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
+
+from lekit import frame
+from lekit.bitset import meet_each
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lekit"
 
@@ -188,6 +193,26 @@ def test_relation_conditions_fold_through_section_table():
         for alias in node.names
     }
     assert "section_zero" not in imported, imported
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_section_table_folds_each_coordinate_in_one_call(arity, monkeypatch):
+    # the sections of all prefixes ride in one meet_each per coordinate,
+    # not one per prefix or per column
+    rng = random.Random(arity)
+    sizes = (5,) + (4,) * arity
+    tuples = [t for t in product(*map(range, sizes)) if rng.random() < 0.5]
+    rel = frame.Relation(("W",) + ("U",) * arity, sizes, tuples)
+    reads = [[rng.randrange(16) for _ in range(count)] for count in (3, 40, 5)[:arity]]
+    calls = []
+
+    def spy(rows, masks, full):
+        calls.append(len(masks))
+        return meet_each(rows, masks, full)
+
+    monkeypatch.setattr(frame, "meet_each", spy)
+    frame.section_table(rel, reads)
+    assert calls == [len(masks) for masks in reversed(reads)]
 
 
 def test_connective_memos_hold_bare_sections():
