@@ -64,7 +64,7 @@ from .errors import (
     NotALatticeError,
 )
 from .frame import check_compatibility, section_table
-from .polarity import DEFAULT_CONCEPT_CAP, Concept, concept_pairs
+from .polarity import DEFAULT_CONCEPT_CAP, as_concepts, concept_pairs
 from .reading import index_rows, name_ids, read_json
 from .syntax import signature_from_dict
 
@@ -327,7 +327,7 @@ class ComplexAlgebra(FiniteAlgebra):
     @_lazy
     def concepts(self):
         """The concepts as Concepts, in the order of pairs."""
-        return list(map(Concept._make, self.pairs))
+        return as_concepts(self.pairs)
 
     @_lazy
     def names(self):

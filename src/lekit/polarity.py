@@ -8,6 +8,7 @@ Concepts are stable pairs (extent, intent).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .bitset import meet_each, meet_rows, names_of
@@ -197,4 +198,13 @@ def concept_pairs(polarity, cap=DEFAULT_CONCEPT_CAP):
 
 def enumerate_concepts(polarity, cap=DEFAULT_CONCEPT_CAP):
     """concept_pairs as Concepts, for the public API and the CLI."""
-    return list(map(Concept._make, concept_pairs(polarity, cap)))
+    return as_concepts(concept_pairs(polarity, cap))
+
+
+def as_concepts(pairs):
+    """The (extent, intent) pairs as Concepts, in order.
+
+    tuple.__new__ makes each in C, where Concept._make runs a Python frame
+    per concept.
+    """
+    return list(map(tuple.__new__, repeat(Concept), pairs))

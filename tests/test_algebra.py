@@ -427,9 +427,11 @@ def test_complex_algebras_match_the_eager_oracle(first):
 
 def test_a_complex_algebra_build_makes_no_cones_and_no_concepts(monkeypatch):
     transposed, made = [], []
-    transpose, make = algebra_module.transpose, Concept._make
+    transpose, as_concepts = algebra_module.transpose, algebra_module.as_concepts
     monkeypatch.setattr(algebra_module, "transpose", lambda *a: transposed.append(a) or transpose(*a))
-    monkeypatch.setattr(Concept, "_make", lambda pair: made.append(pair) or make(pair))
+    monkeypatch.setattr(
+        algebra_module, "as_concepts", lambda pairs: made.extend(pairs) or as_concepts(pairs)
+    )
     rng = random.Random(101)
     frames = [_box_frame(rng, side, side, 0.7) for side in (4, 10, 16)]
     frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (2, 3)]
