@@ -107,7 +107,7 @@ def meet_each(rows, masks, full):
     return [t0[m & 255] & t1[m >> 8 & 255] & t2[m >> 16] for m in masks]
 
 
-# the array typecodes of the machine lanes, by bytes a lane
+# the array typecodes of the machine lanes, by bytes a lane, ascending
 _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
@@ -116,7 +116,7 @@ def lane_bytes(width):
     machine lane, which array and memoryview read in C), beyond 64 bits
     the fewest that hold them."""
     size = (width + 7) // 8 or 1
-    return next((b for b in sorted(_LANE_CODES) if b >= size), size)
+    return next((b for b in _LANE_CODES if b >= size), size)
 
 
 def pack_columns(table, width, lane):
