@@ -54,7 +54,6 @@ from .frame import (
     frame_from_dict,
     load_frame,
     save_frame,
-    section_i,
     section_zero,
 )
 from .morphism import (
@@ -71,8 +70,6 @@ from .polarity import (
     Concept,
     DEFAULT_CONCEPT_CAP,
     Polarity,
-    concept_of_u,
-    concept_of_w,
     enumerate_concepts,
 )
 from .semantics import (

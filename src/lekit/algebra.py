@@ -6,13 +6,19 @@ operations over the comparable pairs, and meet[i][j] is the element whose
 below-mask is below[i] & below[j] (join likewise from the above-masks),
 found through a dict from masks to elements; when there is none, the pair
 has no meet (join) and the order is not a lattice.  The meet and join
-tables are filled on first access.  An algebra given by the user
-(FiniteAlgebra(...), from_cones, algebra_from_dict) has its order checked
-and fills both tables while it is built, so an order that is not a
-partial order or not a lattice is refused there, and its operation
-tables are copied.  Complex algebras and products, lattices by
-construction, skip the order and op-table checks, keep the operation
-tables lekit built for them without a copy, and leave the meet and join
+tables are filled on first access.  An operation table is one flat tuple,
+tables[name], in product order: a k-ary operation on n elements has its
+value at (a_0, ..., a_{k-1}) at (a_0 * n + a_1) * n + ... + a_{k-1}, so
+coordinate i has stride n**(k-1-i).  ops, the same tables as dicts keyed
+by argument tuples, is a read-only view built on first read.
+
+An algebra given by the user (FiniteAlgebra(...), from_cones,
+algebra_from_dict) has its order checked and fills both tables while it
+is built, so an order that is not a partial order or not a lattice is
+refused there, and its operation tables, given as dicts, are checked and
+read into flat tuples.  Complex algebras and products, lattices by
+construction, skip the order and op-table checks, keep the flat tables
+lekit built for them as they are, and leave the meet and join
 tables unfilled until something reads them (algebra validity, the
 witness search of a failing normality check); their element names, too,
 are built on first read (messages, to_dict, the CLI).  The n x n bool
@@ -40,9 +46,8 @@ relation's point sections one coordinate at a time, with one meet_each
 per coordinate over ints that pack the sections of all argument tuples
 side by side.
 
-verify_normality checks residuation column by column.  It reads each
-operation table once, in product order, into a flat list, so a column is
-a slice of it with its coordinate's stride.  A column is residuated when
+verify_normality checks residuation column by column, each column a
+slice of its flat table.  A column is residuated when
 the OR of the preimages over each cone is a principal cone; that OR
 depends only on the cone's cut by the column's image, so it is taken
 once per distinct cut.  A box column of a complex algebra often has an
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
+from types import MappingProxyType
 
 from .bitset import bits, meet_each, transpose
 from .errors import (
@@ -92,7 +98,8 @@ class FiniteAlgebra:
     FiniteAlgebra(names, leq, signature, ops) takes the order as an n x n
     bool matrix; from_cones takes it as the above/below masks directly.
     Both check that the order is a partial order, fill the tables, and
-    validate the operations; from_cones(..., lattice=True) skips the checks
+    validate the operations (dicts from argument tuples to values);
+    from_cones(..., lattice=True) takes flat tables and skips the checks
     and the tables for an algebra that lekit built as a lattice.  names
     is a sequence, or a function of no arguments that returns one, called
     on the first read of names.
@@ -113,10 +120,10 @@ class FiniteAlgebra:
         """The algebra whose order has above[i] (below[i]) as the mask of
         the elements above (below) element i; below is above transposed.
 
-        lattice=True promises that the order is a lattice and the
-        operation tables are well formed and belong to this algebra alone:
-        neither is checked, the tables are kept without a copy, and the
-        meet and join tables are left to be filled on first access.
+        lattice=True promises that the order is a lattice and that ops
+        holds one well formed flat table per connective (see the module
+        docstring): neither is checked, the tables are kept as they are,
+        and the meet and join tables are left to be filled on first access.
         """
         alg = cls.__new__(cls)
         alg._setup(names, above, below, signature, ops, lattice)
@@ -136,11 +143,7 @@ class FiniteAlgebra:
             self.meet, self.join
         self.top = self._extreme(self.below)
         self.bot = self._extreme(self.above)
-        if lattice:  # lekit built these tables right, for this algebra alone
-            self.ops = ops
-        else:
-            self._check_ops(ops)
-            self.ops = {conn.name: dict(ops[conn.name]) for conn in signature.connectives}
+        self.tables = ops if lattice else self._check_ops(ops)
 
     @_lazy
     def names(self):
@@ -156,6 +159,16 @@ class FiniteAlgebra:
     def join(self):
         """join[i][j], the index of the join of elements i and j."""
         return self._build_table(self.above, "join")
+
+    @_lazy
+    def ops(self):
+        """The tables as a read-only view: per connective, a dict from
+        argument tuples to values."""
+        n, tables = self.size, self.tables
+        return MappingProxyType({
+            c.name: MappingProxyType(dict(zip(product(range(n), repeat=c.arity), tables[c.name])))
+            for c in self.signature.connectives
+        })
 
     @_lazy
     def leq(self):
@@ -181,22 +194,27 @@ class FiniteAlgebra:
                     raise NotALatticeError("leq is not transitive")
 
     def _check_ops(self, ops):
-        """One table per connective, every argument tuple once, all elements."""
+        """One table per connective, every argument tuple once, all elements:
+        the tables as flat tuples."""
+        n = self.size
+        tables = {}
         for conn in self.signature.connectives:
             if conn.name not in ops:
                 raise FormatError(f"missing operation table for {conn.name!r}")
             table = dict(ops[conn.name])
-            expected = self.size**conn.arity
+            expected = n**conn.arity
             if len(table) != expected:
                 raise FormatError(
                     f"operation {conn.name!r}: table has {len(table)} entries, "
                     f"expected {expected}"
                 )
             for args, val in table.items():
-                if len(args) != conn.arity or not all(
-                    0 <= a < self.size for a in args
-                ) or not 0 <= val < self.size:
+                if not isinstance(args, tuple) or len(args) != conn.arity or not all(
+                    isinstance(x, int) and 0 <= x < n for x in (*args, val)
+                ):
                     raise FormatError(f"operation {conn.name!r}: bad entry {args} -> {val}")
+            tables[conn.name] = tuple(map(table.__getitem__, product(range(n), repeat=conn.arity)))
+        return tables
 
     def _extreme(self, cone):
         full = (1 << self.size) - 1
@@ -224,10 +242,8 @@ class FiniteAlgebra:
         pairs = [[names[i], names[j]] for i in range(self.size) for j in bits(self.above[i])]
         ops = {}
         for conn in self.signature.connectives:
-            rows = []
-            for args, val in sorted(self.ops[conn.name].items()):
-                rows.append([names[a] for a in args] + [names[val]])
-            ops[conn.name] = rows
+            args = product(names, repeat=conn.arity)
+            ops[conn.name] = [[*a, names[v]] for a, v in zip(args, self.tables[conn.name])]
         return {
             "signature": self.signature.to_dict(),
             "elements": list(names),
@@ -299,19 +315,19 @@ class ComplexAlgebra(FiniteAlgebra):
         self._extents, self._intents = extents, intents
         masks = {"W": extents, "U": intents}
         index = {"W": dict(zip(extents, range(n)))}
-        self.ops = {}
+        self.tables = {}
         for conn in self.signature.connectives:
             rel = frame.relations[conn.name]
             head, *coords = rel.sorts
             if head not in index:
                 index[head] = dict(zip(masks[head], range(n)))
-            ids = list(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
+            ids = tuple(map(index[head].get, section_table(rel, [masks[s] for s in coords])))
             if None in ids:
                 raise IncompatibleFrameError(
                     f"operation {conn.name!r} leaves the concept lattice; "
                     "the frame is not compatible"
                 )
-            self.ops[conn.name] = dict(zip(product(range(n), repeat=rel.arity), ids))
+            self.tables[conn.name] = ids
         self._ext_index = index["W"]
 
     @_lazy
@@ -396,9 +412,8 @@ def _columns(alg):
     up-set (down-set at an antitone coordinate).  Each set of principal
     cones is built when the first column that compares with it comes.
 
-    Each table is read once, in product order, into a flat list; a column
-    is a slice of it with the stride of coordinate i, so a unary column is
-    the flat list itself.
+    A column is a slice of the connective's flat table with the stride of
+    coordinate i; a unary column is the whole table.
     """
     n = alg.size
     principals = {}  # the set of the down-cones (True) or up-cones, once a column reads it
@@ -406,16 +421,13 @@ def _columns(alg):
         k = conn.arity
         if not k:  # a constant has no column
             continue
-        flat = list(map(alg.ops[conn.name].__getitem__, product(range(n), repeat=k)))
+        flat = alg.tables[conn.name]
         gather = alg.below if conn.family == "F" else alg.above
         for i in range(k):
             down = (conn.family == "F") == (conn.order_type[i] == "1")
             if down not in principals:
                 principals[down] = set(alg.below if down else alg.above)
             principal = principals[down]
-            if k == 1:
-                yield conn, i, (), flat, gather, principal
-                continue
             step = n ** (k - 1 - i)  # of coordinate i in flat
             block = n * step  # of the coordinates before i
             for j, rest in enumerate(product(range(n), repeat=k - 1)):
@@ -516,15 +528,8 @@ def find_isomorphism(a, b):
         return None
 
     def invariant(alg, x):
-        ops_sig = []
-        for conn in alg.signature.connectives:
-            if conn.arity == 1:
-                ops_sig.append(alg.ops[conn.name][(x,)] == x)
-        return (
-            bin(alg.below[x]).count("1"),
-            bin(alg.above[x]).count("1"),
-            tuple(ops_sig),
-        )
+        fixed = tuple(alg.tables[c.name][x] == x for c in alg.signature.connectives if c.arity == 1)
+        return (bin(alg.below[x]).count("1"), bin(alg.above[x]).count("1"), fixed)
 
     inv_a = [invariant(a, x) for x in range(a.size)]
     inv_b = [invariant(b, x) for x in range(b.size)]
@@ -540,9 +545,10 @@ def find_isomorphism(a, b):
 
     def ops_ok(m):
         for conn in a.signature.connectives:
-            for args, val in a.ops[conn.name].items():
-                if m[val] != b.ops[conn.name][tuple(m[x] for x in args)]:
-                    return False
+            at = positions(m, conn.arity, b.size)  # of a's argument tuples, mapped, in b
+            tb = b.tables[conn.name]
+            if [m[v] for v in a.tables[conn.name]] != [tb[p] for p in at]:
+                return False
         return True
 
     trials = [iter(candidates[order[0]])]  # trials[k]: order[k]'s untried candidates
@@ -573,3 +579,13 @@ def find_isomorphism(a, b):
         elif ops_ok(mapping):
             return mapping
     return None
+
+
+def positions(m, arity, n):
+    """For each argument tuple in product order, its position in a flat
+    table over n elements once m sends each of its coordinates: the Horner
+    sum (m[x_0] * n + m[x_1]) * n + ..., the last coordinate fastest."""
+    at = [0]
+    for _ in range(arity):
+        at = [p * n + y for p in at for y in m]
+    return at

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import FiniteAlgebra, build_complex_algebra, verify_normality
+from .algebra import FiniteAlgebra, build_complex_algebra, positions, verify_normality
 from .bitset import bits
 from .errors import FormatError, NonNormalAlgebraError
 from .frame import Frame, Relation, connective_sorts
@@ -112,7 +112,8 @@ def _filter_ideal_frame(alg):
     for conn in alg.signature.connectives:
         sorts = connective_sorts(conn)
         cone = heads[sorts[0]]
-        tuples = {(h,) + t for t, v in alg.ops[conn.name].items() for h in bits(cone[v])}
+        args = product(range(alg.size), repeat=conn.arity)
+        tuples = {(h,) + t for t, v in zip(args, alg.tables[conn.name]) for h in bits(cone[v])}
         relations[conn.name] = Relation(sorts, tuple(pol.size(s) for s in sorts), tuples)
     return Frame(pol, alg.signature, relations)
 
@@ -139,9 +140,6 @@ def product_algebra(a, b):
     def names():
         return [f"({x}, {y})" for x in a.names for y in b.names]
 
-    def pid(i, j):
-        return i * b.size + j
-
     n = a.size * b.size
 
     def spread(mask):
@@ -152,13 +150,13 @@ def product_algebra(a, b):
     # of b is below 2**|b|, so spread(x) * y is the OR of y << (i * |b|)
     above = [sx * y for sx in map(spread, a.above) for y in b.above]
     below = [sx * y for sx in map(spread, a.below) for y in b.below]
+    # element (i, j) is i * |b| + j: each argument tuple reads a's table at
+    # the i's of its elements and b's at the j's
+    a_of, b_of = [x // b.size for x in range(n)], [x % b.size for x in range(n)]
     ops = {}
     for conn in a.signature.connectives:
-        table = {}
-        for args in product(range(n), repeat=conn.arity):
-            ai = tuple(x // b.size for x in args)
-            bi = tuple(x % b.size for x in args)
-            table[args] = pid(a.ops[conn.name][ai], b.ops[conn.name][bi])
-        ops[conn.name] = table
+        ta, tb = a.tables[conn.name], b.tables[conn.name]
+        at, bt = positions(a_of, conn.arity, a.size), positions(b_of, conn.arity, b.size)
+        ops[conn.name] = tuple(ta[p] * b.size + tb[q] for p, q in zip(at, bt))
     # a product of lattices is a lattice: its tables and names wait for a reader
     return FiniteAlgebra.from_cones(names, above, below, a.signature, ops, lattice=True)

@@ -104,17 +104,6 @@ def section_zero(rel, args):
     return _section_at(rel, 0, args)
 
 
-def section_i(rel, i, head, rest):
-    """The i-section: heads become the i-th coordinate and vice versa.
-
-    rest gives the argument masks for the remaining coordinates 1..n in
-    order, skipping coordinate i; head is the mask for coordinate 0.
-    """
-    if not 1 <= i <= rel.arity:
-        raise SortError(f"no coordinate {i} in a relation of arity {rel.arity}")
-    return _section_at(rel, i, (head,) + rest)
-
-
 def _section_at(rel, j, args):
     """The j-section: points at coordinate j related to every tuple in the
     product of args, the masks at the other coordinates in order.

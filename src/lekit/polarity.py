@@ -141,18 +141,6 @@ class Concept(NamedTuple):
         return f"({ext}, {itn})"
 
 
-def concept_of_w(polarity, w):
-    """The concept generated by a single W point."""
-    ext = polarity.down(polarity.rows[w])
-    return Concept(ext, polarity.up(ext))
-
-
-def concept_of_u(polarity, u):
-    """The concept generated by a single U point."""
-    ext = polarity.cols[u]
-    return Concept(ext, polarity.up(ext))
-
-
 def _meets(gens, top, cap):
     """top and the ANDs of every nonempty set of gens, as a set.
 

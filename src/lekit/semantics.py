@@ -386,8 +386,9 @@ def _emit_program(key):
     of its head sort, read from a memo per connective keyed as _section
     reads.  The other mask is read from by_ext or by_int only where it is
     read.  A missing memo entry is derived (the connective's section, up
-    or down) and kept.  An algebra program reads meet, join and the
-    operation tables, a unary one as a list.
+    or down) and kept.  An algebra program reads meet, join and the flat
+    operation tables, at the Horner position (v_a * n + v_b) * n + ... of
+    the arguments, for n elements.
     """
     kind, nodes, lhs, rhs, m = key
     frame = kind == "frame"
@@ -413,7 +414,7 @@ def _emit_program(key):
     if frame:
         params = "by_ext, by_int, up, down, W, U, tables, sections"
     else:
-        params = "meet, join, leq, top, bot, tables"
+        params = "meet, join, leq, top, bot, n, tables"
     lines = [f"def f0(fns, doms, {params}, product):"]
     nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
     if nconns:
@@ -430,7 +431,7 @@ def _emit_program(key):
                 return [f"v{slot} = {op}"]
             if op in ("and", "or"):
                 return [f"v{slot} = {'meet' if op == 'and' else 'join'}[v{kids[0]}][v{kids[1]}]"]
-            return [f"v{slot} = R{payload[0]}[{_key([f'v{c}' for c in kids])}]"]
+            return [f"v{slot} = R{payload[0]}[{_index([f'v{c}' for c in kids])}]"]
         if op == "conn":
             reads = [mask + str(c) for c, mask in zip(kids, _reads(payload[1]))]
             have = "e" if payload[1][0] == "W" else "i"
@@ -497,8 +498,17 @@ def _fills(nodes):
 
 
 def _key(names):
-    """A table key: the one name of a unary connective, else their tuple."""
+    """A memo key: the one name of a unary connective, else their tuple."""
     return names[0] if len(names) == 1 else f"({''.join(n + ', ' for n in names)})"
+
+
+def _index(names):
+    """The position of an argument tuple in a flat table over n elements:
+    (a * n + b) * n + c for names a, b, c, and 0 for none."""
+    index = names[0] if names else "0"
+    for k, name in enumerate(names[1:]):
+        index = f"{f'({index})' if k else index} * n + {name}"
+    return index
 
 
 def _reads(sorts):
@@ -630,11 +640,8 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     meet = alg.meet if "and" in kinds else None
     join = alg.join if "or" in kinds else None
     dom = range(alg.size)
-    tables = [
-        [alg.ops[c][(x,)] for x in dom] if alg.signature.get(c).arity == 1 else alg.ops[c]
-        for c in program.conns
-    ]
-    args = (meet, join, alg.leq, alg.top, alg.bot, tables, product)
+    tables = [alg.tables[c] for c in program.conns]
+    args = (meet, join, alg.leq, alg.top, alg.bot, alg.size, tables, product)
     fns = compiled(_emit_program, ("algebra",) + program.key)
     domain = partial(_elements_of, alg)
     sound = partial(_algebra_reduction_holds, alg)

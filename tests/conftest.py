@@ -925,6 +925,32 @@ def complex_algebra_ops_by_family(frame, concepts):
     return ops
 
 
+def section_i(rel, i, head, rest):
+    """The i-section by a scan of the relation's tuples: the points at
+    coordinate i related to every tuple in the product of head (the mask at
+    coordinate 0) and rest (the masks at the other coordinates in order,
+    skipping i).  With an empty product this is the full sort of coordinate
+    i.  The oracle of the row index reads for head coordinates i >= 1."""
+    if not 1 <= i <= rel.arity:
+        raise SortError(f"no coordinate {i} in a relation of arity {rel.arity}")
+    others = list(product(*(list(bits(m)) for m in (head,) + rest)))
+    return mask_of(
+        c for c in range(rel.sizes[i]) if all(t[:i] + (c,) + t[i:] in rel.tuples for t in others)
+    )
+
+
+def concept_of_w(polarity, w):
+    """The concept generated by a single W point."""
+    ext = polarity.down(polarity.rows[w])
+    return Concept(ext, polarity.up(ext))
+
+
+def concept_of_u(polarity, u):
+    """The concept generated by a single U point."""
+    ext = polarity.cols[u]
+    return Concept(ext, polarity.up(ext))
+
+
 def complete_homomorphism_failure(mapping, dom, cod):
     """None when mapping preserves bounds, meets, joins and all operations,
     else the first failure; the oracle for dual_hom's maps.

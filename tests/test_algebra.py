@@ -211,7 +211,7 @@ def test_find_isomorphism_maps_a_long_chain_to_itself():
     full = (1 << n) - 1
     above = [full ^ ((1 << i) - 1) for i in range(n)]
     below = [(1 << (i + 1)) - 1 for i in range(n)]
-    ops = {"box": {(x,): x for x in range(n)}}
+    ops = {"box": tuple(range(n))}
     chain = FiniteAlgebra.from_cones(list(map(str, range(n))), above, below, SIG_BOX, ops, lattice=True)
     assert find_isomorphism(chain, chain) == list(range(n))
 
@@ -463,12 +463,24 @@ def test_only_tables_given_by_the_user_are_copied():
     n = 3
     above = [(1 << n) - (1 << i) for i in range(n)]
     below = [(1 << (i + 1)) - 1 for i in range(n)]
+    leq = [[bool(up >> j & 1) for j in range(n)] for up in above]
     names = ["0", "1", "2"]
-    for lattice in (False, True):
+    # a user's dict tables are read into flat tuples: changing the dicts
+    # after the build changes nothing in the algebra
+    for build in (
+        lambda ops: FiniteAlgebra(names, leq, SIG_BOX, ops),
+        lambda ops: FiniteAlgebra.from_cones(names, above, below, SIG_BOX, ops),
+    ):
         ops = {"box": {(x,): x for x in range(n)}}
-        alg = FiniteAlgebra.from_cones(names, above, below, SIG_BOX, ops, lattice=lattice)
-        assert alg.ops == ops
-        assert (alg.ops["box"] is ops["box"]) == lattice
+        alg = build(ops)
+        ops["box"][(0,)] = 2
+        assert alg.tables == {"box": (0, 1, 2)}
+        assert alg.ops == {"box": {(x,): x for x in range(n)}}
+    # a lattice by construction keeps the flat tuple it was given
+    ops = {"box": (0, 1, 2)}
+    alg = FiniteAlgebra.from_cones(names, above, below, SIG_BOX, ops, lattice=True)
+    assert alg.tables["box"] is ops["box"]
+    assert alg.ops == {"box": {(x,): x for x in range(n)}}
 
 
 def _empty_signature_algebras(rng):
@@ -585,6 +597,76 @@ def test_le_and_to_dict_read_the_cones():
     assert (again.above, again.below) == (alg.above, alg.below)
 
 
+# one connective of each arity 0-3
+SIG_ARITIES = Signature(
+    (
+        Connective("c", "F", 0, ()),
+        Connective("box", "G", 1, ("1",)),
+        Connective("f", "F", 2, ("1", "d")),
+        Connective("t", "G", 3, ("d", "1", "1")),
+    )
+)
+
+
+def _random_dict_tables(rng, n):
+    """Random tables as a user gives them: dicts from argument tuples to
+    values, their keys in no particular order."""
+    ops = {}
+    for conn in SIG_ARITIES.connectives:
+        args = list(product(range(n), repeat=conn.arity))
+        rng.shuffle(args)
+        ops[conn.name] = {t: rng.randrange(n) for t in args}
+    return ops
+
+
+def _table_format_algebras(rng):
+    """(alg, the dict tables it was given, or None) for user, from_cones,
+    algebra_from_dict, complex and product algebras over SIG_ARITIES."""
+    names = ["bot", "a", "b", "top"]
+    leq = [[i == j or i == 0 or j == 3 for j in range(4)] for i in range(4)]
+    above, below = cones_of(leq)
+    ops = _random_dict_tables(rng, 4)
+    yield FiniteAlgebra(names, leq, SIG_ARITIES, ops), ops
+    ops = _random_dict_tables(rng, 4)
+    yield FiniteAlgebra.from_cones(names, above, below, SIG_ARITIES, ops), ops
+    data = FiniteAlgebra(names, leq, SIG_ARITIES, _random_dict_tables(rng, 4)).to_dict()
+    for rows in data["ops"].values():
+        rng.shuffle(rows)
+    yield algebra_from_dict(data), None
+    a = build_complex_algebra(boolean_frame(rng, 2, SIG_ARITIES.connectives), check=False)
+    b = build_complex_algebra(boolean_frame(rng, 1, SIG_ARITIES.connectives), check=False)
+    yield a, None
+    yield b, None
+    yield product_algebra(a, b), None
+    yield product_algebra(b, a), None
+
+
+def test_tables_are_flat_in_product_order():
+    # tables[name] holds n**arity values, the last coordinate fastest; ops
+    # is the same table keyed by argument tuples, and to_dict writes its
+    # rows in sorted order and reads back to the same tables
+    rng = random.Random(107)
+    sizes = []
+    for alg, given in _table_format_algebras(rng):
+        n = alg.size
+        sizes.append(n)
+        assert alg.ops == {
+            c.name: dict(zip(product(range(n), repeat=c.arity), alg.tables[c.name]))
+            for c in alg.signature.connectives
+        }
+        if given is not None:
+            assert alg.ops == given
+        data = alg.to_dict()
+        assert algebra_from_dict(data).tables == alg.tables
+        for c in alg.signature.connectives:
+            assert type(alg.tables[c.name]) is tuple and len(alg.tables[c.name]) == n**c.arity
+            assert data["ops"][c.name] == [
+                [alg.names[x] for x in args] + [alg.names[v]]
+                for args, v in sorted(alg.ops[c.name].items())
+            ]
+    assert sizes == [4, 4, 4, 4, 2, 8, 8]
+
+
 def _binary_connectives(rng):
     return [
         Connective("f", "F", 2, tuple(rng.choice("1d") for _ in range(2))),
@@ -614,8 +696,8 @@ def _residuation_algebras(rng):
 def _damaged(rng, alg):
     """A copy of alg with one operation entry changed to another element."""
     conn = rng.choice([c for c in alg.signature.connectives if c.arity])
-    ops = {name: dict(table) for name, table in alg.ops.items()}
-    table = ops[conn.name]
+    ops = dict(alg.tables)
+    table = list(ops[conn.name])
     if rng.random() < 0.3:  # an entry with a bound somewhere, where unit laws are read
         bounds = (alg.bot, alg.top)
         args = tuple(
@@ -624,27 +706,23 @@ def _damaged(rng, alg):
         )
     else:
         args = tuple(rng.randrange(alg.size) for _ in range(conn.arity))
-    table[args] = rng.choice([v for v in range(alg.size) if v != table[args]])
+    at = 0  # args' position in the flat table
+    for x in args:
+        at = at * alg.size + x
+    table[at] = rng.choice([v for v in range(alg.size) if v != table[at]])
+    ops[conn.name] = tuple(table)
     return FiniteAlgebra.from_cones(
         alg.names, alg.above, alg.below, alg.signature, ops, lattice=True
     )
 
 
 def _shuffled(rng, alg):
-    """alg read back from its dict with each operation's rows shuffled, so
-    that no ops dict lists its arguments in product order."""
+    """alg's dict with each operation's rows shuffled, so that it lists no
+    table's arguments in product order."""
     data = alg.to_dict()
     for rows in data["ops"].values():
         rng.shuffle(rows)
-    return algebra_from_dict(data)
-
-
-def _in_product_order(alg):
-    n = alg.size
-    return all(
-        list(alg.ops[c.name]) == list(product(range(n), repeat=c.arity))
-        for c in alg.signature.connectives
-    )
+    return data
 
 
 def test_residuation_matches_pair_lookup_on_normal_and_damaged_algebras():
@@ -661,10 +739,12 @@ def test_residuation_matches_pair_lookup_on_normal_and_damaged_algebras():
             assert residuated(case) == expected.passed
             assert verify_normality(case) == expected
             laws.add(expected.law)
-        # the columns are read by argument tuple, whatever the dicts' order
+        # the tables are read by argument tuple, whatever the rows' order
         for case in cases[:3] if alg.size <= 64 else ():
-            again = _shuffled(rng, case)
-            shuffled += not _in_product_order(again)
+            data = _shuffled(rng, case)
+            shuffled += data["ops"] != case.to_dict()["ops"]
+            again = algebra_from_dict(data)
+            assert again.tables == case.tables
             assert verify_normality(again) == verify_normality(case)
     assert max(sizes) > 500 and damaged >= 300 and shuffled >= 40
     assert kinds == {("F", "1"), ("F", "d"), ("G", "1"), ("G", "d")}
@@ -944,6 +1024,8 @@ _ORDER_AB = [[True, True], [False, True]]  # a <= b
         ({"box": {(0,): 0}}, "operation 'box': table has 1 entries, expected 2"),
         ({"box": {(0,): 0, (1,): 2}}, r"operation 'box': bad entry \(1,\) -> 2"),
         ({"box": {(0,): 0, (0, 1): 1}}, r"operation 'box': bad entry \(0, 1\) -> 1"),
+        ({"box": {0: 0, 1: 1}}, "operation 'box': bad entry 0 -> 0"),
+        ({"box": {(0,): 0, (1,): "b"}}, r"operation 'box': bad entry \(1,\) -> b"),
     ],
 )
 def test_op_tables_given_by_the_user_are_checked(ops, message):

@@ -22,9 +22,9 @@ from lekit import (
 )
 from lekit.frame import (
     Relation,
+    _section_at,
     connective_sorts,
     point_sections,
-    section_i,
     section_table,
     section_zero,
 )
@@ -40,6 +40,7 @@ from conftest import (
     random_frame,
     random_polarity,
     random_relation,
+    section_i,
     subsets,
 )
 
@@ -81,6 +82,7 @@ def test_section_i_matches_definition():
             for head in range(2):
                 for other in range(2):
                     got = section_i(rel, i, 1 << head, (1 << other,))
+                    assert _section_at(rel, i, (1 << head, 1 << other)) == got
                     expect = 0
                     for cand in range(2):
                         full = [None, None, None]
@@ -189,10 +191,12 @@ def _check_relation_sections(rng):
             if j == 0:
                 assert section_zero(rel, masks) == expect
             else:
-                assert section_i(rel, j, masks[0], masks[1:]) == expect
+                assert _section_at(rel, j, masks) == section_i(rel, j, masks[0], masks[1:]) == expect
     for i in (0, arity + 1):
         with pytest.raises(SortError):
             section_i(rel, i, 1, (1,) * (arity - 1))
+    with pytest.raises(SortError):
+        _section_at(rel, arity + 1, (1,) * arity)
 
 
 @pytest.mark.parametrize(

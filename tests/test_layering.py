@@ -245,3 +245,11 @@ def test_validity_checks_no_frame_for_compatibility():
         lambda node: isinstance(node, ast.Name) and node.id == "check_compatibility",
     )
     assert not users, users
+
+
+def test_only_the_ops_view_reads_ops():
+    # an operation table is one flat tuple in product order, tables[name];
+    # ops, the same tables keyed by argument tuples, is a view for readers
+    # outside lekit, so the table format is known in algebra alone
+    users = _all_users(lambda node: isinstance(node, ast.Attribute) and node.attr == "ops")
+    assert users <= {("algebra", "ops")}, users

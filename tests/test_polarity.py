@@ -18,13 +18,15 @@ from lekit import (
 )
 from lekit import polarity
 from lekit.bitset import bits, meet_each, meet_rows, meet_table, names_of, transpose
-from lekit.polarity import Concept, concept_of_u, concept_of_w, concept_pairs
+from lekit.polarity import Concept, concept_pairs
 from lekit.sampling import random_box_frame
 
 from conftest import (
     brute_concepts,
     concepts_by_close_by_one,
     concepts_by_next_closure,
+    concept_of_u,
+    concept_of_w,
     mask_of,
     subsets,
 )
