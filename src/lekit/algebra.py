@@ -194,9 +194,13 @@ class FiniteAlgebra:
                     raise NotALatticeError("leq is not transitive")
 
     def _check_ops(self, ops):
-        """One table per connective, every argument tuple once, all elements:
-        the tables as flat tuples."""
+        """One table per connective and none for another name, every argument
+        tuple once, all elements: the tables as flat tuples."""
         n = self.size
+        extra = set(ops) - {conn.name for conn in self.signature.connectives}
+        if extra:
+            names = sorted(extra, key=str)
+            raise FormatError(f"operation tables with no matching connective: {names}")
         tables = {}
         for conn in self.signature.connectives:
             if conn.name not in ops:
@@ -275,7 +279,7 @@ def algebra_from_dict(data):
     raw_ops = data.get("ops", {})
     if not isinstance(raw_ops, dict):
         raise FormatError("algebra file: 'ops' must be an object")
-    ops = {}
+    ops = dict(raw_ops)  # a table for no connective goes on to be refused by _check_ops
     for conn in signature.connectives:
         rows = raw_ops.get(conn.name)
         if rows is None:

@@ -49,7 +49,9 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"lekit {__version__}")
     parser.add_argument("--json", action="store_true", help="machine readable output")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of --search draws (p-morphism constructions)"
+    )
     parser.add_argument(
         "--cap", type=int, default=None, help="most concepts an enumeration may find"
     )
@@ -105,7 +107,7 @@ def build_parser():
     p.add_argument("--condition", required=True, choices=sorted(CONDITIONS))
     p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
     p.add_argument("--morphism", help="morphism file (source target order as given)")
-    p.add_argument("--search", action="store_true", help="random search for witnesses")
+    p.add_argument("--search", action="store_true", help="search small frames for witnesses")
     p.add_argument("--max-size", type=int, default=3, help="point bound for --search")
     return parser
 
@@ -249,13 +251,6 @@ def run(args):
                 max_size=args.max_size,
                 cap=cap,
             )
-            if report is None:
-                _emit(
-                    args,
-                    {"falsified": False, "searched": True},
-                    "NOT FALSIFIED: no witness found within the search bounds",
-                )
-                return 1
         else:
             check = not args.no_check and args.construction != "filter-ideal"
             frames = [load_frame(path, check=check) for path in args.frames]

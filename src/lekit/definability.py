@@ -12,8 +12,9 @@ a subset of W x U.
 
 One table (_WITNESS) says, per construction, which frames of a witness
 must satisfy the condition and which must then fail it.  falsify walks it
-after one p-morphism check; the search judges each draw on it by bare
-condition checks and returns falsify's report on the first hit.
+after one p-morphism check; the search judges each candidate on it by bare
+condition checks and writes falsify's report for the first hit from the
+frames it built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .constructions import coproduct, filter_ideal_extension
 from .errors import CapExceededError, FormatError, InvalidPMorphismError
 from .morphism import check_pmorphism
 from .polarity import DEFAULT_CONCEPT_CAP
-from .sampling import box_frame, component_embedding, diagonal_surjection, draw_box_key
+from .sampling import (
+    box_frame,
+    box_frames,
+    component_embedding,
+    diagonal_surjection,
+    draw_box_key,
+)
 
 
 def box_pairs(frame):
@@ -121,6 +128,31 @@ class FalsifyReport:
         }
 
 
+class SearchMiss:
+    """search_falsification's answer when no candidate is a witness: how
+    many were judged, and whether they are all there are up to max_size.
+    A plain class: a dataclass costs an exec at every import of lekit."""
+
+    falsified = False
+
+    def __init__(self, candidates, complete, max_size):
+        self.candidates = candidates
+        self.complete = complete
+        self.max_size = max_size
+
+    @property
+    def message(self):
+        size = f"{self.max_size}x{self.max_size}"
+        if self.complete:
+            return f"NOT FALSIFIED: no witness among all {self.candidates} candidates up to {size}"
+        return (f"NOT FALSIFIED: no witness among the first {self.candidates} candidates "
+                f"up to {size}; the search stopped at its bound")
+
+    def to_dict(self):
+        return {"falsified": False, "searched": True, "complete": self.complete,
+                "candidates": self.candidates}
+
+
 # Per construction: what a p-morphism witness must be, with the detail line
 # saying it is (None: no morphism); the name ("{}" is a number) and the map
 # from a witness (frames, morphism, cap) to the frames that must satisfy the
@@ -183,34 +215,46 @@ def falsify(condition, construction, frames, morphism=None, cap=None):
         details.append(line)
     elif construction == "filter-ideal" and len(frames) != 1:
         raise FormatError(f"filter-ideal needs exactly one frame, got {len(frames)}")
-    for k, fr in enumerate(keepers(frames, morphism, cap), 1):
+    return _verdict(condition, construction, details, keepers(frames, morphism, cap),
+                    lambda: last(frames, morphism, cap))
+
+
+def _verdict(condition, construction, details, kept, lost):
+    """falsify's report past its p-morphism check: every frame of kept must
+    satisfy the condition, and then the frame lost() must fail it."""
+    _, keeper, _, loser, _ = _WITNESS[construction]
+    for k, fr in enumerate(kept, 1):
         holds, witness = check_condition(condition, fr)
         if not holds:
             details.append(f"{keeper.format(k)} fails the condition: {witness}")
             return FalsifyReport(False, condition, construction, details)
         details.append(f"{keeper.format(k)} satisfies the condition")
-    holds, witness = check_condition(condition, last(frames, morphism, cap))
+    holds, witness = check_condition(condition, lost())
     details.append(f"{loser} also satisfies the condition" if holds else f"{loser} fails it: {witness}")
     return FalsifyReport(not holds, condition, construction, details)
 
 
 def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
-    """Bounded random search for a falsifying witness; None if not found.
+    """Bounded search for a falsifying witness: falsify's report on the
+    first hit, else a SearchMiss.
 
-    Each try draws one frame key, or two under coproduct and
-    generated-subframe, with random_box_frame's rng calls: the result
-    depends only on the seed, max_size and tries.  Each distinct key's
-    frame is built and judged once per call.  The first drawn frame must
-    fail the condition, but under coproduct both must satisfy it (the
-    second is built only if the first does).  Bare condition checks judge
-    a try, the drawn p-morphisms being surjective or injective by
-    construction; the first hit is returned as falsify's report.  Under
-    pmorphic-image and generated-subframe the frame that must satisfy the
-    condition is a coproduct (fr + fr, f1 + f2), on which each built-in
-    condition holds only when it holds on every component (never, for
-    R-equals-N-complement on two: the cross pairs are in R and N), so
-    those searches return None.  A drawn frame has at most 2**max_size
-    concepts, so a max_size with 2**max_size above the cap is refused.
+    Under coproduct and filter-ideal the search walks box_frames up to
+    max_size x max_size, smallest first, and builds and judges each frame
+    once.  A filter-ideal candidate is a frame; a coproduct candidate is a
+    pair of frames that satisfy the condition, each new one paired with
+    itself and then with every earlier one, and only a candidate's
+    coproduct is built.  tries bounds the candidates, and the miss says
+    whether the walk was complete.  Under pmorphic-image and
+    generated-subframe each try draws frame keys from rng with
+    random_box_frame's rng calls, so the result depends only on the seed,
+    max_size and tries; each distinct key's frame is built and judged
+    once.  The drawn frame must fail the condition, and the coproduct
+    that must satisfy it (fr + fr, f1 + f2) does only when every
+    component does (never, for R-equals-N-complement on two: the cross
+    pairs are in R and N), so those searches miss.  Bare condition checks
+    judge a candidate; the drawn p-morphisms are surjective or injective
+    by construction.  A frame searched has at most 2**max_size concepts,
+    so a max_size with 2**max_size above the cap is refused.
     """
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}; "
@@ -221,7 +265,9 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
             f"--max-size {max_size} draws frames of up to 2**{max_size} concepts, "
             f"above the concept cap {cap}; lower --max-size or raise --cap or LEKIT_CAP"
         )
-    _, _, keepers, _, last = _witness(construction)
+    if construction in ("coproduct", "filter-ideal"):
+        return _walk(condition, construction, max_size, tries, cap)
+    _, _, keepers, _, _ = _witness(construction)
     seen = {}  # drawn key -> (its frame, whether the frame satisfies the condition)
 
     def drawn(key):
@@ -230,23 +276,44 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
             seen[key] = fr, check_condition(condition, fr)[0]
         return seen[key]
 
-    per_try = 2 if construction in ("coproduct", "generated-subframe") else 1
     for _ in range(tries):
-        keys = [draw_box_key(rng, max_size, max_size) for _ in range(per_try)]
+        keys = [draw_box_key(rng, max_size, max_size)
+                for _ in range(2 if construction == "generated-subframe" else 1)]
         fr, holds = drawn(keys[0])
-        frames, pm = [fr], None
-        if construction == "coproduct":
-            if holds and drawn(keys[1])[1]:
-                frames.append(seen[keys[1]][0])
-                if not check_condition(condition, last(frames, pm, cap))[0]:
-                    return falsify(condition, construction, frames, cap=cap)
-            continue
         if holds:
             continue
         if construction == "pmorphic-image":
-            frames, (pm, _) = [], diagonal_surjection(fr)
-        elif construction == "generated-subframe":
-            frames, (pm, _) = [], component_embedding(fr, box_frame(keys[1]))
-        if all(check_condition(condition, f)[0] for f in keepers(frames, pm, cap)):
-            return falsify(condition, construction, frames, morphism=pm, cap=cap)
-    return None
+            pm, _ = diagonal_surjection(fr)
+        else:
+            pm, _ = component_embedding(fr, box_frame(keys[1]))
+        if all(check_condition(condition, f)[0] for f in keepers([], pm, cap)):
+            return falsify(condition, construction, [], morphism=pm, cap=cap)
+    return SearchMiss(tries, False, max_size)
+
+
+def _walk(condition, construction, max_size, tries, cap):
+    """search_falsification under coproduct and filter-ideal."""
+    count, kept = 0, []
+    for key in box_frames(max_size, max_size):
+        fr = box_frame(key)
+        holds = check_condition(condition, fr)[0]
+        if construction == "filter-ideal":
+            candidates = [(fr,)]
+        elif holds:
+            candidates = [(other, fr) for other in (fr, *kept)]
+            kept.append(fr)
+        else:
+            continue
+        for frames in candidates:
+            if count == tries:
+                return SearchMiss(count, False, max_size)
+            count += 1
+            if construction == "coproduct":
+                cop = coproduct(frames)
+                if not check_condition(condition, cop)[0]:
+                    return _verdict(condition, construction, [], frames, lambda: cop)
+            elif not holds:
+                ext = filter_ideal_extension(fr, cap)
+                if check_condition(condition, ext)[0]:
+                    return _verdict(condition, construction, [], (ext,), lambda: fr)
+    return SearchMiss(count, True, max_size)

@@ -141,7 +141,7 @@ class Concept(NamedTuple):
         return f"({ext}, {itn})"
 
 
-def _meets(gens, top, cap):
+def meets(gens, top, cap):
     """top and the ANDs of every nonempty set of gens, as a set.
 
     Each gen ANDs into every mask found so far, so the set is closed under
@@ -178,9 +178,9 @@ def concept_pairs(polarity, cap=DEFAULT_CONCEPT_CAP):
         cap = DEFAULT_CONCEPT_CAP
     pol = polarity
     if pol.nu <= pol.nw:
-        extents = sorted(_meets(pol.cols, pol.full_w, cap))
+        extents = sorted(meets(pol.cols, pol.full_w, cap))
         return list(zip(extents, meet_each(pol.rows, extents, pol.full_u)))
-    intents = list(_meets(pol.rows, pol.full_u, cap))
+    intents = list(meets(pol.rows, pol.full_u, cap))
     return sorted(zip(meet_each(pol.cols, intents, pol.full_w), intents))
 
 

@@ -1,10 +1,12 @@
-"""Seeded random generators for frames, and the morphisms of the search.
+"""Small frames for the search and the tests, walked or seeded random,
+and the morphisms of the search.
 
 Used by the test suite and by the bounded falsification search.  A frame
-is drawn as a key of bits (draw_box_key) and built from it (box_frame),
-so the search can build and judge each distinct draw once.  Random
-unary relations are made compatible by alternately closing rows and
-columns until nothing changes; closure only adds pairs, so this stops.
+is a key of bits (draw_box_key draws one, box_frames walks every
+compatible one) built by box_frame, so the search can build and judge
+each distinct frame once.  Random unary relations are made compatible by
+alternately closing rows and columns until nothing changes; closure only
+adds pairs, so this stops.
 The p-morphisms between a frame and a coproduct are read off the
 incidence N (the coproduct lists component k's points after those of
 the earlier components), so drawing them enumerates nothing.
@@ -12,11 +14,13 @@ the earlier components), so drawing them enumerates nothing.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .bitset import bits
 from .constructions import coproduct
 from .frame import Frame, Relation, connective_sorts
 from .morphism import PMorphism
-from .polarity import Polarity
+from .polarity import Polarity, meets
 from .syntax import Connective, Signature
 
 SIG_BOX = Signature((Connective("box", "G", 1, ("1",)),))
@@ -69,6 +73,40 @@ def box_frame(key):
     pairs = stabilize_box_relation(pol, [divmod(i, nu) for i in bits(seed)])
     rel = Relation(connective_sorts(SIG_BOX.connectives[0]), (nw, nu), pairs)
     return Frame(pol, SIG_BOX, {"box": rel})
+
+
+def box_frames(max_w, max_u):
+    """Every compatible frame for the single box signature of at most
+    max_w x max_u points, once, as a box_frame key whose seed is the
+    relation itself.
+
+    Sizes come by (max(nw, nu), nw, nu), so every frame up to k x k comes
+    before any larger one; then N and the relation ascend as bit keys.  A
+    relation is compatible when each row is an intent and each column an
+    extent.  Per N these are the AND-closures of N's rows and columns, and
+    a relation built from intent rows is kept when it is also built from
+    extent columns.
+    """
+    for k in range(1, max(max_w, max_u) + 1):
+        for nw, nu in product(range(1, min(k, max_w) + 1), range(1, min(k, max_u) + 1)):
+            if k not in (nw, nu):
+                continue
+            full_u, column = (1 << nu) - 1, sum(1 << w * nu for w in range(nw))
+            for n in range(1 << nw * nu):
+                rows = [n >> w * nu & full_u for w in range(nw)]
+                cols = [n >> u & column for u in range(nu)]  # each at column 0's bits
+                rels = _spans(meets(rows, full_u, 1 << nu), nw, nu)
+                rels &= _spans(meets(cols, column, 1 << nw), nu, 1)
+                for r in sorted(rels):
+                    yield nw, nu, n, r
+
+
+def _spans(lines, count, step):
+    """Every OR over i < count of one of lines shifted by i * step."""
+    found = {0}
+    for i in range(count):
+        found = {f | line << i * step for f in found for line in lines}
+    return found
 
 
 def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):

@@ -44,7 +44,7 @@ from lekit import emit, semantics
 from lekit.algebra import NormalityReport, build_complex_algebra
 from lekit.bitset import bits, meet_rows, meet_table
 from lekit.constructions import coproduct, filter_ideal_extension
-from lekit.definability import CONSTRUCTIONS, FalsifyReport, check_condition
+from lekit.definability import CONSTRUCTIONS, FalsifyReport, SearchMiss, check_condition
 from lekit.fol import Eq, Exists, FAnd, FImp, Forall, NAtom, PredAtom, RAtom, Var, VarGen
 from lekit.frame import (
     CompatibilityReport,
@@ -1260,33 +1260,63 @@ def falsify_by_branches(condition, construction, frames, morphism=None, cap=None
     )
 
 
+def box_frames_by_brute_force(max_w, max_u):
+    """box_frames as (key, frame) pairs: per size, sizes sorted by
+    (max(nw, nu), nw, nu), every (N, R) pair of bit keys in order, built by
+    names and kept when check_compatibility passes."""
+    sizes = sorted(product(range(1, max_w + 1), range(1, max_u + 1)), key=lambda s: (max(s), s))
+    sorts = connective_sorts(SIG_BOX.connectives[0])
+    for nw, nu in sizes:
+        cells = list(product(range(nw), range(nu)))  # cell (w, u) is bit w * nu + u
+        w_names, u_names = [f"w{i}" for i in range(nw)], [f"u{i}" for i in range(nu)]
+        for n in range(1 << nw * nu):
+            pol = Polarity(w_names, u_names, [c for i, c in enumerate(cells) if n >> i & 1])
+            for r in range(1 << nw * nu):
+                rel = Relation(sorts, (nw, nu), [c for i, c in enumerate(cells) if r >> i & 1])
+                fr = Frame(pol, SIG_BOX, {"box": rel})
+                if check_compatibility(fr).passed:
+                    yield (nw, nu, n, r), fr
+
+
+def _walked_candidates(condition, construction, max_size):
+    """The walk's candidates from the brute-force frames: each frame under
+    filter-ideal; under coproduct each new frame that satisfies the
+    condition with itself, then with each earlier one."""
+    satisfied = []
+    for _, fr in box_frames_by_brute_force(max_size, max_size):
+        if construction == "filter-ideal":
+            yield [fr]
+        elif check_condition(condition, fr)[0]:
+            yield [fr, fr]
+            yield from ([other, fr] for other in satisfied)
+            satisfied.append(fr)
+
+
 def search_falsification_by_branches(condition, construction, rng, max_size=3, tries=200, cap=None):
-    """search_falsification with per-construction pre-checks, through falsify_by_branches."""
+    """search_falsification through falsify_by_branches: a walk of the
+    brute-force frames under coproduct and filter-ideal, else draws with
+    per-construction pre-checks."""
+    if construction in ("coproduct", "filter-ideal"):
+        judged = 0
+        for frames in _walked_candidates(condition, construction, max_size):
+            if judged == tries:
+                return SearchMiss(judged, False, max_size)
+            judged += 1
+            report = falsify_by_branches(condition, construction, frames, cap=cap)
+            if report.falsified:
+                return report
+        return SearchMiss(judged, True, max_size)
     for _ in range(tries):
-        if construction == "coproduct":
-            f1 = random_box_frame_by_polarity(rng, max_size, max_size)
-            f2 = random_box_frame_by_polarity(rng, max_size, max_size)
-            if not check_condition(condition, f1)[0]:
-                continue
-            if not check_condition(condition, f2)[0]:
-                continue
-            if not check_condition(condition, coproduct([f1, f2]))[0]:
-                return falsify_by_branches(condition, construction, [f1, f2])
-        elif construction == "pmorphic-image":
+        if construction == "pmorphic-image":
             fr = random_box_frame_by_polarity(rng, max_size, max_size)
             pm, cop = diagonal_surjection_by_duality(fr)
             if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
                 if not check_condition(condition, fr)[0]:
                     return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
-        elif construction == "generated-subframe":
+        else:
             f1 = random_box_frame_by_polarity(rng, max_size, max_size)
             f2 = random_box_frame_by_polarity(rng, max_size, max_size)
             pm, cop = component_embedding_by_duality(f1, f2)
             if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
                 return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
-        else:
-            fr = random_box_frame_by_polarity(rng, max_size, max_size)
-            ext = filter_ideal_extension(fr, cap)
-            if check_condition(condition, ext)[0] and not check_condition(condition, fr)[0]:
-                return falsify_by_branches(condition, construction, [fr], cap=cap)
-    return None
+    return SearchMiss(tries, False, max_size)

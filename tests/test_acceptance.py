@@ -38,6 +38,8 @@ from lekit.fol import Var
 from lekit.frame import Frame, Polarity, Relation, connective_sorts
 from lekit.sampling import (
     SIG_BOX,
+    box_frame,
+    box_frames,
     component_embedding,
     diagonal_surjection,
     random_box_frame,
@@ -236,7 +238,10 @@ def test_criterion_5_preservation_suite():
     t0 = time.monotonic()
     rng = random.Random(307)
     nonvacuous = [0, 0, 0, 0]
-    for _ in range(500):
+    # every compatible box frame up to 2x2 with its extension, each built once
+    walked = [(fr, filter_ideal_extension(fr)) for fr in map(box_frame, box_frames(2, 2))]
+    walked_checks = 0
+    for trial in range(500):
         seq = random_sequent(rng, SIG_BOX, ("p", "q"), 3)
 
         # 1. surjective p-morphic images preserve validity
@@ -267,10 +272,17 @@ def test_criterion_5_preservation_suite():
             == frame_validates(ext, seq).valid
         ), f"filter-ideal extension disagrees on {seq}"
         nonvacuous[3] += 1
+        for fr, ext in walked if trial < 50 else ():
+            assert frame_validates(fr, seq).valid == frame_validates(ext, seq).valid, (
+                f"filter-ideal extension of {fr.to_dict()} disagrees on {seq}"
+            )
+            walked_checks += 1
 
     assert all(n > 0 for n in nonvacuous), nonvacuous
+    assert (len(walked), walked_checks) == (92, 92 * 50)
     _report(
-        f"criterion 5 (preservation, 500 trials, hits {nonvacuous})",
+        f"criterion 5 (preservation, 500 trials, hits {nonvacuous}; "
+        f"{walked_checks} walked filter-ideal checks)",
         time.monotonic() - t0,
         300.0,
     )

@@ -1026,6 +1026,10 @@ _ORDER_AB = [[True, True], [False, True]]  # a <= b
         ({"box": {(0,): 0, (0, 1): 1}}, r"operation 'box': bad entry \(0, 1\) -> 1"),
         ({"box": {0: 0, 1: 1}}, "operation 'box': bad entry 0 -> 0"),
         ({"box": {(0,): 0, (1,): "b"}}, r"operation 'box': bad entry \(1,\) -> b"),
+        (
+            {"box": {(0,): 0, (1,): 1}, "dai": {(0,): 5}},
+            r"operation tables with no matching connective: \['dai'\]",
+        ),
     ],
 )
 def test_op_tables_given_by_the_user_are_checked(ops, message):
@@ -1039,4 +1043,13 @@ def test_op_tables_read_from_a_file_are_checked():
     data = FiniteAlgebra("ab", _ORDER_AB, SIG_BOX, {"box": {(0,): 0, (1,): 1}}).to_dict()
     data["ops"]["box"].pop()
     with pytest.raises(FormatError, match="^operation 'box': table has 1 entries, expected 2$"):
+        algebra_from_dict(data)
+
+
+def test_op_tables_for_no_connective_are_refused():
+    # a table for a connective the signature lacks, here naming no element
+    data = FiniteAlgebra("ab", _ORDER_AB, SIG_BOX, {"box": {(0,): 0, (1,): 1}}).to_dict()
+    data["ops"]["dai"] = [["a", "zz"]]
+    message = r"^operation tables with no matching connective: \['dai'\]$"
+    with pytest.raises(FormatError, match=message):
         algebra_from_dict(data)

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from lekit import build_complex_algebra, load_frame
+from lekit import build_complex_algebra, definability, load_frame
 from lekit.cli import main
 
 from conftest import golden_path
@@ -257,14 +258,60 @@ FALSIFIED: closure of 'R-equals-N-complement' under coproduct
 """
 
 
+def _search(condition, construction, size="2"):
+    return ["falsify", "--search", "--max-size", size,
+            "--condition", condition, "--construction", construction]
+
+
 def test_falsify_search(capsys):
-    # README's search, with the default --seed 0, and with --seed 3
-    argv = ["falsify", "--search", "--max-size", "2",
-            "--condition", "R-equals-N-complement", "--construction", "coproduct"]
+    # README's search, with the default --seed 0, and with --seed 3: the walk
+    # draws nothing, so the seed does not change its witness
+    argv = _search("R-equals-N-complement", "coproduct")
     assert run_cli(argv, capsys)[:2] == (0, README_SEARCH_FOUND)
-    assert run_cli(["--seed", "3"] + argv, capsys)[:2] == (
-        1, "NOT FALSIFIED: no witness found within the search bounds\n"
+    assert run_cli(["--seed", "3"] + argv, capsys)[:2] == (0, README_SEARCH_FOUND)
+    # a miss says whether the walk judged every candidate up to its size
+    argv = _search("every-u-has-non-R-w", "filter-ideal")
+    assert run_cli(argv, capsys)[:2] == (
+        1, "NOT FALSIFIED: no witness among all 92 candidates up to 2x2\n"
     )
+    code, out, _ = run_cli(["--json"] + argv, capsys)
+    assert (code, json.loads(out)) == (
+        1, {"falsified": False, "searched": True, "complete": True, "candidates": 92}
+    )
+    assert run_cli(_search("every-u-has-non-R-w", "coproduct"), capsys)[:2] == (
+        1, "NOT FALSIFIED: no witness among the first 200 candidates up to 2x2; "
+        "the search stopped at its bound\n"
+    )
+
+
+def test_readme_search_builds_two_frames_and_one_coproduct(capsys, monkeypatch):
+    built, joined = [], []
+    build, join = definability.box_frame, definability.coproduct
+    monkeypatch.setattr(definability, "box_frame", lambda key: built.append(key) or build(key))
+    monkeypatch.setattr(
+        definability, "coproduct", lambda frames: joined.append(frames) or join(frames)
+    )
+    assert run_cli(_search("R-equals-N-complement", "coproduct"), capsys)[:2] == (
+        0, README_SEARCH_FOUND
+    )
+    # the 1x1 frame with N empty fails, the one with R = {(w0, u0)} holds,
+    # and that frame paired with itself is the witness
+    assert built == [(1, 1, 0, 0), (1, 1, 0, 1)]
+    assert len(joined) == 1
+
+
+@pytest.mark.parametrize("size", ["2", "3"])
+def test_a_search_with_no_hit_is_quick(size, capsys):
+    # 200 coproducts of frames up to 3x3: about 10 ms of process time on a
+    # 2-CPU VM, against 4-7 ms for the 200 random draws this walk replaced
+    argv = _search("every-u-has-non-R-w", "coproduct", size)
+    times = []
+    for _ in range(3):
+        start = time.process_time()
+        assert main(argv) == 1
+        times.append(time.process_time() - start)
+    capsys.readouterr()
+    assert min(times) < 0.05, times
 
 
 def test_cap_env_var(tmp_path, capsys, monkeypatch):

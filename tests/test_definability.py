@@ -1,6 +1,7 @@
 """First order frame conditions and closure falsification."""
 
 import random
+from itertools import islice, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from lekit.polarity import Polarity
 from lekit.sampling import (
     SIG_BOX,
     box_frame,
+    box_frames,
     component_embedding,
     diagonal_surjection,
     draw_box_key,
@@ -26,6 +28,7 @@ from lekit.sampling import (
 )
 
 from conftest import (
+    box_frames_by_brute_force,
     falsify_by_branches,
     identity_pmorphism,
     random_box_frame_by_polarity,
@@ -220,20 +223,29 @@ def test_falsify_matches_the_branch_oracle(m1_morphism, m2_morphism, bad_morphis
         )
 
 
+WALKED = ("coproduct", "filter-ideal")  # the searches that walk box_frames and draw nothing
+
+
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_search_matches_the_branch_oracle(construction):
-    hits = 0
+    hits = complete = 0
     for cond in sorted(CONDITIONS):
         for size in (1, 2, 3):
             for seed in range(3):
-                got = search_falsification(cond, construction, random.Random(seed), size, tries=60)
+                got_rng = random.Random(seed)
+                got = search_falsification(cond, construction, got_rng, size, tries=60)
                 want = search_falsification_by_branches(
                     cond, construction, random.Random(seed), size, tries=60
                 )
-                assert (got and got.to_dict()) == (want and want.to_dict())
-                hits += got is not None
+                assert (got.to_dict(), got.message) == (want.to_dict(), want.message)
+                if construction in WALKED:
+                    assert got_rng.getstate() == random.Random(seed).getstate()
+                hits += got.falsified
+                complete += not got.falsified and got.complete
     if construction == "coproduct":
         assert hits >= 3
+    if construction in WALKED:
+        assert complete  # some walk judged every candidate up to its size
 
 
 @pytest.mark.parametrize("density, rel_density", [(0.5, 0.3), (0.2, 0.7), (0.8, 0.1), (0.0, 1.0)])
@@ -269,45 +281,71 @@ def test_stabilized_relation_matches_the_pass_oracle(density):
 
 
 def test_the_benchmarked_search_matches_the_branch_oracle():
-    # bench/workloads.py runs README's search: coproduct, --max-size 2
+    # bench/workloads.py runs README's search: coproduct, --max-size 2; the
+    # walk draws nothing, so every seed gives the same report
+    want = search_falsification_by_branches(
+        "R-equals-N-complement", "coproduct", random.Random(0), 2, tries=200
+    )
+    assert want.falsified
     for seed in range(10):
-        got_rng, want_rng = random.Random(seed), random.Random(seed)
-        got = search_falsification("R-equals-N-complement", "coproduct", got_rng, 2, tries=200)
-        want = search_falsification_by_branches(
-            "R-equals-N-complement", "coproduct", want_rng, 2, tries=200
-        )
-        assert (got and got.to_dict()) == (want and want.to_dict())
-        assert got_rng.getstate() == want_rng.getstate()
+        rng = random.Random(seed)
+        got = search_falsification("R-equals-N-complement", "coproduct", rng, 2, tries=200)
+        assert got.to_dict() == want.to_dict()
+        assert rng.getstate() == random.Random(seed).getstate()
+
+
+def test_box_frames_match_the_brute_force_oracle():
+    # every (N, R) pair that check_compatibility passes, in the same order,
+    # and each key's frame is the oracle's: its relation is already stable
+    for nw, nu in product(range(1, 7), repeat=2):
+        if nw * nu <= 6:
+            want = list(box_frames_by_brute_force(nw, nu))
+            assert list(box_frames(nw, nu)) == [key for key, _ in want], (nw, nu)
+            assert all(box_frame(key) == fr for key, fr in want)
+    small, large = list(box_frames(2, 2)), list(box_frames(3, 3))
+    assert (len(small), len(large)) == (92, 15955)
+    assert large[: len(small)] == small  # every frame up to 2x2 comes first
+    assert len(set(large)) == len(large)
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_search_builds_and_judges_each_draw_once_per_call(construction, monkeypatch):
     cond = "every-u-has-non-R-w"  # holds on a coproduct iff on every component: no hit
-    drawn, built, judged = [], [], []
-    draw, build = definability.draw_box_key, definability.box_frame
+    drawn, built, judged, joined = [], [], [], []
+    draw, build, join = definability.draw_box_key, definability.box_frame, definability.coproduct
     monkeypatch.setattr(definability, "draw_box_key", lambda *a: drawn.append(draw(*a)) or drawn[-1])
     monkeypatch.setattr(definability, "box_frame", lambda key: built.append(key) or build(key))
     monkeypatch.setattr(
+        definability, "coproduct", lambda frames: joined.append(frames) or join(frames)
+    )
+    monkeypatch.setattr(
         definability, "check_condition", lambda c, fr: judged.append(fr) or check_condition(c, fr)
     )
-    per_try = 2 if construction in ("coproduct", "generated-subframe") else 1
     counts = []
     for _ in range(2):
-        drawn.clear(), built.clear(), judged.clear()
-        assert search_falsification(cond, construction, random.Random(0), 2) is None
-        assert len(drawn) == 200 * per_try
+        drawn.clear(), built.clear(), judged.clear(), joined.clear()
+        miss = search_falsification(cond, construction, random.Random(0), 2)
+        # all 92 frames up to 2x2 under filter-ideal, else the bound
+        bound = (92, True) if construction == "filter-ideal" else (200, False)
+        assert not miss.falsified and (miss.candidates, miss.complete) == bound
         assert len(set(map(id, judged))) == len(judged)  # no frame judged twice
         counts.append((len(built), len(judged)))
     assert counts[0] == counts[1]  # nothing built or judged in one call serves the next
     monkeypatch.undo()
+    if construction in WALKED:
+        # a prefix of the walk, each frame built once; under coproduct one
+        # coproduct per pair, no pair twice, and only of frames that hold
+        assert drawn == [] and built == list(islice(box_frames(2, 2), len(built)))
+        if construction == "coproduct":
+            pairs = [tuple(map(id, frames)) for frames in joined]
+            assert len(pairs) == 200 == len(set(pairs))
+            assert all(check_condition(cond, fr)[0] for frames in joined for fr in frames)
+        return
+    per_try = 2 if construction == "generated-subframe" else 1
+    assert len(drawn) == 200 * per_try
     tries = list(zip(*[iter(drawn)] * per_try))
     holds = {key: check_condition(cond, box_frame(key))[0] for key in drawn}
-    firsts = {t[0] for t in tries}
-    if construction == "coproduct":  # a try's second frame only when its first holds
-        want = len(firsts | {b for a, b in tries if holds[a]})
-        assert want < len(set(drawn))
-    elif construction == "generated-subframe":  # the second, once per try whose first fails
-        want = len(firsts) + sum(not holds[a] for a, _ in tries)
-    else:
-        want = len(firsts)
+    want = len({t[0] for t in tries})
+    if construction == "generated-subframe":  # the second, once per try whose first fails
+        want += sum(not holds[a] for a, _ in tries)
     assert counts[0][0] == want

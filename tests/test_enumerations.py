@@ -154,7 +154,7 @@ def test_search_on_drawn_pmorphisms_enumerates_nothing(construction, enumerated)
     # admits max_size 2
     for cond in ("R-equals-N-complement", "every-u-has-non-R-w", "R-complement-subset-N"):
         found = search_falsification(cond, construction, random.Random(1), max_size=2, cap=4)
-        assert found is None
+        assert not found.falsified
     assert enumerated == []
 
 
