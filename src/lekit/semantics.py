@@ -364,6 +364,34 @@ def _memo_read(target, memo, key, derive):
     ]
 
 
+def _key_mask(op, payload):
+    """The mask, "e" or "i", a frame program keys a slot's value by: the
+    one its operation computes, whose Galois map is the other.  A
+    conjunction, top or a connective of head W gives an extent; a
+    disjunction, bot or a connective of head U an intent.  A proposition
+    holds both, and is keyed by its extent."""
+    if op == "conn":
+        return "e" if payload[1][0] == "W" else "i"
+    return "i" if op in ("or", "bot") else "e"
+
+
+def _test_mask(nodes, keys, held, lhs, rhs):
+    """The mask, "e" or "i", a frame program compares the two sides by.
+
+    The left extent must be below the right one.  By the Galois identity
+    e <= down(i) iff i <= up(e), which holds for any masks, that is the
+    right intent below the left one when the left intent is up of its
+    extent (the left side is keyed by its extent) and the right extent
+    down of its intent (the right side is keyed by its intent, or is a
+    proposition).  A connective's raw section need not be stable, so its
+    other mask is no more than the map of it.  Intents are compared when
+    the identity applies and they need fewer masks the sides do not hold.
+    """
+    galois = keys[lhs] == "e" and (keys[rhs] == "i" or nodes[rhs][0] == "prop")
+    missing = {mask: (mask not in held[lhs]) + (mask not in held[rhs]) for mask in "ei"}
+    return "i" if galois and missing["i"] < missing["e"] else "e"
+
+
 def _emit_program(key):
     """Source of f0, which decides one program shape on one domain kind,
     and of f1, which returns the program's plan.
@@ -376,19 +404,26 @@ def _emit_program(key):
     product of their domains.  f0 returns the indices, in their domains, of
     the first valuation whose left side is not below its right side, or
     None.  f1 returns the plan of each proposition (_plan) as indices into
-    _DOMAINS, so it is worked out once per shape.  A frame program's f2
-    returns the connectives whose memos frame_validates fills from a
-    table: _fills for one proposition with plan all, else none.
+    _DOMAINS, so it is worked out once per shape.
 
     A frame program holds extents e<slot> and intents i<slot> as locals.
-    Each slot computes the mask of its operation: a conjunction or top an
-    extent, a disjunction or bottom an intent, and a connective the mask
-    of its head sort, read from a memo per connective keyed as _section
-    reads.  The other mask is read from by_ext or by_int only where it is
-    read.  A missing memo entry is derived (the connective's section, up
-    or down) and kept.  An algebra program reads meet, join and the flat
-    operation tables, at the Horner position (v_a * n + v_b) * n + ... of
-    the arguments, for n elements.
+    Each slot is keyed by one mask (_key_mask): a conjunction or top
+    computes an extent, a disjunction or bottom an intent, and their other
+    mask is read from by_ext or by_int only where it is read.  A
+    proposition holds both, and so does a connective: it reads both from
+    one memo per connective and per key pattern, keyed by the masks its
+    arguments are keyed by, so box p and box(p /\\ q) share entries.  A
+    missing entry is computed once: the masks the connective reads are
+    those its arguments hold, else up or down of their keys, its section
+    (_section) is the mask of its head sort, and up or down of that the
+    other.  The sides are compared by _test_mask.  f2 returns, for each
+    memo, its connective and how frame_validates fills it from a table:
+    by extent (0) or intent (1) for a connective in _fills when the one
+    proposition's plan is all, else None.
+
+    An algebra program reads meet, join and the flat operation tables, at
+    the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
+    elements.
     """
     kind, nodes, lhs, rhs, m = key
     frame = kind == "frame"
@@ -396,21 +431,47 @@ def _emit_program(key):
     at = [[] for _ in range(loops + 1)]  # at[k]: slots computed in loop k - 1
     props = [None] * m
     deps = []  # deps[slot]: the highest proposition the slot depends on, -1 for none
+    level = []  # level[slot]: the loop depth the slot is computed at
     for slot, (op, payload, kids) in enumerate(nodes):
         if op == "prop":
             props[payload] = slot
             deps.append(payload)
         else:
             deps.append(max([deps[c] for c in kids], default=-1))
-            at[min(deps[slot], loops - 1) + 1].append(slot)
+        level.append(min(deps[slot], loops - 1) + 1)
+        if op != "prop":
+            at[level[slot]].append(slot)
+    keys = [_key_mask(op, payload) for op, payload, _ in nodes]
+    held = [{"e", "i"} if op in ("prop", "conn") else {k} for (op, _, _), k in zip(nodes, keys)]
+    test = _test_mask(nodes, keys, held, lhs, rhs)
     need = [set() for _ in nodes]  # which of "e" and "i" each slot must give
-    need[lhs].add("e")
-    need[rhs].add("e")
-    for slot in reversed(range(len(nodes))):
-        op, payload, kids = nodes[slot]
-        reads = _reads(payload[1]) if op == "conn" else [{"and": "e", "or": "i"}.get(op)] * len(kids)
-        for c, mask in zip(kids, reads):
-            need[c].add(mask)
+    need[lhs].add(test)
+    need[rhs].add(test)
+    read_at = [[] for _ in nodes]  # the loop depth of each read of a slot
+    read_at[lhs].append(loops)
+    read_at[rhs].append(loops)
+    memos = {}  # (connective, key masks of its arguments) -> memo number
+    memo = []  # memo[slot]: a connective's memo number, else None
+    for slot, (op, payload, kids) in enumerate(nodes):
+        for c in kids:
+            need[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
+            read_at[c].append(level[slot])
+        pattern = (payload[0], tuple([keys[c] for c in kids])) if op == "conn" else None
+        memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
+    # text[slot]: the slot's key mask in the code, its name or, for a
+    # conjunction or disjunction read once, by its key, in its own loop, the
+    # expression itself, written into its reader
+    text = []
+
+    def ref(slot, mask):
+        return text[slot] if mask == keys[slot] else mask + str(slot)
+
+    for slot, (op, payload, kids) in enumerate(nodes):
+        mask = keys[slot]
+        if op in ("and", "or") and need[slot] == {mask} and read_at[slot] == [level[slot]]:
+            text.append(" & ".join([ref(c, mask) for c in kids]))
+        else:
+            text.append(mask + str(slot))
     if frame:
         params = "by_ext, by_int, up, down, W, U, tables, sections"
     else:
@@ -418,11 +479,18 @@ def _emit_program(key):
     lines = [f"def f0(fns, doms, {params}, product):"]
     nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
     if nconns:
-        lines.append(f"    {''.join(f'R{c}, ' for c in range(nconns))}= tables")
+        lines.append(f"    {''.join(f'R{c}, ' for c in range(len(memos) if frame else nconns))}= tables")
         if frame:
             lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
     if m:
         lines.append(f"    {''.join(f'D{k}, ' for k in range(m))}= doms")
+
+    def other(slot):
+        """Lines giving a slot its other mask, up or down of its key read
+        from by_ext or by_int, the Galois memos of the call."""
+        if keys[slot] == "e":
+            return _memo_read(f"i{slot}", "by_ext", text[slot], "up")
+        return _memo_read(f"e{slot}", "by_int", text[slot], "down")
 
     def step(slot):
         op, payload, kids = nodes[slot]
@@ -433,19 +501,28 @@ def _emit_program(key):
                 return [f"v{slot} = {'meet' if op == 'and' else 'join'}[v{kids[0]}][v{kids[1]}]"]
             return [f"v{slot} = R{payload[0]}[{_index([f'v{c}' for c in kids])}]"]
         if op == "conn":
-            reads = [mask + str(c) for c, mask in zip(kids, _reads(payload[1]))]
-            have = "e" if payload[1][0] == "W" else "i"
-            compute = _memo_read(f"{have}{slot}", f"R{payload[0]}", _key(reads), f"S{payload[0]}")
-        elif op in ("top", "bot"):
-            have, value = ("e", "W") if op == "top" else ("i", "U")
-            compute = [f"{have}{slot} = {value}"]
+            c, sorts = payload
+            table = f"R{memo[slot]}[{_key([text[k] for k in kids])}]"
+            reads = [ref(k, mask) for k, mask in zip(kids, _reads(sorts))]
+            # at a miss, the masks read that no slot holds, the section, and its other mask
+            miss = [
+                line
+                for k in sorted({k for k, mask in zip(kids, _reads(sorts)) if mask not in held[k] | need[k]})
+                for line in other(k)
+            ]
+            miss += [f"{keys[slot]}{slot} = S{c}({_key(reads)})"] + other(slot)
+            miss.append(f"{table} = e{slot}, i{slot}")
+            return ["try:", f"    e{slot}, i{slot} = {table}", "except KeyError:"] + [
+                "    " + line for line in miss
+            ]
+        have = keys[slot]
+        if text[slot] != have + str(slot):
+            return []
+        if op in ("top", "bot"):
+            compute = [f"{have}{slot} = {'W' if op == 'top' else 'U'}"]
         else:
-            have = "e" if op == "and" else "i"
-            compute = [f"{have}{slot} = {have}{kids[0]} & {have}{kids[1]}"]
-        other, memo, derive = ("i", "by_ext", "up") if have == "e" else ("e", "by_int", "down")
-        if other not in need[slot]:
-            return compute
-        return compute + _memo_read(f"{other}{slot}", memo, f"{have}{slot}", derive)
+            compute = [f"{have}{slot} = {ref(kids[0], have)} & {ref(kids[1], have)}"]
+        return compute + (other(slot) if need[slot] - held[slot] else [])
 
     found = []
     for depth in range(loops + 1):
@@ -459,30 +536,38 @@ def _emit_program(key):
             lines.append(f"{'    ' * depth}for {', '.join(targets)} in {source}:")
         lines += ["    " * (depth + 1) + line for slot in at[depth] for line in step(slot)]
     pad = "    " * (loops + 1)
-    lines.append(pad + (f"if e{lhs} & ~e{rhs}:" if frame else f"if not leq[v{lhs}][v{rhs}]:"))
+    if frame:
+        below, above = (ref(lhs, "e"), ref(rhs, "e")) if test == "e" else (ref(rhs, "i"), ref(lhs, "i"))
+        lines.append(f"{pad}if {below} & ~{f'({above})' if ' ' in above else above}:")
+    else:
+        lines.append(f"{pad}if not leq[v{lhs}][v{rhs}]:")
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
     signs = [_signs(nodes, p) for p in range(m)]
     plans = [_plan(s[lhs], s[rhs]) for s in signs]
     lines += ["def f1(fns):", f"    return ({''.join(f'{_DOMAINS.index(p)}, ' for p in plans)})"]
     if frame:
-        fill = _fills(nodes) if plans == ["all"] else []
-        lines += ["def f2(fns):", f"    return ({''.join(f'{c}, ' for c in fill)})"]
+        filled = {memo[s] for s in _fills(nodes)} if plans == ["all"] else set()
+        entries = [
+            f"({c}, {'ei'.index(pattern[0]) if k in filled else None}), "
+            for k, (c, pattern) in enumerate(memos)
+        ]
+        lines += ["def f2(fns):", f"    return ({''.join(entries)})"]
     return lines
 
 
 def _fills(nodes):
-    """The unary connectives that read the one proposition p itself, up to
-    the lattice laws of top and bot: p, p /\\ top, p \\/ (p \\/ bot) and so
-    on, but not p /\\ bot, which is bot.
+    """The unary connective slots that read the one proposition p itself,
+    up to the lattice laws of top and bot: p, p /\\ top, p \\/ (p \\/ bot)
+    and so on, but not p /\\ bot, which is bot.
 
     A full scan gives such a connective every concept's mask, so its memo
     is filled from one section table before the scan.  One that reads some
     other formula in p may see only a few masks, fewer misses than the
     table has entries.
     """
-    value, fill = [], set()  # value[slot]: "p", "top", "bot", or None for any other
-    for op, payload, kids in nodes:
+    value, fill = [], []  # value[slot]: "p", "top", "bot", or None for any other
+    for slot, (op, payload, kids) in enumerate(nodes):
         if op in ("and", "or"):
             unit, zero = ("top", "bot") if op == "and" else ("bot", "top")
             rest = {value[c] for c in kids} - {unit}
@@ -492,9 +577,9 @@ def _fills(nodes):
                 value.append(rest.pop() if len(rest) == 1 else None if rest else unit)
             continue
         if op == "conn" and len(kids) == 1 and value[kids[0]] == "p":
-            fill.add(payload[0])
+            fill.append(slot)
         value.append("p" if op == "prop" else op if op in ("top", "bot") else None)
-    return sorted(fill)
+    return fill
 
 
 def _key(names):
@@ -557,6 +642,25 @@ def _concepts_of(pol, by_ext, by_int, plan):
     return [(by_int[pol.full_u], pol.full_u)]
 
 
+def _filled(rel, key, galois):
+    """The memo of a unary connective with an entry for every concept,
+    keyed by its extent (key 0) or intent (key 1).  galois maps each sort
+    to its Galois memo, whose keys are the concepts' masks of that sort in
+    order, and its map: (by_ext, up) for W.  The sections come from one
+    section_table over the masks the connective reads, and their other
+    masks from the memo of the head sort, as a miss reads them, or from
+    its map where a section is no concept mask (on a frame that is not
+    compatible)."""
+    head, arg = rel.sorts
+    sections = section_table(rel, [list(galois[arg][0])])
+    memo, derive = galois[head]
+    others = list(map(memo.get, sections))
+    if None in others:
+        others = [derive(s) if o is None else o for s, o in zip(sections, others)]
+    entries = zip(sections, others) if head == "W" else zip(others, sections)
+    return dict(zip(galois["WU"[key]][0], entries))
+
+
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
     """Check the sequent under every valuation of its propositions.
 
@@ -592,13 +696,11 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
     rels = [frame.relations[c] for c in program.conns]
-    memos = [{} for _ in rels]
+    fns = compiled(_emit_program, ("frame",) + program.key)
+    galois = {"W": (by_ext, pol.up), "U": (by_int, pol.down)}
+    memos = [{} if key is None else _filled(rels[c], key, galois) for c, key in fns[2](fns)]
     sections = [partial(_section, rel) for rel in rels]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
-    fns = compiled(_emit_program, ("frame",) + program.key)
-    for c in fns[2](fns):
-        masks = list(by_ext if rels[c].sorts[1] == "W" else by_int)
-        memos[c] = dict(zip(masks, section_table(rels[c], [masks])))
     domain = partial(_concepts_of, pol, by_ext, by_int)
     picked = _failure(fns, args, pairs, domain, first=True)
     if picked is None:

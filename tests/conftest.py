@@ -581,10 +581,10 @@ def frame_validates_memo_only(frame, sequent):
     pairs = [(c.extent, c.intent) for c in concepts]
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
-    memos = [{} for _ in program.conns]
+    fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
+    memos = [{} for _ in fns[2](fns)]
     sections = [partial(semantics._section, frame.relations[c]) for c in program.conns]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
-    fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
     domain = partial(semantics._concepts_of, pol, by_ext, by_int)
     picked = semantics._failure(fns, args, pairs, domain, first=True)
     if picked is None:
