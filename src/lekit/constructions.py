@@ -10,7 +10,8 @@ order cones.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
+from operator import add
 
 from .algebra import FiniteAlgebra, build_complex_algebra, positions, verify_normality
 from .bitset import bits
@@ -20,56 +21,61 @@ from .polarity import Polarity
 
 
 def coproduct(frames):
-    """The coproduct frame; points are renamed 'k:name' per component, k from 1."""
+    """The coproduct frame; points are renamed 'k:name' per component, k from 1.
+
+    A component's points keep their order in one block of indices per
+    sort, the blocks in component order.  The incidence and each relation
+    hold every pair or tuple over the blocks that does not lie in one
+    component, and each component's own, shifted to its blocks.
+    """
     if not frames:
         raise FormatError("coproduct needs at least one frame")
     sig = frames[0].signature
     for fr in frames[1:]:
         if fr.signature != sig:
             raise FormatError("coproduct components must share one signature")
-    w_names = []
-    u_names = []
-    w_off = []
-    u_off = []
-    w_comp = []
-    u_comp = []
-    for k, fr in enumerate(frames):
-        w_off.append(len(w_names))
-        u_off.append(len(u_names))
-        w_names.extend(f"{k + 1}:{n}" for n in fr.polarity.w_names)
-        u_names.extend(f"{k + 1}:{n}" for n in fr.polarity.u_names)
-        w_comp.extend([k] * fr.polarity.nw)
-        u_comp.extend([k] * fr.polarity.nu)
-    pairs = []
-    for k, fr in enumerate(frames):
-        for w, u in fr.polarity.pairs:
-            pairs.append((w_off[k] + w, u_off[k] + u))
-    for w, cw in enumerate(w_comp):
-        for u, cu in enumerate(u_comp):
-            if cw != cu:
-                pairs.append((w, u))
-    pol = Polarity(w_names, u_names, pairs)
-
-    def comp(sort, v):
-        return w_comp[v] if sort == "W" else u_comp[v]
-
-    def off(sort, k):
-        return w_off[k] if sort == "W" else u_off[k]
-
+    pols = [fr.polarity for fr in frames]
+    blocks = {"W": _blocks([pol.nw for pol in pols]), "U": _blocks([pol.nu for pol in pols])}
+    w_ids = _renamed([pol.w_names for pol in pols])
+    u_ids = _renamed([pol.u_names for pol in pols])
+    pairs = _mixed([blocks["W"], blocks["U"]])
+    for pol, w, u in zip(pols, blocks["W"], blocks["U"]):
+        pairs.update(_shifted(pol.pairs, (w.start, u.start)))
+    pol = Polarity.on_ids(w_ids, u_ids, pairs)
     relations = {}
     for conn in sig.connectives:
         sorts = connective_sorts(conn)
-        sizes = tuple(pol.size(s) for s in sorts)
-        tuples = set()
+        coords = [blocks[s] for s in sorts]
+        tuples = _mixed(coords)
         for k, fr in enumerate(frames):
-            for t in fr.relations[conn.name].tuples:
-                tuples.add(tuple(v + off(s, k) for v, s in zip(t, sorts)))
-        for t in product(*(range(sz) for sz in sizes)):
-            comps = {comp(s, v) for v, s in zip(t, sorts)}
-            if len(comps) > 1:
-                tuples.add(t)
-        relations[conn.name] = Relation(sorts, sizes, tuples)
+            tuples.update(_shifted(fr.relations[conn.name].tuples, [b[k].start for b in coords]))
+        relations[conn.name] = Relation(sorts, tuple(pol.size(s) for s in sorts), tuples)
     return Frame(pol, sig, relations)
+
+
+def _renamed(components):
+    """The name -> index dict of the names 'k:name' of each component's
+    names in order, k from 1: distinct, as name_ids would check."""
+    names = (f"{k}:{name}" for k, names in enumerate(components, 1) for name in names)
+    return {name: i for i, name in enumerate(names)}
+
+
+def _blocks(sizes):
+    """The index range of each component's points of one sort, in order."""
+    ends = list(accumulate(sizes))
+    return [range(end - size, end) for size, end in zip(sizes, ends)]
+
+
+def _mixed(coords):
+    """The tuples over all points at each coordinate, coords[j] holding
+    the components' blocks at coordinate j, that lie in no one component."""
+    every = set(product(*[range(blocks[-1].stop) for blocks in coords]))
+    return every.difference(*[product(*block) for block in zip(*coords)])
+
+
+def _shifted(tuples, starts):
+    """The tuples, each coordinate moved up by its block's start."""
+    return [tuple(map(add, t, starts)) for t in tuples]
 
 
 def filters(alg):

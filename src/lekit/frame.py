@@ -161,7 +161,6 @@ def section_table(rel, reads):
     if not rel.arity:
         return table
     full = (1 << rel.sizes[0]) - 1
-    lane = lane_bytes(rel.sizes[0])
     tuples = 1  # of the masks at the coordinates folded so far
     for j in range(rel.arity, 0, -1):
         size, masks = rel.sizes[j], reads[j - 1]
@@ -169,6 +168,7 @@ def section_table(rel, reads):
         if count == 1:
             table = meet_each(table, masks, full)
         else:
+            lane = lane_bytes(rel.sizes[0])
             rows = pack_columns(table, size, lane)
             (full_lanes,) = pack_columns([full] * count, 1, lane)
             table = split(meet_each(rows, masks, full_lanes), count, lane)

@@ -232,48 +232,47 @@ def connective_of(node, signature):
 
 # Tokenizer
 
+# Whitespace matches no group, so finditer steps over it; any other
+# character that starts no token is a "bad" one.
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<and>/\\)
+    r"""(?P<and>/\\)
       | (?P<or>\\/)
       | (?P<seq>\|-)
       | (?P<lpar>\()
       | (?P<rpar>\))
       | (?P<comma>,)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+    """The tokens of text as (kind, value, index), then ("eof", "", len(text))."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise _error(text, f"unexpected character {value!r}", pos)
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _error(text, message, pos):
+    """A ParseError at index pos of text, by 1-based line and column; only
+    "\n" ends a line."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 class _Parser:
     def __init__(self, text, signature):
+        self.text = text
         self.tokens = _tokenize(text)
         self.sig = signature
         self.i = 0
+
+    def error(self, message, tok):
+        return _error(self.text, message, tok[2])
 
     def peek(self):
         return self.tokens[self.i]
@@ -286,8 +285,13 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
+            raise self.error(f"expected {kind}, found {tok[1]!r}", tok)
         return tok
+
+    def end(self):
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise self.error(f"trailing input {tok[1]!r}", tok)
 
     def formula(self):
         """One whole formula; nesting past the recursion limit is a ParseError."""
@@ -311,15 +315,14 @@ class _Parser:
         return node
 
     def unary_expr(self):
-        kind, value, line, col = self.peek()
+        tok = self.next()
+        kind, value, _ = tok
         if kind == "lpar":
-            self.next()
             node = self.or_expr()
             self.expect("rpar")
             return node
         if kind != "ident":
-            raise ParseError(f"expected a formula, found {value!r}", line, col)
-        self.next()
+            raise self.error(f"expected a formula, found {value!r}", tok)
         if value == "top":
             return TOP
         if value == "bot":
@@ -338,10 +341,8 @@ class _Parser:
             args.append(self.or_expr())
         self.expect("rpar")
         if len(args) != conn.arity:
-            raise ParseError(
-                f"connective {value!r} expects {conn.arity} arguments, got {len(args)}",
-                line,
-                col,
+            raise self.error(
+                f"connective {value!r} expects {conn.arity} arguments, got {len(args)}", tok
             )
         return Conn(value, tuple(args))
 
@@ -349,9 +350,7 @@ class _Parser:
 def parse_formula(text, signature=EMPTY_SIGNATURE):
     p = _Parser(text, signature)
     node = p.formula()
-    kind, value, line, col = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", line, col)
+    p.end()
     return node
 
 
@@ -360,11 +359,9 @@ def parse_sequent(text, signature=EMPTY_SIGNATURE):
     lhs = p.formula()
     tok = p.next()
     if tok[0] != "seq":
-        raise ParseError(f"expected '|-', found {tok[1]!r}", tok[2], tok[3])
+        raise p.error(f"expected '|-', found {tok[1]!r}", tok)
     rhs = p.formula()
-    kind, value, line, col = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", line, col)
+    p.end()
     return Sequent(lhs, rhs)
 
 

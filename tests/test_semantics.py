@@ -1,11 +1,13 @@
 """Formula evaluation, satisfaction, and sequent validity."""
 
+import ast
 import gc
 import io
 import random
 import tokenize
 import weakref
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -782,5 +784,97 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
     # propositions: the memos alone, each section at its first read
     for text in (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", r"box(p /\ q) |- box p \/ q"):
         seq = parse_sequent(text, SIG_BOX)
-        assert _verdict(fr, seq) == frame_validates_memo_only(fr, seq)
+        want = frame_validates_memo_only(fr, seq)
+        zero.clear()
+        assert _verdict(fr, seq) == want
         assert zero and not tables, text
+    # box p and box(p /\ q) share one memo keyed by extents: one section per
+    # distinct extent among e_p and e_p & e_q over the valuations scanned
+    pairs = [(c.extent, c.intent) for c in enumerate_concepts(fr.polarity)]
+    scanned = product(pairs, repeat=2)
+    keys = {e_p & e_q for (e_p, _), (e_q, _) in list(scanned)[: want[2]]}
+    assert len(zero) == len(keys), (len(zero), len(keys))
+
+
+# Every pair of top-level node kinds on the two sides of a sequent, with
+# random arguments: box and g are G connectives, dia and f F connectives.
+def _kind_formulas(rng, kind):
+    def arg():
+        return random_formula(rng, SIG_MIX, PROPS[:2], 1)
+
+    if kind == "prop":
+        return rng.choice([Prop("p"), Prop("q")])
+    if kind in ("top", "bot"):
+        return Top() if kind == "top" else Bot()
+    if kind in ("and", "or"):
+        return (And if kind == "and" else Or)(arg(), arg())
+    if kind == "G":
+        return rng.choice([Conn("box", (arg(),)), Conn("g", (arg(), arg()))])
+    return rng.choice([Conn("dia", (arg(),)), Conn("f", (arg(), arg()))])
+
+
+NODE_KINDS = ("prop", "and", "or", "top", "bot", "F", "G")
+
+
+def _unstable_f_section(fr):
+    """True when dia's or f's section at some concepts is no intent."""
+    pol = fr.polarity
+    concepts = enumerate_concepts(pol)
+    for c in concepts:
+        model = Model(fr, {"p": c})
+        for text in ("dia p", "f(p, p)"):
+            itn = eval_formula(model, parse_formula(text, SIG_MIX)).intent
+            if pol.up(pol.down(itn)) != itn:
+                return True
+    return False
+
+
+def test_sequent_tests_and_memo_keys_match_the_model_oracle():
+    # the frame program compares extents, or intents by the Galois identity
+    # when the left intent is up of its extent and the right extent down of
+    # its intent; an F connective's raw section, when not stable, is
+    # neither, so a left F side must not be compared by intents
+    rng = random.Random(149)
+    frames = [random_frame(rng, SIG_MIX, 4) for _ in range(10)]
+    frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (2, 3)]
+    unstable = [fr for fr in frames if _unstable_f_section(fr)]
+    assert len(unstable) >= 4, len(unstable)
+    by_intents, verdicts = Counter(), Counter()
+    for left in NODE_KINDS:
+        for right in NODE_KINDS:
+            for fr in frames:
+                seq = Sequent(_kind_formulas(rng, left), _kind_formulas(rng, right))
+                got = _verdict(fr, seq)
+                assert got == frame_validates_by_models(fr, seq), seq
+                assert got == frame_validates_memo_only(fr, seq), seq
+                test = _program_source("frame", seq, SIG_MIX).split("if ")[-1]
+                by_intents[left, right] += test.startswith("i")
+                verdicts[got[0], fr in unstable] += 1
+    # intents where the identity applies and saves a Galois read
+    for left, right in (("prop", "or"), ("prop", "bot"), ("G", "or"), ("G", "bot")):
+        assert by_intents[left, right] == len(frames), (left, right)
+    for left in ("or", "bot", "F"):
+        assert not any(by_intents[left, right] for right in NODE_KINDS), left
+    for right in ("and", "top", "G"):
+        assert not any(by_intents[left, right] for left in NODE_KINDS), right
+    for valid in (True, False):
+        for frame_unstable in (True, False):
+            assert verdicts[valid, frame_unstable] >= 20, verdicts
+
+
+def test_the_anchor_reads_one_memo_per_valuation():
+    # box(p /\ q) |- box p \/ q: the inner loop reads box(p /\ q) from the
+    # memo keyed by the extent of p /\ q and compares intents; no Galois
+    # memo is read there but at a miss
+    seq = parse_sequent(r"box(p /\ q) |- box p \/ q", SIG_BOX)
+    tree = ast.parse(_program_source("frame", seq, SIG_BOX))
+    f0 = tree.body[0]
+    inner = [node for node in ast.walk(f0) if isinstance(node, ast.For)][-1]
+    assert not [node for node in ast.walk(inner) if isinstance(node, ast.For) and node is not inner]
+    misses = {id(n) for h in ast.walk(inner) if isinstance(h, ast.ExceptHandler) for n in ast.walk(h)}
+    reads = [
+        node.value.id
+        for node in ast.walk(inner)
+        if isinstance(node, ast.Subscript) and id(node) not in misses
+    ]
+    assert reads == ["R0"], reads

@@ -85,6 +85,34 @@ def test_parse_errors_report_position():
         parse_sequent("p", SIG_BOX)  # missing turnstile
 
 
+# Every ParseError kind the formula parser raises, on input over several
+# lines, with the (line, column) it reports: 1-based, the column counted
+# in characters from the last newline, so a tab or a carriage return is one
+# column and only "\n" ends a line.
+PARSE_ERROR_POSITIONS = [
+    (parse_formula, "p /\\\n  q $ r", "unexpected character '$'", 2, 5),
+    (parse_formula, "p\r\n\t/ q", "unexpected character '/'", 2, 2),
+    (parse_formula, "(p \\/ q\n  r)", "expected rpar, found 'r'", 2, 3),
+    (parse_formula, "arrow(p,\n q\n q)", "expected rpar, found 'q'", 3, 2),
+    (parse_formula, "p\n\n /\\ arrow\n  p", "expected lpar, found 'p'", 4, 3),
+    (parse_formula, "p /\\\n\n  )", "expected a formula, found ')'", 3, 3),
+    (parse_formula, "p /\\\n  ", "expected a formula, found ''", 2, 3),
+    (parse_formula, "q \\/\n   arrow(p)", "connective 'arrow' expects 2 arguments, got 1", 2, 4),
+    (parse_formula, "box p\n  q", "trailing input 'q'", 2, 3),
+    (parse_sequent, "p\n q |- p", "expected '|-', found 'q'", 2, 2),
+    (parse_sequent, "p |-\n\n", "expected a formula, found ''", 3, 1),
+    (parse_sequent, "p |- q\n)", "trailing input ')'", 2, 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", PARSE_ERROR_POSITIONS)
+def test_parse_errors_report_line_and_column(parse, text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text, SIG_MIXED)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+
+
 def test_reserved_words_rejected_as_props():
     with pytest.raises(ParseError):
         parse_formula("top /\\ bot \\/ top top", SIG_BOX)
