@@ -15,12 +15,20 @@ domain kind, compiled once (0.3-0.5 ms) and cached by emit.compiled: one
 loop per proposition, the last innermost, each over a domain passed in,
 each slot computed right under the loop of its highest proposition, and
 an early return at the first failing valuation.  frame_validates runs it
-on the concepts' extent and intent masks, with the Galois maps and each
-connective's sections memoised for the call in exact dicts: a connective
-gives the mask of its head sort, as a conjunction gives an extent and a
-disjunction an intent, and the other mask is derived where it is read.
-A one-proposition sequent whose scan is full reads every concept's mask
-in a unary connective that takes the proposition itself (_fills); that
+on the concepts' extent and intent masks.  A conjunction gives an extent
+and a disjunction an intent, and their other mask is derived where it is
+read, through the Galois maps memoised for the call in exact dicts.  A
+connective's result comes from one memo per connective and key pattern,
+keyed by the masks its arguments already hold: an extent for a
+proposition, a conjunction, top or a G connective, an intent for a
+disjunction, bot or an F connective.  An entry holds both masks of the
+result, its section and the Galois map of that, computed once, at the
+miss, so a valuation reads a connective's result with one dict read.
+The sides are compared by extents, or by intents through the Galois
+identity e <= down(i) iff i <= up(e) where the left intent is up of its
+extent and the right extent down of its intent (_test_mask).  A
+one-proposition sequent whose scan is full reads every concept's mask in
+a unary connective that takes the proposition itself (_fills); that
 connective's memo is filled before the scan from one frame.section_table
 over the concepts' masks, the kernel the complex algebra's tables use,
 so on a compatible frame no valuation pays a section_zero miss.
@@ -375,7 +383,7 @@ def _key_mask(op, payload):
     return "i" if op in ("or", "bot") else "e"
 
 
-def _test_mask(nodes, keys, held, lhs, rhs):
+def _test_mask(nodes, keys, has, lhs, rhs):
     """The mask, "e" or "i", a frame program compares the two sides by.
 
     The left extent must be below the right one.  By the Galois identity
@@ -385,10 +393,11 @@ def _test_mask(nodes, keys, held, lhs, rhs):
     down of its intent (the right side is keyed by its intent, or is a
     proposition).  A connective's raw section need not be stable, so its
     other mask is no more than the map of it.  Intents are compared when
-    the identity applies and they need fewer masks the sides do not hold.
+    the identity applies and fewer of them than of the extents are missing
+    from the masks the sides have (has).
     """
     galois = keys[lhs] == "e" and (keys[rhs] == "i" or nodes[rhs][0] == "prop")
-    missing = {mask: (mask not in held[lhs]) + (mask not in held[rhs]) for mask in "ei"}
+    missing = {mask: (mask not in has[lhs]) + (mask not in has[rhs]) for mask in "ei"}
     return "i" if galois and missing["i"] < missing["e"] else "e"
 
 
@@ -409,17 +418,20 @@ def _emit_program(key):
     A frame program holds extents e<slot> and intents i<slot> as locals.
     Each slot is keyed by one mask (_key_mask): a conjunction or top
     computes an extent, a disjunction or bottom an intent, and their other
-    mask is read from by_ext or by_int only where it is read.  A
-    proposition holds both, and so does a connective: it reads both from
-    one memo per connective and per key pattern, keyed by the masks its
-    arguments are keyed by, so box p and box(p /\\ q) share entries.  A
-    missing entry is computed once: the masks the connective reads are
-    those its arguments hold, else up or down of their keys, its section
-    (_section) is the mask of its head sort, and up or down of that the
-    other.  The sides are compared by _test_mask.  f2 returns, for each
-    memo, its connective and how frame_validates fills it from a table:
-    by extent (0) or intent (1) for a connective in _fills when the one
-    proposition's plan is all, else None.
+    mask, up or down of it, is read from by_ext or by_int (the Galois
+    memos) only where it is read.  A conjunction or disjunction read once,
+    by that mask and in its own loop, is written into its reader.  A
+    proposition holds both masks, and so does a connective: it reads both
+    from one memo per connective and key pattern (R<memo>), keyed by the
+    masks its arguments are keyed by, so box p and box(p /\\ q) share
+    entries.  A missing entry is computed once: its section (_section,
+    S<connective>) on the masks the connective reads, those its arguments
+    hold or else the Galois map of their keys, and the Galois map of the
+    section, each map read from its memo.  The sides are compared by the
+    mask _test_mask picks.  f2 returns, for each memo, its connective and
+    how frame_validates fills it from a table: by extent (0) or intent (1)
+    for a connective in _fills when the one proposition's plan is all,
+    else None.
 
     An algebra program reads meet, join and the flat operation tables, at
     the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
@@ -442,11 +454,13 @@ def _emit_program(key):
         if op != "prop":
             at[level[slot]].append(slot)
     keys = [_key_mask(op, payload) for op, payload, _ in nodes]
-    held = [{"e", "i"} if op in ("prop", "conn") else {k} for (op, _, _), k in zip(nodes, keys)]
-    test = _test_mask(nodes, keys, held, lhs, rhs)
-    need = [set() for _ in nodes]  # which of "e" and "i" each slot must give
-    need[lhs].add(test)
-    need[rhs].add(test)
+    # has[slot]: the masks a slot gives, "e" and "i"; a proposition and a
+    # connective hold both, and another slot derives its other mask where
+    # it is read
+    has = [{"e", "i"} if op in ("prop", "conn") else {k} for (op, _, _), k in zip(nodes, keys)]
+    test = _test_mask(nodes, keys, has, lhs, rhs)
+    has[lhs].add(test)
+    has[rhs].add(test)
     read_at = [[] for _ in nodes]  # the loop depth of each read of a slot
     read_at[lhs].append(loops)
     read_at[rhs].append(loops)
@@ -454,7 +468,7 @@ def _emit_program(key):
     memo = []  # memo[slot]: a connective's memo number, else None
     for slot, (op, payload, kids) in enumerate(nodes):
         for c in kids:
-            need[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
+            has[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
             read_at[c].append(level[slot])
         pattern = (payload[0], tuple([keys[c] for c in kids])) if op == "conn" else None
         memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
@@ -468,7 +482,7 @@ def _emit_program(key):
 
     for slot, (op, payload, kids) in enumerate(nodes):
         mask = keys[slot]
-        if op in ("and", "or") and need[slot] == {mask} and read_at[slot] == [level[slot]]:
+        if op in ("and", "or") and has[slot] == {mask} and read_at[slot] == [level[slot]]:
             text.append(" & ".join([ref(c, mask) for c in kids]))
         else:
             text.append(mask + str(slot))
@@ -503,26 +517,23 @@ def _emit_program(key):
         if op == "conn":
             c, sorts = payload
             table = f"R{memo[slot]}[{_key([text[k] for k in kids])}]"
-            reads = [ref(k, mask) for k, mask in zip(kids, _reads(sorts))]
-            # at a miss, the masks read that no slot holds, the section, and its other mask
-            miss = [
-                line
-                for k in sorted({k for k, mask in zip(kids, _reads(sorts)) if mask not in held[k] | need[k]})
-                for line in other(k)
-            ]
-            miss += [f"{keys[slot]}{slot} = S{c}({_key(reads)})"] + other(slot)
-            miss.append(f"{table} = e{slot}, i{slot}")
+            reads = list(zip(kids, _reads(sorts)))
+            # a miss first derives the masks it reads that the arguments lack
+            lack = sorted({k for k, mask in reads if mask not in has[k]})
+            miss = [line for k in lack for line in other(k)]
+            miss.append(f"{keys[slot]}{slot} = S{c}({_key([ref(k, mask) for k, mask in reads])})")
+            miss += other(slot) + [f"{table} = e{slot}, i{slot}"]
             return ["try:", f"    e{slot}, i{slot} = {table}", "except KeyError:"] + [
                 "    " + line for line in miss
             ]
         have = keys[slot]
         if text[slot] != have + str(slot):
-            return []
+            return []  # written into its reader
         if op in ("top", "bot"):
             compute = [f"{have}{slot} = {'W' if op == 'top' else 'U'}"]
         else:
             compute = [f"{have}{slot} = {ref(kids[0], have)} & {ref(kids[1], have)}"]
-        return compute + (other(slot) if need[slot] - held[slot] else [])
+        return compute + (other(slot) if len(has[slot]) > 1 else [])
 
     found = []
     for depth in range(loops + 1):
@@ -682,10 +693,12 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
 
     With one proposition and a full scan, the memo of each unary
     connective that reads the proposition itself (_fills, once per shape)
-    is filled first from one section_table over the concepts' extents or
-    intents, by the sort of its coordinate.  The memos are built per call
-    and hold the same sections a miss computes; a mask that is no concept
-    (on an incompatible frame) is still derived at its first read.
+    is filled first (_filled): an entry for every concept, keyed as the
+    memo is, its section from one section_table over the concepts'
+    extents or intents, by the sort of its coordinate.  The memos are
+    built per call and hold the same entries a miss computes; a key that
+    is no concept's mask (on an incompatible frame) is still computed at
+    its first read.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
