@@ -653,15 +653,15 @@ def _concepts_of(pol, by_ext, by_int, plan):
     return [(by_int[pol.full_u], pol.full_u)]
 
 
-def _filled(rel, key, galois):
+def _filled(rel, key, pol, by_ext, by_int):
     """The memo of a unary connective with an entry for every concept,
-    keyed by its extent (key 0) or intent (key 1).  galois maps each sort
-    to its Galois memo, whose keys are the concepts' masks of that sort in
-    order, and its map: (by_ext, up) for W.  The sections come from one
-    section_table over the masks the connective reads, and their other
-    masks from the memo of the head sort, as a miss reads them, or from
-    its map where a section is no concept mask (on a frame that is not
-    compatible)."""
+    keyed by its extent (key 0) or intent (key 1), where by_ext and by_int
+    are the Galois memos, as yet keyed by the concepts' masks in order.
+    The sections come from one section_table over the masks the connective
+    reads, and their other masks from the memo of the head sort, as a miss
+    reads them, or from up or down where a section is no concept's mask
+    (on a frame that is not compatible)."""
+    galois = {"W": (by_ext, pol.up), "U": (by_int, pol.down)}
     head, arg = rel.sorts
     sections = section_table(rel, [list(galois[arg][0])])
     memo, derive = galois[head]
@@ -710,8 +710,9 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     by_int = {i: e for e, i in pairs}
     rels = [frame.relations[c] for c in program.conns]
     fns = compiled(_emit_program, ("frame",) + program.key)
-    galois = {"W": (by_ext, pol.up), "U": (by_int, pol.down)}
-    memos = [{} if key is None else _filled(rels[c], key, galois) for c, key in fns[2](fns)]
+    memos = [
+        {} if key is None else _filled(rels[c], key, pol, by_ext, by_int) for c, key in fns[2](fns)
+    ]
     sections = [partial(_section, rel) for rel in rels]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     domain = partial(_concepts_of, pol, by_ext, by_int)
