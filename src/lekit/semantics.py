@@ -661,15 +661,15 @@ def _filled(rel, key, pol, by_ext, by_int):
     reads, and their other masks from the memo of the head sort, as a miss
     reads them, or from up or down where a section is no concept's mask
     (on a frame that is not compatible)."""
-    galois = {"W": (by_ext, pol.up), "U": (by_int, pol.down)}
     head, arg = rel.sorts
-    sections = section_table(rel, [list(galois[arg][0])])
-    memo, derive = galois[head]
+    masks = {"W": list(by_ext), "U": list(by_int)}
+    sections = section_table(rel, [masks[arg]])
+    memo, derive = (by_ext, pol.up) if head == "W" else (by_int, pol.down)
     others = list(map(memo.get, sections))
     if None in others:
         others = [derive(s) if o is None else o for s, o in zip(sections, others)]
     entries = zip(sections, others) if head == "W" else zip(others, sections)
-    return dict(zip(galois["WU"[key]][0], entries))
+    return dict(zip(masks["WU"[key]], entries))
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
