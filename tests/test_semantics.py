@@ -791,8 +791,8 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
     # box p and box(p /\ q) share one memo keyed by extents: one section per
     # distinct extent among e_p and e_p & e_q over the valuations scanned
     pairs = [(c.extent, c.intent) for c in enumerate_concepts(fr.polarity)]
-    scanned = product(pairs, repeat=2)
-    keys = {e_p & e_q for (e_p, _), (e_q, _) in list(scanned)[: want[2]]}
+    scanned = list(product(pairs, repeat=2))[: want[2]]
+    keys = {e_p for (e_p, _), _ in scanned} | {e_p & e_q for (e_p, _), (e_q, _) in scanned}
     assert len(zero) == len(keys), (len(zero), len(keys))
 
 
@@ -817,7 +817,7 @@ NODE_KINDS = ("prop", "and", "or", "top", "bot", "F", "G")
 
 
 def _unstable_f_section(fr):
-    """True when dia's or f's section at some concepts is no intent."""
+    """True when dia's or f's section at some concept is no intent."""
     pol = fr.polarity
     concepts = enumerate_concepts(pol)
     for c in concepts:
