@@ -26,12 +26,12 @@ result, its section and the Galois map of that, computed once, at the
 miss, so a valuation reads a connective's result with one dict read.
 The sides are compared by extents, or by intents through the Galois
 identity e <= down(i) iff i <= up(e) where the left intent is up of its
-extent and the right extent down of its intent (_test_mask).  A
-one-proposition sequent whose scan is full reads every concept's mask in
-a unary connective that takes the proposition itself (_fills); that
-connective's memo is filled before the scan from one frame.section_table
-over the concepts' masks, the kernel the complex algebra's tables use,
-so on a compatible frame no valuation pays a section_zero miss.
+extent and the right extent down of its intent (_test_mask).  In a
+one-proposition sequent whose scan is full, the memo of each unary
+connective whose argument depends on the proposition is filled before
+the scan from one frame.section_table over the concepts' masks, the
+kernel the complex algebra's tables use, so a valuation pays a
+section_zero miss only for a key that is no concept's mask.
 algebra_validates runs the program on element indices through meet,
 join and the operation tables.
 
@@ -118,34 +118,36 @@ def eval_formula(model, phi):
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _w_index(pol, w):
-    return pol.w_index(w) if isinstance(w, str) else w
-
-
-def _u_index(pol, u):
-    return pol.u_index(u) if isinstance(u, str) else u
+def _point(pol, point, sort):
+    """The index of a W or U point given by its name or index; an index
+    that is no point of the sort is refused as an unknown name is."""
+    if isinstance(point, str):
+        return pol.w_index(point) if sort == "W" else pol.u_index(point)
+    if isinstance(point, int) and 0 <= point < (pol.nw if sort == "W" else pol.nu):
+        return point
+    raise FormatError(f"unknown {sort} point {point!r}")
 
 
 def satisfies(model, w, phi):
     """True when the W point w is in the extent of phi."""
-    w = _w_index(model.frame.polarity, w)
+    w = _point(model.frame.polarity, w, "W")
     return bool(eval_formula(model, phi).extent >> w & 1)
 
 
 def cosatisfies(model, u, phi):
     """True when the U point u is in the intent of phi."""
-    u = _u_index(model.frame.polarity, u)
+    u = _point(model.frame.polarity, u, "U")
     return bool(eval_formula(model, phi).intent >> u & 1)
 
 
 def satisfies_recursive(model, w, phi):
     """satisfies computed by the pointwise recursive clauses."""
-    return _sat(model, _w_index(model.frame.polarity, w), phi)
+    return _sat(model, _point(model.frame.polarity, w, "W"), phi)
 
 
 def cosatisfies_recursive(model, u, phi):
     """cosatisfies computed by the pointwise recursive clauses."""
-    return _cosat(model, _u_index(model.frame.polarity, u), phi)
+    return _cosat(model, _point(model.frame.polarity, u, "U"), phi)
 
 
 def _sat(model, w, phi):
@@ -311,12 +313,6 @@ def _position(picked, n):
     return pos + 1
 
 
-def _section(rel, key):
-    """The 0-section a connective gives on the masks it reads, keyed as
-    _key writes them: one bare mask for a unary connective."""
-    return section_zero(rel, (key,) if rel.arity == 1 else key)
-
-
 # What a proposition may range over, by its plan (_plan); generated code
 # returns a plan as indices into this tuple.
 _DOMAINS = ("all", "top", "bot")
@@ -415,23 +411,23 @@ def _emit_program(key):
     None.  f1 returns the plan of each proposition (_plan) as indices into
     _DOMAINS, so it is worked out once per shape.
 
-    A frame program holds extents e<slot> and intents i<slot> as locals.
-    Each slot is keyed by one mask (_key_mask): a conjunction or top
-    computes an extent, a disjunction or bottom an intent, and their other
-    mask, up or down of it, is read from by_ext or by_int (the Galois
-    memos) only where it is read.  A conjunction or disjunction read once,
-    by that mask and in its own loop, is written into its reader.  A
+    A frame program holds extents e<slot> and intents i<slot> as locals,
+    one name per slot and mask.  Each slot is keyed by one mask
+    (_key_mask): a conjunction or top computes an extent, a disjunction
+    or bottom an intent, and their other mask, up or down of it, is read
+    from by_ext or by_int (the Galois memos) only where it is read.  A
     proposition holds both masks, and so does a connective: it reads both
     from one memo per connective and key pattern (R<memo>), keyed by the
     masks its arguments are keyed by, so box p and box(p /\\ q) share
-    entries.  A missing entry is computed once: its section (_section,
-    S<connective>) on the masks the connective reads, those its arguments
-    hold or else the Galois map of their keys, and the Galois map of the
-    section, each map read from its memo.  The sides are compared by the
-    mask _test_mask picks.  f2 returns, for each memo, its connective and
-    how frame_validates fills it from a table: by extent (0) or intent (1)
-    for a connective in _fills when the one proposition's plan is all,
-    else None.
+    entries.  A missing entry is computed once: its section, a call of
+    S<connective> (section_zero on its relation) with the tuple of masks
+    the connective reads, those its arguments hold or else the Galois map
+    of their keys, and the Galois map of the section, each map read from
+    its memo.  The sides are compared by the mask _test_mask picks.  f2
+    returns, for each memo, its connective and how frame_validates fills
+    it from a table: by extent (0) or intent (1) when the one
+    proposition's plan is all and the memo serves a unary connective whose
+    argument depends on it, else None.
 
     An algebra program reads meet, join and the flat operation tables, at
     the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
@@ -443,16 +439,13 @@ def _emit_program(key):
     at = [[] for _ in range(loops + 1)]  # at[k]: slots computed in loop k - 1
     props = [None] * m
     deps = []  # deps[slot]: the highest proposition the slot depends on, -1 for none
-    level = []  # level[slot]: the loop depth the slot is computed at
     for slot, (op, payload, kids) in enumerate(nodes):
         if op == "prop":
             props[payload] = slot
             deps.append(payload)
         else:
             deps.append(max([deps[c] for c in kids], default=-1))
-        level.append(min(deps[slot], loops - 1) + 1)
-        if op != "prop":
-            at[level[slot]].append(slot)
+            at[min(deps[slot], loops - 1) + 1].append(slot)
     keys = [_key_mask(op, payload) for op, payload, _ in nodes]
     # has[slot]: the masks a slot gives, "e" and "i"; a proposition and a
     # connective hold both, and another slot derives its other mask where
@@ -461,31 +454,13 @@ def _emit_program(key):
     test = _test_mask(nodes, keys, has, lhs, rhs)
     has[lhs].add(test)
     has[rhs].add(test)
-    read_at = [[] for _ in nodes]  # the loop depth of each read of a slot
-    read_at[lhs].append(loops)
-    read_at[rhs].append(loops)
     memos = {}  # (connective, key masks of its arguments) -> memo number
     memo = []  # memo[slot]: a connective's memo number, else None
     for slot, (op, payload, kids) in enumerate(nodes):
         for c in kids:
             has[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
-            read_at[c].append(level[slot])
         pattern = (payload[0], tuple([keys[c] for c in kids])) if op == "conn" else None
         memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
-    # text[slot]: the slot's key mask in the code, its name or, for a
-    # conjunction or disjunction read once, by its key, in its own loop, the
-    # expression itself, written into its reader
-    text = []
-
-    def ref(slot, mask):
-        return text[slot] if mask == keys[slot] else mask + str(slot)
-
-    for slot, (op, payload, kids) in enumerate(nodes):
-        mask = keys[slot]
-        if op in ("and", "or") and has[slot] == {mask} and read_at[slot] == [level[slot]]:
-            text.append(" & ".join([ref(c, mask) for c in kids]))
-        else:
-            text.append(mask + str(slot))
     if frame:
         params = "by_ext, by_int, up, down, W, U, tables, sections"
     else:
@@ -503,8 +478,8 @@ def _emit_program(key):
         """Lines giving a slot its other mask, up or down of its key read
         from by_ext or by_int, the Galois memos of the call."""
         if keys[slot] == "e":
-            return _memo_read(f"i{slot}", "by_ext", text[slot], "up")
-        return _memo_read(f"e{slot}", "by_int", text[slot], "down")
+            return _memo_read(f"i{slot}", "by_ext", f"e{slot}", "up")
+        return _memo_read(f"e{slot}", "by_int", f"i{slot}", "down")
 
     def step(slot):
         op, payload, kids = nodes[slot]
@@ -514,25 +489,23 @@ def _emit_program(key):
             if op in ("and", "or"):
                 return [f"v{slot} = {'meet' if op == 'and' else 'join'}[v{kids[0]}][v{kids[1]}]"]
             return [f"v{slot} = R{payload[0]}[{_index([f'v{c}' for c in kids])}]"]
+        mask = keys[slot]
         if op == "conn":
             c, sorts = payload
-            table = f"R{memo[slot]}[{_key([text[k] for k in kids])}]"
+            table = f"R{memo[slot]}[{_key([f'{keys[k]}{k}' for k in kids])}]"
             reads = list(zip(kids, _reads(sorts)))
             # a miss first derives the masks it reads that the arguments lack
-            lack = sorted({k for k, mask in reads if mask not in has[k]})
+            lack = sorted({k for k, read in reads if read not in has[k]})
             miss = [line for k in lack for line in other(k)]
-            miss.append(f"{keys[slot]}{slot} = S{c}({_key([ref(k, mask) for k, mask in reads])})")
+            miss.append(f"{mask}{slot} = S{c}(({''.join(f'{read}{k}, ' for k, read in reads)}))")
             miss += other(slot) + [f"{table} = e{slot}, i{slot}"]
             return ["try:", f"    e{slot}, i{slot} = {table}", "except KeyError:"] + [
                 "    " + line for line in miss
             ]
-        have = keys[slot]
-        if text[slot] != have + str(slot):
-            return []  # written into its reader
         if op in ("top", "bot"):
-            compute = [f"{have}{slot} = {'W' if op == 'top' else 'U'}"]
+            compute = [f"{mask}{slot} = {'W' if op == 'top' else 'U'}"]
         else:
-            compute = [f"{have}{slot} = {ref(kids[0], have)} & {ref(kids[1], have)}"]
+            compute = [f"{mask}{slot} = {mask}{kids[0]} & {mask}{kids[1]}"]
         return compute + (other(slot) if len(has[slot]) > 1 else [])
 
     found = []
@@ -548,8 +521,8 @@ def _emit_program(key):
         lines += ["    " * (depth + 1) + line for slot in at[depth] for line in step(slot)]
     pad = "    " * (loops + 1)
     if frame:
-        below, above = (ref(lhs, "e"), ref(rhs, "e")) if test == "e" else (ref(rhs, "i"), ref(lhs, "i"))
-        lines.append(f"{pad}if {below} & ~{f'({above})' if ' ' in above else above}:")
+        below, above = (f"e{lhs}", f"e{rhs}") if test == "e" else (f"i{rhs}", f"i{lhs}")
+        lines.append(f"{pad}if {below} & ~{above}:")
     else:
         lines.append(f"{pad}if not leq[v{lhs}][v{rhs}]:")
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
@@ -558,39 +531,19 @@ def _emit_program(key):
     plans = [_plan(s[lhs], s[rhs]) for s in signs]
     lines += ["def f1(fns):", f"    return ({''.join(f'{_DOMAINS.index(p)}, ' for p in plans)})"]
     if frame:
-        filled = {memo[s] for s in _fills(nodes)} if plans == ["all"] else set()
+        # with one proposition and a full scan, a unary connective whose
+        # argument depends on it has its memo filled from a table
+        filled = {
+            memo[slot]
+            for slot, (op, _, kids) in enumerate(nodes)
+            if plans == ["all"] and op == "conn" and len(kids) == 1 and deps[kids[0]] >= 0
+        }
         entries = [
             f"({c}, {'ei'.index(pattern[0]) if k in filled else None}), "
             for k, (c, pattern) in enumerate(memos)
         ]
         lines += ["def f2(fns):", f"    return ({''.join(entries)})"]
     return lines
-
-
-def _fills(nodes):
-    """The unary connective slots that read the one proposition p itself,
-    up to the lattice laws of top and bot: p, p /\\ top, p \\/ (p \\/ bot)
-    and so on, but not p /\\ bot, which is bot.
-
-    A full scan gives such a connective every concept's mask, so its memo
-    is filled from one section table before the scan.  One that reads some
-    other formula in p may see only a few masks, fewer misses than the
-    table has entries.
-    """
-    value, fill = [], []  # value[slot]: "p", "top", "bot", or None for any other
-    for slot, (op, payload, kids) in enumerate(nodes):
-        if op in ("and", "or"):
-            unit, zero = ("top", "bot") if op == "and" else ("bot", "top")
-            rest = {value[c] for c in kids} - {unit}
-            if zero in rest:
-                value.append(zero)
-            else:
-                value.append(rest.pop() if len(rest) == 1 else None if rest else unit)
-            continue
-        if op == "conn" and len(kids) == 1 and value[kids[0]] == "p":
-            fill.append(slot)
-        value.append("p" if op == "prop" else op if op in ("top", "bot") else None)
-    return fill
 
 
 def _key(names):
@@ -662,14 +615,13 @@ def _filled(rel, key, pol, by_ext, by_int):
     reads them, or from up or down where a section is no concept's mask
     (on a frame that is not compatible)."""
     head, arg = rel.sorts
-    masks = {"W": list(by_ext), "U": list(by_int)}
-    sections = section_table(rel, [masks[arg]])
+    sections = section_table(rel, [list(by_ext if arg == "W" else by_int)])
     memo, derive = (by_ext, pol.up) if head == "W" else (by_int, pol.down)
     others = list(map(memo.get, sections))
     if None in others:
         others = [derive(s) if o is None else o for s, o in zip(sections, others)]
     entries = zip(sections, others) if head == "W" else zip(others, sections)
-    return dict(zip(masks["WU"[key]], entries))
+    return dict(zip(by_int if key else by_ext, entries))
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -692,13 +644,13 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     position.  The cap bounds c**k, since the full scan may run.
 
     With one proposition and a full scan, the memo of each unary
-    connective that reads the proposition itself (_fills, once per shape)
-    is filled first (_filled): an entry for every concept, keyed as the
-    memo is, its section from one section_table over the concepts'
-    extents or intents, by the sort of its coordinate.  The memos are
-    built per call and hold the same entries a miss computes; a key that
-    is no concept's mask (on an incompatible frame) is still computed at
-    its first read.
+    connective whose argument depends on the proposition is filled first
+    (_filled): an entry for every concept, keyed as the memo is, its
+    section from one section_table over the concepts' extents or intents,
+    by the sort of its coordinate.  The memos are built per call and hold
+    the same entries a miss computes on any frame, since an argument that
+    is no proposition holds the Galois map of its key as its other mask;
+    a key that is no concept's mask is still computed at its first read.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -713,7 +665,7 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     memos = [
         {} if key is None else _filled(rels[c], key, pol, by_ext, by_int) for c, key in fns[2](fns)
     ]
-    sections = [partial(_section, rel) for rel in rels]
+    sections = [partial(section_zero, rel) for rel in rels]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     domain = partial(_concepts_of, pol, by_ext, by_int)
     picked = _failure(fns, args, pairs, domain, first=True)

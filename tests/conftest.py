@@ -583,7 +583,7 @@ def frame_validates_memo_only(frame, sequent):
     by_int = {i: e for e, i in pairs}
     fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
     memos = [{} for _ in fns[2](fns)]
-    sections = [partial(semantics._section, frame.relations[c]) for c in program.conns]
+    sections = [partial(semantics.section_zero, frame.relations[c]) for c in program.conns]
     args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
     domain = partial(semantics._concepts_of, pol, by_ext, by_int)
     picked = semantics._failure(fns, args, pairs, domain, first=True)

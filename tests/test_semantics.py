@@ -19,6 +19,7 @@ from lekit import (
     Conn,
     Connective,
     FiniteAlgebra,
+    FormatError,
     Frame,
     IncompatibleFrameError,
     Model,
@@ -115,6 +116,27 @@ def test_satisfaction_is_extent_membership(frame_f1):
         assert cosatisfies(m, u, phi) == bool(c.intent >> u & 1)
     # names are accepted as points
     assert satisfies(m, "b1", phi)
+
+
+@pytest.mark.parametrize(
+    "check, sort",
+    [
+        (satisfies, "W"),
+        (satisfies_recursive, "W"),
+        (cosatisfies, "U"),
+        (cosatisfies_recursive, "U"),
+    ],
+)
+def test_a_point_outside_its_sort_is_refused(frame_f1, check, sort):
+    # F1 has two points of each sort: an index outside 0-1, or anything but
+    # an index or a name, is no point, whatever the formula
+    m = swap_model(frame_f1)
+    for phi in (Top(), Bot()):
+        for point in (2, -1, 2.0, None, "zz"):
+            with pytest.raises(FormatError, match=f"^unknown {sort} point {point!r}$"):
+                check(m, point, phi)
+    assert check(m, 1, Top()) == (sort == "W")
+    assert check(m, 1, Bot()) == (sort == "U")
 
 
 def test_recursive_clauses_agree_with_algebraic_evaluation():
@@ -713,13 +735,16 @@ def test_plans_follow_the_shape_rules(rule):
 
 
 # One-proposition sequents over SIG_BOX: box reading p (also through box p
-# and p /\ top), boxes reading only constants or p /\ bot, and axioms that
-# fail at an early valuation on most frames.
+# and p /\ top), boxes reading only constants, boxes reading a formula in p
+# that is no p up to the laws of top and bot (p /\ bot, box p \/ bot,
+# p \/ top), and axioms that fail at an early valuation on most frames.
 FILL_SEQUENTS = (
     r"box(box p) /\ p |- box p \/ p",
     r"box(p /\ top) |- box(box(p \/ bot))",
     r"p /\ box top |- box bot \/ p",
     r"box(p /\ bot) /\ p |- p \/ box(top \/ p)",
+    r"box(box p \/ bot) |- box p",
+    r"box(p \/ top) /\ p |- box(box p)",
     "box p |- p",
     "p |- box p",
     "box(box p) |- box p",
@@ -772,17 +797,25 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
     assert check_compatibility(fr).passed
     zero = _spy(monkeypatch, "section_zero")
     tables = _spy(monkeypatch, "section_table")
-    for text in (r"box(box p) /\ p |- box p \/ p", "box p |- p", r"box(p /\ top) |- box(box p)"):
+    # a box whose argument depends on p, even one that is constant up to
+    # the laws of top and bot (p /\ bot, top \/ p), gets one table per memo
+    # and no section of its own
+    for text, count in (
+        (r"box(box p) /\ p |- box p \/ p", 1),
+        ("box p |- p", 1),
+        (r"box(p /\ top) |- box(box p)", 1),
+        (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", 2),
+    ):
         seq = parse_sequent(text, SIG_BOX)
         want = frame_validates_memo_only(fr, seq)
         assert zero
         zero.clear()
         assert _verdict(fr, seq) == want
-        assert not zero and len(tables) == 1, text
+        assert not zero and len(tables) == count, text
         tables.clear()
-    # boxes that read only constants, p /\ bot among them, and two
-    # propositions: the memos alone, each section at its first read
-    for text in (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", r"box(p /\ q) |- box p \/ q"):
+    # boxes that read only constants, and two propositions: the memos
+    # alone, each section at its first read
+    for text in (r"p /\ box top |- box bot \/ p", r"box(p /\ q) |- box p \/ q"):
         seq = parse_sequent(text, SIG_BOX)
         want = frame_validates_memo_only(fr, seq)
         zero.clear()
