@@ -12,7 +12,6 @@ import contextlib
 import functools
 import json
 import os
-import random
 import sys
 
 from . import __version__
@@ -49,9 +48,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"lekit {__version__}")
     parser.add_argument("--json", action="store_true", help="machine readable output")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed of --search draws (p-morphism constructions)"
-    )
     parser.add_argument(
         "--cap", type=int, default=None, help="most concepts an enumeration may find"
     )
@@ -242,15 +238,14 @@ def run(args):
         return 0
 
     if args.command == "falsify":
+        if args.search and args.frames:
+            raise LekitError(f"--search reads no frame files, got {' '.join(args.frames)}")
+        if args.morphism and (args.search or args.construction in ("coproduct", "filter-ideal")):
+            by = "--search" if args.search else args.construction
+            raise LekitError(f"{by} reads no --morphism, got {args.morphism}")
         if args.search:
-            rng = random.Random(args.seed)
-            report = search_falsification(
-                args.condition,
-                args.construction,
-                rng,
-                max_size=args.max_size,
-                cap=cap,
-            )
+            report = search_falsification(args.condition, args.construction,
+                                          max_size=args.max_size, cap=cap)
         else:
             check = not args.no_check and args.construction != "filter-ideal"
             frames = [load_frame(path, check=check) for path in args.frames]

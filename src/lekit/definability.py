@@ -12,9 +12,9 @@ a subset of W x U.
 
 One table (_WITNESS) says, per construction, which frames of a witness
 must satisfy the condition and which must then fail it.  falsify walks it
-after one p-morphism check; the search judges each candidate on it by bare
-condition checks and writes falsify's report for the first hit from the
-frames it built.
+after one p-morphism check.  The search walks the small frames of
+sampling.box_frames under every construction, judges each candidate by
+bare condition checks and gives falsify's report for the first hit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .sampling import (
     box_frames,
     component_embedding,
     diagonal_surjection,
-    draw_box_key,
 )
 
 
@@ -234,27 +233,23 @@ def _verdict(condition, construction, details, kept, lost):
     return FalsifyReport(not holds, condition, construction, details)
 
 
-def search_falsification(condition, construction, rng, max_size=3, tries=200, cap=None):
+def search_falsification(condition, construction, max_size=3, tries=200, cap=None):
     """Bounded search for a falsifying witness: falsify's report on the
     first hit, else a SearchMiss.
 
-    Under coproduct and filter-ideal the search walks box_frames up to
-    max_size x max_size, smallest first, and builds and judges each frame
-    once.  A filter-ideal candidate is a frame; a coproduct candidate is a
-    pair of frames that satisfy the condition, each new one paired with
-    itself and then with every earlier one, and only a candidate's
-    coproduct is built.  tries bounds the candidates, and the miss says
-    whether the walk was complete.  Under pmorphic-image and
-    generated-subframe each try draws frame keys from rng with
-    random_box_frame's rng calls, so the result depends only on the seed,
-    max_size and tries; each distinct key's frame is built and judged
-    once.  The drawn frame must fail the condition, and the coproduct
-    that must satisfy it (fr + fr, f1 + f2) does only when every
-    component does (never, for R-equals-N-complement on two: the cross
-    pairs are in R and N), so those searches miss.  Bare condition checks
-    judge a candidate; the drawn p-morphisms are surjective or injective
-    by construction.  A frame searched has at most 2**max_size concepts,
-    so a max_size with 2**max_size above the cap is refused.
+    The search walks box_frames up to max_size x max_size, smallest first,
+    and builds and judges each frame once.  A filter-ideal or
+    pmorphic-image candidate is a frame; a coproduct candidate pairs frames
+    that satisfy the condition, a generated-subframe one any two frames:
+    each new frame with itself, then with every earlier one (in both
+    orders under generated-subframe).  A candidate's extension or
+    coproduct is built only when its frames do not already rule it out.
+    tries bounds the candidates, and the miss says whether the walk was
+    complete.  Under the p-morphism constructions a component must fail
+    the condition and the coproduct (fr + fr, f1 + f2) satisfy it, which
+    no built-in condition allows, so those searches miss.  A frame
+    searched has at most 2**max_size concepts, so a max_size with
+    2**max_size above the cap is refused.
     """
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}; "
@@ -262,58 +257,47 @@ def search_falsification(condition, construction, rng, max_size=3, tries=200, ca
     cap = DEFAULT_CONCEPT_CAP if cap is None else cap
     if max_size >= cap.bit_length():  # 2**max_size > cap, without computing 2**max_size
         raise CapExceededError(
-            f"--max-size {max_size} draws frames of up to 2**{max_size} concepts, "
+            f"--max-size {max_size} walks frames of up to 2**{max_size} concepts, "
             f"above the concept cap {cap}; lower --max-size or raise --cap or LEKIT_CAP"
         )
-    if construction in ("coproduct", "filter-ideal"):
-        return _walk(condition, construction, max_size, tries, cap)
-    _, _, keepers, _, _ = _witness(construction)
-    seen = {}  # drawn key -> (its frame, whether the frame satisfies the condition)
-
-    def drawn(key):
-        if key not in seen:
-            fr = box_frame(key)
-            seen[key] = fr, check_condition(condition, fr)[0]
-        return seen[key]
-
-    for _ in range(tries):
-        keys = [draw_box_key(rng, max_size, max_size)
-                for _ in range(2 if construction == "generated-subframe" else 1)]
-        fr, holds = drawn(keys[0])
-        if holds:
-            continue
-        if construction == "pmorphic-image":
-            pm, _ = diagonal_surjection(fr)
+    _witness(construction)  # an unknown construction is refused before the walk
+    count = 0
+    for frames in _candidates(condition, construction, max_size):
+        if count == tries:
+            return SearchMiss(count, False, max_size)
+        count += 1
+        (first, holds), (last, _) = frames[0], frames[-1]
+        if construction == "coproduct":
+            cop = coproduct((first, last))
+            if not check_condition(condition, cop)[0]:
+                return _verdict(condition, construction, [], (first, last), lambda: cop)
+        elif holds:
+            continue  # the frame, the image or the subframe must fail the condition
+        elif construction == "filter-ideal":
+            ext = filter_ideal_extension(first, cap)
+            if check_condition(condition, ext)[0]:
+                return _verdict(condition, construction, [], (ext,), lambda: first)
         else:
-            pm, _ = component_embedding(fr, box_frame(keys[1]))
-        if all(check_condition(condition, f)[0] for f in keepers([], pm, cap)):
-            return falsify(condition, construction, [], morphism=pm, cap=cap)
-    return SearchMiss(tries, False, max_size)
+            pm, cop = (diagonal_surjection(first) if construction == "pmorphic-image"
+                       else component_embedding(first, last))
+            if check_condition(condition, cop)[0]:
+                return falsify(condition, construction, [], morphism=pm, cap=cap)
+    return SearchMiss(count, True, max_size)
 
 
-def _walk(condition, construction, max_size, tries, cap):
-    """search_falsification under coproduct and filter-ideal."""
-    count, kept = 0, []
+def _candidates(condition, construction, max_size):
+    """The walk's candidates in turn, as tuples of (frame, whether it
+    satisfies the condition)."""
+    earlier = []  # the walked frames a new frame is paired with
     for key in box_frames(max_size, max_size):
         fr = box_frame(key)
-        holds = check_condition(condition, fr)[0]
-        if construction == "filter-ideal":
-            candidates = [(fr,)]
-        elif holds:
-            candidates = [(other, fr) for other in (fr, *kept)]
-            kept.append(fr)
-        else:
-            continue
-        for frames in candidates:
-            if count == tries:
-                return SearchMiss(count, False, max_size)
-            count += 1
-            if construction == "coproduct":
-                cop = coproduct(frames)
-                if not check_condition(condition, cop)[0]:
-                    return _verdict(condition, construction, [], frames, lambda: cop)
-            elif not holds:
-                ext = filter_ideal_extension(fr, cap)
-                if check_condition(condition, ext)[0]:
-                    return _verdict(condition, construction, [], (ext,), lambda: fr)
-    return SearchMiss(count, True, max_size)
+        new = fr, check_condition(condition, fr)[0]
+        if construction in ("filter-ideal", "pmorphic-image"):
+            yield (new,)
+        elif construction == "generated-subframe" or new[1]:  # coproduct: frames that hold
+            yield new, new
+            for old in earlier:
+                yield old, new
+                if construction == "generated-subframe":
+                    yield new, old
+            earlier.append(new)

@@ -1,15 +1,14 @@
-"""Small frames for the search and the tests, walked or seeded random,
-and the morphisms of the search.
+"""Small frames for the search and the tests, and the morphisms of the
+search.
 
 Used by the test suite and by the bounded falsification search.  A frame
-is a key of bits (draw_box_key draws one, box_frames walks every
-compatible one) built by box_frame, so the search can build and judge
-each distinct frame once.  Random unary relations are made compatible by
-alternately closing rows and columns until nothing changes; closure only
-adds pairs, so this stops.
+is a key of bits (box_frames walks every compatible one) built by
+box_frame, so the search can build and judge each distinct frame once.
+A unary relation is made compatible by alternately closing rows and
+columns until nothing changes; closure only adds pairs, so this stops.
 The p-morphisms between a frame and a coproduct are read off the
 incidence N (the coproduct lists component k's points after those of
-the earlier components), so drawing them enumerates nothing.
+the earlier components), so building them enumerates nothing.
 """
 
 from __future__ import annotations
@@ -56,17 +55,10 @@ def stabilize_box_relation(pol, pairs):
     return {(w, u) for w in range(pol.nw) for u in bits(rows[w])}
 
 
-def draw_box_key(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
-    """The rng calls of one random_box_frame, as the key (nw, nu, n, seed):
-    cell (w, u) of N and of the relation's seed is bit w * nu + u."""
-    nw, nu = rng.randint(1, max_w), rng.randint(1, max_u)
-    cells, coin = range(nw * nu), rng.random
-    n = sum(1 << i for i in cells if coin() < density)
-    return nw, nu, n, sum(1 << i for i in cells if coin() < rel_density)
-
-
 def box_frame(key):
-    """The compatible frame for the single box signature drawn as key."""
+    """The compatible frame for the single box signature whose key is
+    (nw, nu, n, seed): cell (w, u) of N and of the relation's seed is bit
+    w * nu + u."""
     nw, nu, n, seed = key
     w_ids, u_ids = {f"w{i}": i for i in range(nw)}, {f"u{i}": i for i in range(nu)}
     pol = Polarity.on_ids(w_ids, u_ids, [divmod(i, nu) for i in bits(n)])
@@ -107,11 +99,6 @@ def _spans(lines, count, step):
     for i in range(count):
         found = {f | line << i * step for f in found for line in lines}
     return found
-
-
-def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
-    """A random compatible frame for the single box signature."""
-    return box_frame(draw_box_key(rng, max_w, max_u, density, rel_density))
 
 
 def component_embedding(f1, f2):

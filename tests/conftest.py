@@ -55,7 +55,7 @@ from lekit.frame import (
 )
 from lekit.morphism import DualHom, PMorphismReport, dual_pmorphism
 from lekit.polarity import DEFAULT_CONCEPT_CAP, Concept
-from lekit.sampling import SIG_BOX
+from lekit.sampling import SIG_BOX, box_frame
 from lekit.syntax import BOT, TOP
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -739,6 +739,21 @@ def stabilize_box_relation_by_passes(pol, pairs):
     return {(w, u) for w in range(pol.nw) for u in bits(rows[w])}
 
 
+def draw_box_key(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
+    """The rng calls of one random_box_frame, as the box_frame key
+    (nw, nu, n, seed): cell (w, u) of N and of the relation's seed is bit
+    w * nu + u."""
+    nw, nu = rng.randint(1, max_w), rng.randint(1, max_u)
+    cells, coin = range(nw * nu), rng.random
+    n = sum(1 << i for i in cells if coin() < density)
+    return nw, nu, n, sum(1 << i for i in cells if coin() < rel_density)
+
+
+def random_box_frame(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
+    """A random compatible frame for the single box signature."""
+    return box_frame(draw_box_key(rng, max_w, max_u, density, rel_density))
+
+
 def random_box_frame_by_polarity(rng, max_w=3, max_u=3, density=0.5, rel_density=0.3):
     """random_box_frame as one random_polarity and one stabilization by
     passes per call, with the same rng calls: the drawer's oracle."""
@@ -1278,45 +1293,42 @@ def box_frames_by_brute_force(max_w, max_u):
                     yield (nw, nu, n, r), fr
 
 
-def _walked_candidates(condition, construction, max_size):
+def walked_candidates(condition, construction, max_size):
     """The walk's candidates from the brute-force frames: each frame under
-    filter-ideal; under coproduct each new frame that satisfies the
-    condition with itself, then with each earlier one."""
-    satisfied = []
+    filter-ideal and pmorphic-image; under coproduct each new frame that
+    satisfies the condition with itself, then with each earlier one; under
+    generated-subframe each new frame with itself, then with each earlier
+    one in both orders."""
+    earlier = []
     for _, fr in box_frames_by_brute_force(max_size, max_size):
-        if construction == "filter-ideal":
+        if construction in ("filter-ideal", "pmorphic-image"):
             yield [fr]
+        elif construction == "generated-subframe":
+            yield [fr, fr]
+            for other in earlier:
+                yield from ([other, fr], [fr, other])
+            earlier.append(fr)
         elif check_condition(condition, fr)[0]:
             yield [fr, fr]
-            yield from ([other, fr] for other in satisfied)
-            satisfied.append(fr)
+            yield from ([other, fr] for other in earlier)
+            earlier.append(fr)
 
 
-def search_falsification_by_branches(condition, construction, rng, max_size=3, tries=200, cap=None):
+def search_falsification_by_branches(condition, construction, max_size=3, tries=200, cap=None):
     """search_falsification through falsify_by_branches: a walk of the
-    brute-force frames under coproduct and filter-ideal, else draws with
-    per-construction pre-checks."""
-    if construction in ("coproduct", "filter-ideal"):
-        judged = 0
-        for frames in _walked_candidates(condition, construction, max_size):
-            if judged == tries:
-                return SearchMiss(judged, False, max_size)
-            judged += 1
-            report = falsify_by_branches(condition, construction, frames, cap=cap)
-            if report.falsified:
-                return report
-        return SearchMiss(judged, True, max_size)
-    for _ in range(tries):
+    brute-force frames, a p-morphism candidate's morphism the dual of its
+    algebra map."""
+    judged = 0
+    for frames in walked_candidates(condition, construction, max_size):
+        if judged == tries:
+            return SearchMiss(judged, False, max_size)
+        judged += 1
+        morphism = None
         if construction == "pmorphic-image":
-            fr = random_box_frame_by_polarity(rng, max_size, max_size)
-            pm, cop = diagonal_surjection_by_duality(fr)
-            if check_compatibility(cop).passed and check_condition(condition, cop)[0]:
-                if not check_condition(condition, fr)[0]:
-                    return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
-        else:
-            f1 = random_box_frame_by_polarity(rng, max_size, max_size)
-            f2 = random_box_frame_by_polarity(rng, max_size, max_size)
-            pm, cop = component_embedding_by_duality(f1, f2)
-            if check_condition(condition, cop)[0] and not check_condition(condition, f1)[0]:
-                return falsify_by_branches(condition, construction, [], morphism=pm, cap=cap)
-    return SearchMiss(tries, False, max_size)
+            morphism, frames = diagonal_surjection_by_duality(frames[0], cap)[0], []
+        elif construction == "generated-subframe":
+            morphism, frames = component_embedding_by_duality(*frames, cap=cap)[0], []
+        report = falsify_by_branches(condition, construction, frames, morphism=morphism, cap=cap)
+        if report.falsified:
+            return report
+    return SearchMiss(judged, True, max_size)

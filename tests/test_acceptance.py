@@ -42,7 +42,6 @@ from lekit.sampling import (
     box_frames,
     component_embedding,
     diagonal_surjection,
-    random_box_frame,
 )
 from lekit.syntax import And, BOT, Conn, Connective, Or, Prop, Signature, TOP
 
@@ -51,6 +50,7 @@ from conftest import (
     complete_homomorphism_failure,
     golden_path,
     identity_pmorphism,
+    random_box_frame,
     random_formula,
     random_sequent,
 )

@@ -34,7 +34,6 @@ from lekit.polarity import Concept
 from lekit.sampling import (
     SIG_BOX,
     box_frame,
-    random_box_frame,
     stabilize_box_relation,
 )
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
@@ -59,6 +58,7 @@ from conftest import (
     normality_by_lookup,
     product_leq_by_pairs,
     product_names,
+    random_box_frame,
     random_frame,
     random_polarity,
     residuated,

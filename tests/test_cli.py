@@ -264,11 +264,15 @@ def _search(condition, construction, size="2"):
 
 
 def test_falsify_search(capsys):
-    # README's search, with the default --seed 0, and with --seed 3: the walk
-    # draws nothing, so the seed does not change its witness
+    # README's search; the walk draws nothing, so there is no --seed
     argv = _search("R-equals-N-complement", "coproduct")
     assert run_cli(argv, capsys)[:2] == (0, README_SEARCH_FOUND)
-    assert run_cli(["--seed", "3"] + argv, capsys)[:2] == (0, README_SEARCH_FOUND)
+    for seed, err in ((["--seed", "0"], "invalid choice: '0'"),
+                      (["--seed=0"], "unrecognized arguments: --seed=0")):
+        with pytest.raises(SystemExit) as exc:
+            main(seed + argv)
+        assert exc.value.code == 2
+        assert err in capsys.readouterr().err
     # a miss says whether the walk judged every candidate up to its size
     argv = _search("every-u-has-non-R-w", "filter-ideal")
     assert run_cli(argv, capsys)[:2] == (
@@ -377,6 +381,26 @@ def test_falsify_filter_ideal_needs_one_frame(frames, capsys):
     assert err == f"error: filter-ideal needs exactly one frame, got {len(frames)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([F1, "--search", "--max-size", "1", "--construction", "coproduct"],
+         f"--search reads no frame files, got {F1}"),
+        (["--search", "--morphism", M1_ST, "--construction", "pmorphic-image"],
+         f"--search reads no --morphism, got {M1_ST}"),
+        ([F1, F2, "--morphism", M1_ST, "--construction", "coproduct"],
+         f"coproduct reads no --morphism, got {M1_ST}"),
+        ([F1, "--morphism", M1_ST, "--construction", "filter-ideal"],
+         f"filter-ideal reads no --morphism, got {M1_ST}"),
+    ],
+    ids=["search-frames", "search-morphism", "coproduct-morphism", "filter-ideal-morphism"],
+)
+def test_falsify_refuses_an_input_it_would_not_read(argv, err, capsys):
+    # before reading anything, so no file named is opened
+    argv = ["falsify", *argv, "--condition", "R-equals-N-complement"]
+    assert run_cli(argv, capsys) == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_falsify_search_max_size_below_one(size, capsys):
     code, _, err = run_cli(
@@ -399,7 +423,7 @@ def test_falsify_search_max_size_below_one(size, capsys):
 @pytest.mark.parametrize("argv", [["--max-size", "1000000"], ["--cap", "0", "--max-size", "1"]])
 def test_falsify_search_refuses_frames_beyond_the_cap(argv, capsys):
     # a frame of at most n x n points has at most 2**n concepts: refused
-    # before anything is drawn
+    # before anything is built
     *cap, flag, size = argv
     code, _, err = run_cli(
         [*cap, "falsify", "--search", flag, size,
@@ -407,7 +431,7 @@ def test_falsify_search_refuses_frames_beyond_the_cap(argv, capsys):
         capsys,
     )
     assert code == 2
-    assert f"--max-size {size} draws frames of up to 2**{size} concepts" in err
+    assert f"--max-size {size} walks frames of up to 2**{size} concepts" in err
     assert "--cap or LEKIT_CAP" in err
 
 

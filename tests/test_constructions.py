@@ -24,7 +24,6 @@ from lekit import (
     verify_normality,
 )
 from lekit.bitset import bits
-from lekit.sampling import random_box_frame
 
 from conftest import (
     SIG_MIX,
@@ -34,6 +33,7 @@ from conftest import (
     complete_homomorphism_failure,
     filter_ideal_frame_by_family,
     mask_of,
+    random_box_frame,
     random_frame,
 )
 

@@ -6,6 +6,7 @@ from itertools import islice, product
 import pytest
 
 from lekit import definability
+from lekit.constructions import coproduct
 from lekit.definability import (
     CONDITIONS,
     CONSTRUCTIONS,
@@ -22,20 +23,21 @@ from lekit.sampling import (
     box_frames,
     component_embedding,
     diagonal_surjection,
-    draw_box_key,
-    random_box_frame,
     stabilize_box_relation,
 )
 
 from conftest import (
     box_frames_by_brute_force,
+    draw_box_key,
     falsify_by_branches,
     identity_pmorphism,
+    random_box_frame,
     random_box_frame_by_polarity,
     random_pmorphism,
     random_polarity,
     search_falsification_by_branches,
     stabilize_box_relation_by_passes,
+    walked_candidates,
 )
 
 
@@ -112,9 +114,8 @@ def test_pmorphic_image_path_runs(frame_f1):
 
 
 def test_search_falsification_finds_coproduct_witness():
-    rng = random.Random(71)
     found = search_falsification(
-        "R-equals-N-complement", "coproduct", rng, max_size=2, tries=300
+        "R-equals-N-complement", "coproduct", max_size=2, tries=300
     )
     assert found is not None
     assert found.falsified
@@ -124,16 +125,16 @@ def test_search_falsification_finds_coproduct_witness():
 def test_search_falsification_rejects_max_size_below_one(size):
     with pytest.raises(FormatError, match="max_size"):
         search_falsification(
-            "R-equals-N-complement", "coproduct", random.Random(1), max_size=size
+            "R-equals-N-complement", "coproduct", max_size=size
         )
 
 
 def test_search_falsification_bounds_max_size_by_the_cap():
     # 2**16 concepts fit the default cap, 2**17 do not
-    with pytest.raises(CapExceededError, match=r"--max-size 17 draws frames of up to 2\*\*17"):
-        search_falsification("R-equals-N-complement", "coproduct", random.Random(1), max_size=17)
+    with pytest.raises(CapExceededError, match=r"--max-size 17 walks frames of up to 2\*\*17"):
+        search_falsification("R-equals-N-complement", "coproduct", max_size=17)
     found = search_falsification(
-        "R-equals-N-complement", "coproduct", random.Random(1), max_size=17, tries=1, cap=1 << 17
+        "R-equals-N-complement", "coproduct", max_size=17, tries=1, cap=1 << 17
     )
     assert found is None or found.falsified
 
@@ -160,7 +161,7 @@ def test_filter_ideal_needs_exactly_one_frame(frame_f1, count):
 def test_search_enumerates_under_its_cap(construction):
     with pytest.raises(CapExceededError):
         search_falsification(
-            "R-equals-N-complement", construction, random.Random(1), max_size=2, cap=0
+            "R-equals-N-complement", construction, max_size=2, cap=0
         )
 
 
@@ -223,29 +224,37 @@ def test_falsify_matches_the_branch_oracle(m1_morphism, m2_morphism, bad_morphis
         )
 
 
-WALKED = ("coproduct", "filter-ideal")  # the searches that walk box_frames and draw nothing
-
-
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_search_matches_the_branch_oracle(construction):
     hits = complete = 0
     for cond in sorted(CONDITIONS):
         for size in (1, 2, 3):
-            for seed in range(3):
-                got_rng = random.Random(seed)
-                got = search_falsification(cond, construction, got_rng, size, tries=60)
-                want = search_falsification_by_branches(
-                    cond, construction, random.Random(seed), size, tries=60
-                )
+            for tries in (7, 60):
+                got = search_falsification(cond, construction, size, tries=tries)
+                want = search_falsification_by_branches(cond, construction, size, tries=tries)
                 assert (got.to_dict(), got.message) == (want.to_dict(), want.message)
-                if construction in WALKED:
-                    assert got_rng.getstate() == random.Random(seed).getstate()
                 hits += got.falsified
                 complete += not got.falsified and got.complete
     if construction == "coproduct":
         assert hits >= 3
-    if construction in WALKED:
-        assert complete  # some walk judged every candidate up to its size
+    assert complete  # some walk judged every candidate up to its size
+
+
+def test_a_condition_holds_on_a_coproduct_only_when_on_every_component():
+    # why every p-morphism search misses: the frame that must satisfy the
+    # condition is a coproduct (fr + fr, f1 + f2) and a component must fail
+    # it.  The coproduct's cross pairs are in R and in N, so the other two
+    # conditions hold on it exactly when on both components, and
+    # R-equals-N-complement never does
+    frames = [box_frame(key) for key in box_frames(2, 2)]
+    holds = {cond: [check_condition(cond, fr)[0] for fr in frames] for cond in CONDITIONS}
+    pairs = list(product(range(len(frames)), repeat=2))
+    assert len(pairs) == 8464
+    for i, j in pairs:
+        cop = coproduct([frames[i], frames[j]])
+        for cond, on in holds.items():
+            want = on[i] and on[j] and cond != "R-equals-N-complement"
+            assert check_condition(cond, cop)[0] == want, (cond, i, j)
 
 
 @pytest.mark.parametrize("density, rel_density", [(0.5, 0.3), (0.2, 0.7), (0.8, 0.1), (0.0, 1.0)])
@@ -281,17 +290,11 @@ def test_stabilized_relation_matches_the_pass_oracle(density):
 
 
 def test_the_benchmarked_search_matches_the_branch_oracle():
-    # bench/workloads.py runs README's search: coproduct, --max-size 2; the
-    # walk draws nothing, so every seed gives the same report
-    want = search_falsification_by_branches(
-        "R-equals-N-complement", "coproduct", random.Random(0), 2, tries=200
-    )
+    # bench/workloads.py runs README's search: coproduct, --max-size 2
+    want = search_falsification_by_branches("R-equals-N-complement", "coproduct", 2, tries=200)
     assert want.falsified
-    for seed in range(10):
-        rng = random.Random(seed)
-        got = search_falsification("R-equals-N-complement", "coproduct", rng, 2, tries=200)
-        assert got.to_dict() == want.to_dict()
-        assert rng.getstate() == random.Random(seed).getstate()
+    got = search_falsification("R-equals-N-complement", "coproduct", 2, tries=200)
+    assert (got.to_dict(), got.message) == (want.to_dict(), want.message)
 
 
 def test_box_frames_match_the_brute_force_oracle():
@@ -311,41 +314,41 @@ def test_box_frames_match_the_brute_force_oracle():
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_search_builds_and_judges_each_draw_once_per_call(construction, monkeypatch):
     cond = "every-u-has-non-R-w"  # holds on a coproduct iff on every component: no hit
-    drawn, built, judged, joined = [], [], [], []
-    draw, build, join = definability.draw_box_key, definability.box_frame, definability.coproduct
-    monkeypatch.setattr(definability, "draw_box_key", lambda *a: drawn.append(draw(*a)) or drawn[-1])
-    monkeypatch.setattr(definability, "box_frame", lambda key: built.append(key) or build(key))
-    monkeypatch.setattr(
-        definability, "coproduct", lambda frames: joined.append(frames) or join(frames)
-    )
-    monkeypatch.setattr(
-        definability, "check_condition", lambda c, fr: judged.append(fr) or check_condition(c, fr)
-    )
+    built, judged, joined = [], [], []  # joined: the frames of each construction built
+    build, judge = definability.box_frame, definability.check_condition
+    join, extend = definability.coproduct, definability.filter_ideal_extension
+    surject, embed = definability.diagonal_surjection, definability.component_embedding
+    spies = {
+        "box_frame": lambda key: built.append((key, build(key))) or built[-1][1],
+        "check_condition": lambda c, fr: judged.append(fr) or judge(c, fr),
+        "coproduct": lambda frames: joined.append(frames) or join(frames),
+        "filter_ideal_extension": lambda fr, cap: joined.append((fr,)) or extend(fr, cap),
+        "diagonal_surjection": lambda fr: joined.append((fr,)) or surject(fr),
+        "component_embedding": lambda a, b: joined.append((a, b)) or embed(a, b),
+    }
+    for name, spy in spies.items():
+        monkeypatch.setattr(definability, name, spy)
     counts = []
     for _ in range(2):
-        drawn.clear(), built.clear(), judged.clear(), joined.clear()
-        miss = search_falsification(cond, construction, random.Random(0), 2)
-        # all 92 frames up to 2x2 under filter-ideal, else the bound
-        bound = (92, True) if construction == "filter-ideal" else (200, False)
+        built.clear(), judged.clear(), joined.clear()
+        miss = search_falsification(cond, construction, 2)
+        # all 92 frames up to 2x2 under filter-ideal and pmorphic-image, else the bound
+        bound = (92, True) if construction in ("filter-ideal", "pmorphic-image") else (200, False)
         assert not miss.falsified and (miss.candidates, miss.complete) == bound
         assert len(set(map(id, judged))) == len(judged)  # no frame judged twice
-        counts.append((len(built), len(judged)))
+        counts.append((len(built), len(judged), len(joined)))
     assert counts[0] == counts[1]  # nothing built or judged in one call serves the next
     monkeypatch.undo()
-    if construction in WALKED:
-        # a prefix of the walk, each frame built once; under coproduct one
-        # coproduct per pair, no pair twice, and only of frames that hold
-        assert drawn == [] and built == list(islice(box_frames(2, 2), len(built)))
-        if construction == "coproduct":
-            pairs = [tuple(map(id, frames)) for frames in joined]
-            assert len(pairs) == 200 == len(set(pairs))
-            assert all(check_condition(cond, fr)[0] for frames in joined for fr in frames)
-        return
-    per_try = 2 if construction == "generated-subframe" else 1
-    assert len(drawn) == 200 * per_try
-    tries = list(zip(*[iter(drawn)] * per_try))
-    holds = {key: check_condition(cond, box_frame(key))[0] for key in drawn}
-    want = len({t[0] for t in tries})
-    if construction == "generated-subframe":  # the second, once per try whose first fails
-        want += sum(not holds[a] for a, _ in tries)
-    assert counts[0][0] == want
+    # a prefix of the walk, each frame built once, and every construction
+    # built of walked frames: one per candidate that its frames do not rule
+    # out (a coproduct's frames all hold; any other's first frame must fail)
+    keys = [key for key, _ in built]
+    assert keys == list(islice(box_frames(2, 2), len(keys)))
+    walked = {id(fr) for _, fr in built}
+    assert all(id(fr) in walked for frames in joined for fr in frames)
+    want = list(islice(walked_candidates(cond, construction, 2), miss.candidates))
+    if construction != "coproduct":
+        want = [frames for frames in want if not check_condition(cond, frames[0])[0]]
+    assert [list(frames) for frames in joined] == want
+    pairs = [tuple(map(id, frames)) for frames in joined]
+    assert len(set(pairs)) == len(pairs)  # no candidate built twice

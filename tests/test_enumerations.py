@@ -12,9 +12,9 @@ import pytest
 from lekit import CapExceededError, dual_hom, dual_pmorphism, frame, load_frame, polarity
 from lekit.cli import main
 from lekit.definability import falsify, search_falsification
-from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
+from lekit.sampling import component_embedding, diagonal_surjection
 
-from conftest import golden_path, identity_pmorphism
+from conftest import golden_path, identity_pmorphism, random_box_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,11 +149,11 @@ def test_coproduct_pmorphisms_enumerate_nothing(enumerated):
 
 @pytest.mark.parametrize("construction", ["pmorphic-image", "generated-subframe"])
 def test_search_on_drawn_pmorphisms_enumerates_nothing(construction, enumerated):
-    # the drawn p-morphisms are read off N and no draw is a hit, so nothing
-    # reaches falsify's p-morphism check; 4 = 2**2 is the least cap that
-    # admits max_size 2
+    # the walk's p-morphisms are read off N and no candidate is a hit, so
+    # nothing reaches falsify's p-morphism check; 4 = 2**2 is the least cap
+    # that admits max_size 2
     for cond in ("R-equals-N-complement", "every-u-has-non-R-w", "R-complement-subset-N"):
-        found = search_falsification(cond, construction, random.Random(1), max_size=2, cap=4)
+        found = search_falsification(cond, construction, max_size=2, cap=4)
         assert not found.falsified
     assert enumerated == []
 

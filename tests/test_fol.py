@@ -44,7 +44,7 @@ from lekit.fol import (
     SEQUENT_FORMS,
     Var,
 )
-from lekit.sampling import SIG_BOX, random_box_frame
+from lekit.sampling import SIG_BOX
 
 from conftest import (
     PROPS,
@@ -52,6 +52,7 @@ from conftest import (
     all_box_frames_2x2,
     boolean_frame,
     eval_fo_recursive,
+    random_box_frame,
     random_formula,
     random_frame,
     random_sequent,

@@ -28,7 +28,7 @@ from lekit.frame import (
     section_table,
     section_zero,
 )
-from lekit.sampling import SIG_BOX, random_box_frame
+from lekit.sampling import SIG_BOX
 
 from conftest import (
     SIG_MIX,
@@ -37,6 +37,7 @@ from conftest import (
     compatibility_by_swaps,
     golden_path,
     load_json,
+    random_box_frame,
     random_frame,
     random_polarity,
     random_relation,

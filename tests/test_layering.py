@@ -1,6 +1,7 @@
 """Module layering: top-level imports only, in one fixed module order."""
 
 import ast
+import inspect
 import random
 from itertools import product
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from lekit import frame
 from lekit.bitset import meet_each
+from lekit.definability import search_falsification
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lekit"
 
@@ -159,6 +161,22 @@ def test_sampling_reads_the_coproduct_morphisms_off_n():
         if isinstance(node, ast.ImportFrom):
             imported |= {node.module} | {alias.name for alias in node.names}
     assert not imported & {"algebra", "DualHom", "dual_hom", "dual_pmorphism"}, imported
+
+
+def test_the_search_draws_nothing():
+    # search_falsification walks box_frames under every construction; the
+    # random frame drawers are test helpers (tests/conftest.py)
+    for name in ("definability", "cli"):
+        modules = {
+            alias.name if isinstance(node, ast.Import) else node.module
+            for node in ast.walk(_tree(name))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "random" not in modules, name
+    defined = {node.name for node in _tree("sampling").body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"draw_box_key", "random_box_frame"}, defined
+    assert "rng" not in inspect.signature(search_falsification).parameters
 
 
 # A section at one point is a read: row w of N is up of {w}, column u is

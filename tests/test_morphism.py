@@ -17,7 +17,7 @@ from lekit import (
     is_surjective,
 )
 from lekit.frame import Relation
-from lekit.sampling import component_embedding, diagonal_surjection, random_box_frame
+from lekit.sampling import component_embedding, diagonal_surjection
 
 from conftest import (
     SIG_MIX,
@@ -29,6 +29,7 @@ from conftest import (
     is_injective_by_scan,
     is_surjective_by_scan,
     pmorphism_report_by_family,
+    random_box_frame,
     random_frame,
     random_pmorphism,
     random_relation,

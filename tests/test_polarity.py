@@ -19,7 +19,6 @@ from lekit import (
 from lekit import polarity
 from lekit.bitset import bits, meet_each, meet_rows, meet_table, names_of, transpose
 from lekit.polarity import Concept, concept_pairs
-from lekit.sampling import random_box_frame
 
 from conftest import (
     brute_concepts,
@@ -28,6 +27,7 @@ from conftest import (
     concept_of_u,
     concept_of_w,
     mask_of,
+    random_box_frame,
     subsets,
 )
 

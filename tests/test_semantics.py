@@ -53,7 +53,7 @@ from lekit import (
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
 from lekit.frame import Relation, connective_sorts
-from lekit.sampling import SIG_BOX, random_box_frame, stabilize_box_relation
+from lekit.sampling import SIG_BOX, stabilize_box_relation
 
 from conftest import (
     GOLDEN,
@@ -65,6 +65,7 @@ from conftest import (
     eager_build,
     frame_validates_by_models,
     frame_validates_memo_only,
+    random_box_frame,
     random_formula,
     random_frame,
     random_polarity,
