@@ -104,7 +104,7 @@ def build_parser():
     p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
     p.add_argument("--morphism", help="morphism file (source target order as given)")
     p.add_argument("--search", action="store_true", help="search small frames for witnesses")
-    p.add_argument("--max-size", type=int, default=3, help="point bound for --search")
+    p.add_argument("--max-size", type=int, help="point bound for --search")
     return parser
 
 
@@ -240,12 +240,14 @@ def run(args):
     if args.command == "falsify":
         if args.search and args.frames:
             raise LekitError(f"--search reads no frame files, got {' '.join(args.frames)}")
+        if args.max_size is not None and not args.search:
+            raise LekitError(f"only --search reads --max-size, got --max-size {args.max_size}")
         if args.morphism and (args.search or args.construction in ("coproduct", "filter-ideal")):
             by = "--search" if args.search else args.construction
             raise LekitError(f"{by} reads no --morphism, got {args.morphism}")
         if args.search:
-            report = search_falsification(args.condition, args.construction,
-                                          max_size=args.max_size, cap=cap)
+            bound = {} if args.max_size is None else {"max_size": args.max_size}
+            report = search_falsification(args.condition, args.construction, cap=cap, **bound)
         else:
             check = not args.no_check and args.construction != "filter-ideal"
             frames = [load_frame(path, check=check) for path in args.frames]

@@ -24,14 +24,18 @@ proposition, a conjunction, top or a G connective, an intent for a
 disjunction, bot or an F connective.  An entry holds both masks of the
 result, its section and the Galois map of that, computed once, at the
 miss, so a valuation reads a connective's result with one dict read.
-The sides are compared by extents, or by intents through the Galois
-identity e <= down(i) iff i <= up(e) where the left intent is up of its
-extent and the right extent down of its intent (_test_mask).  In a
+A unary connective's section there is one bitset.meet_rows on its
+relation's one row, an n-ary one's frame.section_zero.  The sides are
+compared by extents, or by intents through the Galois identity
+e <= down(i) iff i <= up(e) where the left intent is up of its extent
+and the right extent down of its intent (_test_mask).  In a
 one-proposition sequent whose scan is full, the memo of each unary
-connective whose argument depends on the proposition is filled before
-the scan from one frame.section_table over the concepts' masks, the
-kernel the complex algebra's tables use, so a valuation pays a
-section_zero miss only for a key that is no concept's mask.
+connective whose argument depends on the proposition is filled from one
+frame.section_table over the concepts' masks, the kernel the complex
+algebra's tables use, at the second key that depends on the proposition.
+So an argument constant up to the laws of top and bot, such as
+p /\\ bot, costs one section and no table, and after a fill a valuation
+pays a miss only for a key that is no concept's mask.
 algebra_validates runs the program on element indices through meet,
 join and the operation tables.
 
@@ -50,10 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 from .algebra import ComplexAlgebra, verify_normality
-from .bitset import bits
+from .bitset import bits, meet_rows
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
 from .frame import connective_sorts, section_table, section_zero
@@ -419,15 +423,19 @@ def _emit_program(key):
     proposition holds both masks, and so does a connective: it reads both
     from one memo per connective and key pattern (R<memo>), keyed by the
     masks its arguments are keyed by, so box p and box(p /\\ q) share
-    entries.  A missing entry is computed once: its section, a call of
-    S<connective> (section_zero on its relation) with the tuple of masks
+    entries.  A missing entry is computed once: its section from the masks
     the connective reads, those its arguments hold or else the Galois map
     of their keys, and the Galois map of the section, each map read from
-    its memo.  The sides are compared by the mask _test_mask picks.  f2
-    returns, for each memo, its connective and how frame_validates fills
-    it from a table: by extent (0) or intent (1) when the one
-    proposition's plan is all and the memo serves a unary connective whose
-    argument depends on it, else None.
+    its memo.  The section is meet_rows on S<connective>, the relation's
+    one row, for a unary connective, and a call of S<connective>
+    (section_zero on its relation) with the tuple of masks for any other.
+    The sides are compared by the mask _test_mask picks.  f2 returns, for
+    each memo, its connective and how a table fills it: by extent (0) or
+    intent (1) when the one proposition's plan is all and the memo serves
+    a unary connective whose argument depends on it, else None.  Such a
+    memo counts in N<memo> the misses of the slots whose argument depends
+    on the proposition, and at the second it adds fills[memo]() (_filled),
+    an entry for every concept, before it looks again.
 
     An algebra program reads meet, join and the flat operation tables, at
     the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
@@ -461,8 +469,17 @@ def _emit_program(key):
             has[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
         pattern = (payload[0], tuple([keys[c] for c in kids])) if op == "conn" else None
         memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
+    signs = [_signs(nodes, p) for p in range(m)]
+    plans = [_plan(s[lhs], s[rhs]) for s in signs]
+    # with one proposition and a full scan, a unary connective whose
+    # argument depends on it has its memo filled from a table
+    filled = {
+        memo[slot]
+        for slot, (op, _, kids) in enumerate(nodes)
+        if plans == ["all"] and op == "conn" and len(kids) == 1 and deps[kids[0]] >= 0
+    }
     if frame:
-        params = "by_ext, by_int, up, down, W, U, tables, sections"
+        params = "by_ext, by_int, up, down, W, U, tables, sections, meet_rows, fills"
     else:
         params = "meet, join, leq, top, bot, n, tables"
     lines = [f"def f0(fns, doms, {params}, product):"]
@@ -473,6 +490,8 @@ def _emit_program(key):
             lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
     if m:
         lines.append(f"    {''.join(f'D{k}, ' for k in range(m))}= doms")
+    if frame and filled:
+        lines.append(f"    {' = '.join(f'N{r}' for r in sorted(filled))} = 0")
 
     def other(slot):
         """Lines giving a slot its other mask, up or down of its key read
@@ -492,14 +511,32 @@ def _emit_program(key):
         mask = keys[slot]
         if op == "conn":
             c, sorts = payload
-            table = f"R{memo[slot]}[{_key([f'{keys[k]}{k}' for k in kids])}]"
+            r = memo[slot]
+            key = _key([f"{keys[k]}{k}" for k in kids])
             reads = list(zip(kids, _reads(sorts)))
             # a miss first derives the masks it reads that the arguments lack
             lack = sorted({k for k, read in reads if read not in has[k]})
             miss = [line for k in lack for line in other(k)]
-            miss.append(f"{mask}{slot} = S{c}(({''.join(f'{read}{k}, ' for k, read in reads)}))")
-            miss += other(slot) + [f"{table} = e{slot}, i{slot}"]
-            return ["try:", f"    e{slot}, i{slot} = {table}", "except KeyError:"] + [
+            if len(reads) == 1:  # S<c> is the relation's one row
+                ((k, read),) = reads
+                full = "W" if mask == "e" else "U"
+                miss.append(f"{mask}{slot} = meet_rows(S{c}, {read}{k}, {full})")
+            else:
+                masks = "".join(f"{read}{k}, " for k, read in reads)
+                miss.append(f"{mask}{slot} = S{c}(({masks}))")
+            miss += other(slot) + [f"R{r}[{key}] = e{slot}, i{slot}"]
+            if r in filled and deps[kids[0]] >= 0:
+                # the second key that depends on the proposition fills the
+                # memo from a table
+                miss = [
+                    f"N{r} += 1",
+                    f"if N{r} == 2:",
+                    f"    R{r}.update(fills[{r}]())",
+                    f"if {key} in R{r}:",
+                    f"    e{slot}, i{slot} = R{r}[{key}]",
+                    "else:",
+                ] + ["    " + line for line in miss]
+            return ["try:", f"    e{slot}, i{slot} = R{r}[{key}]", "except KeyError:"] + [
                 "    " + line for line in miss
             ]
         if op in ("top", "bot"):
@@ -527,17 +564,8 @@ def _emit_program(key):
         lines.append(f"{pad}if not leq[v{lhs}][v{rhs}]:")
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
-    signs = [_signs(nodes, p) for p in range(m)]
-    plans = [_plan(s[lhs], s[rhs]) for s in signs]
     lines += ["def f1(fns):", f"    return ({''.join(f'{_DOMAINS.index(p)}, ' for p in plans)})"]
     if frame:
-        # with one proposition and a full scan, a unary connective whose
-        # argument depends on it has its memo filled from a table
-        filled = {
-            memo[slot]
-            for slot, (op, _, kids) in enumerate(nodes)
-            if plans == ["all"] and op == "conn" and len(kids) == 1 and deps[kids[0]] >= 0
-        }
         entries = [
             f"({c}, {'ei'.index(pattern[0]) if k in filled else None}), "
             for k, (c, pattern) in enumerate(memos)
@@ -606,22 +634,29 @@ def _concepts_of(pol, by_ext, by_int, plan):
     return [(by_int[pol.full_u], pol.full_u)]
 
 
-def _filled(rel, key, pol, by_ext, by_int):
-    """The memo of a unary connective with an entry for every concept,
-    keyed by its extent (key 0) or intent (key 1), where by_ext and by_int
-    are the Galois memos, as yet keyed by the concepts' masks in order.
-    The sections come from one section_table over the masks the connective
-    reads, and their other masks from the memo of the head sort, as a miss
-    reads them, or from up or down where a section is no concept's mask
-    (on a frame that is not compatible)."""
+def _one_row(rel):
+    """The one row of a unary relation's row index for its heads: the heads
+    related to each point, all 0 when it has no tuples.  meet_rows on it
+    is section_zero."""
+    return rel.rows[0].get((), [0] * rel.sizes[1])
+
+
+def _filled(rel, key, pol, n, by_ext, by_int):
+    """The entries of a unary connective's memo for every concept, keyed by
+    its extent (key 0) or intent (key 1), as (key, entry) pairs, where
+    by_ext and by_int are the Galois memos, whose first n keys are the
+    concepts' masks in order.  The sections come from one section_table
+    over the masks the connective reads, and their other masks from the
+    memo of the head sort, as a miss reads them, or from up or down where
+    a section is in no entry of the memo."""
     head, arg = rel.sorts
-    sections = section_table(rel, [list(by_ext if arg == "W" else by_int)])
+    sections = section_table(rel, [list(islice(by_ext if arg == "W" else by_int, n))])
     memo, derive = (by_ext, pol.up) if head == "W" else (by_int, pol.down)
     others = list(map(memo.get, sections))
     if None in others:
         others = [derive(s) if o is None else o for s, o in zip(sections, others)]
     entries = zip(sections, others) if head == "W" else zip(others, sections)
-    return dict(zip(by_int if key else by_ext, entries))
+    return zip(islice(by_int if key else by_ext, n), entries)
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -644,13 +679,16 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     position.  The cap bounds c**k, since the full scan may run.
 
     With one proposition and a full scan, the memo of each unary
-    connective whose argument depends on the proposition is filled first
-    (_filled): an entry for every concept, keyed as the memo is, its
-    section from one section_table over the concepts' extents or intents,
-    by the sort of its coordinate.  The memos are built per call and hold
-    the same entries a miss computes on any frame, since an argument that
-    is no proposition holds the Galois map of its key as its other mask;
-    a key that is no concept's mask is still computed at its first read.
+    connective whose argument depends on the proposition is filled at the
+    second miss of such a slot (_filled): an entry for every concept,
+    keyed as the memo is, its section from one section_table over the
+    concepts' extents or intents, by the sort of its coordinate.  The
+    memos are built per call and hold the same entries a miss computes on
+    any frame, since an argument that is no proposition holds the Galois
+    map of its key as its other mask; a key that is no concept's mask is
+    still computed at its first read.  by_ext and by_int start as the
+    concepts' masks in order and only grow, so their first keys are the
+    concepts' masks when a fill reads them.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -662,11 +700,14 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     by_int = {i: e for e, i in pairs}
     rels = [frame.relations[c] for c in program.conns]
     fns = compiled(_emit_program, ("frame",) + program.key)
-    memos = [
-        {} if key is None else _filled(rels[c], key, pol, by_ext, by_int) for c, key in fns[2](fns)
+    fills = [
+        key if key is None else partial(_filled, rels[c], key, pol, len(pairs), by_ext, by_int)
+        for c, key in fns[2](fns)
     ]
-    sections = [partial(section_zero, rel) for rel in rels]
-    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
+    memos = [{} for _ in fills]
+    sections = [_one_row(rel) if rel.arity == 1 else partial(section_zero, rel) for rel in rels]
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections)
+    args += (meet_rows, fills, product)
     domain = partial(_concepts_of, pol, by_ext, by_int)
     picked = _failure(fns, args, pairs, domain, first=True)
     if picked is None:

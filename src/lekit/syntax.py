@@ -204,14 +204,14 @@ def depth_of(phi):
 
 def validate_formula(phi, signature):
     """Raise SignatureError if phi uses unknown connectives or wrong arities."""
-    if isinstance(phi, Sequent):
+    kind = type(phi)  # the formula classes are final: no subclass to dispatch on
+    if kind is Sequent:
         validate_formula(phi.lhs, signature)
         validate_formula(phi.rhs, signature)
-        return
-    if isinstance(phi, (And, Or)):
+    elif kind is And or kind is Or:
         validate_formula(phi.left, signature)
         validate_formula(phi.right, signature)
-    elif isinstance(phi, Conn):
+    elif kind is Conn:
         connective_of(phi, signature)
         for a in phi.args:
             validate_formula(a, signature)

@@ -570,6 +570,12 @@ def frame_validates_by_models(frame, sequent):
     return True, None, checked
 
 
+def _unary_section(rel, mask, full):
+    """Where the program calls meet_rows on a unary relation's one row:
+    section_zero on the relation itself."""
+    return semantics.section_zero(rel, (mask,))
+
+
 def frame_validates_memo_only(frame, sequent):
     """frame_validates with every section memo empty at the start, so each
     section is one section_zero at its first read, as (valid,
@@ -583,8 +589,11 @@ def frame_validates_memo_only(frame, sequent):
     by_int = {i: e for e, i in pairs}
     fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
     memos = [{} for _ in fns[2](fns)]
-    sections = [partial(semantics.section_zero, frame.relations[c]) for c in program.conns]
-    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections, product)
+    rels = [frame.relations[c] for c in program.conns]
+    sections = [rel if rel.arity == 1 else partial(semantics.section_zero, rel) for rel in rels]
+    fills = [dict] * len(memos)  # a fill adds no entry
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections)
+    args += (_unary_section, fills, product)
     domain = partial(semantics._concepts_of, pol, by_ext, by_int)
     picked = semantics._failure(fns, args, pairs, domain, first=True)
     if picked is None:

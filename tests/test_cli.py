@@ -392,13 +392,30 @@ def test_falsify_filter_ideal_needs_one_frame(frames, capsys):
          f"coproduct reads no --morphism, got {M1_ST}"),
         ([F1, "--morphism", M1_ST, "--construction", "filter-ideal"],
          f"filter-ideal reads no --morphism, got {M1_ST}"),
+        ([F1, F2, "--max-size", "1", "--construction", "coproduct"],
+         "only --search reads --max-size, got --max-size 1"),
     ],
-    ids=["search-frames", "search-morphism", "coproduct-morphism", "filter-ideal-morphism"],
+    ids=[
+        "search-frames",
+        "search-morphism",
+        "coproduct-morphism",
+        "filter-ideal-morphism",
+        "max-size-without-search",
+    ],
 )
 def test_falsify_refuses_an_input_it_would_not_read(argv, err, capsys):
     # before reading anything, so no file named is opened
     argv = ["falsify", *argv, "--condition", "R-equals-N-complement"]
     assert run_cli(argv, capsys) == (2, "", f"error: {err}\n")
+
+
+def test_falsify_search_walks_up_to_3x3_without_max_size(capsys):
+    argv = _search("every-u-has-non-R-w", "coproduct")
+    del argv[2:4]  # --max-size 2
+    assert run_cli(argv, capsys)[:2] == (
+        1, "NOT FALSIFIED: no witness among the first 200 candidates up to 3x3; "
+        "the search stopped at its bound\n"
+    )
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

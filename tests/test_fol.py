@@ -296,12 +296,11 @@ def test_a_sentence_compiles_once(frame_f1):
     text = "box p |- p"
     fof = translate_sequent(parse_sequent(text, SIG_BOX), SIG_BOX, "pairing")
     m = Model(frame_f1, {"p": enumerate_concepts(frame_f1.polarity)[0]})
-    sentence = fol._sentence(fof)
     emit.compiled.cache_clear()
     # the first call compiles the sentence's shape, even on a small frame
     holds = eval_fo(m, fof)
     assert holds == eval_fo_recursive(m, fof)
-    assert sentence.fns is not None and emit.compiled.cache_info().misses == 1
+    assert fol._sentence(fof).fns is not None and emit.compiled.cache_info().misses == 1
     # called again or translated again, it compiles nothing
     for _ in range(2):
         again = translate_sequent(parse_sequent(text, SIG_BOX), SIG_BOX, "pairing")
@@ -310,10 +309,10 @@ def test_a_sentence_compiles_once(frame_f1):
 
 
 def _sentence_fns(fof):
-    return emit.compiled(fol._emit_sentence, fol._sentence(fof).key + ((),))
+    return fol._sentence(fof).fns
 
 
-def _sentence_source(fof, absent=()):
+def _sentence_source(fof, absent=None):
     return "\n".join(fol._emit_sentence(fol._Sentence(fof).key + (absent,)))
 
 
@@ -356,7 +355,7 @@ def test_hostile_names_never_become_code():
     ):
         got = _outcome(eval_fo, m, fof, {YV: 0})
         assert isinstance(got, tuple) and got == _outcome(eval_fo_recursive, m, fof, {YV: 0})
-        absent = tuple(range(len(fol._Sentence(fof).inputs)))
+        absent = tuple(range(len(fol._Sentence(fof).reads)))
         tokens = list(tokenize.generate_tokens(io.StringIO(_sentence_source(fof, absent)).readline))
         assert not [t for t in tokens if t.type in (tokenize.STRING, tokenize.COMMENT)]
 
@@ -622,3 +621,77 @@ def test_box_translations_compile_without_nested_loops():
             for loop in [n for n in ast.walk(tree) if isinstance(n, ast.For)]:
                 inner = [n for n in ast.walk(loop) if isinstance(n, ast.For)]
                 assert inner == [loop], format_fo(translate_sequent(seq, SIG_BOX, form))
+
+
+def _absent_calls(monkeypatch):
+    """The sentences whose evaluation took the absent-input path, in order."""
+    calls = []
+    real = fol._Sentence.absent
+
+    def absent(self, model, env):
+        calls.append(self)
+        return real(self, model, env)
+
+    monkeypatch.setattr(fol._Sentence, "absent", absent)
+    return calls
+
+
+def test_inputs_read_by_the_code_match_the_oracle(monkeypatch):
+    """On box and SIG_MIX frames of up to 4x4 points, every form of drawn
+    sequents and hand-built sentences with exists, equality, shadowing and
+    free variables agree with the recursive oracle, and no present input
+    takes the absent-input path."""
+    absent = _absent_calls(monkeypatch)
+    rng = random.Random(151)
+    compared = 0
+    for i in range(64):
+        sig = SIG_BOX if i % 2 else SIG_MIX
+        fr = random_box_frame(rng, 4, 4) if sig is SIG_BOX else random_frame(rng, sig, 4)
+        if i % 6 == 4:
+            fr = _empty_relations(fr)
+        pol = fr.polarity
+        concepts = enumerate_concepts(pol)
+        seq = random_sequent(rng, sig, PROPS[:2], 3 if sig is SIG_BOX else 2)
+        sentences = [translate_sequent(seq, sig, form) for form in SEQUENT_FORMS]
+        hand = [
+            Forall(XV, Exists(YV, FAnd(NAtom(XV, YV), Exists(XV, Eq(XV, X2))))),
+            Exists(YV, FImp(PredAtom("int", "p", YV), Forall(XV, FImp(NAtom(XV, YV), Eq(XV, X2))))),
+            Forall(X2, Exists(YV, FAnd(RAtom("box", (X2, YV)), PredAtom("ext", "q", XV)))),
+            FAnd(Eq(Y2, YV), Exists(YV, Forall(YV, NAtom(X2, YV)))),
+        ]
+        if sig is SIG_BOX:
+            sentences += hand
+        for _ in range(6):
+            m = Model(fr, {"p": rng.choice(concepts), "q": rng.choice(concepts)})
+            env = {XV: rng.randrange(pol.nw), X2: rng.randrange(pol.nw)}
+            env.update({YV: rng.randrange(pol.nu), Y2: rng.randrange(pol.nu)})
+            for fof in sentences:
+                assert eval_fo(m, fof, env) == eval_fo_recursive(m, fof, env), format_fo(fof)
+                compared += 1
+    assert compared > 1500 and not absent
+
+
+def test_absent_inputs_raise_as_the_oracle_and_only_when_reached(monkeypatch, frame_f1):
+    absent = _absent_calls(monkeypatch)
+    pol = frame_f1.polarity
+    m = Model(frame_f1, {"p": enumerate_concepts(pol)[0]})
+    env = {YV: 0, Y2: pol.nu}
+    true, false = Exists(XV, Eq(XV, XV)), Forall(XV, Forall(X2, Eq(XV, X2)))
+    for bad, want in (
+        (PredAtom("ext", "nope", XV), (FormatError, "no value assigned to proposition 'nope'")),
+        (RAtom("nope", (XV, YV)), (FormatError, "no relation for connective 'nope'")),
+        (NAtom(XV, Var("U", "free")), (SortError, "unbound variable free")),
+        (NAtom(XV, Y2), (SortError, f"variable y2 is bound to {pol.nu}, not a point of sort U")),
+        (Prop("p"), (TypeError, "not a first order formula: Prop(name='p')")),
+    ):
+        for fof in (Forall(XV, FAnd(true, bad)), Exists(XV, FImp(true, bad)), Forall(XV, bad)):
+            assert _outcome(eval_fo, m, fof, env) == want
+            assert _outcome(eval_fo_recursive, m, fof, env) == want
+        for fof in (Forall(XV, FAnd(false, bad)), FImp(false, Forall(XV, bad))):
+            assert eval_fo(m, fof, env) == eval_fo_recursive(m, fof, env)
+    assert len(absent) == 4 * 5  # a node that is not first order is no input
+    # a point given as a bool is one, as isinstance says, so nothing is absent
+    fof = Exists(XV, NAtom(XV, YV))
+    absent.clear()
+    assert eval_fo(m, fof, {YV: True}) == eval_fo_recursive(m, fof, {YV: True})
+    assert len(absent) == 1

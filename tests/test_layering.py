@@ -235,8 +235,8 @@ def test_section_table_folds_each_coordinate_in_one_call(arity, monkeypatch):
 
 def test_connective_memos_hold_bare_sections():
     # the validity program derives a connective's other mask where it reads it,
-    # calls section_zero itself at a miss, and fills a memo by one rule in
-    # the emitter
+    # computes a section itself at a miss (meet_rows on a unary relation's one
+    # row, else section_zero), and fills a memo by one rule in the emitter
     defined = {node.name for node in _tree("semantics").body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_section_pair", "_section", "_fills"}, defined
 

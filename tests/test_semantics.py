@@ -52,7 +52,8 @@ from lekit import (
 )
 from lekit import emit, semantics
 from lekit.constructions import product_algebra
-from lekit.frame import Relation, connective_sorts
+from lekit.bitset import meet_rows
+from lekit.frame import Relation, connective_sorts, section_zero
 from lekit.sampling import SIG_BOX, stabilize_box_relation
 
 from conftest import (
@@ -796,38 +797,60 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
     rng = random.Random(139)
     fr = _box_frame_on(rng, random_polarity(rng, 10, 10, 0.7))
     assert check_compatibility(fr).passed
-    zero = _spy(monkeypatch, "section_zero")
+    zero = _spy(monkeypatch, "section_zero")  # the oracle's sections
+    rows = _spy(monkeypatch, "meet_rows")  # a box's section at a miss
     tables = _spy(monkeypatch, "section_table")
-    # a box whose argument depends on p, even one that is constant up to
-    # the laws of top and bot (p /\ bot, top \/ p), gets one table per memo
-    # and no section of its own
-    for text, count in (
-        (r"box(box p) /\ p |- box p \/ p", 1),
-        ("box p |- p", 1),
-        (r"box(p /\ top) |- box(box p)", 1),
-        (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", 2),
+    # a box whose argument depends on p computes one section at its first
+    # key and fills its memo from one table at its second; one whose
+    # argument is constant up to the laws of top and bot (p /\ bot, top \/ p)
+    # has one key, so one section and no table
+    for text, sections, count in (
+        (r"box(box p) /\ p |- box p \/ p", 1, 1),
+        ("box p |- p", 1, 1),
+        (r"box(p /\ top) |- box(box p)", 1, 1),
+        (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", 2, 0),
     ):
         seq = parse_sequent(text, SIG_BOX)
         want = frame_validates_memo_only(fr, seq)
-        assert zero
+        assert zero and not rows
         zero.clear()
         assert _verdict(fr, seq) == want
-        assert not zero and len(tables) == count, text
+        assert not zero and (len(rows), len(tables)) == (sections, count), text
+        rows.clear()
         tables.clear()
     # boxes that read only constants, and two propositions: the memos
     # alone, each section at its first read
     for text in (r"p /\ box top |- box bot \/ p", r"box(p /\ q) |- box p \/ q"):
         seq = parse_sequent(text, SIG_BOX)
         want = frame_validates_memo_only(fr, seq)
-        zero.clear()
+        rows.clear()
         assert _verdict(fr, seq) == want
-        assert zero and not tables, text
+        assert rows and not tables, text
     # box p and box(p /\ q) share one memo keyed by extents: one section per
     # distinct extent among e_p and e_p & e_q over the valuations scanned
     pairs = [(c.extent, c.intent) for c in enumerate_concepts(fr.polarity)]
     scanned = list(product(pairs, repeat=2))[: want[2]]
     keys = {e_p for (e_p, _), _ in scanned} | {e_p & e_q for (e_p, _), (e_q, _) in scanned}
-    assert len(zero) == len(keys), (len(zero), len(keys))
+    assert len(rows) == len(keys), (len(rows), len(keys))
+
+
+def test_a_unary_section_is_meet_rows_on_the_one_row():
+    # the validity program's section at a miss of a unary connective
+    rng = random.Random(149)
+    empty = 0
+    for _ in range(40):
+        nw, nu = rng.randint(1, 5), rng.randint(1, 5)
+        for sorts in (("W", "U"), ("U", "W")):
+            sizes = tuple(nw if s == "W" else nu for s in sorts)
+            density = rng.choice((0.0, 0.3, 0.7))
+            pairs = product(range(sizes[0]), range(sizes[1]))
+            rel = Relation(sorts, sizes, [t for t in pairs if rng.random() < density])
+            empty += not rel.tuples
+            row = semantics._one_row(rel)
+            full = (1 << sizes[0]) - 1
+            for mask in range(1 << sizes[1]):  # the empty mask first
+                assert meet_rows(row, mask, full) == section_zero(rel, (mask,))
+    assert empty > 10
 
 
 # Every pair of top-level node kinds on the two sides of a sequent, with
