@@ -244,8 +244,8 @@ def search_falsification(condition, construction, max_size=3, tries=200, cap=Non
     each new frame with itself, then with every earlier one (in both
     orders under generated-subframe).  A candidate's extension or
     coproduct is built only when its frames do not already rule it out.
-    tries bounds the candidates, and the miss says whether the walk was
-    complete.  Under the p-morphism constructions a component must fail
+    tries, at least 0, bounds the candidates, and the miss says whether
+    the walk was complete.  Under the p-morphism constructions a component must fail
     the condition and the coproduct (fr + fr, f1 + f2) satisfy it, which
     no built-in condition allows, so those searches miss.  A frame
     searched has at most 2**max_size concepts, so a max_size with
@@ -254,6 +254,8 @@ def search_falsification(condition, construction, max_size=3, tries=200, cap=Non
     if max_size < 1:
         raise FormatError(f"max_size must be at least 1, got {max_size}; "
                           "pass --max-size 1 or more")
+    if tries < 0:
+        raise FormatError(f"tries must be at least 0, got {tries}")
     cap = DEFAULT_CONCEPT_CAP if cap is None else cap
     if max_size >= cap.bit_length():  # 2**max_size > cap, without computing 2**max_size
         raise CapExceededError(

@@ -170,8 +170,10 @@ def _fault(pm, concepts, images):
                 f"T-1-section at {sp.u_names[u]} = {_show(mask, tp.w_names)} "
                 "is not stable in the target",
             )
-    for w in range(tp.nw):
-        lhs = sp.down(pm.T.cols[w])
+    # T's columns closed down in the source: p4's left sides, and how a
+    # target W point goes over for p6/p7
+    closed = [sp.down(col) for col in pm.T.cols]
+    for w, lhs in enumerate(closed):
         rhs = pm.S.down(tp.rows[w])
         if lhs & ~rhs:
             return PMorphismReport(
@@ -200,10 +202,7 @@ def _fault(pm, concepts, images):
 
     # each target point goes over through T (sort W) or S (sort U), and
     # the target section goes back through T (head U) or S (head W)
-    over = {
-        "W": [sp.down(col) for col in pm.T.cols],
-        "U": [sp.up(col) for col in pm.S.cols],
-    }
+    over = {"W": closed, "U": [sp.up(col) for col in pm.S.cols]}
     for conn in pm.source.signature.connectives:
         src_rel = pm.source.relations[conn.name]
         tgt_rel = pm.target.relations[conn.name]

@@ -28,21 +28,21 @@ A unary connective's section there is one bitset.meet_rows on its
 relation's one row, an n-ary one's frame.section_zero.  The sides are
 compared by extents, or by intents through the Galois identity
 e <= down(i) iff i <= up(e) where the left intent is up of its extent
-and the right extent down of its intent (_test_mask).  In a
-one-proposition sequent whose scan is full, the memo of each unary
-connective whose argument depends on the proposition is filled from one
-frame.section_table over the concepts' masks, the kernel the complex
-algebra's tables use, at the second key that depends on the proposition.
-So an argument constant up to the laws of top and bot, such as
-p /\\ bot, costs one section and no table, and after a fill a valuation
-pays a miss only for a key that is no concept's mask.
+and the right extent down of its intent (_test_mask).  The program makes
+its memos itself, empty at each run.  In a one-proposition sequent, a
+miss that finds a unary connective's memo holding exactly one entry
+fills it for every concept (_filled): one bitset.meet_each on the same
+row a miss reads.  So an argument constant up to the laws of top and
+bot, such as p /\\ bot, misses once and fills nothing, and after a fill
+a valuation pays a miss only for a key that is no concept's mask.
 algebra_validates runs the program on element indices through meet,
 join and the operation tables.
 
 The emitter also works out, once per shape, a plan for each proposition
 from the signs of the two sides in it (_plan): all, or top alone when the
 left side is monotone in it and the right antitone, or bot alone in the
-dual case.  A check scans those reduced domains first and answers valid
+dual case.  A check scans those reduced domains (the last and first
+concepts, or the algebra's top and bot) first and answers valid
 from a pass when the operations it read are monotone: always on a frame,
 whose sections are, and on an algebra when it is a complex algebra or
 normal.  Otherwise, and on a frame's failure, it scans every valuation,
@@ -57,10 +57,10 @@ from functools import partial
 from itertools import islice, product
 
 from .algebra import ComplexAlgebra, verify_normality
-from .bitset import bits, meet_rows
+from .bitset import bits, meet_each, meet_rows
 from .emit import MAX_LOOPS, compiled
 from .errors import CapExceededError, FormatError
-from .frame import connective_sorts, section_table, section_zero
+from .frame import connective_sorts, section_zero
 from .polarity import Concept, concept_pairs
 from .syntax import And, Bot, Conn, Or, Prop, Top, connective_of
 
@@ -429,13 +429,13 @@ def _emit_program(key):
     its memo.  The section is meet_rows on S<connective>, the relation's
     one row, for a unary connective, and a call of S<connective>
     (section_zero on its relation) with the tuple of masks for any other.
-    The sides are compared by the mask _test_mask picks.  f2 returns, for
-    each memo, its connective and how a table fills it: by extent (0) or
-    intent (1) when the one proposition's plan is all and the memo serves
-    a unary connective whose argument depends on it, else None.  Such a
-    memo counts in N<memo> the misses of the slots whose argument depends
-    on the proposition, and at the second it adds fills[memo]() (_filled),
-    an entry for every concept, before it looks again.
+    The sides are compared by the mask _test_mask picks.  f0 makes the
+    memos, empty, at each call.  With one proposition, a unary
+    connective's miss that finds its memo holding exactly one entry first
+    adds fill(S<connective>, reads, head, key) (_filled), an entry for
+    every concept, and looks again; the three flags, literals True for an
+    extent and False for an intent, are the mask the connective reads, the
+    mask of its section and the mask its memo is keyed by.
 
     An algebra program reads meet, join and the flat operation tables, at
     the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
@@ -471,27 +471,20 @@ def _emit_program(key):
         memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
     signs = [_signs(nodes, p) for p in range(m)]
     plans = [_plan(s[lhs], s[rhs]) for s in signs]
-    # with one proposition and a full scan, a unary connective whose
-    # argument depends on it has its memo filled from a table
-    filled = {
-        memo[slot]
-        for slot, (op, _, kids) in enumerate(nodes)
-        if plans == ["all"] and op == "conn" and len(kids) == 1 and deps[kids[0]] >= 0
-    }
     if frame:
-        params = "by_ext, by_int, up, down, W, U, tables, sections, meet_rows, fills"
+        params = "by_ext, by_int, up, down, W, U, sections, meet_rows, fill"
     else:
         params = "meet, join, leq, top, bot, n, tables"
     lines = [f"def f0(fns, doms, {params}, product):"]
     nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
-    if nconns:
-        lines.append(f"    {''.join(f'R{c}, ' for c in range(len(memos) if frame else nconns))}= tables")
-        if frame:
-            lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
+    if nconns and frame:
+        names = [f"R{r}" for r in range(len(memos))]  # empty at each call
+        lines.append(f"    {', '.join(names)} = {', '.join(['{}'] * len(names))}")
+        lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
+    elif nconns:
+        lines.append(f"    {''.join(f'R{c}, ' for c in range(nconns))}= tables")
     if m:
         lines.append(f"    {''.join(f'D{k}, ' for k in range(m))}= doms")
-    if frame and filled:
-        lines.append(f"    {' = '.join(f'N{r}' for r in sorted(filled))} = 0")
 
     def other(slot):
         """Lines giving a slot its other mask, up or down of its key read
@@ -525,13 +518,13 @@ def _emit_program(key):
                 masks = "".join(f"{read}{k}, " for k, read in reads)
                 miss.append(f"{mask}{slot} = S{c}(({masks}))")
             miss += other(slot) + [f"R{r}[{key}] = e{slot}, i{slot}"]
-            if r in filled and deps[kids[0]] >= 0:
-                # the second key that depends on the proposition fills the
-                # memo from a table
+            if m == 1 and len(kids) == 1:
+                # with one proposition, a miss that finds one entry fills
+                # the memo for every concept (_filled)
+                flags = ", ".join([str(x == "e") for x in (reads[0][1], mask, keys[kids[0]])])
                 miss = [
-                    f"N{r} += 1",
-                    f"if N{r} == 2:",
-                    f"    R{r}.update(fills[{r}]())",
+                    f"if len(R{r}) == 1:",
+                    f"    R{r}.update(fill(S{c}, {flags}))",
                     f"if {key} in R{r}:",
                     f"    e{slot}, i{slot} = R{r}[{key}]",
                     "else:",
@@ -565,12 +558,6 @@ def _emit_program(key):
     lines.append(f"{pad}    return ({''.join(i + ', ' for i in found)})")
     lines.append("    return None")
     lines += ["def f1(fns):", f"    return ({''.join(f'{_DOMAINS.index(p)}, ' for p in plans)})"]
-    if frame:
-        entries = [
-            f"({c}, {'ei'.index(pattern[0]) if k in filled else None}), "
-            for k, (c, pattern) in enumerate(memos)
-        ]
-        lines += ["def f2(fns):", f"    return ({''.join(entries)})"]
     return lines
 
 
@@ -604,34 +591,27 @@ def _check_cap(total, cap):
         )
 
 
-def _failure(fns, args, full, domain, first, sound=None):
+def _failure(fns, args, full, top, bot, first, sound=None):
     """A valuation the program fns fails, as indices into the domains it
     scanned, or None when it fails none.
 
     When the plan (fns[1]) gives some proposition top or bot alone and
     full holds more than that one value, the reduced scan runs first, on
-    domain(plan) for those and full for the others.  A pass there answers
-    unless sound is given and sound() fails; a failure there is a real
-    one, and answers unless first asks for the first failing valuation in
-    full order.  Else the full scan runs.
+    the one-value list top or bot for those and full for the others.  A
+    pass there answers unless sound is given and sound() fails; a failure
+    there is a real one, and answers unless first asks for the first
+    failing valuation in full order.  Else the full scan runs.
     """
     plans = [_DOMAINS[k] for k in fns[1](fns)]
     if len(full) > 1 and plans.count("all") < len(plans):
-        picked = fns[0](fns, [full if p == "all" else domain(p) for p in plans], *args)
+        doms = [full if p == "all" else top if p == "top" else bot for p in plans]
+        picked = fns[0](fns, doms, *args)
         if picked is None:
             if sound is None or sound():
                 return None
         elif not first:
             return picked
     return fns[0](fns, [full] * len(plans), *args)
-
-
-def _concepts_of(pol, by_ext, by_int, plan):
-    """The (extent, intent) pair a proposition with this plan ranges over:
-    top or bot alone."""
-    if plan == "top":
-        return [(pol.full_w, by_ext[pol.full_w])]
-    return [(by_int[pol.full_u], pol.full_u)]
 
 
 def _one_row(rel):
@@ -641,22 +621,24 @@ def _one_row(rel):
     return rel.rows[0].get((), [0] * rel.sizes[1])
 
 
-def _filled(rel, key, pol, n, by_ext, by_int):
-    """The entries of a unary connective's memo for every concept, keyed by
-    its extent (key 0) or intent (key 1), as (key, entry) pairs, where
-    by_ext and by_int are the Galois memos, whose first n keys are the
-    concepts' masks in order.  The sections come from one section_table
-    over the masks the connective reads, and their other masks from the
-    memo of the head sort, as a miss reads them, or from up or down where
-    a section is in no entry of the memo."""
-    head, arg = rel.sorts
-    sections = section_table(rel, [list(islice(by_ext if arg == "W" else by_int, n))])
-    memo, derive = (by_ext, pol.up) if head == "W" else (by_int, pol.down)
+def _filled(pol, n, by_ext, by_int, row, reads_ext, head_ext, key_ext):
+    """The entries of a unary connective's memo for every concept, as (key,
+    entry) pairs, where row is the relation's one row (_one_row) and by_ext
+    and by_int are the Galois memos, whose first n keys are the concepts'
+    masks in order.  The connective reads extents or intents (reads_ext),
+    its section is an extent or an intent (head_ext), and the memo is keyed
+    by the concepts' extents or intents (key_ext).  The sections are one
+    bitset.meet_each on the row, the kernel a miss reads, and their other
+    masks come from the memo of the head sort, as a miss reads them, or
+    from up or down where a section is in no entry of the memo."""
+    masks = list(islice(by_ext if reads_ext else by_int, n))
+    sections = meet_each(row, masks, pol.full_w if head_ext else pol.full_u)
+    memo, derive = (by_ext, pol.up) if head_ext else (by_int, pol.down)
     others = list(map(memo.get, sections))
     if None in others:
         others = [derive(s) if o is None else o for s, o in zip(sections, others)]
-    entries = zip(sections, others) if head == "W" else zip(others, sections)
-    return zip(islice(by_int if key else by_ext, n), entries)
+    entries = zip(sections, others) if head_ext else zip(others, sections)
+    return zip(islice(by_ext if key_ext else by_int, n), entries)
 
 
 def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None):
@@ -678,17 +660,17 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     concepts and k propositions) when valid, else the counter-valuation's
     position.  The cap bounds c**k, since the full scan may run.
 
-    With one proposition and a full scan, the memo of each unary
-    connective whose argument depends on the proposition is filled at the
-    second miss of such a slot (_filled): an entry for every concept,
-    keyed as the memo is, its section from one section_table over the
-    concepts' extents or intents, by the sort of its coordinate.  The
-    memos are built per call and hold the same entries a miss computes on
-    any frame, since an argument that is no proposition holds the Galois
-    map of its key as its other mask; a key that is no concept's mask is
-    still computed at its first read.  by_ext and by_int start as the
-    concepts' masks in order and only grow, so their first keys are the
-    concepts' masks when a fill reads them.
+    With one proposition, a unary connective's memo is filled when a miss
+    finds it holding exactly one entry (_filled, bound here as fill): an
+    entry for every concept, keyed as the memo is, its section one
+    meet_each on the relation's one row over the concepts' extents or
+    intents, by the sort of its coordinate.  The program makes its memos
+    at each scan, and a fill holds the same entries a miss computes on any
+    frame, since an argument that is no proposition holds the Galois map
+    of its key as its other mask; a key that is no concept's mask is still
+    computed at its first read.  by_ext and by_int start as the concepts'
+    masks in order and only grow, so their first keys are the concepts'
+    masks when a fill reads them.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
@@ -699,26 +681,16 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
     rels = [frame.relations[c] for c in program.conns]
-    fns = compiled(_emit_program, ("frame",) + program.key)
-    fills = [
-        key if key is None else partial(_filled, rels[c], key, pol, len(pairs), by_ext, by_int)
-        for c, key in fns[2](fns)
-    ]
-    memos = [{} for _ in fills]
     sections = [_one_row(rel) if rel.arity == 1 else partial(section_zero, rel) for rel in rels]
-    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections)
-    args += (meet_rows, fills, product)
-    domain = partial(_concepts_of, pol, by_ext, by_int)
-    picked = _failure(fns, args, pairs, domain, first=True)
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, sections, meet_rows)
+    args += (partial(_filled, pol, len(pairs), by_ext, by_int), product)
+    fns = compiled(_emit_program, ("frame",) + program.key)
+    # concept_pairs sorts by extent: the bottom concept first, the top last
+    picked = _failure(fns, args, pairs, pairs[-1:], pairs[:1], first=True)
     if picked is None:
         return ValidityVerdict(True, None, total)
     counter = {p: Concept._make(pairs[i]) for p, i in zip(props, picked)}
     return ValidityVerdict(False, counter, _position(picked, len(pairs)))
-
-
-def _elements_of(alg, plan):
-    """The element a proposition with this plan ranges over: top or bot."""
-    return [alg.top if plan == "top" else alg.bot]
 
 
 def _algebra_reduction_holds(alg):
@@ -752,6 +724,5 @@ def algebra_validates(alg, sequent, cap=DEFAULT_VALUATION_CAP):
     tables = [alg.tables[c] for c in program.conns]
     args = (meet, join, alg.leq, alg.top, alg.bot, alg.size, tables, product)
     fns = compiled(_emit_program, ("algebra",) + program.key)
-    domain = partial(_elements_of, alg)
     sound = partial(_algebra_reduction_holds, alg)
-    return _failure(fns, args, dom, domain, first=False, sound=sound) is None
+    return _failure(fns, args, dom, [alg.top], [alg.bot], first=False, sound=sound) is None

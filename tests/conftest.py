@@ -576,6 +576,11 @@ def _unary_section(rel, mask, full):
     return semantics.section_zero(rel, (mask,))
 
 
+def _no_entries(*args):
+    """Where the program fills a memo: no entry."""
+    return ()
+
+
 def frame_validates_memo_only(frame, sequent):
     """frame_validates with every section memo empty at the start, so each
     section is one section_zero at its first read, as (valid,
@@ -588,14 +593,11 @@ def frame_validates_memo_only(frame, sequent):
     by_ext = dict(pairs)
     by_int = {i: e for e, i in pairs}
     fns = emit.compiled(semantics._emit_program, ("frame",) + program.key)
-    memos = [{} for _ in fns[2](fns)]
     rels = [frame.relations[c] for c in program.conns]
     sections = [rel if rel.arity == 1 else partial(semantics.section_zero, rel) for rel in rels]
-    fills = [dict] * len(memos)  # a fill adds no entry
-    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, memos, sections)
-    args += (_unary_section, fills, product)
-    domain = partial(semantics._concepts_of, pol, by_ext, by_int)
-    picked = semantics._failure(fns, args, pairs, domain, first=True)
+    args = (by_ext, by_int, pol.up, pol.down, pol.full_w, pol.full_u, sections)
+    args += (_unary_section, _no_entries, product)  # a fill adds no entry
+    picked = semantics._failure(fns, args, pairs, pairs[-1:], pairs[:1], first=True)
     if picked is None:
         return True, None, len(concepts) ** len(program.props)
     counter = {p: concepts[i] for p, i in zip(program.props, picked)}

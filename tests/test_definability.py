@@ -129,6 +129,15 @@ def test_search_falsification_rejects_max_size_below_one(size):
         )
 
 
+@pytest.mark.parametrize("construction", ["pmorphic-image", "coproduct"])
+def test_search_falsification_rejects_negative_tries(construction):
+    # a negative bound is refused, not read as no bound at all
+    with pytest.raises(FormatError, match="tries must be at least 0, got -1"):
+        search_falsification("R-equals-N-complement", construction, max_size=1, tries=-1)
+    miss = search_falsification("R-equals-N-complement", construction, max_size=1, tries=0)
+    assert (miss.candidates, miss.complete) == (0, False)
+
+
 def test_search_falsification_bounds_max_size_by_the_cap():
     # 2**16 concepts fit the default cap, 2**17 do not
     with pytest.raises(CapExceededError, match=r"--max-size 17 walks frames of up to 2\*\*17"):

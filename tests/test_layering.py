@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from lekit import frame
+from lekit import frame, semantics
 from lekit.bitset import meet_each
 from lekit.definability import search_falsification
+from lekit.sampling import SIG_BOX
+from lekit.syntax import parse_sequent
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lekit"
 
@@ -236,9 +238,22 @@ def test_section_table_folds_each_coordinate_in_one_call(arity, monkeypatch):
 def test_connective_memos_hold_bare_sections():
     # the validity program derives a connective's other mask where it reads it,
     # computes a section itself at a miss (meet_rows on a unary relation's one
-    # row, else section_zero), and fills a memo by one rule in the emitter
-    defined = {node.name for node in _tree("semantics").body if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_section_pair", "_section", "_fills"}, defined
+    # row, else section_zero), and makes its memos itself: a one-proposition
+    # miss that finds one entry calls fill, whose sections are meet_each on
+    # that same row.  The reduced scans read the first and last concepts.
+    tree = _tree("semantics")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    gone = {"_section_pair", "_section", "_fills", "_concepts_of", "_elements_of"}
+    assert not defined & gone, defined
+    imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "section_table" not in imported
+    for text in ("box p |- p", r"box(p /\ q) |- box p \/ q", r"box(p /\ bot) |- top"):
+        program = semantics._Program(parse_sequent(text, SIG_BOX), SIG_BOX)
+        source = ast.parse("\n".join(semantics._emit_program(("frame",) + program.key)))
+        functions = {node.name: node for node in source.body}
+        params = {a.arg for a in functions["f0"].args.args}
+        assert "f2" not in functions and "fill" in params, text
+        assert not params & {"tables", "fills"}, params
 
 
 def test_validity_memos_are_exact_dicts():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from lekit import (
     CapExceededError,
@@ -63,6 +63,8 @@ def test_up_down_by_hand():
     assert pol.down(0) == 0b11
 
 
+@seed(20183)
+@settings(database=None)
 @given(polarity_strategy, st.integers(0, 15), st.integers(0, 15))
 def test_galois_connection(pol, xm, ym):
     x = xm & pol.full("W")
@@ -71,6 +73,8 @@ def test_galois_connection(pol, xm, ym):
     assert (x & pol.down(y) == x) == (y & pol.up(x) == y)
 
 
+@seed(20184)
+@settings(database=None)
 @given(polarity_strategy, st.integers(0, 15), st.integers(0, 15))
 def test_closure_properties(pol, xm, ym):
     x = xm & pol.full("W")
@@ -84,6 +88,8 @@ def test_closure_properties(pol, xm, ym):
     assert pol.closure_u(cy) == cy
 
 
+@seed(20185)
+@settings(database=None)
 @given(polarity_strategy, st.integers(0, 15))
 def test_antitone_and_triple(pol, xm):
     x = xm & pol.full("W")
@@ -95,6 +101,8 @@ def test_antitone_and_triple(pol, xm):
         assert pol.up(sub) & up == up  # antitone
 
 
+@seed(20186)
+@settings(database=None)
 @given(polarity_strategy)
 def test_enumerate_concepts_against_brute_force(pol):
     concepts = enumerate_concepts(pol)
@@ -106,6 +114,8 @@ def test_enumerate_concepts_against_brute_force(pol):
     assert len(set(extents)) == len(extents)
 
 
+@seed(20187)
+@settings(database=None)
 @given(polarity_strategy)
 def test_concepts_form_a_closure_family(pol):
     concepts = enumerate_concepts(pol)

@@ -561,6 +561,24 @@ def _spy(monkeypatch, name):
     return seen
 
 
+def _scans(monkeypatch):
+    """The domain sizes of each run of a validity program, in call order."""
+    seen = []
+    real = semantics.compiled
+
+    def spy(emit, key):
+        run, *rest = real(emit, key)
+
+        def f0(fns, doms, *args):
+            seen.append([len(d) for d in doms])
+            return run(fns, doms, *args)
+
+        return (f0, *rest)
+
+    monkeypatch.setattr(semantics, "compiled", spy)
+    return seen
+
+
 def _box_frame_on(rng, pol):
     """A compatible box frame on pol, its relation grown from a sparse seed."""
     seed = [(w, u) for w in range(pol.nw) for u in range(pol.nu) if rng.random() < 0.3]
@@ -595,17 +613,18 @@ def test_polarities_m3_and_n5_have_those_lattices():
 
 
 def test_reduced_scans_answer_as_the_full_scan_on_frames(monkeypatch):
-    # _concepts_of builds the domains of a reduced scan, and a frame's
-    # reduced pass answers valid at once: a valid verdict after a call is
-    # an answer by reduced scan
-    bounds = _spy(monkeypatch, "_concepts_of")
+    # a reduced scan runs the program with one value for some proposition
+    # first, and a frame's reduced pass answers valid at once: a valid
+    # verdict after such a run is an answer by reduced scan
+    scans = _scans(monkeypatch)
     reduced = Counter()
 
     def check(fr, seq):
-        bounds.clear()
+        scans.clear()
         got = _verdict(fr, seq)
+        first = scans[0]
         assert got == _full_scan(monkeypatch, _verdict, fr, seq), seq
-        if bounds:
+        if min(first, default=1) < len(enumerate_concepts(fr.polarity)):
             reduced[got[0]] += 1
 
     rng = random.Random(109)
@@ -629,11 +648,11 @@ def test_reduced_scans_answer_as_the_full_scan_on_frames(monkeypatch):
     for fr, seq in cases:
         check(fr, seq)
     assert reduced[True] >= 100 and reduced[False] >= 50, reduced
-    # on one concept, top alone is every concept: nothing reduces
-    bounds.clear()
+    # on one concept, top alone is every concept: the one scan is the full one
+    scans.clear()
     one = load_frame(GOLDEN / "empty.json")
     assert frame_validates(one, parse_sequent("p |- top", one.signature)).valid
-    assert not bounds
+    assert scans == [[1]]
 
 
 def _non_monotone_algebra():
@@ -740,6 +759,9 @@ def test_plans_follow_the_shape_rules(rule):
 # and p /\ top), boxes reading only constants, boxes reading a formula in p
 # that is no p up to the laws of top and bot (p /\ bot, box p \/ bot,
 # p \/ top), and axioms that fail at an early valuation on most frames.
+# The last ones (REDUCED_FILL_SEQUENTS) have the plan top or bot and fail
+# the reduced scan on most frames.
+REDUCED_FILL_SEQUENTS = ("box p |- box bot", "box top |- box(box p)", r"box top |- p \/ box p")
 FILL_SEQUENTS = (
     r"box(box p) /\ p |- box p \/ p",
     r"box(p /\ top) |- box(box(p \/ bot))",
@@ -751,7 +773,7 @@ FILL_SEQUENTS = (
     "p |- box p",
     "box(box p) |- box p",
     "p |- box top",
-)
+) + REDUCED_FILL_SEQUENTS
 
 
 def _fill_frames(rng, tmp_path):
@@ -772,9 +794,11 @@ def _fill_frames(rng, tmp_path):
 
 
 def test_table_fill_answers_as_the_memos_alone(monkeypatch, tmp_path):
-    tables = _spy(monkeypatch, "section_table")
+    fills = _spy(monkeypatch, "_filled")
+    scans = _scans(monkeypatch)
     rng = random.Random(137)
-    seen = Counter()
+    seen, reduced = Counter(), Counter()
+    reduced_seqs = [parse_sequent(text, SIG_BOX) for text in REDUCED_FILL_SEQUENTS]
     for fr in _fill_frames(rng, tmp_path):
         compatible = check_compatibility(fr).passed
         seqs = [random_sequent(rng, fr.signature, PROPS[: 1 + i % 2], 3) for i in range(12)]
@@ -782,15 +806,22 @@ def test_table_fill_answers_as_the_memos_alone(monkeypatch, tmp_path):
             seqs += [parse_sequent(text, SIG_BOX) for text in FILL_SEQUENTS]
         for seq in seqs:
             want = frame_validates_memo_only(fr, seq)
-            tables.clear()
+            fills.clear()
+            scans.clear()
             assert _verdict(fr, seq) == want, seq
-            seen[compatible, bool(tables), want[0]] += 1
+            seen[compatible, bool(fills), want[0]] += 1
+            if seq in reduced_seqs and len(scans) == 2:
+                reduced[compatible, bool(fills)] += 1
     # the fill runs on compatible and incompatible frames, for valid and
     # invalid sequents alike, and is skipped where it does not apply
     for compatible in (True, False):
         for valid in (True, False):
             assert seen[compatible, True, valid] >= 5, seen
             assert seen[compatible, False, valid] >= 5, seen
+    # a top or bot plan whose reduced scan fails fills on the full scan, and
+    # agrees with the memos alone on compatible and unchecked frames
+    assert reduced[True, True] >= 5 and reduced[False, True] >= 5, reduced
+    assert not reduced[True, False] and not reduced[False, False], reduced
 
 
 def test_one_proposition_sections_come_from_one_table(monkeypatch):
@@ -799,25 +830,32 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
     assert check_compatibility(fr).passed
     zero = _spy(monkeypatch, "section_zero")  # the oracle's sections
     rows = _spy(monkeypatch, "meet_rows")  # a box's section at a miss
-    tables = _spy(monkeypatch, "section_table")
+    fills = _spy(monkeypatch, "_filled")
     # a box whose argument depends on p computes one section at its first
     # key and fills its memo from one table at its second; one whose
     # argument is constant up to the laws of top and bot (p /\ bot, top \/ p)
-    # has one key, so one section and no table
+    # has one key, so one section and no table.  A reduced scan that fails
+    # runs again in full, with memos of its own: box p |- box bot (plan top)
+    # computes box top and box bot, then box bot and box p at the bottom
+    # concept, and fills at the second concept; in box top |- box(box p)
+    # (plan bot) the miss of box p at the bottom concept finds box top's
+    # entry, so each scan fills there
     for text, sections, count in (
         (r"box(box p) /\ p |- box p \/ p", 1, 1),
         ("box p |- p", 1, 1),
         (r"box(p /\ top) |- box(box p)", 1, 1),
         (r"box(p /\ bot) /\ p |- p \/ box(top \/ p)", 2, 0),
+        ("box p |- box bot", 4, 1),
+        ("box top |- box(box p)", 2, 2),
     ):
         seq = parse_sequent(text, SIG_BOX)
         want = frame_validates_memo_only(fr, seq)
         assert zero and not rows
         zero.clear()
         assert _verdict(fr, seq) == want
-        assert not zero and (len(rows), len(tables)) == (sections, count), text
+        assert not zero and (len(rows), len(fills)) == (sections, count), text
         rows.clear()
-        tables.clear()
+        fills.clear()
     # boxes that read only constants, and two propositions: the memos
     # alone, each section at its first read
     for text in (r"p /\ box top |- box bot \/ p", r"box(p /\ q) |- box p \/ q"):
@@ -825,7 +863,7 @@ def test_one_proposition_sections_come_from_one_table(monkeypatch):
         want = frame_validates_memo_only(fr, seq)
         rows.clear()
         assert _verdict(fr, seq) == want
-        assert rows and not tables, text
+        assert rows and not fills, text
     # box p and box(p /\ q) share one memo keyed by extents: one section per
     # distinct extent among e_p and e_p & e_q over the valuations scanned
     pairs = [(c.extent, c.intent) for c in enumerate_concepts(fr.polarity)]

@@ -1,7 +1,7 @@
 """Parser, printer, and signature handling."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from lekit import (
     Connective,
@@ -152,6 +152,8 @@ def formula_strategy(depth):
     )
 
 
+@seed(20188)
+@settings(database=None)
 @given(formula_strategy(4))
 def test_print_parse_round_trip(phi):
     assert parse_formula(format_formula(phi), SIG_MIXED) == phi
