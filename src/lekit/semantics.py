@@ -29,14 +29,10 @@ relation's one row, an n-ary one's frame.section_zero.  The sides are
 compared by extents, or by intents through the Galois identity
 e <= down(i) iff i <= up(e) where the left intent is up of its extent
 and the right extent down of its intent (_test_mask).  The program makes
-its memos itself, empty at each run.  In a one-proposition sequent, a
-miss that finds a unary connective's memo holding exactly one entry
-fills it for every concept (_filled): one bitset.meet_each on the same
-row a miss reads.  So an argument constant up to the laws of top and
-bot, such as p /\\ bot, misses once and fills nothing, and after a fill
-a valuation pays a miss only for a key that is no concept's mask.
-algebra_validates runs the program on element indices through meet,
-join and the operation tables.
+its memos itself, empty at each run, and with one proposition fills a
+unary connective's memo for every concept by the rule _emit_program
+states.  algebra_validates runs the program on element indices through
+meet, join and the operation tables.
 
 The emitter also works out, once per shape, a plan for each proposition
 from the signs of the two sides in it (_plan): all, or top alone when the
@@ -429,13 +425,24 @@ def _emit_program(key):
     its memo.  The section is meet_rows on S<connective>, the relation's
     one row, for a unary connective, and a call of S<connective>
     (section_zero on its relation) with the tuple of masks for any other.
-    The sides are compared by the mask _test_mask picks.  f0 makes the
-    memos, empty, at each call.  With one proposition, a unary
-    connective's miss that finds its memo holding exactly one entry first
-    adds fill(S<connective>, reads, head, key) (_filled), an entry for
-    every concept, and looks again; the three flags, literals True for an
-    extent and False for an intent, are the mask the connective reads, the
-    mask of its section and the mask its memo is keyed by.
+    A connective that reads no proposition is computed once, before the
+    loops, and has no memo.  The sides are compared by the mask _test_mask
+    picks.
+
+    f0 makes the memos, empty, at each call, and this is the one rule that
+    fills them: with one proposition, a unary connective's miss that finds
+    its memo holding exactly one entry, in a scan of more than one
+    valuation, first adds fill(S<connective>, reads, head, key) (_filled),
+    an entry for every concept, and looks again.  The three flags, literals
+    True for an extent and False for an intent, are the mask the
+    connective reads, the mask of its section and the mask its memo is
+    keyed by.  So a memo fills at its second key: an argument whose key
+    takes one value, such as p /\\ bot alone in its memo, misses once and
+    fills nothing; a reduced scan, or a full scan that fails at its first
+    valuation, fills nothing; and after a fill a valuation pays a miss only
+    for a key that is no concept's mask.  A fill holds the entries misses
+    would compute, on any frame, since an argument that is no proposition
+    holds the Galois map of its key as its other mask.
 
     An algebra program reads meet, join and the flat operation tables, at
     the Horner position (v_a * n + v_b) * n + ... of the arguments, for n
@@ -463,11 +470,12 @@ def _emit_program(key):
     has[lhs].add(test)
     has[rhs].add(test)
     memos = {}  # (connective, key masks of its arguments) -> memo number
-    memo = []  # memo[slot]: a connective's memo number, else None
+    memo = []  # memo[slot]: the memo number of a connective reading a proposition, else None
     for slot, (op, payload, kids) in enumerate(nodes):
         for c in kids:
             has[c].add(keys[c] if op == "conn" else "e" if op == "and" else "i")
-        pattern = (payload[0], tuple([keys[c] for c in kids])) if op == "conn" else None
+        memoised = op == "conn" and deps[slot] >= 0
+        pattern = (payload[0], tuple([keys[c] for c in kids])) if memoised else None
         memo.append(memos.setdefault(pattern, len(memos)) if pattern else None)
     signs = [_signs(nodes, p) for p in range(m)]
     plans = [_plan(s[lhs], s[rhs]) for s in signs]
@@ -477,9 +485,10 @@ def _emit_program(key):
         params = "meet, join, leq, top, bot, n, tables"
     lines = [f"def f0(fns, doms, {params}, product):"]
     nconns = len({payload[0] for op, payload, _ in nodes if op == "conn"})
-    if nconns and frame:
+    if frame and memos:
         names = [f"R{r}" for r in range(len(memos))]  # empty at each call
         lines.append(f"    {', '.join(names)} = {', '.join(['{}'] * len(names))}")
+    if nconns and frame:
         lines.append(f"    {''.join(f'S{c}, ' for c in range(nconns))}= sections")
     elif nconns:
         lines.append(f"    {''.join(f'R{c}, ' for c in range(nconns))}= tables")
@@ -517,13 +526,14 @@ def _emit_program(key):
             else:
                 masks = "".join(f"{read}{k}, " for k, read in reads)
                 miss.append(f"{mask}{slot} = S{c}(({masks}))")
-            miss += other(slot) + [f"R{r}[{key}] = e{slot}, i{slot}"]
+            miss += other(slot)
+            if deps[slot] < 0:  # computed once, before the loops
+                return miss
+            miss.append(f"R{r}[{key}] = e{slot}, i{slot}")
             if m == 1 and len(kids) == 1:
-                # with one proposition, a miss that finds one entry fills
-                # the memo for every concept (_filled)
                 flags = ", ".join([str(x == "e") for x in (reads[0][1], mask, keys[kids[0]])])
                 miss = [
-                    f"if len(R{r}) == 1:",
+                    f"if len(R{r}) == 1 and len(D0) > 1:",
                     f"    R{r}.update(fill(S{c}, {flags}))",
                     f"if {key} in R{r}:",
                     f"    e{slot}, i{slot} = R{r}[{key}]",
@@ -660,17 +670,10 @@ def frame_validates(frame, sequent, cap=DEFAULT_VALUATION_CAP, concept_cap=None)
     concepts and k propositions) when valid, else the counter-valuation's
     position.  The cap bounds c**k, since the full scan may run.
 
-    With one proposition, a unary connective's memo is filled when a miss
-    finds it holding exactly one entry (_filled, bound here as fill): an
-    entry for every concept, keyed as the memo is, its section one
-    meet_each on the relation's one row over the concepts' extents or
-    intents, by the sort of its coordinate.  The program makes its memos
-    at each scan, and a fill holds the same entries a miss computes on any
-    frame, since an argument that is no proposition holds the Galois map
-    of its key as its other mask; a key that is no concept's mask is still
-    computed at its first read.  by_ext and by_int start as the concepts'
-    masks in order and only grow, so their first keys are the concepts'
-    masks when a fill reads them.
+    The program fills memos by _emit_program's rule, through _filled bound
+    here as fill.  by_ext and by_int start as the concepts' masks in order
+    and only grow, so their first keys are the concepts' masks when a fill
+    reads them.
     """
     program = _Program(sequent, frame.signature)
     props = program.props
