@@ -46,15 +46,17 @@ relation's point sections one coordinate at a time, with one meet_each
 per coordinate over ints that pack the sections of all argument tuples
 side by side.
 
-verify_normality checks residuation column by column, each column a
+verify_normality answers for the complex algebra of a compatible frame
+from the frame alone, by the lemma its docstring states.  Any other
+algebra it checks for residuation column by column, each column a
 slice of its flat table.  A column is residuated when
 the OR of the preimages over each cone is a principal cone; that OR
 depends only on the cone's cut by the column's image, so it is taken
-once per distinct cut.  A box column of a complex algebra often has an
-image of a few elements, so a few ORs stand for hundreds of cones.  The
-set of principal cones is built only for the cones a column compares
-with, so checking a box algebra, whose columns gather and compare up-cones,
-never computes its down-cones.
+once per distinct cut.  A box column often has an image of a few
+elements, so a few ORs stand for hundreds of cones.  The set of
+principal cones is built only for the cones a column compares with, so
+scanning a box algebra, whose columns gather and compare up-cones, never
+computes its down-cones.
 """
 
 from __future__ import annotations
@@ -305,7 +307,8 @@ class ComplexAlgebra(FiniteAlgebra):
     index_of_extent.  pairs keeps the concepts as plain (extent, intent)
     tuples, sorted by extent, so bot is the first and top the last.  The
     cones above and below, the Concepts and the element names wait for a
-    reader.
+    reader.  tables is a read-only view: verify_normality and algebra
+    validity trust it to hold the frame's section maps.
     """
 
     def __init__(self, frame, cap=DEFAULT_CONCEPT_CAP):
@@ -319,7 +322,7 @@ class ComplexAlgebra(FiniteAlgebra):
         self._extents, self._intents = extents, intents
         masks = {"W": extents, "U": intents}
         index = {"W": dict(zip(extents, range(n)))}
-        self.tables = {}
+        tables = {}
         for conn in self.signature.connectives:
             rel = frame.relations[conn.name]
             head, *coords = rel.sorts
@@ -331,7 +334,8 @@ class ComplexAlgebra(FiniteAlgebra):
                     f"operation {conn.name!r} leaves the concept lattice; "
                     "the frame is not compatible"
                 )
-            self.tables[conn.name] = ids
+            tables[conn.name] = ids
+        self.tables = MappingProxyType(tables)
         self._ext_index = index["W"]
 
     @_lazy
@@ -502,6 +506,15 @@ def _column_failure(alg, conn, i, rest, col):
 def verify_normality(alg):
     """Check the distribution and unit laws coordinatewise.
 
+    The complex algebra of a compatible polarity-based frame is a complete
+    normal lattice expansion: each section of a compatible relation is a
+    complete operator (F) or dual operator (G) on the concept lattice.  So
+    a ComplexAlgebra whose frame passes check_compatibility passes at
+    once, reading no cone and no meet or join table; its tables are a
+    read-only view of the frame's sections.  Every other algebra (given by
+    the user, a product, a from_cones copy, or the complex algebra of an
+    incompatible frame built without the check) is scanned as follows.
+
     Family F turns joins into joins at monotone coordinates and meets into
     joins at antitone ones, sending the corresponding unit to bottom.
     Family G is dual.  On a finite lattice an operation obeys these laws
@@ -513,6 +526,8 @@ def verify_normality(alg):
     is scanned pair by pair through the meet and join tables, for the
     first unit or pair that breaks a law.
     """
+    if isinstance(alg, ComplexAlgebra) and check_compatibility(alg.frame).passed:
+        return NormalityReport(True)
     for conn, i, rest, col, gather, principal in _columns(alg):
         if not _residuated(col, gather, principal):
             report = _column_failure(alg, conn, i, rest, col)

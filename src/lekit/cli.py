@@ -141,7 +141,8 @@ def _write_frame(args, frame):
     _emit(
         args,
         {"written": args.output, "W": nw, "U": nu},
-        f"wrote {args.output} ({nw} W points, {nu} U points)",
+        f"wrote {args.output} ({nw} W point{'' if nw == 1 else 's'}, "
+        f"{nu} U point{'' if nu == 1 else 's'})",
     )
     return 0
 

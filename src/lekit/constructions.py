@@ -125,7 +125,9 @@ def _filter_ideal_frame(alg):
 
 
 def filter_ideal_extension(frame, cap=None):
-    """The filter-ideal frame of the frame's (normal) complex algebra."""
+    """The filter-ideal frame of the frame's complex algebra, normal by the
+    lemma in verify_normality's docstring once the build's compatibility
+    check passes."""
     return _filter_ideal_frame(build_complex_algebra(frame, cap=cap))
 
 

@@ -3,6 +3,8 @@
 import gc
 import random
 import weakref
+from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -29,11 +31,13 @@ from lekit import (
 import lekit.algebra as algebra_module
 import lekit.frame as frame_module
 from lekit.algebra import ComplexAlgebra
+from lekit.bitset import bits
 from lekit.frame import Relation, connective_sorts
 from lekit.polarity import Concept
 from lekit.sampling import (
     SIG_BOX,
     box_frame,
+    box_frames,
     stabilize_box_relation,
 )
 from lekit.syntax import EMPTY_SIGNATURE, Connective, Signature
@@ -359,6 +363,22 @@ def _box_frame(rng, nw, nu, density):
     return Frame(pol, SIG_BOX, {"box": rel})
 
 
+def _unstable_box_copy(frame):
+    """The box frame with one pair (w, u) added that makes row w no intent
+    but leaves every section of an intent as it was, or None.  Every intent
+    holding u holds the least one, so when w misses the column of another
+    point v of that intent, the sections already miss w: the complex
+    algebra builds, with the same tables, from an incompatible frame."""
+    pol, rel = frame.polarity, frame.relations["box"]
+    for w, u in product(range(pol.nw), range(pol.nu)):
+        if (w, u) in rel.tuples:
+            continue
+        if any((w, v) not in rel.tuples for v in bits(pol.closure_u(1 << u) & ~(1 << u))):
+            added = Relation(rel.sorts, rel.sizes, rel.tuples | {(w, u)})
+            return Frame(pol, SIG_BOX, {"box": added})
+    return None
+
+
 def _cone_frames():
     """Box frames up to 16 x 16, bare polarities of every shape and density,
     and filter-ideal frames with a binary F and a binary G connective."""
@@ -445,18 +465,45 @@ def test_a_complex_algebra_build_makes_no_cones_and_no_concepts(monkeypatch):
 
 
 def test_box_normality_leaves_the_down_cones_uncomputed():
-    # a box column is G and monotone: it gathers and compares up-cones only
     rng = random.Random(103)
-    boxes = [build_complex_algebra(_box_frame(rng, side, side, 0.7)) for side in (3, 8, 16)]
-    boxes += [build_complex_algebra(random_box_frame(rng, 4, 4)) for _ in range(6)]
-    for alg in boxes:
+    draws = [partial(_box_frame, rng, side, side, 0.7) for side in (3, 8, 16)]
+    draws += [partial(random_box_frame, rng, 4, 4)] * 6
+    boxes = [draw() for draw in draws]
+    mixed = boolean_frame(rng, 2, SIG_MIX.connectives)
+    # a compatible frame's complex algebra passes from its frame: no cone is read
+    for frame in boxes + [mixed]:
+        alg = build_complex_algebra(frame)
+        assert verify_normality(alg).passed
+        assert not {"above", "below", "meet", "join", "concepts", "names"} & set(vars(alg))
+    # the scan: a box column is G and monotone, so it gathers and compares
+    # up-cones only; the same draws, each made until a copy of its frame
+    # with one unstable row has the same tables
+    scanned = []
+    for draw in draws:
+        frame = draw()
+        while (unstable := _unstable_box_copy(frame)) is None:
+            frame = draw()
+        alg = build_complex_algebra(unstable, check=False)
+        assert not check_compatibility(alg.frame).passed
+        assert alg.tables == build_complex_algebra(frame).tables
         assert verify_normality(alg).passed
         assert "above" in vars(alg)
         assert not {"below", "concepts", "names"} & set(vars(alg))
-    # an F column reads the down-cones
-    mixed = build_complex_algebra(boolean_frame(rng, 2, SIG_MIX.connectives))
-    assert verify_normality(mixed).passed
-    assert {"above", "below"} <= set(vars(mixed))
+        scanned.append(frame.polarity.nw)
+    assert scanned[:3] == [3, 8, 16]
+    # an F column reads the down-cones: an incompatible frame drawn until
+    # its complex algebra builds and is normal
+    while True:
+        frame = random_frame(rng, SIG_MIX, 3)
+        try:
+            normal = normality_by_lookup(ComplexAlgebra(frame)).passed
+        except IncompatibleFrameError:
+            continue
+        if normal and not check_compatibility(frame).passed:
+            break
+    alg = ComplexAlgebra(frame)
+    assert verify_normality(alg).passed
+    assert {"above", "below"} <= set(vars(alg))
 
 
 def test_only_tables_given_by_the_user_are_copied():
@@ -481,6 +528,22 @@ def test_only_tables_given_by_the_user_are_copied():
     alg = FiniteAlgebra.from_cones(names, above, below, SIG_BOX, ops, lattice=True)
     assert alg.tables["box"] is ops["box"]
     assert alg.ops == {"box": {(x,): x for x in range(n)}}
+
+
+def test_complex_algebra_tables_cannot_be_edited_in_place():
+    # verify_normality and algebra validity trust them to be the frame's sections
+    alg = build_complex_algebra(_box_frame(random.Random(107), 4, 4, 0.6))
+    box = alg.tables["box"]
+    with pytest.raises(TypeError):
+        alg.tables["box"] = (alg.top,) * alg.size
+    with pytest.raises(TypeError):
+        del alg.tables["box"]
+    with pytest.raises(AttributeError):
+        alg.tables.clear()
+    # a copy is a dict to edit, as a damaged algebra is made
+    copy = dict(alg.tables)
+    copy["box"] = (alg.top,) * alg.size
+    assert alg.tables == {"box": box}
 
 
 def _empty_signature_algebras(rng):
@@ -751,6 +814,42 @@ def test_residuation_matches_pair_lookup_on_normal_and_damaged_algebras():
     # unit and distribution laws both fail in the family
     assert any(law and law.endswith(" unit") for law in laws)
     assert any(law and not law.endswith(" unit") for law in laws)
+
+
+def _scanned(alg):
+    """verify_normality of a from_cones copy of alg: the column scan, on any alg."""
+    copy = FiniteAlgebra.from_cones(
+        lambda: alg.names, alg.above, alg.below, alg.signature, alg.tables, lattice=True
+    )
+    return verify_normality(copy)
+
+
+def test_compatible_frames_pass_normality_as_the_scan_does():
+    # the complex algebra of a compatible frame is normal: every compatible
+    # box frame up to 3x3, and drawn frames of every kind of connective
+    for key in box_frames(3, 3):
+        alg = ComplexAlgebra(box_frame(key))
+        assert verify_normality(alg).passed
+        assert verify_normality(alg) == _scanned(alg)
+    rng = random.Random(113)
+    frames = [random_frame(rng, SIG_MIX, 3) for _ in range(4000)]
+    frames += [boolean_frame(rng, k, SIG_MIX.connectives) for k in (1, 2, 3) for _ in range(20)]
+    outcomes = Counter()
+    for frame in frames:
+        compatible = check_compatibility(frame).passed
+        try:
+            alg = ComplexAlgebra(frame)
+        except IncompatibleFrameError:
+            assert not compatible
+            continue
+        report = verify_normality(alg)
+        if compatible:
+            assert report.passed
+            assert report == _scanned(alg)
+        else:  # built from an incompatible frame: normal or not, as the lookup finds
+            assert report == normality_by_lookup(alg)
+        outcomes[compatible, report.passed] += 1
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
 
 
 def test_lattices_by_construction_fill_their_tables_only_when_read():

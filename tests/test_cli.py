@@ -159,6 +159,22 @@ def test_filter_ideal_from_frame(tmp_path, capsys):
     assert len(data["W"]) == 4  # one filter per concept
 
 
+@pytest.mark.parametrize(
+    "frame, points",
+    [(EMPTY, "1 W point, 1 U point"), (F1, "4 W points, 4 U points")],
+    ids=["one", "four"],
+)
+def test_a_written_frame_counts_its_points_in_number(frame, points, tmp_path, capsys):
+    # a frame without points has one concept, so one filter and one ideal
+    out_path = str(tmp_path / "fif.json")
+    assert run_cli(["filter-ideal", frame, "-o", out_path], capsys) == (
+        0, f"wrote {out_path} ({points})\n", ""
+    )
+    code, out, _ = run_cli(["--json", "filter-ideal", frame, "-o", out_path], capsys)
+    n = int(points.split()[0])
+    assert (code, json.loads(out)) == (0, {"written": out_path, "W": n, "U": n})
+
+
 INCOMPATIBLE = {
     "signature": {"connectives": [{"name": "box", "family": "G", "arity": 1, "order_type": ["1"]}]},
     "W": ["a", "b"],
